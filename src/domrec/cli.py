@@ -157,13 +157,33 @@ def _read_edge_list(path: str, at: int) -> SeedGraph:
     return SeedGraph.from_edges(top + 1, edges, name=f"file:{path}")
 
 
-def _parse_k(text: str, n: int) -> int:
+def _k_value(text: str, n: int) -> int:
+    """--k as an integer, with 'max' standing for n."""
     if text == "max":
         return n
     try:
         return int(text)
     except ValueError:
         raise GraphSpecError(f"--k must be an integer or 'max', got {text!r}") from None
+
+
+def _parse_k(text: str, n: int) -> int:
+    """--k as a cardinality bound in [0, n]."""
+    k = _k_value(text, n)
+    if not 0 <= k <= n:
+        raise GraphSpecError(f"--k must be in [0, {n}], got {k}")
+    return k
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _expected_or_none(spec: FamilySpec | None, g: SeedGraph, k: int) -> bool | None:
@@ -261,8 +281,8 @@ def _cmd_analyze(args) -> int:
     report = analysis_report(g, spec, k, r)
     circuit_labels = None
     if args.circuit:
-        rep = eulerian_report(r)
-        if rep.is_eulerian and rep.edge_count > 0:
+        euler = report["euler"]
+        if euler["is_eulerian"] and euler["edge_count"] > 0:
             circuit_labels = [str(r.label(i)) for i in euler_circuit(r)]
         else:
             circuit_labels = []
@@ -308,9 +328,9 @@ def _scan_instances(family: str, lo: int, hi: int) -> list[str]:
     raise GraphSpecError(f"unknown scan family {family!r}")
 
 
-def scan_row(spec_string: str, k: int) -> dict:
+def scan_row(spec_string: str, k: int, gamma: int) -> dict:
+    """One CSV row for (spec, k); gamma is the seed's domination number."""
     g, spec = parse_graph_spec(spec_string)
-    profile = domination_profile(g)
     r = build_reconfig(g, k)
     rep = eulerian_report(r)
     expected = _expected_or_none(spec, g, k)
@@ -318,7 +338,7 @@ def scan_row(spec_string: str, k: int) -> dict:
         "family": spec_string,
         "n": g.n,
         "k": k,
-        "gamma": profile.gamma,
+        "gamma": gamma,
         "nodes": rep.node_count,
         "edges": rep.edge_count,
         "odd_degree_count": rep.odd_degree_count,
@@ -329,7 +349,7 @@ def scan_row(spec_string: str, k: int) -> dict:
     }
 
 
-def _scan_worker(task: tuple[str, int]) -> dict:
+def _scan_worker(task: tuple[str, int, int]) -> dict:
     return scan_row(*task)
 
 
@@ -343,21 +363,17 @@ def _cmd_scan(args) -> int:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise GraphSpecError(f"--n must look like 3..8, got {args.n!r}") from None
-    tasks: list[tuple[str, int]] = []
+    tasks: list[tuple[str, int, int]] = []
     for spec_string in _scan_instances(args.family, lo, hi):
         g, _ = parse_graph_spec(spec_string)
         gamma = domination_profile(g).gamma
         if args.k == "all":
             ks = range(gamma, g.n + 1)
         else:
-            single = _parse_k(args.k, g.n)
+            single = _k_value(args.k, g.n)
             ks = [single] if gamma <= single <= g.n else []
-        tasks.extend((spec_string, k) for k in ks)
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_scan_worker, tasks))
-    else:
-        rows = [scan_row(*task) for task in tasks]
+        tasks.extend((spec_string, k, gamma) for k in ks)
+    rows = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":
         rows = [row for row in rows if row["is_eulerian"]]
     buf = io.StringIO()
@@ -380,6 +396,16 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _map_tasks(worker, tasks: list, jobs: int) -> list:
+    """worker over tasks in order, in a pool of at most one process per task
+    when jobs > 1 (a fork pool starts all its workers up front)."""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, tasks))
+    return [worker(task) for task in tasks]
+
+
 def _verify_worker(task: tuple[str, dict]):
     claim, bounds = task
     return verify_claim(claim, **bounds)
@@ -391,7 +417,7 @@ def _cmd_verify(args) -> int:
             raise GraphSpecError(
                 "--negative-control applies to --claim dominating_graph_characterization"
             )
-        n = min(args.max_n, 6) if args.max_n else 6
+        n = min(args.max_n, 6) if args.max_n is not None else 6
         reports = [negative_control_characterization(n)]
     else:
         if args.claim == "all":
@@ -402,14 +428,10 @@ def _cmd_verify(args) -> int:
             except ValueError:
                 raise ClaimUnknown(f"unknown claim {args.claim!r}") from None
         tasks = [
-            (c.value, max_n_override(c, args.max_n) if args.max_n else {})
+            (c.value, max_n_override(c, args.max_n) if args.max_n is not None else {})
             for c in claims
         ]
-        if args.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_verify_worker, tasks))
-        else:
-            reports = [_verify_worker(task) for task in tasks]
+        reports = _map_tasks(_verify_worker, tasks, args.jobs)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True, indent=2))
     else:
@@ -465,14 +487,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="all", help="'all' (default) or a single integer")
     p.add_argument("--filter", choices=["eulerian"], help="keep only Eulerian rows")
     p.add_argument("--csv", metavar="PATH", help="write CSV here instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes, >= 1")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="verify catalogued claims")
     p.add_argument("--claim", required=True, help="claim id or 'all'")
-    p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                   help="override the claim's primary size bound")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes across claims")
+    p.add_argument("--max-n", type=_positive_int, default=None, dest="max_n",
+                   help="override the claim's primary size bound, >= 1")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes across claims, >= 1")
     p.add_argument("--json", action="store_true", help="JSON reports")
     p.add_argument("--negative-control", action="store_true",
                    help="plant a mutated cocktail seed and require the harness to flag it")
@@ -497,7 +520,7 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphSpecError, MalformedGraph6, InvalidFamilyParameters,
-            BoundBelowGamma, BoundExceeded, ClaimUnknown, ValueError) as exc:
+            BoundBelowGamma, BoundExceeded, ClaimUnknown) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapacityExceeded, ReconfigTooLarge) as exc:

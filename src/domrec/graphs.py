@@ -61,6 +61,7 @@ class SeedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges, name: str | None = None) -> "SeedGraph":
+        _check_cap(n)  # before [0] * n and 1 << v, which a huge n would exhaust
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:

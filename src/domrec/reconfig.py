@@ -39,16 +39,15 @@ class ReconfigGraph:
     are sorted and never mutated after construction.
     """
 
-    __slots__ = ("seed", "k", "nodes", "node_labels", "index", "adjacency", "_pos")
+    __slots__ = ("seed", "k", "nodes", "node_labels", "index", "adjacency")
 
-    def __init__(self, seed, k, nodes, node_labels, adjacency, pos=None):
+    def __init__(self, seed, k, nodes, node_labels, adjacency):
         self.seed = seed
         self.k = k
         self.nodes = nodes
         self.node_labels = node_labels
         self.adjacency = adjacency
         self.index = {vs: i for i, vs in enumerate(nodes)} if nodes is not None else {}
-        self._pos = pos
 
     @property
     def node_count(self) -> int:
@@ -137,7 +136,7 @@ def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> Re
         nbrs.sort()
         adjacency.append(nbrs)
     nodes = [VertexSet(s, n) for s in masks]
-    return ReconfigGraph(g, k, nodes, None, adjacency, pos)
+    return ReconfigGraph(g, k, nodes, None, adjacency)
 
 
 def node_degree(g: SeedGraph, s: VertexSet, k: int) -> int:

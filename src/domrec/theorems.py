@@ -5,7 +5,8 @@ Each claim pairs a closed-form expected verdict with a brute-force computed
 verdict and reports any instance where the two disagree.  A verdict of "not
 Eulerian" is certified by an explicit odd-degree node found by a bitmask scan;
 a verdict of "Eulerian" is always confirmed on the fully materialized graph,
-including component analysis.
+including component analysis.  Each claim is a sweep body that yields its
+disagreements; one driver, _run, turns them into a capped, timed report.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from itertools import chain
 from math import comb
 
 from .domination import VertexSet, dominating_table, domination_profile
@@ -69,10 +72,10 @@ class TheoremReport:
 
     claim: str
     bounds: dict
-    instances_checked: int
-    passed: bool
-    counterexamples: list[dict]
-    elapsed: float
+    instances_checked: int = 0
+    passed: bool = True
+    counterexamples: list[dict] = field(default_factory=list)
+    elapsed: float = 0.0
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -90,10 +93,6 @@ class TheoremReport:
 # ---------------------------------------------------------------------------
 # Expected verdicts from the closed-form characterizations
 # ---------------------------------------------------------------------------
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def _canonical_family(spec: FamilySpec) -> FamilySpec:
@@ -118,7 +117,7 @@ def _family_gamma(spec: FamilySpec) -> int | None:
     """Domination number by closed form, for the characterized families."""
     kind, args = spec.kind, spec.args
     if kind in ("path", "cycle"):
-        return _ceil_div(args[0], 3)
+        return -(-args[0] // 3)
     if kind == "complete":
         return 1
     if kind == "complete_bipartite":
@@ -219,217 +218,193 @@ def computed_eulerian(g: SeedGraph, k: int, table: bytearray | None = None) -> b
     return eulerian_report(build_reconfig(g, k)).is_eulerian
 
 
-def _seed_label(g: SeedGraph) -> str:
-    return g.name or f"g6:{to_graph6(g)}"
-
-
-class _Recorder:
-    """Counterexample accumulator with a hard cap on stored entries."""
-
-    def __init__(self):
-        self.count = 0
-        self.entries: list[dict] = []
-
-    def add(self, seed: str, k, expected, computed):
-        self.count += 1
-        if len(self.entries) < COUNTEREXAMPLE_CAP:
-            self.entries.append(
-                {"seed": seed, "k": k, "expected": expected, "computed": computed}
-            )
-
-    def finish(self, report: TheoremReport):
-        report.passed = self.count == 0
-        report.counterexamples = self.entries
-        report.details["counterexample_count"] = self.count
+def _seed_label(seed) -> str:
+    """Counterexample label: a string as given, a seed by name or graph6, a
+    list of parts as their union."""
+    if isinstance(seed, str):
+        return seed
+    if isinstance(seed, list):
+        return "union[" + ", ".join(_seed_label(p) for p in seed) + "]"
+    return seed.name or f"g6:{to_graph6(seed)}"
 
 
 # ---------------------------------------------------------------------------
-# Claim runners
+# Sweep driver
 # ---------------------------------------------------------------------------
 
 
-def _new_report(claim: ClaimId, bounds: dict) -> TheoremReport:
-    return TheoremReport(
-        claim=claim.value,
-        bounds=bounds,
-        instances_checked=0,
-        passed=True,
-        counterexamples=[],
-        elapsed=0.0,
-    )
+def _run(claim: ClaimId, body, **bounds) -> TheoremReport:
+    """Run one claim's sweep and report it.
 
-
-def _check_enum_bound(n_max: int):
-    # validated before any sweeping so an over-bound request fails fast
-    if n_max > ENUMERATION_CAP:
-        raise BoundExceeded(
-            f"exhaustive sweeps support n <= {ENUMERATION_CAP}, got {n_max}"
-        )
-
-
-def _run_parity_odd(n_max: int = 6) -> TheoremReport:
-    _check_enum_bound(n_max)
-    report = _new_report(ClaimId.PARITY_ODD, {"n_min": 1, "n_max": n_max})
-    rec = _Recorder()
-    for n in range(1, n_max + 1):
-        for g in enumerate_labeled_graphs(n):
-            total = sum(dominating_table(g))
-            report.instances_checked += 1
-            if total % 2 == 0:
-                rec.add(_seed_label(g), None, "odd dominating-set count", total)
-    rec.finish(report)
+    body(report, **bounds) returns an iterator: it states its range in
+    report.bounds, counts its instances on the report and yields
+    (seed, k, expected, computed) for each disagreement.  The driver labels
+    the seed with _seed_label, keeps the first COUNTEREXAMPLE_CAP
+    counterexamples, counts all of them, and times the sweep.
+    """
+    start = time.perf_counter()
+    report = TheoremReport(claim.value, {})
+    count = 0
+    for seed, k, expected, computed in body(report, **bounds):
+        count += 1
+        if count <= COUNTEREXAMPLE_CAP:
+            report.counterexamples.append({"seed": _seed_label(seed), "k": k,
+                                           "expected": expected, "computed": computed})
+    report.passed = count == 0
+    report.details["counterexample_count"] = count
+    report.elapsed = time.perf_counter() - start
     return report
 
 
-def _run_characterization(
-    n_min: int = 2,
-    n_max: int = 7,
-    extra_instances: list[tuple[SeedGraph, bool, str]] | None = None,
-) -> TheoremReport:
+def _labeled(n_min: int, n_max: int, connected: bool):
+    """Every labeled seed on n_min..n_max vertices (connected ones only, if
+    asked), in order of n.  The bound is checked here, before any sweeping,
+    so an over-bound request fails fast."""
+    if n_max > ENUMERATION_CAP:
+        raise BoundExceeded(f"exhaustive sweeps support n <= {ENUMERATION_CAP}, got {n_max}")
+    return chain.from_iterable(
+        enumerate_labeled_graphs(n, connected_only=connected)
+        for n in range(n_min, n_max + 1)
+    )
+
+
+def _size_counts(n: int, table: bytearray) -> list[int]:
+    """Number of dominating sets of each cardinality 0..n."""
+    counts = [0] * (n + 1)
+    for s in range(1 << n):
+        if table[s]:
+            counts[s.bit_count()] += 1
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# Claim sweeps: bodies for _run
+# ---------------------------------------------------------------------------
+
+
+def _parity_odd(report, n_max: int = 6):
+    report.bounds = {"n_min": 1, "n_max": n_max}
+    for g in _labeled(1, n_max, connected=False):
+        total = sum(dominating_table(g))
+        report.instances_checked += 1
+        if total % 2 == 0:
+            yield g, None, "odd dominating-set count", total
+
+
+def _characterization(report, n_min: int = 2, n_max: int = 7,
+                      extra_instances: list[tuple[SeedGraph, bool, str]] | None = None):
     """Unrestricted dominating graph Eulerian iff the seed is a cocktail party
     graph, swept over every connected labeled seed in range.  One-vertex seeds
     are excluded from the equivalence but D(K_1) is checked to be a single
     edgeless node."""
-    _check_enum_bound(n_max)
-    report = _new_report(
-        ClaimId.DOMINATING_GRAPH_CHARACTERIZATION, {"n_min": n_min, "n_max": n_max}
-    )
-    rec = _Recorder()
-    eulerian_seeds: dict[int, list[str]] = {}
-    for n in range(n_min, n_max + 1):
-        found: list[str] = []
-        for g in enumerate_labeled_graphs(n, connected_only=True):
-            table = dominating_table(g)
-            expected = is_cocktail_party(g)
-            computed = computed_eulerian(g, n, table)
-            report.instances_checked += 1
-            if computed:
-                found.append(to_graph6(g))
-            if computed != expected:
-                rec.add(_seed_label(g), n, expected, computed)
-        eulerian_seeds[n] = found
+    report.bounds = {"n_min": n_min, "n_max": n_max}
+    eulerian_seeds = {str(n): [] for n in range(n_min, n_max + 1)}
+    for g in _labeled(n_min, n_max, connected=True):
+        n = g.n
+        table = dominating_table(g)
+        expected = is_cocktail_party(g)
+        computed = computed_eulerian(g, n, table)
+        report.instances_checked += 1
+        if computed:
+            eulerian_seeds[str(n)].append(to_graph6(g))
+        if computed != expected:
+            yield g, n, expected, computed
     for g, expected, desc in extra_instances or ():
         computed = computed_eulerian(g, g.n)
         report.instances_checked += 1
         if computed != expected:
-            rec.add(desc, g.n, expected, computed)
+            yield desc, g.n, expected, computed
     single = build_reconfig(make_family(FamilySpec.complete(1)), 1)
     if single.node_count != 1 or single.edge_count != 0:
-        rec.add("complete:1", 1, "one isolated node", f"{single!r}")
-    report.details["eulerian_seeds"] = {str(n): v for n, v in eulerian_seeds.items()}
-    rec.finish(report)
-    return report
+        yield "complete:1", 1, "one isolated node", f"{single!r}"
+    report.details["eulerian_seeds"] = eulerian_seeds
 
 
 def negative_control_characterization(n: int = 6) -> TheoremReport:
     """Re-run the characterization sweep at one n with a planted defect: a
     cocktail party seed with one edge deleted but still labeled as expected
     Eulerian.  A healthy harness reports exactly that instance."""
-    start = time.perf_counter()
     h = make_family(FamilySpec.cocktail(n))
-    u = 0
     v = next(w for w in range(1, n) if h.has_edge(0, w))
     adj = list(h.adj)
-    adj[u] ^= 1 << v
-    adj[v] ^= 1 << u
-    mutated = SeedGraph(n, adj, name=f"planted:cocktail:{n}-edge({u},{v})")
-    report = _run_characterization(
-        n_min=n, n_max=n, extra_instances=[(mutated, True, mutated.name)]
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    adj[0] ^= 1 << v
+    adj[v] ^= 1
+    mutated = SeedGraph(n, adj, name=f"planted:cocktail:{n}-edge(0,{v})")
+    return _run(ClaimId.DOMINATING_GRAPH_CHARACTERIZATION, _characterization,
+                n_min=n, n_max=n, extra_instances=[(mutated, True, mutated.name)])
 
 
-def _sweep_family(report, rec, spec: FamilySpec, ks, eulerian_found: list):
-    g = make_family(spec)
-    table = dominating_table(g)
-    for k in ks:
-        computed = computed_eulerian(g, k, table)
-        expected = expected_eulerian(spec, k)
-        report.instances_checked += 1
-        if computed:
-            eulerian_found.append([spec.spec_string(), k])
-        if computed != expected:
-            rec.add(spec.spec_string(), k, expected, computed)
-
-
-def _run_path_cycle(n_max: int = 15) -> TheoremReport:
-    report = _new_report(ClaimId.PATH_CYCLE, {"n_min": 3, "n_max": n_max})
-    rec = _Recorder()
-    found: list = []
-    for maker in (FamilySpec.path, FamilySpec.cycle):
-        for n in range(3, n_max + 1):
-            gamma = _ceil_div(n, 3)
-            _sweep_family(report, rec, maker(n), range(gamma + 1, n), found)
+def _family_sweep(report, specs: list[FamilySpec], past_n: bool = False):
+    """D_k of characterized family instances for gamma < k < n (k <= n with
+    past_n) against expected_eulerian; the Eulerian instances go in details."""
+    found = []
+    for spec in specs:
+        g = make_family(spec)
+        table = dominating_table(g)
+        for k in range(_family_gamma(spec) + 1, g.n + past_n):
+            computed = computed_eulerian(g, k, table)
+            expected = expected_eulerian(spec, k)
+            report.instances_checked += 1
+            if computed:
+                found.append([spec.spec_string(), k])
+            if computed != expected:
+                yield g, k, expected, computed
     report.details["eulerian_instances"] = sorted(found)
-    rec.finish(report)
-    return report
 
 
-def _run_complete_bipartite(n_max: int = 8) -> TheoremReport:
-    report = _new_report(ClaimId.COMPLETE_BIPARTITE, {"m_min": 1, "n_max": n_max})
-    rec = _Recorder()
-    found: list = []
-    for m in range(1, n_max + 1):
-        for n2 in range(m, n_max + 1):
-            gamma = 1 if m == 1 else 2
-            spec = FamilySpec.complete_bipartite(m, n2)
-            _sweep_family(report, rec, spec, range(gamma + 1, m + n2), found)
-    report.details["eulerian_instances"] = sorted(found)
-    rec.finish(report)
-    return report
+def _path_cycle(report, n_max: int = 15):
+    report.bounds = {"n_min": 3, "n_max": n_max}
+    return _family_sweep(report, [maker(n) for maker in (FamilySpec.path, FamilySpec.cycle)
+                                  for n in range(3, n_max + 1)])
 
 
-def _run_cocktail_k(n_max: int = 12) -> TheoremReport:
+def _complete_bipartite(report, n_max: int = 8):
+    report.bounds = {"m_min": 1, "n_max": n_max}
+    return _family_sweep(report, [FamilySpec.complete_bipartite(m, n2)
+                                  for m in range(1, n_max + 1) for n2 in range(m, n_max + 1)])
+
+
+def _cocktail_k(report, n_max: int = 12):
     """Restricted bounds 2 < k < n plus the k = n consistency check."""
-    report = _new_report(ClaimId.COCKTAIL_K, {"n_min": 4, "n_max": n_max})
-    rec = _Recorder()
-    found: list = []
-    for n in range(4, n_max + 1, 2):
-        _sweep_family(report, rec, FamilySpec.cocktail(n), range(3, n + 1), found)
-    report.details["eulerian_instances"] = sorted(found)
-    rec.finish(report)
-    return report
+    report.bounds = {"n_min": 4, "n_max": n_max}
+    specs = [FamilySpec.cocktail(n) for n in range(4, n_max + 1, 2)]
+    return _family_sweep(report, specs, past_n=True)
 
 
-def _run_complete_k(n_max: int = 12) -> TheoremReport:
-    report = _new_report(ClaimId.COMPLETE_K, {"n_min": 2, "n_max": n_max})
-    rec = _Recorder()
-    found: list = []
-    for n in range(2, n_max + 1):
-        _sweep_family(report, rec, FamilySpec.complete(n), range(2, n), found)
-    report.details["eulerian_instances"] = sorted(found)
-    rec.finish(report)
-    return report
+def _complete_k(report, n_max: int = 12):
+    report.bounds = {"n_min": 2, "n_max": n_max}
+    return _family_sweep(report, [FamilySpec.complete(n) for n in range(2, n_max + 1)])
 
 
-def _run_corona(inner_max: int = 5) -> TheoremReport:
+def _corona_sweep(report, inners, check_profile: bool):
+    """D_k of the corona of each inner graph, for n < k < 2n with n the inner
+    order; with check_profile, also its domination profile."""
+    for inner in inners:
+        n = inner.n
+        g = corona_of(inner)
+        if check_profile:
+            profile = domination_profile(g)
+            if not (profile.gamma == profile.upper_gamma == n):
+                yield (f"corona:g6:{to_graph6(inner)}", None, f"gamma = upper_gamma = {n}",
+                       [profile.gamma, profile.upper_gamma])
+        table = dominating_table(g)
+        for k in range(n + 1, 2 * n):
+            computed = computed_eulerian(g, k, table)
+            expected = n % 2 == 0 and k == n + 1
+            report.instances_checked += 1
+            if computed != expected:
+                yield f"corona:g6:{to_graph6(inner)}", k, expected, computed
+
+
+def _corona(report, inner_max: int = 5):
     """Coronas of every labeled inner graph (connected or not): Eulerian iff
     the inner order is even and k is one above it.  Also checks that coronas
     are well-dominated with domination number equal to the inner order."""
-    _check_enum_bound(inner_max)
-    report = _new_report(ClaimId.CORONA, {"inner_min": 2, "inner_max": inner_max})
-    rec = _Recorder()
-    for n in range(2, inner_max + 1):
-        for inner in enumerate_labeled_graphs(n):
-            g = corona_of(inner)
-            desc = f"corona:g6:{to_graph6(inner)}"
-            profile = domination_profile(g)
-            if not (profile.gamma == profile.upper_gamma == n):
-                rec.add(desc, None, f"gamma = upper_gamma = {n}",
-                        [profile.gamma, profile.upper_gamma])
-            table = dominating_table(g)
-            for k in range(n + 1, 2 * n):
-                computed = computed_eulerian(g, k, table)
-                expected = n % 2 == 0 and k == n + 1
-                report.instances_checked += 1
-                if computed != expected:
-                    rec.add(desc, k, expected, computed)
-    rec.finish(report)
-    return report
+    report.bounds = {"inner_min": 2, "inner_max": inner_max}
+    return _corona_sweep(report, _labeled(2, inner_max, connected=False), check_profile=True)
 
 
-def _run_bipartite_well_dominated(inner_max: int = 5) -> TheoremReport:
+def _bipartite_well_dominated(report, inner_max: int = 5):
     """Catalogued claim for bipartite well-dominated seeds on 2n vertices:
     Eulerian iff the seed is the 4-cycle with k = 3, or a corona with n even
     and k = n + 1.
@@ -439,32 +414,61 @@ def _run_bipartite_well_dominated(inner_max: int = 5) -> TheoremReport:
     has a degree-3 node), so this claim is expected to report exactly that
     counterexample.
     """
-    _check_enum_bound(inner_max)
-    report = _new_report(
-        ClaimId.BIPARTITE_WELL_DOMINATED, {"inner_min": 2, "inner_max": inner_max}
-    )
-    rec = _Recorder()
-    c4 = FamilySpec.cycle(4)
-    g = make_family(c4)
-    computed = computed_eulerian(g, 3)
+    report.bounds = {"inner_min": 2, "inner_max": inner_max}
+    inners = filter(is_bipartite, _labeled(2, inner_max, connected=False))
+    c4 = make_family(FamilySpec.cycle(4))
+    computed = computed_eulerian(c4, 3)
     report.instances_checked += 1
     if computed is not True:
-        rec.add(c4.spec_string(), 3, True, computed)
-    for n in range(2, inner_max + 1):
-        for inner in enumerate_labeled_graphs(n):
-            if not is_bipartite(inner):
-                continue
-            g = corona_of(inner)
-            desc = f"corona:g6:{to_graph6(inner)}"
-            table = dominating_table(g)
-            for k in range(n + 1, 2 * n):
-                computed = computed_eulerian(g, k, table)
-                expected = n % 2 == 0 and k == n + 1
-                report.instances_checked += 1
-                if computed != expected:
-                    rec.add(desc, k, expected, computed)
-    rec.finish(report)
-    return report
+        yield c4, 3, True, computed
+    yield from _corona_sweep(report, inners, check_profile=False)
+
+
+def _product_instance(report, parts: list[SeedGraph]):
+    """One disjoint union against the product of its parts' dominating graphs."""
+    report.instances_checked += 1
+    union = disjoint_union(parts)
+    du = build_reconfig(union, union.n)
+    factors = [build_reconfig(p, p.n) for p in parts]
+    prod = reduce(cartesian_product, factors)
+
+    def restrict(bits: int):
+        label = None
+        for p in parts:
+            vs = VertexSet(bits & ((1 << p.n) - 1), p.n)
+            label = vs if label is None else (label, vs)
+            bits >>= p.n
+        return label
+
+    if du.node_count != prod.node_count:
+        yield parts, None, prod.node_count, du.node_count
+        return
+
+    prod_index = {label: i for i, label in enumerate(prod.node_labels)}
+    mapped = [prod_index.get(restrict(vs.bits)) for vs in du.nodes]
+    if None in mapped:
+        yield (parts, None, "restriction lands on a product node",
+               str(du.nodes[mapped.index(None)]))
+    elif len(set(mapped)) != len(mapped):
+        yield parts, None, "restriction map injective", "collision"
+    else:
+        for i, nbrs in enumerate(du.adjacency):
+            image = sorted(mapped[j] for j in nbrs)
+            if image != prod.adjacency[mapped[i]]:
+                yield (parts, None, "edge-preserving bijection",
+                       f"node {du.nodes[i]} neighbor mismatch")
+                break
+    union_eulerian = eulerian_report(du).is_eulerian
+    factor_eulerian = [eulerian_report(f).is_eulerian for f in factors]
+    if union_eulerian != all(factor_eulerian):
+        yield parts, None, f"union Eulerian iff factors {factor_eulerian}", union_eulerian
+    if union_eulerian != eulerian_report(prod).is_eulerian:
+        yield parts, None, "union and product agree on Eulerian", union_eulerian
+
+
+def _product_parts(report, parts: list[SeedGraph]):
+    report.bounds = {"part_sizes": [p.n for p in parts]}
+    return _product_instance(report, parts)
 
 
 def verify_product_decomposition(parts: list[SeedGraph]) -> TheoremReport:
@@ -473,69 +477,7 @@ def verify_product_decomposition(parts: list[SeedGraph]) -> TheoremReport:
     bijection, and that the union is Eulerian iff every factor is."""
     if len(parts) < 2:
         raise ValueError("need at least two parts")
-    start = time.perf_counter()
-    report = _new_report(
-        ClaimId.PRODUCT_DECOMPOSITION, {"part_sizes": [p.n for p in parts]}
-    )
-    rec = _Recorder()
-    union = disjoint_union(parts)
-    desc = "union[" + ", ".join(_seed_label(p) for p in parts) + "]"
-    du = build_reconfig(union, union.n)
-    factors = [build_reconfig(p, p.n) for p in parts]
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = cartesian_product(prod, f)
-
-    offsets = []
-    off = 0
-    for p in parts:
-        offsets.append(off)
-        off += p.n
-
-    def restrict(bits: int):
-        label = VertexSet((bits >> offsets[0]) & ((1 << parts[0].n) - 1), parts[0].n)
-        for p, o in zip(parts[1:], offsets[1:]):
-            label = (label, VertexSet((bits >> o) & ((1 << p.n) - 1), p.n))
-        return label
-
-    report.instances_checked += 1
-    if du.node_count != prod.node_count:
-        rec.add(desc, None, prod.node_count, du.node_count)
-        rec.finish(report)
-        report.elapsed = time.perf_counter() - start
-        return report
-
-    prod_index = {label: i for i, label in enumerate(prod.node_labels)}
-    mapped = []
-    bijective = True
-    for vs in du.nodes:
-        label = restrict(vs.bits)
-        j = prod_index.get(label)
-        if j is None:
-            bijective = False
-            rec.add(desc, None, "restriction lands on a product node", str(vs))
-            break
-        mapped.append(j)
-    if bijective and len(set(mapped)) != len(mapped):
-        bijective = False
-        rec.add(desc, None, "restriction map injective", "collision")
-    if bijective:
-        for i, nbrs in enumerate(du.adjacency):
-            image = sorted(mapped[j] for j in nbrs)
-            if image != prod.adjacency[mapped[i]]:
-                rec.add(desc, None, "edge-preserving bijection",
-                        f"node {du.nodes[i]} neighbor mismatch")
-                break
-    union_eulerian = eulerian_report(du).is_eulerian
-    factor_eulerian = [eulerian_report(f).is_eulerian for f in factors]
-    if union_eulerian != all(factor_eulerian):
-        rec.add(desc, None, f"union Eulerian iff factors {factor_eulerian}",
-                union_eulerian)
-    if union_eulerian != eulerian_report(prod).is_eulerian:
-        rec.add(desc, None, "union and product agree on Eulerian", union_eulerian)
-    rec.finish(report)
-    report.elapsed = time.perf_counter() - start
-    return report
+    return _run(ClaimId.PRODUCT_DECOMPOSITION, _product_parts, parts=parts)
 
 
 def _random_connected(rng: random.Random, n: int) -> SeedGraph:
@@ -549,201 +491,136 @@ def _random_connected(rng: random.Random, n: int) -> SeedGraph:
             return g
 
 
-def _run_product_decomposition(
-    samples: int = 100, max_part: int = 5, seed: int = 2025
-) -> TheoremReport:
-    report = _new_report(
-        ClaimId.PRODUCT_DECOMPOSITION,
-        {"samples": samples, "max_part": max_part, "rng_seed": seed},
-    )
-    rec = _Recorder()
+def _product_decomposition(report, samples: int = 100, max_part: int = 5, seed: int = 2025):
+    report.bounds = {"samples": samples, "max_part": max_part, "rng_seed": seed}
     rng = random.Random(seed)
     for _ in range(samples):
         m = rng.choice([2, 3])
         parts = [_random_connected(rng, rng.randint(1, max_part)) for _ in range(m)]
-        sub = verify_product_decomposition(parts)
+        yield from _product_instance(report, parts)
+
+
+def _mixed_parity(report, n_max: int = 6):
+    report.bounds = {"n_min": 2, "n_max": n_max}
+    scanned = 0
+    for g in _labeled(2, n_max, connected=True):
+        scanned += 1
+        n = g.n
+        table = dominating_table(g)
+        counts = _size_counts(n, table)
+        threshold = next(t for t in range(n + 1) if counts[t] == comb(n, t))
+        ell = threshold - 1
+        if ell < 1 or counts[ell] == 0 or counts[ell] == comb(n, ell):
+            continue
         report.instances_checked += 1
-        for ce in sub.counterexamples:
-            rec.add(ce["seed"], ce["k"], ce["expected"], ce["computed"])
-    rec.finish(report)
-    return report
+        seen = [False, False]  # an even-degree node, an odd-degree node
+        for s in range(1 << n):
+            if not table[s]:
+                continue
+            p = (n - s.bit_count()) & 1
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                p ^= table[s ^ low]
+            seen[p & 1] = True
+            if seen[0] and seen[1]:
+                break
+        if not (seen[0] and seen[1]):
+            yield g, n, "both degree parities", {"even": seen[0], "odd": seen[1]}
+    report.details["graphs_scanned"] = scanned
 
 
 def verify_mixed_parity_lemma(n_max: int = 6) -> TheoremReport:
     """Connected seeds whose least universal threshold t = l + 1 admits both a
     dominating and a non-dominating l-set must have dominating graphs with at
     least one even-degree and one odd-degree node."""
-    if n_max > 7:
-        raise BoundExceeded(f"mixed-parity sweep supports n <= 7, got {n_max}")
-    start = time.perf_counter()
-    report = _new_report(ClaimId.MIXED_PARITY_LEMMA, {"n_min": 2, "n_max": n_max})
-    rec = _Recorder()
-    scanned = 0
-    for n in range(2, n_max + 1):
-        size = 1 << n
-        for g in enumerate_labeled_graphs(n, connected_only=True):
-            scanned += 1
-            table = dominating_table(g)
-            counts = [0] * (n + 1)
-            for s in range(size):
-                if table[s]:
-                    counts[s.bit_count()] += 1
-            threshold = next(t for t in range(n + 1) if counts[t] == comb(n, t))
-            ell = threshold - 1
-            if ell < 1 or counts[ell] == 0 or counts[ell] == comb(n, ell):
-                continue
-            report.instances_checked += 1
-            seen_even = seen_odd = False
-            for s in range(size):
-                if not table[s]:
-                    continue
-                p = (n - s.bit_count()) & 1
-                m = s
-                while m:
-                    low = m & -m
-                    m ^= low
-                    p ^= table[s ^ low]
-                if p & 1:
-                    seen_odd = True
-                else:
-                    seen_even = True
-                if seen_even and seen_odd:
-                    break
-            if not (seen_even and seen_odd):
-                rec.add(_seed_label(g), n, "both degree parities",
-                        {"even": seen_even, "odd": seen_odd})
-    report.details["graphs_scanned"] = scanned
-    rec.finish(report)
-    report.elapsed = time.perf_counter() - start
-    return report
+    return _run(ClaimId.MIXED_PARITY_LEMMA, _mixed_parity, n_max=n_max)
 
 
-def _run_universal_gamma_set(n_max: int = 6) -> TheoremReport:
+def _universal_gamma_set(report, n_max: int = 6):
     """Connected seeds where every gamma-sized set dominates are complete
     graphs or cocktail party graphs, and their restricted-k verdicts follow
     the complete/cocktail rules."""
-    _check_enum_bound(n_max)
-    report = _new_report(ClaimId.UNIVERSAL_GAMMA_SET, {"n_min": 2, "n_max": n_max})
-    rec = _Recorder()
-    for n in range(2, n_max + 1):
-        for g in enumerate_labeled_graphs(n, connected_only=True):
-            table = dominating_table(g)
-            counts = [0] * (n + 1)
-            for s in range(1 << n):
-                if table[s]:
-                    counts[s.bit_count()] += 1
-            gamma = next(c for c in range(n + 1) if counts[c])
-            if counts[gamma] != comb(n, gamma):
-                continue
-            report.instances_checked += 1
-            complete = is_complete(g)
-            cocktail = is_cocktail_party(g)
-            if not (complete or cocktail):
-                rec.add(_seed_label(g), None, "complete or cocktail", "neither")
-                continue
-            for k in range(gamma + 1, n):
-                computed = computed_eulerian(g, k, table)
-                expected = (n % 2 == 1 and k == 2) if complete else (k % 2 == 0)
-                if computed != expected:
-                    rec.add(_seed_label(g), k, expected, computed)
-    rec.finish(report)
-    return report
+    report.bounds = {"n_min": 2, "n_max": n_max}
+    for g in _labeled(2, n_max, connected=True):
+        n = g.n
+        table = dominating_table(g)
+        counts = _size_counts(n, table)
+        gamma = next(c for c in range(n + 1) if counts[c])
+        if counts[gamma] != comb(n, gamma):
+            continue
+        report.instances_checked += 1
+        complete = is_complete(g)
+        if not (complete or is_cocktail_party(g)):
+            yield g, None, "complete or cocktail", "neither"
+            continue
+        for k in range(gamma + 1, n):
+            computed = computed_eulerian(g, k, table)
+            expected = (n % 2 == 1 and k == 2) if complete else (k % 2 == 0)
+            if computed != expected:
+                yield g, k, expected, computed
 
 
-def _run_gamma_formulas(
-    path_max: int = 15, complete_max: int = 12, biclique_max: int = 8
-) -> TheoremReport:
+def _gamma_formulas(report, path_max: int = 15, complete_max: int = 12, biclique_max: int = 8):
     """Domination numbers of the generated families match their closed forms."""
-    report = _new_report(
-        ClaimId.GAMMA_FORMULAS,
-        {"path_max": path_max, "complete_max": complete_max, "biclique_max": biclique_max},
+    report.bounds = {"path_max": path_max, "complete_max": complete_max,
+                     "biclique_max": biclique_max}
+    specs = (
+        [FamilySpec.path(n) for n in range(1, path_max + 1)]
+        + [FamilySpec.cycle(n) for n in range(3, path_max + 1)]
+        + [FamilySpec.complete(n) for n in range(1, complete_max + 1)]
+        + [FamilySpec.complete_bipartite(m, n2)
+           for m in range(1, biclique_max + 1) for n2 in range(m, biclique_max + 1)]
     )
-    rec = _Recorder()
-
-    def check(spec: FamilySpec, expected: int):
-        got = domination_profile(make_family(spec)).gamma
+    for spec in specs:
+        g = make_family(spec)
+        got = domination_profile(g).gamma
+        expected = _family_gamma(spec)
         report.instances_checked += 1
         if got != expected:
-            rec.add(spec.spec_string(), None, expected, got)
-
-    for n in range(1, path_max + 1):
-        check(FamilySpec.path(n), _ceil_div(n, 3))
-    for n in range(3, path_max + 1):
-        check(FamilySpec.cycle(n), _ceil_div(n, 3))
-    for n in range(1, complete_max + 1):
-        check(FamilySpec.complete(n), 1)
-    for m in range(1, biclique_max + 1):
-        for n2 in range(m, biclique_max + 1):
-            check(FamilySpec.complete_bipartite(m, n2), 1 if m == 1 else 2)
-    rec.finish(report)
-    return report
+            yield g, None, expected, got
 
 
-def _run_connected_odd_bipartite(n_max: int = 5) -> TheoremReport:
+def _connected_odd_bipartite(report, n_max: int = 5):
     """Unrestricted dominating graphs of connected seeds are connected, have
     odd order, are properly 2-colored by cardinality parity, and contain an
     even-degree node."""
-    _check_enum_bound(n_max)
-    report = _new_report(
-        ClaimId.DOMINATING_GRAPH_CONNECTED_ODD_BIPARTITE, {"n_min": 1, "n_max": n_max}
-    )
-    rec = _Recorder()
-    for n in range(1, n_max + 1):
-        for g in enumerate_labeled_graphs(n, connected_only=True):
-            r = build_reconfig(g, n)
-            rep = eulerian_report(r)
-            report.instances_checked += 1
-            problems = []
-            if not rep.is_connected:
-                problems.append("disconnected")
-            if rep.node_count % 2 == 0:
-                problems.append("even node count")
-            if not parity_bipartition_valid(r):
-                problems.append("parity bipartition broken")
-            if rep.odd_degree_count == rep.node_count:
-                problems.append("no even-degree node")
-            if problems:
-                rec.add(_seed_label(g), n, "connected, odd order, bipartite, even-degree node",
-                        problems)
-    rec.finish(report)
-    return report
+    report.bounds = {"n_min": 1, "n_max": n_max}
+    for g in _labeled(1, n_max, connected=True):
+        r = build_reconfig(g, g.n)
+        rep = eulerian_report(r)
+        report.instances_checked += 1
+        problems = [problem for problem, found in (
+            ("disconnected", not rep.is_connected),
+            ("even node count", rep.node_count % 2 == 0),
+            ("parity bipartition broken", not parity_bipartition_valid(r)),
+            ("no even-degree node", rep.odd_degree_count == rep.node_count),
+        ) if found]
+        if problems:
+            yield g, g.n, "connected, odd order, bipartite, even-degree node", problems
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    ClaimId.PARITY_ODD: _run_parity_odd,
-    ClaimId.PRODUCT_DECOMPOSITION: _run_product_decomposition,
-    ClaimId.MIXED_PARITY_LEMMA: verify_mixed_parity_lemma,
-    ClaimId.DOMINATING_GRAPH_CHARACTERIZATION: _run_characterization,
-    ClaimId.PATH_CYCLE: _run_path_cycle,
-    ClaimId.COMPLETE_BIPARTITE: _run_complete_bipartite,
-    ClaimId.COCKTAIL_K: _run_cocktail_k,
-    ClaimId.COMPLETE_K: _run_complete_k,
-    ClaimId.UNIVERSAL_GAMMA_SET: _run_universal_gamma_set,
-    ClaimId.CORONA: _run_corona,
-    ClaimId.BIPARTITE_WELL_DOMINATED: _run_bipartite_well_dominated,
-    ClaimId.GAMMA_FORMULAS: _run_gamma_formulas,
-    ClaimId.DOMINATING_GRAPH_CONNECTED_ODD_BIPARTITE: _run_connected_odd_bipartite,
-}
-
-#: Keyword that the CLI's --max-n flag overrides, per claim.
-_PRIMARY_BOUND = {
-    ClaimId.PARITY_ODD: "n_max",
-    ClaimId.PRODUCT_DECOMPOSITION: "max_part",
-    ClaimId.MIXED_PARITY_LEMMA: "n_max",
-    ClaimId.DOMINATING_GRAPH_CHARACTERIZATION: "n_max",
-    ClaimId.PATH_CYCLE: "n_max",
-    ClaimId.COMPLETE_BIPARTITE: "n_max",
-    ClaimId.COCKTAIL_K: "n_max",
-    ClaimId.COMPLETE_K: "n_max",
-    ClaimId.UNIVERSAL_GAMMA_SET: "n_max",
-    ClaimId.CORONA: "inner_max",
-    ClaimId.BIPARTITE_WELL_DOMINATED: "inner_max",
-    ClaimId.GAMMA_FORMULAS: "path_max",
-    ClaimId.DOMINATING_GRAPH_CONNECTED_ODD_BIPARTITE: "n_max",
+#: Per claim: its sweep body and the keyword that the CLI's --max-n flag
+#: overrides.
+_CLAIMS = {
+    ClaimId.PARITY_ODD: (_parity_odd, "n_max"),
+    ClaimId.PRODUCT_DECOMPOSITION: (_product_decomposition, "max_part"),
+    ClaimId.MIXED_PARITY_LEMMA: (_mixed_parity, "n_max"),
+    ClaimId.DOMINATING_GRAPH_CHARACTERIZATION: (_characterization, "n_max"),
+    ClaimId.PATH_CYCLE: (_path_cycle, "n_max"),
+    ClaimId.COMPLETE_BIPARTITE: (_complete_bipartite, "n_max"),
+    ClaimId.COCKTAIL_K: (_cocktail_k, "n_max"),
+    ClaimId.COMPLETE_K: (_complete_k, "n_max"),
+    ClaimId.UNIVERSAL_GAMMA_SET: (_universal_gamma_set, "n_max"),
+    ClaimId.CORONA: (_corona, "inner_max"),
+    ClaimId.BIPARTITE_WELL_DOMINATED: (_bipartite_well_dominated, "inner_max"),
+    ClaimId.GAMMA_FORMULAS: (_gamma_formulas, "path_max"),
+    ClaimId.DOMINATING_GRAPH_CONNECTED_ODD_BIPARTITE: (_connected_odd_bipartite, "n_max"),
 }
 
 
@@ -753,13 +630,11 @@ def verify_claim(claim: ClaimId | str, **bounds) -> TheoremReport:
         claim = ClaimId(claim)
     except ValueError:
         raise ClaimUnknown(f"unknown claim {claim!r}") from None
-    start = time.perf_counter()
-    report = _RUNNERS[claim](**bounds)
-    if report.elapsed == 0.0:
-        report.elapsed = time.perf_counter() - start
-    return report
+    body, _ = _CLAIMS[claim]
+    return _run(claim, body, **bounds)
 
 
 def max_n_override(claim: ClaimId, value: int) -> dict:
     """Bounds dict that applies a generic --max-n override to one claim."""
-    return {_PRIMARY_BOUND[claim]: value}
+    _, primary = _CLAIMS[claim]
+    return {primary: value}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from domrec import cli
 from domrec.cli import parse_graph_spec, run_cli
 from domrec.errors import GraphSpecError
 from domrec.graphs import FamilySpec, make_family
@@ -213,3 +214,88 @@ def test_malformed_spec_no_partial_output(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "parity_odd", "--max-n", "0"],
+    ["verify", "--claim", "parity_odd", "--max-n", "-1"],
+    ["verify", "--claim", "parity_odd", "--jobs", "0"],
+    ["verify", "--claim", "dominating_graph_characterization", "--negative-control",
+     "--max-n", "0"],
+    ["scan", "--family", "path", "--n", "3..4", "--jobs", "0"],
+])
+def test_nonpositive_counts_are_usage_errors(argv, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the requested size and maps
+    serially in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_pool_is_clamped_to_task_count(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert run_cli(["verify", "--claim", "all", "--max-n", "2", "--jobs", "64"]) == 1
+    assert run_cli(["scan", "--family", "path", "--n", "3..4", "--jobs", "64"]) == 0
+    assert run_cli(["verify", "--claim", "parity_odd", "--max-n", "2", "--jobs", "64"]) == 0
+    capsys.readouterr()
+    # 13 claims, 6 scan rows (P_3 and P_4 at k = gamma..n), and no pool for one task
+    assert _RecordingPool.sizes == [13, 6]
+
+
+def test_file_vertex_far_above_cap_is_capacity_error(tmp_path, capsys):
+    p = tmp_path / "edges.txt"
+    p.write_text("0 100000000000\n")
+    assert run_cli(["analyze", "--graph", f"file:{p}", "--k", "1"]) == 3
+    assert "capacity error" in capsys.readouterr().err
+
+
+def test_library_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "build_reconfig", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run_cli(["analyze", "--graph", "path:4", "--k", "3"])
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_analyze_circuit_reuses_the_report(monkeypatch, capsys):
+    reports = _counting(monkeypatch, "eulerian_report")
+    assert run_cli(["analyze", "--graph", "cocktail:4", "--k", "max", "--circuit"]) == 0
+    assert "euler circuit: " in capsys.readouterr().out
+    assert len(reports) == 1
+
+
+def test_scan_computes_one_profile_per_instance(monkeypatch, capsys):
+    profiles = _counting(monkeypatch, "domination_profile")
+    assert run_cli(["scan", "--family", "path", "--n", "3..6"]) == 0
+    capsys.readouterr()
+    assert len(profiles) == 4
