@@ -1,15 +1,19 @@
 """Dominating-set predicates, enumeration, and summary statistics.
 
 A subset S dominates when the union of closed neighborhoods of its members
-covers every vertex.  All enumeration walks the 2**n subset masks with a
-one-step dynamic program over precomputed closed neighborhoods; at the
-supported sizes this brute force is both the implementation and the oracle.
+covers every vertex.  Questions about all 2**n subsets at once are answered
+on the subset lattice: a set of subsets is one int whose bit S stands for
+the subset with bitmask S, so a whole-lattice question is a few bitwise
+operations on such ints instead of a loop over the subsets.  This module is
+the one owner of that representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 from math import comb
+from operator import or_
 
 from .errors import DimensionMismatch, EmptyGraph
 from .graphs import SeedGraph
@@ -109,43 +113,74 @@ def is_minimal_dominating(g: SeedGraph, s: VertexSet) -> bool:
     return True
 
 
-def dominating_table(g: SeedGraph) -> bytearray:
-    """Byte table over all 2**n subset masks: table[S] == 1 iff S dominates.
+@cache  # one entry per n <= HARD_CAP; at n = 26 its 53 ints take 8 MiB each
+def _lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Masks over the subset lattice of n vertices, bit S standing for the
+    subset with bitmask S: member[u] has bit S set iff u is in S, and size[c]
+    iff |S| == c.  Built one vertex at a time: adding vertex u puts the
+    subsets that contain it above the 2**u that do not."""
+    member: list[int] = []
+    size = [1]  # the empty set, the one subset of no vertices
+    for u in range(n):
+        width = 1 << u
+        member = [x | x << width for x in member]
+        member.append(((1 << width) - 1) << width)
+        size = [lo | hi << width for lo, hi in zip(size + [0], [0] + size)]
+    return tuple(member), tuple(size)
 
-    Computed in one pass: the coverage of S is the coverage of S minus its
-    lowest vertex, unioned with that vertex's closed neighborhood.
+
+def dominating_table(g: SeedGraph) -> int:
+    """The dominating sets of g as one int: bit S is set iff S dominates.
+
+    S dominates iff it meets the closed neighborhood N[v] of every vertex v,
+    so the table is the AND over v of the OR of member[u] over u in N[v].
     """
-    n = g.n
-    size = 1 << n
-    table = bytearray(size)
-    if n == 0:
-        table[0] = 1  # the empty set dominates the empty graph vacuously
-        return table
-    full = size - 1
-    nbhd = g.closed_neighborhoods()
-    cover = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        c = cover[s ^ low] | nbhd[low.bit_length() - 1]
-        cover[s] = c
-        if c == full:
-            table[s] = 1
+    member, _ = _lattice(g.n)
+    table = (1 << (1 << g.n)) - 1  # with no vertices, the empty set dominates
+    for nbhd in g.closed_neighborhoods():
+        cover = 0
+        while nbhd:
+            low = nbhd & -nbhd
+            nbhd ^= low
+            cover |= member[low.bit_length() - 1]
+        table &= cover
     return table
+
+
+def removable_masks(n: int, table: int) -> list[int]:
+    """Per vertex u, the subsets S that contain u and whose deletion S - {u}
+    is in table: the bits of table moved up by u and kept where u is a member."""
+    member, _ = _lattice(n)
+    return [(table << (1 << u)) & x for u, x in enumerate(member)]
+
+
+def size_counts(n: int, table: int) -> list[int]:
+    """How many subsets in table have each cardinality 0..n."""
+    _, size = _lattice(n)
+    return [(table & x).bit_count() for x in size]
+
+
+def subset_masks(n: int, table: int, k: int) -> list[int]:
+    """The subsets in table of cardinality <= k, sorted by (cardinality, mask).
+
+    Set bits are found with str.find over the binary digits, since peeling
+    the lowest bit off a 2**n-bit int costs time linear in its length."""
+    _, size = _lattice(n)
+    masks = []
+    for x in size[: k + 1]:
+        digits = bin(table & x)[:1:-1]  # least significant digit first
+        s = digits.find("1")
+        while s >= 0:
+            masks.append(s)
+            s = digits.find("1", s + 1)
+    return masks
 
 
 def enumerate_dominating_sets(g: SeedGraph, k: int) -> list[VertexSet]:
     """All dominating sets of cardinality <= k, sorted by (cardinality, mask)."""
     if not 0 <= k <= g.n:
         raise ValueError(f"k must be in [0, {g.n}], got {k}")
-    table = dominating_table(g)
-    buckets: list[list[int]] = [[] for _ in range(k + 1)]
-    for s in range(1 << g.n):
-        if table[s]:
-            c = s.bit_count()
-            if c <= k:
-                buckets[c].append(s)
-    n = g.n
-    return [VertexSet(s, n) for bucket in buckets for s in bucket]
+    return [VertexSet(s, g.n) for s in subset_masks(g.n, dominating_table(g), k)]
 
 
 def domination_profile(g: SeedGraph) -> DominationProfile:
@@ -155,29 +190,11 @@ def domination_profile(g: SeedGraph) -> DominationProfile:
     if n == 0:
         raise EmptyGraph("domination profile undefined on the empty graph")
     table = dominating_table(g)
-    counts = [0] * (n + 1)
-    for s in range(1 << n):
-        if table[s]:
-            counts[s.bit_count()] += 1
+    counts = size_counts(n, table)
     gamma = next(c for c in range(n + 1) if counts[c])
     universal_threshold = next(t for t in range(n + 1) if counts[t] == comb(n, t))
-    upper_gamma = gamma
-    for s in range(1 << n):
-        if not table[s]:
-            continue
-        c = s.bit_count()
-        if c <= upper_gamma:
-            continue
-        m = s
-        minimal = True
-        while m:
-            low = m & -m
-            m ^= low
-            if table[s ^ low]:
-                minimal = False
-                break
-        if minimal:
-            upper_gamma = c
+    minimal = table & ~reduce(or_, removable_masks(n, table))
+    upper_gamma = max(c for c, x in enumerate(_lattice(n)[1]) if minimal & x)
     return DominationProfile(
         gamma=gamma,
         upper_gamma=upper_gamma,

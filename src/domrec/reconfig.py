@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import VertexSet, dominating_table, is_dominating
+from .domination import VertexSet, dominating_table, is_dominating, size_counts, subset_masks
 from .errors import (
     BoundBelowGamma,
     DimensionMismatch,
@@ -35,19 +35,17 @@ class ReconfigGraph:
     """Materialized reconfiguration graph with deterministic node order.
 
     Seed-built graphs carry their nodes as VertexSets sorted by (cardinality,
-    bitmask); Cartesian products carry tuple labels instead.  Adjacency lists
-    are sorted and never mutated after construction.
+    bitmask); Cartesian products have no seed and carry tuple labels instead.
+    Adjacency lists are sorted and never mutated after construction.
     """
 
-    __slots__ = ("seed", "k", "nodes", "node_labels", "index", "adjacency")
+    __slots__ = ("seed", "k", "nodes", "adjacency")
 
-    def __init__(self, seed, k, nodes, node_labels, adjacency):
+    def __init__(self, seed, k, nodes, adjacency):
         self.seed = seed
         self.k = k
         self.nodes = nodes
-        self.node_labels = node_labels
         self.adjacency = adjacency
-        self.index = {vs: i for i, vs in enumerate(nodes)} if nodes is not None else {}
 
     @property
     def node_count(self) -> int:
@@ -62,9 +60,7 @@ class ReconfigGraph:
 
     def label(self, i: int):
         """Node label: a VertexSet for seed-built graphs, a tuple for products."""
-        if self.nodes is not None:
-            return self.nodes[i]
-        return self.node_labels[i]
+        return self.nodes[i]
 
     def degree_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -94,28 +90,23 @@ class EulerReport:
 def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> ReconfigGraph:
     """Materialize the reconfiguration graph of g at cardinality bound k.
 
-    Down-moves are tested against the domination table; up-moves need no test
-    because supersets of dominating sets dominate.
+    The node count is read off the table's size counts before anything is
+    allocated.  A subset of a node is within the bound, so a down-move lands
+    on a node iff that subset dominates; up-moves need no test because
+    supersets of dominating sets dominate.
     """
     n = g.n
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     table = dominating_table(g)
-    buckets: list[list[int]] = [[] for _ in range(k + 1)]
-    count = 0
-    for s in range(1 << n):
-        if table[s]:
-            c = s.bit_count()
-            if c <= k:
-                buckets[c].append(s)
-                count += 1
-                if count > node_cap:
-                    raise ReconfigTooLarge(
-                        f"more than {node_cap} nodes for k={k}; raise node_cap to force"
-                    )
+    count = sum(size_counts(n, table)[: k + 1])
+    if count > node_cap:
+        raise ReconfigTooLarge(
+            f"more than {node_cap} nodes for k={k}; raise node_cap to force"
+        )
     if count == 0:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
-    masks = [s for bucket in buckets for s in bucket]
+    masks = subset_masks(n, table, k)
     pos = {s: i for i, s in enumerate(masks)}
     adjacency = []
     for s in masks:
@@ -124,9 +115,9 @@ def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> Re
         while m:
             low = m & -m
             m ^= low
-            t = s ^ low
-            if table[t]:
-                nbrs.append(pos[t])
+            t = pos.get(s ^ low)
+            if t is not None:
+                nbrs.append(t)
         if s.bit_count() < k:
             rest = ((1 << n) - 1) ^ s
             while rest:
@@ -136,7 +127,7 @@ def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> Re
         nbrs.sort()
         adjacency.append(nbrs)
     nodes = [VertexSet(s, n) for s in masks]
-    return ReconfigGraph(g, k, nodes, None, adjacency)
+    return ReconfigGraph(g, k, nodes, adjacency)
 
 
 def node_degree(g: SeedGraph, s: VertexSet, k: int) -> int:
@@ -263,13 +254,13 @@ def cartesian_product(a: ReconfigGraph, b: ReconfigGraph, node_cap: int = DEFAUL
             nbrs.extend(i * nb + j2 for j2 in b.adjacency[j])
             nbrs.sort()
             adjacency.append(nbrs)
-    return ReconfigGraph(None, None, None, labels, adjacency)
+    return ReconfigGraph(None, None, labels, adjacency)
 
 
 def parity_bipartition_valid(r: ReconfigGraph) -> bool:
     """True iff every edge joins sets whose cardinalities differ by one, so
     coloring nodes by cardinality parity is a proper 2-coloring."""
-    if r.nodes is None:
+    if r.seed is None:
         raise NotSeedBuilt("parity bipartition needs vertex-set nodes")
     cards = [vs.cardinality for vs in r.nodes]
     for i, nbrs in enumerate(r.adjacency):
@@ -287,7 +278,7 @@ def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> str:
     lines = ["graph reconfig {"]
     for i in range(r.node_count):
         label = r.label(i)
-        if r.nodes is not None and label_style == "bits":
+        if r.seed is not None and label_style == "bits":
             text = format(label.bits, f"0{label.n}b")
         else:
             text = str(label)

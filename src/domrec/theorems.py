@@ -3,8 +3,9 @@ graphs, each mapped to an exhaustive desk-scale verification.
 
 Each claim pairs a closed-form expected verdict with a brute-force computed
 verdict and reports any instance where the two disagree.  A verdict of "not
-Eulerian" is certified by an explicit odd-degree node found by a bitmask scan;
-a verdict of "Eulerian" is always confirmed on the fully materialized graph,
+Eulerian" is certified by odd-degree nodes found on the subset lattice, as
+bitwise operations on the domination table, without building the graph; a
+verdict of "Eulerian" is always confirmed on the fully materialized graph,
 including component analysis.  Each claim is a sweep body that yields its
 disagreements; one driver, _run, turns them into a capped, timed report.
 """
@@ -18,8 +19,16 @@ from enum import Enum
 from functools import reduce
 from itertools import chain
 from math import comb
+from operator import or_, xor
 
-from .domination import VertexSet, dominating_table, domination_profile
+from .domination import (
+    VertexSet,
+    _lattice,
+    dominating_table,
+    domination_profile,
+    removable_masks,
+    size_counts,
+)
 from .errors import BoundExceeded, ClaimUnknown, UncharacterizedInstance
 from .graphs import (
     ENUMERATION_CAP,
@@ -182,38 +191,29 @@ def expected_eulerian(spec: FamilySpec, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def odd_degree_witness(n: int, table: bytearray, k: int) -> int | None:
-    """Bitmask of some odd-degree node of D_k, or None when all degrees are
-    even.  Scans dominating sets in descending mask order; the degree of a
-    set is its removable-member count plus, below the bound, one per outside
-    vertex."""
-    for s in range((1 << n) - 1, 0, -1):
-        if not table[s]:
-            continue
-        c = s.bit_count()
-        if c > k:
-            continue
-        p = (n - c) & 1 if c < k else 0
-        m = s
-        while m:
-            low = m & -m
-            m ^= low
-            p ^= table[s ^ low]
-        if p & 1:
-            return s
-    return None
+def odd_degree_nodes(n: int, table: int, k: int) -> int:
+    """The odd-degree nodes of D_k, as a lattice mask over the domination
+    table of a seed on n vertices.
+
+    The degree of a node S is its removable-member count plus, below the
+    bound, one up-move per outside vertex; its parity is the XOR of the
+    removable masks, flipped on each size class c < k with n - c odd."""
+    _, size = _lattice(n)
+    parity = reduce(xor, removable_masks(n, table), 0)
+    parity ^= reduce(or_, (x for c, x in enumerate(size[:k]) if (n - c) & 1), 0)
+    return parity & table & reduce(or_, size[: k + 1])
 
 
-def computed_eulerian(g: SeedGraph, k: int, table: bytearray | None = None) -> bool:
+def computed_eulerian(g: SeedGraph, k: int, table: int | None = None) -> bool:
     """Brute-force Eulerian verdict for D_k(g).
 
-    An odd-degree witness settles the negative case without materializing;
+    An odd-degree node settles the negative case without materializing;
     otherwise the graph is built and the full report (component analysis
     included) decides.
     """
     if table is None:
         table = dominating_table(g)
-    if odd_degree_witness(g.n, table, k) is not None:
+    if odd_degree_nodes(g.n, table, k):
         return False
     return eulerian_report(build_reconfig(g, k)).is_eulerian
 
@@ -268,15 +268,6 @@ def _labeled(n_min: int, n_max: int, connected: bool):
     )
 
 
-def _size_counts(n: int, table: bytearray) -> list[int]:
-    """Number of dominating sets of each cardinality 0..n."""
-    counts = [0] * (n + 1)
-    for s in range(1 << n):
-        if table[s]:
-            counts[s.bit_count()] += 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Claim sweeps: bodies for _run
 # ---------------------------------------------------------------------------
@@ -285,7 +276,7 @@ def _size_counts(n: int, table: bytearray) -> list[int]:
 def _parity_odd(report, n_max: int = 6):
     report.bounds = {"n_min": 1, "n_max": n_max}
     for g in _labeled(1, n_max, connected=False):
-        total = sum(dominating_table(g))
+        total = dominating_table(g).bit_count()
         report.instances_checked += 1
         if total % 2 == 0:
             yield g, None, "odd dominating-set count", total
@@ -444,7 +435,7 @@ def _product_instance(report, parts: list[SeedGraph]):
         yield parts, None, prod.node_count, du.node_count
         return
 
-    prod_index = {label: i for i, label in enumerate(prod.node_labels)}
+    prod_index = {label: i for i, label in enumerate(prod.nodes)}
     mapped = [prod_index.get(restrict(vs.bits)) for vs in du.nodes]
     if None in mapped:
         yield (parts, None, "restriction lands on a product node",
@@ -507,27 +498,16 @@ def _mixed_parity(report, n_max: int = 6):
         scanned += 1
         n = g.n
         table = dominating_table(g)
-        counts = _size_counts(n, table)
+        counts = size_counts(n, table)
         threshold = next(t for t in range(n + 1) if counts[t] == comb(n, t))
         ell = threshold - 1
         if ell < 1 or counts[ell] == 0 or counts[ell] == comb(n, ell):
             continue
         report.instances_checked += 1
-        seen = [False, False]  # an even-degree node, an odd-degree node
-        for s in range(1 << n):
-            if not table[s]:
-                continue
-            p = (n - s.bit_count()) & 1
-            m = s
-            while m:
-                low = m & -m
-                m ^= low
-                p ^= table[s ^ low]
-            seen[p & 1] = True
-            if seen[0] and seen[1]:
-                break
-        if not (seen[0] and seen[1]):
-            yield g, n, "both degree parities", {"even": seen[0], "odd": seen[1]}
+        odd = odd_degree_nodes(n, table, n)
+        seen = {"even": odd != table, "odd": odd != 0}
+        if not all(seen.values()):
+            yield g, n, "both degree parities", seen
     report.details["graphs_scanned"] = scanned
 
 
@@ -546,7 +526,7 @@ def _universal_gamma_set(report, n_max: int = 6):
     for g in _labeled(2, n_max, connected=True):
         n = g.n
         table = dominating_table(g)
-        counts = _size_counts(n, table)
+        counts = size_counts(n, table)
         gamma = next(c for c in range(n + 1) if counts[c])
         if counts[gamma] != comb(n, gamma):
             continue

@@ -24,6 +24,31 @@ def naive_is_dominating(g: SeedGraph, bits: int) -> bool:
     return True
 
 
+def bytewise_dominating_table(g: SeedGraph) -> bytearray:
+    """Byte table over all 2**n subset masks: table[S] == 1 iff S dominates.
+
+    The package's former one-pass dynamic program, kept as an oracle for the
+    lattice kernel: the coverage of S is the coverage of S minus its lowest
+    vertex, unioned with that vertex's closed neighborhood.
+    """
+    n = g.n
+    size = 1 << n
+    table = bytearray(size)
+    if n == 0:
+        table[0] = 1  # the empty set dominates the empty graph vacuously
+        return table
+    full = size - 1
+    nbhd = g.closed_neighborhoods()
+    cover = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        c = cover[s ^ low] | nbhd[low.bit_length() - 1]
+        cover[s] = c
+        if c == full:
+            table[s] = 1
+    return table
+
+
 def naive_dominating_masks(g: SeedGraph, k: int) -> list[int]:
     """Filter subsets by size then by the naive predicate, via combinations."""
     out = []

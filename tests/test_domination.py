@@ -5,17 +5,24 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
-from conftest import naive_dominating_masks, naive_is_dominating, seed_graphs
+from conftest import (
+    bytewise_dominating_table,
+    naive_dominating_masks,
+    naive_is_dominating,
+    seed_graphs,
+)
 from domrec import (
     FamilySpec,
     SeedGraph,
     VertexSet,
     domination_profile,
     enumerate_dominating_sets,
+    enumerate_labeled_graphs,
     is_dominating,
     is_minimal_dominating,
     make_family,
 )
+from domrec.domination import dominating_table
 from domrec.errors import DimensionMismatch, EmptyGraph
 
 P4 = make_family(FamilySpec.path(4))
@@ -60,6 +67,30 @@ def test_minimality():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         is_dominating(P4, VertexSet.of([0], 5))
+
+
+def _assert_table_agrees(g):
+    """Lattice kernel bits == bytewise DP bytes == naive predicate, per subset."""
+    n = g.n
+    kernel = bin(dominating_table(g))[:1:-1].ljust(1 << n, "0")
+    assert len(kernel) == 1 << n
+    bytewise = "".join("01"[b] for b in bytewise_dominating_table(g))
+    naive = "".join("01"[naive_is_dominating(g, s)] for s in range(1 << n))
+    assert kernel == bytewise == naive, g.adj
+
+
+def test_table_matches_oracles_on_small_and_wide_graphs():
+    _assert_table_agrees(SeedGraph(0, []))  # only the empty set dominates
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            _assert_table_agrees(g)
+    _assert_table_agrees(make_family(FamilySpec.cocktail(16)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed_graphs(max_n=7))
+def test_table_matches_oracles_on_random_seeds(g):
+    _assert_table_agrees(g)
 
 
 def test_enumerate_counts():
@@ -119,6 +150,9 @@ def test_profile_invariants(g):
     assert p.gamma <= p.universal_threshold
     assert p.well_dominated == (p.gamma == p.upper_gamma)
     assert p.total_count == sum(p.counts_by_size)
+    assert p.upper_gamma == max(
+        s.bit_count() for s in range(1 << n) if is_minimal_dominating(g, VertexSet(s, n))
+    )
 
 
 def test_profile_examples():

@@ -45,8 +45,8 @@ def test_d3_p4_structure():
 def test_k13_k3_has_isolated_leaf_set():
     r = build(FamilySpec.star(3), 3)
     leaves = VertexSet.of([1, 2, 3], 4)
-    assert leaves in r.index
-    assert r.degree(r.index[leaves]) == 0
+    assert leaves in r.nodes
+    assert r.degree(r.nodes.index(leaves)) == 0
 
 
 def test_c3_k2_all_degree_two():

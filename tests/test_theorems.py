@@ -22,7 +22,7 @@ from domrec.theorems import (
     computed_eulerian,
     expected_eulerian_unrestricted,
     negative_control_characterization,
-    odd_degree_witness,
+    odd_degree_nodes,
 )
 from domrec.domination import dominating_table
 
@@ -110,16 +110,13 @@ def test_staged_verdict_matches_materialized_exhaustively():
 @settings(max_examples=80, deadline=None)
 @given(seed_graphs(min_n=1, max_n=6))
 def test_odd_witness_is_a_real_odd_node(g):
+    """The lattice mask of odd-degree nodes equals the odd-degree nodes of the
+    materialized graph, at every feasible k."""
     table = dominating_table(g)
-    k = g.n
-    w = odd_degree_witness(g.n, table, k)
-    r = build_reconfig(g, k)
-    if w is None:
-        assert all(r.degree(i) % 2 == 0 for i in range(r.node_count))
-    else:
-        from domrec import VertexSet
-
-        assert r.degree(r.index[VertexSet(w, g.n)]) % 2 == 1
+    for k in range(domination_profile(g).gamma, g.n + 1):
+        r = build_reconfig(g, k)
+        odd = sum(1 << vs.bits for i, vs in enumerate(r.nodes) if r.degree(i) % 2)
+        assert odd_degree_nodes(g.n, table, k) == odd, (g.adj, k)
 
 
 # --- claim runners at reduced bounds -----------------------------------------
