@@ -283,7 +283,8 @@ def _cmd_analyze(args) -> int:
     if args.circuit:
         euler = report["euler"]
         if euler["is_eulerian"] and euler["edge_count"] > 0:
-            circuit_labels = [str(r.label(i)) for i in euler_circuit(r)]
+            text = [str(v) for v in r.nodes]
+            circuit_labels = [text[i] for i in euler_circuit(r)]
         else:
             circuit_labels = []
     if args.dot:

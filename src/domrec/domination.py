@@ -45,7 +45,13 @@ class VertexSet:
         return self.bits.bit_count()
 
     def members(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if (self.bits >> v) & 1)
+        out = []
+        m = self.bits
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(out)
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool((self.bits >> v) & 1)
@@ -68,7 +74,7 @@ class VertexSet:
         return (self.cardinality, self.bits) < (other.cardinality, other.bits)
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(v) for v in self.members()) + "}"
+        return "{" + ",".join(map(str, self.members())) + "}"
 
     def __repr__(self) -> str:
         return f"VertexSet({self}, n={self.n})"

@@ -209,31 +209,57 @@ def euler_circuit(r: ReconfigGraph) -> list[int]:
     Hierholzer construction with a deterministic tie-break: start at the
     lowest-index node incident to an edge and always take the lowest-index
     unused neighbor.  The walk has edge_count + 1 entries.
+
+    Adjacency slots are laid out CSR-style (node v owns slots offsets[v] to
+    offsets[v+1]) and both slots of an edge carry one edge id, so a
+    bytearray over edge ids marks edges used.  Ids come from one pass over
+    the sorted lists: a node's lower neighbors come first and reach it in
+    ascending order, so a per-node fill counter finds the twin slot.
+
+    Raises NotEulerian for an odd degree, then NoEdges for an edgeless
+    graph.  Even degrees make the walk close at its start after using every
+    edge of the start's component, so a walk shorter than edge_count + 1
+    means a second component has edges: NotEulerian again.
     """
-    report = eulerian_report(r)
-    if not report.is_eulerian:
-        raise NotEulerian("graph has an odd degree or two non-trivial components")
-    if report.edge_count == 0:
-        raise NoEdges("no edges to traverse")
     adjacency = r.adjacency
+    offsets = [0]
+    for a in adjacency:
+        if len(a) % 2:
+            raise NotEulerian("graph has an odd-degree node")
+        offsets.append(offsets[-1] + len(a))
+    edge_count = offsets[-1] // 2
+    if edge_count == 0:
+        raise NoEdges("no edges to traverse")
+    edge_id = [0] * offsets[-1]
+    fill = offsets[:-1]
+    e = 0
+    for v, a in enumerate(adjacency):
+        slot = fill[v]
+        for u in a[slot - offsets[v]:]:
+            edge_id[slot] = edge_id[fill[u]] = e
+            fill[u] += 1
+            slot += 1
+            e += 1
+    used = bytearray(edge_count)
+    ptr = offsets[:-1]
     start = next(i for i, a in enumerate(adjacency) if a)
-    ptr = [0] * len(adjacency)
-    used: set[tuple[int, int]] = set()
     stack = [start]
     circuit = []
     while stack:
         v = stack[-1]
-        a = adjacency[v]
         i = ptr[v]
-        while i < len(a) and ((v, a[i]) if v < a[i] else (a[i], v)) in used:
+        end = offsets[v + 1]
+        while i < end and used[edge_id[i]]:
             i += 1
-        ptr[v] = i
-        if i < len(a):
-            u = a[i]
-            used.add((v, u) if v < u else (u, v))
-            stack.append(u)
+        if i < end:
+            used[edge_id[i]] = 1
+            ptr[v] = i + 1
+            stack.append(adjacency[v][i - offsets[v]])
         else:
+            ptr[v] = i
             circuit.append(stack.pop())
+    if len(circuit) != edge_count + 1:
+        raise NotEulerian("edges in more than one component")
     circuit.reverse()
     return circuit
 

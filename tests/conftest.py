@@ -12,6 +12,8 @@ from itertools import combinations
 import hypothesis.strategies as st
 
 from domrec import SeedGraph
+from domrec.errors import NoEdges, NotEulerian
+from domrec.reconfig import eulerian_report
 
 
 def naive_is_dominating(g: SeedGraph, bits: int) -> bool:
@@ -47,6 +49,41 @@ def bytewise_dominating_table(g: SeedGraph) -> bytearray:
         if c == full:
             table[s] = 1
     return table
+
+
+def reference_euler_circuit(r) -> list[int]:
+    """Tuple-set Hierholzer walk with the package's tie-break.
+
+    The package's former circuit, kept as an oracle for the edge-id walk:
+    it validates through a full eulerian_report and marks used edges as
+    (min, max) pairs in a set.
+    """
+    report = eulerian_report(r)
+    if not report.is_eulerian:
+        raise NotEulerian("graph has an odd degree or two non-trivial components")
+    if report.edge_count == 0:
+        raise NoEdges("no edges to traverse")
+    adjacency = r.adjacency
+    start = next(i for i, a in enumerate(adjacency) if a)
+    ptr = [0] * len(adjacency)
+    used: set[tuple[int, int]] = set()
+    stack = [start]
+    circuit = []
+    while stack:
+        v = stack[-1]
+        a = adjacency[v]
+        i = ptr[v]
+        while i < len(a) and ((v, a[i]) if v < a[i] else (a[i], v)) in used:
+            i += 1
+        ptr[v] = i
+        if i < len(a):
+            u = a[i]
+            used.add((v, u) if v < u else (u, v))
+            stack.append(u)
+        else:
+            circuit.append(stack.pop())
+    circuit.reverse()
+    return circuit
 
 
 def naive_dominating_masks(g: SeedGraph, k: int) -> list[int]:

@@ -1,5 +1,6 @@
 """CLI: spec parsing, subcommands, exit codes, output stability."""
 
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,23 @@ def test_analyze_json_is_byte_identical(capsys):
     first = capsys.readouterr().out
     run_cli(["analyze", "--graph", "path:4", "--k", "3", "--json"])
     assert capsys.readouterr().out == first
+
+
+# sha256 of the stdout of `analyze --graph cocktail:10 --k max --circuit`,
+# with and without --json, recorded from the tuple-set walk with labels
+# formatted per step; the circuit and its labels must not change a byte.
+CIRCUIT_STDOUT_SHA256 = {
+    True: "1a68974deea6ca4872f6486f0c294a73d155482eeb0c5af6540103bdb5ca5463",
+    False: "6773003f05d555ddeaff2ff74392005890e9d06c782eedaeaf678e0ffc32768c",
+}
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_analyze_circuit_output_is_unchanged(as_json, capsys):
+    argv = ["analyze", "--graph", "cocktail:10", "--k", "max", "--circuit"]
+    assert run_cli(argv + ["--json"] * as_json) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CIRCUIT_STDOUT_SHA256[as_json]
 
 
 def test_analyze_dot_output(tmp_path, capsys):

@@ -198,3 +198,12 @@ def test_vertex_set_behaviour():
     assert VertexSet(0b011, 4) < VertexSet(0b111, 4)
     with pytest.raises(ValueError):
         VertexSet(0b10000, 4)
+
+
+def test_members_match_the_vertex_scan():
+    for n in range(9):
+        for bits in range(1 << n):
+            s = VertexSet(bits, n)
+            scan = tuple(v for v in range(n) if (bits >> v) & 1)
+            assert s.members() == scan == tuple(s)
+            assert str(s) == "{" + ",".join(map(str, scan)) + "}"

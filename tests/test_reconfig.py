@@ -2,17 +2,26 @@
 Cartesian products."""
 
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import naive_dominating_masks, naive_reconfig_edges, seed_graphs
+from conftest import (
+    naive_dominating_masks,
+    naive_reconfig_edges,
+    reference_euler_circuit,
+    seed_graphs,
+)
 from domrec import (
     FamilySpec,
+    ReconfigGraph,
     VertexSet,
     build_reconfig,
     cartesian_product,
+    corona_of,
     domination_profile,
+    enumerate_labeled_graphs,
     euler_circuit,
     eulerian_report,
     make_family,
@@ -27,6 +36,7 @@ from domrec.errors import (
     NotSeedBuilt,
     ReconfigTooLarge,
 )
+from domrec import reconfig
 from domrec.reconfig import reconfig_to_csv, reconfig_to_dot
 
 
@@ -199,6 +209,72 @@ def test_euler_circuit_errors():
         euler_circuit(build(FamilySpec.cycle(4), 3))
     with pytest.raises(NoEdges):
         euler_circuit(build(FamilySpec.cocktail(6), 2))
+
+
+# Every Eulerian D_k with edges that the claim catalog names, within sizes the
+# tuple-set oracle walks quickly: cocktail parties at even k and at k = n,
+# odd complete graphs at k = 2, and the three path/cycle instances.
+EULERIAN_FAMILIES = [
+    *((FamilySpec.cocktail(n), k) for n in (4, 6, 8, 10) for k in (*range(4, n, 2), n)),
+    *((FamilySpec.complete(n), 2) for n in (3, 5, 7, 9, 11)),
+    (FamilySpec.path(4), 3),
+    (FamilySpec.cycle(3), 2),
+    (FamilySpec.cycle(7), 4),
+]
+
+
+def assert_matches_reference(r):
+    rep = eulerian_report(r)
+    assert rep.is_eulerian and rep.edge_count > 0
+    assert euler_circuit(r) == reference_euler_circuit(r)
+
+
+@pytest.mark.parametrize(
+    "spec,k", EULERIAN_FAMILIES, ids=[f"{s.spec_string()}-k{k}" for s, k in EULERIAN_FAMILIES]
+)
+def test_euler_circuit_matches_reference_on_families(spec, k):
+    assert_matches_reference(build(spec, k))
+
+
+def test_euler_circuit_matches_reference_on_coronas():
+    inners = chain(enumerate_labeled_graphs(2), enumerate_labeled_graphs(4))
+    for inner in inners:
+        assert_matches_reference(build_reconfig(corona_of(inner), inner.n + 1))
+
+
+def test_euler_circuit_matches_reference_on_a_product():
+    prod = cartesian_product(build(FamilySpec.path(4), 3), build(FamilySpec.cycle(3), 2))
+    assert_matches_reference(prod)
+
+
+def hand_built(adjacency):
+    return ReconfigGraph(None, None, list(range(len(adjacency))), adjacency)
+
+
+def test_two_edged_components_are_not_eulerian():
+    # Two disjoint 4-cycles: every degree is even, so only the short walk
+    # gives the second component away.
+    r = hand_built([[1, 3], [0, 2], [1, 3], [0, 2], [5, 7], [4, 6], [5, 7], [4, 6]])
+    with pytest.raises(NotEulerian):
+        euler_circuit(r)
+    with pytest.raises(NotEulerian):
+        reference_euler_circuit(r)
+
+
+def test_isolated_nodes_are_skipped():
+    r = hand_built([[], [], [3, 5], [2, 4], [3, 5], [2, 4], []])
+    assert euler_circuit(r) == [2, 3, 4, 5, 2] == reference_euler_circuit(r)
+
+
+def test_euler_circuit_needs_no_report(monkeypatch):
+    r = build(FamilySpec.cycle(7), 4)
+    expected = reference_euler_circuit(r)
+
+    def refuse(*_):
+        raise AssertionError("eulerian_report called")
+
+    monkeypatch.setattr(reconfig, "eulerian_report", refuse)
+    assert euler_circuit(r) == expected
 
 
 # --- cartesian products -----------------------------------------------------
