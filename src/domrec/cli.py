@@ -7,8 +7,11 @@ Subcommands:
     verify  --claim <id|all> [--max-n N] [--jobs N] [--json] [--negative-control]
     export  --graph <spec> [--k <int|max>] --format <dot|csv|g6>
 
-Graph specs: path:7, cycle:7, complete:5, biclique:3,4, star:5, cocktail:6,
-turan:6,3, corona:path:3, union:path:2+cycle:3, g6:<record>, file:<path>.
+Graph specs (parsed by domrec.graphs.parse_graph_spec): path:7, cycle:7,
+complete:5, biclique:3,4, star:5, cocktail:6, turan:6,3, corona:path:3,
+union:path:2+cycle:3, g6:<record>, file:<path>.  Seeds are named by their
+canonical spec.  scan sweeps FamilySpecs and skips the sizes a family has no
+member at.
 
 Exit codes: 0 all checks passed / analysis done; 1 a verified claim failed;
 2 usage or parse error; 3 capacity exceeded.
@@ -25,19 +28,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .domination import domination_profile
 from .errors import (
-    BoundBelowGamma,
-    BoundExceeded,
     CapacityExceeded,
     ClaimUnknown,
     DomrecError,
     GraphSpecError,
     InvalidFamilyParameters,
-    MalformedGraph6,
     ReconfigTooLarge,
     UncharacterizedInstance,
 )
-from .graphs import FamilySpec, SeedGraph, disjoint_union, corona_of, make_family
-from .graphs import parse_graph6, to_graph6
+from .graphs import FamilySpec, SeedGraph, make_family, parse_graph_spec, to_graph6
 from .reconfig import (
     build_reconfig,
     euler_circuit,
@@ -53,109 +52,6 @@ from .theorems import (
     negative_control_characterization,
     verify_claim,
 )
-
-_SIMPLE_FAMILIES = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "star": 1,
-    "cocktail": 1,
-    "biclique": 2,
-    "complete_bipartite": 2,
-    "turan": 2,
-}
-
-
-def parse_graph_spec(text: str, offset: int = 0) -> tuple[SeedGraph, FamilySpec | None]:
-    """Parse one textual graph spec; returns the seed graph plus its
-    FamilySpec when the spec names a generated family (None for g6/file and
-    for nestings a FamilySpec cannot express)."""
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise GraphSpecError(f"expected ':' after {head!r}", offset)
-    body_at = offset + len(head) + 1
-    if head == "g6":
-        if not rest:
-            raise GraphSpecError("empty graph6 record", body_at)
-        return parse_graph6(rest), None
-    if head == "file":
-        return _read_edge_list(rest, body_at), None
-    if head == "corona":
-        inner_g, inner_spec = parse_graph_spec(rest, body_at)
-        if inner_g.n < 2:
-            raise GraphSpecError("corona needs an inner graph on >= 2 vertices", body_at)
-        g = corona_of(inner_g)
-        spec = FamilySpec.corona(inner_spec) if inner_spec is not None else None
-        name = f"corona:{inner_g.name}" if inner_g.name else None
-        return SeedGraph(g.n, g.adj, name=name, validate=False), spec
-    if head == "union":
-        parts = []
-        specs: list[FamilySpec | None] = []
-        at = body_at
-        for chunk in rest.split("+"):
-            if not chunk:
-                raise GraphSpecError("empty union component", at)
-            g, s = parse_graph_spec(chunk, at)
-            parts.append(g)
-            specs.append(s)
-            at += len(chunk) + 1
-        if len(parts) < 2:
-            raise GraphSpecError("union needs at least two components", body_at)
-        g = disjoint_union(parts)
-        spec = None
-        if all(s is not None for s in specs):
-            spec = FamilySpec.disjoint_union(*specs)
-        name = "union:" + "+".join(p.name or "?" for p in parts)
-        return SeedGraph(g.n, g.adj, name=name, validate=False), spec
-    if head in _SIMPLE_FAMILIES:
-        arity = _SIMPLE_FAMILIES[head]
-        args = []
-        at = body_at
-        for piece in rest.split(","):
-            try:
-                args.append(int(piece))
-            except ValueError:
-                raise GraphSpecError(f"expected an integer, got {piece!r}", at) from None
-            at += len(piece) + 1
-        if len(args) != arity:
-            raise GraphSpecError(
-                f"{head} takes {arity} argument(s), got {len(args)}", body_at
-            )
-        kind = "complete_bipartite" if head == "biclique" else head
-        spec = FamilySpec(kind, tuple(args))
-        try:
-            return make_family(spec), spec
-        except InvalidFamilyParameters as exc:
-            raise GraphSpecError(str(exc), body_at) from None
-    raise GraphSpecError(f"unknown graph kind {head!r}", offset)
-
-
-def _read_edge_list(path: str, at: int) -> SeedGraph:
-    """Edge list file: one 'u v' pair per line; n is one above the top vertex."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise GraphSpecError(f"cannot read {path!r}: {exc}", at) from None
-    edges = []
-    top = -1
-    for ln, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphSpecError(f"{path}:{ln}: expected 'u v'", at)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphSpecError(f"{path}:{ln}: expected integers", at) from None
-        if u < 0 or v < 0 or u == v:
-            raise GraphSpecError(f"{path}:{ln}: bad edge ({u}, {v})", at)
-        edges.append((u, v))
-        top = max(top, u, v)
-    return SeedGraph.from_edges(top + 1, edges, name=f"file:{path}")
-
 
 def _k_value(text: str, n: int) -> int:
     """--k as an integer, with 'max' standing for n."""
@@ -209,7 +105,7 @@ def analysis_report(g: SeedGraph, spec: FamilySpec | None, k: int, r=None) -> di
     expected = _expected_or_none(spec, g, k)
     out = {
         "seed": {
-            "name": g.name or f"g6:{to_graph6(g)}",
+            "name": g.name,
             "n": g.n,
             "edges": g.edge_count(),
             "gamma": profile.gamma,
@@ -300,7 +196,16 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-_SCAN_FAMILIES = ("path", "cycle", "complete", "biclique", "cocktail", "complete_k", "corona")
+#: Each scan family's specs at size n; sizes with no member are skipped.
+_SCAN_FAMILIES = {
+    "path": lambda n: [FamilySpec.path(n)],
+    "cycle": lambda n: [FamilySpec.cycle(n)],
+    "complete": lambda n: [FamilySpec.complete(n)],
+    "biclique": lambda n: [FamilySpec.complete_bipartite(m, n) for m in range(1, n + 1)],
+    "cocktail": lambda n: [FamilySpec.cocktail(n)],
+    "complete_k": lambda n: [FamilySpec.complete(n)],
+    "corona": lambda n: [FamilySpec.corona(FamilySpec.path(n))],
+}
 
 _CSV_COLUMNS = (
     "family", "n", "k", "gamma", "nodes", "edges",
@@ -308,35 +213,14 @@ _CSV_COLUMNS = (
 )
 
 
-def _scan_instances(family: str, lo: int, hi: int) -> list[str]:
-    """Graph-spec strings for one family over an n range."""
-    if family in ("complete", "complete_k"):
-        return [f"complete:{n}" for n in range(max(lo, 1), hi + 1)]
-    if family == "path":
-        return [f"path:{n}" for n in range(max(lo, 1), hi + 1)]
-    if family == "cycle":
-        return [f"cycle:{n}" for n in range(max(lo, 3), hi + 1)]
-    if family == "cocktail":
-        return [f"cocktail:{n}" for n in range(max(lo + lo % 2, 4), hi + 1, 2)]
-    if family == "biclique":
-        return [
-            f"biclique:{m},{n}"
-            for n in range(max(lo, 1), hi + 1)
-            for m in range(1, n + 1)
-        ]
-    if family == "corona":
-        return [f"corona:path:{n}" for n in range(max(lo, 2), hi + 1)]
-    raise GraphSpecError(f"unknown scan family {family!r}")
-
-
-def scan_row(spec_string: str, k: int, gamma: int) -> dict:
+def scan_row(spec: FamilySpec, k: int, gamma: int) -> dict:
     """One CSV row for (spec, k); gamma is the seed's domination number."""
-    g, spec = parse_graph_spec(spec_string)
+    g = make_family(spec)
     r = build_reconfig(g, k)
     rep = eulerian_report(r)
     expected = _expected_or_none(spec, g, k)
     return {
-        "family": spec_string,
+        "family": g.name,
         "n": g.n,
         "k": k,
         "gamma": gamma,
@@ -350,7 +234,7 @@ def scan_row(spec_string: str, k: int, gamma: int) -> dict:
     }
 
 
-def _scan_worker(task: tuple[str, int, int]) -> dict:
+def _scan_worker(task: tuple[FamilySpec, int, int]) -> dict:
     return scan_row(*task)
 
 
@@ -364,16 +248,24 @@ def _cmd_scan(args) -> int:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise GraphSpecError(f"--n must look like 3..8, got {args.n!r}") from None
-    tasks: list[tuple[str, int, int]] = []
-    for spec_string in _scan_instances(args.family, lo, hi):
-        g, _ = parse_graph_spec(spec_string)
+    # Every seed is built before any profile: a size past the cap raises at
+    # once, so a huge --n range costs nothing.  No family has members at n < 0.
+    seeds = []
+    for n in range(max(lo, 0), hi + 1):
+        for spec in _SCAN_FAMILIES[args.family](n):
+            try:
+                seeds.append((spec, make_family(spec)))
+            except InvalidFamilyParameters:
+                continue
+    tasks: list[tuple[FamilySpec, int, int]] = []
+    for spec, g in seeds:
         gamma = domination_profile(g).gamma
         if args.k == "all":
             ks = range(gamma, g.n + 1)
         else:
             single = _k_value(args.k, g.n)
             ks = [single] if gamma <= single <= g.n else []
-        tasks.extend((spec_string, k, gamma) for k in ks)
+        tasks.extend((spec, k, gamma) for k in ks)
     rows = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":
         rows = [row for row in rows if row["is_eulerian"]]
@@ -419,6 +311,9 @@ def _cmd_verify(args) -> int:
                 "--negative-control applies to --claim dominating_graph_characterization"
             )
         n = min(args.max_n, 6) if args.max_n is not None else 6
+        n -= n % 2
+        if n < 4:
+            raise GraphSpecError(f"--negative-control needs --max-n >= 4, got {args.max_n}")
         reports = [negative_control_characterization(n)]
     else:
         if args.claim == "all":
@@ -520,10 +415,6 @@ def run_cli(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GraphSpecError, MalformedGraph6, InvalidFamilyParameters,
-            BoundBelowGamma, BoundExceeded, ClaimUnknown) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CapacityExceeded, ReconfigTooLarge) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

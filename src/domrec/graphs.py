@@ -1,8 +1,13 @@
-"""Seed graphs: bitmask representation, family generators, enumeration, graph6.
+"""Seed graphs: bitmask representation, family generators, enumeration,
+graph6, and the text grammar of graph specs.
 
 Vertices are the integers 0..n-1 and adjacency is stored as one bitmask per
 vertex, so a graph on n vertices fits in n machine words.  The hard cap
 HARD_CAP keeps every subset of vertices representable as a single int.
+
+FamilySpec.spec_string prints the spec grammar and parse_graph_spec reads it,
+plus the g6:<record> and file:<path> (edge list) forms.  A seed built from a
+spec is named by its canonical spec, a g6 part as g6:<to_graph6 record>.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BoundExceeded,
     CapacityExceeded,
+    GraphSpecError,
     InvalidFamilyParameters,
     MalformedGraph6,
 )
@@ -111,6 +117,16 @@ class SeedGraph:
         return f"SeedGraph({label})"
 
 
+#: Argument count of each family kind that takes integer arguments.
+ARITY = {"path": 1, "cycle": 1, "complete": 1, "complete_bipartite": 2, "star": 1,
+         "cocktail": 1, "turan": 2}
+
+#: Spec text names that differ from the kind; the text name is printed, and
+#: both names are read.
+_TEXT_NAME = {"complete_bipartite": "biclique"}
+_KIND = {text: kind for kind, text in _TEXT_NAME.items()}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A named graph family instance: kind plus integer or nested arguments."""
@@ -157,13 +173,11 @@ class FamilySpec:
 
     def spec_string(self) -> str:
         """Round-trippable textual form, e.g. 'biclique:3,4' or 'corona:path:3'."""
-        if self.kind == "complete_bipartite":
-            return f"biclique:{self.args[0]},{self.args[1]}"
         if self.kind == "corona":
             return f"corona:{self.parts[0].spec_string()}"
         if self.kind == "disjoint_union":
             return "union:" + "+".join(p.spec_string() for p in self.parts)
-        return f"{self.kind}:{','.join(str(a) for a in self.args)}"
+        return f"{_TEXT_NAME.get(self.kind, self.kind)}:{','.join(map(str, self.args))}"
 
 
 def _require(cond: bool, message: str):
@@ -179,18 +193,20 @@ def make_family(spec: FamilySpec) -> SeedGraph:
     attached to i, disjoint union relabeling later parts by offset.
     """
     kind, args = spec.kind, spec.args
+    if kind in ARITY:
+        arity = ARITY[kind]
+        name = _TEXT_NAME.get(kind, kind)
+        _require(len(args) == arity, f"{name} takes {arity} argument(s), got {len(args)}")
+        n = args[0]
     if kind == "path":
-        (n,) = args
         _require(n >= 1, f"path needs n >= 1, got {n}")
         _check_cap(n)
         g = SeedGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     elif kind == "cycle":
-        (n,) = args
         _require(n >= 3, f"cycle needs n >= 3, got {n}")
         _check_cap(n)
         g = SeedGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     elif kind == "complete":
-        (n,) = args
         _require(n >= 1, f"complete needs n >= 1, got {n}")
         _check_cap(n)
         full = (1 << n) - 1
@@ -203,11 +219,9 @@ def make_family(spec: FamilySpec) -> SeedGraph:
         ymask = ((1 << (m + n)) - 1) ^ xmask
         g = SeedGraph(m + n, [ymask] * m + [xmask] * n, validate=False)
     elif kind == "star":
-        (n,) = args
         _require(n >= 1, f"star needs n >= 1, got {n}")
-        return make_family(FamilySpec.complete_bipartite(1, n))
+        g = make_family(FamilySpec.complete_bipartite(1, n))
     elif kind == "cocktail":
-        (n,) = args
         _require(n >= 4 and n % 2 == 0, f"cocktail needs even n >= 4, got {n}")
         _check_cap(n)
         full = (1 << n) - 1
@@ -215,7 +229,7 @@ def make_family(spec: FamilySpec) -> SeedGraph:
             n, [full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)], validate=False
         )
     elif kind == "turan":
-        n, r = args
+        r = args[1]
         _require(1 <= r <= n, f"turan needs n >= r >= 1, got {n}, {r}")
         _check_cap(n)
         # First n % r parts get the extra vertex; parts are contiguous ranges.
@@ -229,6 +243,7 @@ def make_family(spec: FamilySpec) -> SeedGraph:
             start += size
         g = SeedGraph(n, adj, validate=False)
     elif kind == "corona":
+        _require(len(spec.parts) == 1, f"corona takes 1 inner family, got {len(spec.parts)}")
         inner = make_family(spec.parts[0])
         _require(inner.n >= 2, f"corona needs an inner graph on >= 2 vertices, got {inner.n}")
         g = corona_of(inner)
@@ -237,7 +252,11 @@ def make_family(spec: FamilySpec) -> SeedGraph:
         g = disjoint_union([make_family(p) for p in spec.parts])
     else:
         raise InvalidFamilyParameters(f"unknown family kind {kind!r}")
-    return SeedGraph(g.n, g.adj, name=spec.spec_string(), validate=False)
+    return _named(g, spec.spec_string())
+
+
+def _named(g: SeedGraph, name: str) -> SeedGraph:
+    return SeedGraph(g.n, g.adj, name=name, validate=False)
 
 
 def _check_cap(n: int):
@@ -459,12 +478,89 @@ def parse_graph6(text: str) -> SeedGraph:
     return SeedGraph(n, adj, validate=False)
 
 
-def seed_to_dot(g: SeedGraph) -> str:
-    """DOT source for the seed graph, vertex ids as labels."""
-    lines = ["graph seed {"]
-    if g.name:
-        lines.append(f'  label="{g.name}";')
-    lines.extend(f"  {v};" for v in range(g.n))
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+# ---------------------------------------------------------------------------
+# graph specs: the text grammar that FamilySpec.spec_string prints
+# ---------------------------------------------------------------------------
+
+
+def parse_graph_spec(text: str, offset: int = 0) -> tuple[SeedGraph, FamilySpec | None]:
+    """Parse one textual graph spec; returns the seed graph, named by its
+    canonical spec, plus its FamilySpec when the spec names a generated
+    family (None when a g6 or file part is involved).  A GraphSpecError
+    carries the position of the fault, counted from offset."""
+    head, sep, rest = text.partition(":")
+    if not sep:
+        raise GraphSpecError(f"expected ':' after {head!r}", offset)
+    body_at = offset + len(head) + 1
+    if head == "g6":
+        if not rest:
+            raise GraphSpecError("empty graph6 record", body_at)
+        g = parse_graph6(rest)
+        return _named(g, f"g6:{to_graph6(g)}"), None
+    if head == "file":
+        return _read_edge_list(rest, body_at), None
+    if head == "corona":
+        inner, inner_spec = parse_graph_spec(rest, body_at)
+        if inner.n < 2:
+            raise GraphSpecError("corona needs an inner graph on >= 2 vertices", body_at)
+        spec = FamilySpec.corona(inner_spec) if inner_spec is not None else None
+        return _named(corona_of(inner), f"corona:{inner.name}"), spec
+    if head == "union":
+        parts = []
+        specs: list[FamilySpec | None] = []
+        at = body_at
+        for chunk in rest.split("+"):
+            if not chunk:
+                raise GraphSpecError("empty union component", at)
+            g, s = parse_graph_spec(chunk, at)
+            parts.append(g)
+            specs.append(s)
+            at += len(chunk) + 1
+        if len(parts) < 2:
+            raise GraphSpecError("union needs at least two components", body_at)
+        spec = FamilySpec.disjoint_union(*specs) if None not in specs else None
+        name = "union:" + "+".join(p.name for p in parts)
+        return _named(disjoint_union(parts), name), spec
+    kind = _KIND.get(head, head)
+    if kind in ARITY:
+        args = []
+        at = body_at
+        for piece in rest.split(","):
+            try:
+                args.append(int(piece))
+            except ValueError:
+                raise GraphSpecError(f"expected an integer, got {piece!r}", at) from None
+            at += len(piece) + 1
+        spec = FamilySpec(kind, tuple(args))
+        try:
+            return make_family(spec), spec
+        except InvalidFamilyParameters as exc:
+            raise GraphSpecError(str(exc), body_at) from None
+    raise GraphSpecError(f"unknown graph kind {head!r}", offset)
+
+
+def _read_edge_list(path: str, at: int) -> SeedGraph:
+    """Edge list file: one 'u v' pair per line; n is one above the top vertex."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise GraphSpecError(f"cannot read {path!r}: {exc}", at) from None
+    edges = []
+    top = -1
+    for ln, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise GraphSpecError(f"{path}:{ln}: expected 'u v'", at)
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise GraphSpecError(f"{path}:{ln}: expected integers", at) from None
+        if u < 0 or v < 0 or u == v:
+            raise GraphSpecError(f"{path}:{ln}: bad edge ({u}, {v})", at)
+        edges.append((u, v))
+        top = max(top, u, v)
+    return SeedGraph.from_edges(top + 1, edges, name=f"file:{path}")

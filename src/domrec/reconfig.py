@@ -151,9 +151,10 @@ def node_degree(g: SeedGraph, s: VertexSet, k: int) -> int:
     return deg
 
 
-def eulerian_report(r: ReconfigGraph, witness_cap: int = ODD_WITNESS_CAP) -> EulerReport:
+def eulerian_report(r: ReconfigGraph) -> EulerReport:
     """Degrees plus component analysis; Eulerian means no odd degree and at
-    most one component containing an edge."""
+    most one component containing an edge.  The first ODD_WITNESS_CAP
+    odd-degree nodes are kept as witnesses."""
     adjacency = r.adjacency
     node_count = len(adjacency)
     odd_count = 0
@@ -163,7 +164,7 @@ def eulerian_report(r: ReconfigGraph, witness_cap: int = ODD_WITNESS_CAP) -> Eul
         degsum += len(a)
         if len(a) % 2:
             odd_count += 1
-            if len(witnesses) < witness_cap:
+            if len(witnesses) < ODD_WITNESS_CAP:
                 witnesses.append(r.label(i))
     edge_count = degsum // 2
     seen = bytearray(node_count)

@@ -2,13 +2,26 @@
 
 import hashlib
 import json
+import re
+import time
+from pathlib import Path
 
 import pytest
 
 from domrec import cli
 from domrec.cli import parse_graph_spec, run_cli
-from domrec.errors import GraphSpecError
+from domrec.errors import (
+    BoundBelowGamma,
+    BoundExceeded,
+    CapacityExceeded,
+    ClaimUnknown,
+    GraphSpecError,
+    MalformedGraph6,
+    ReconfigTooLarge,
+)
 from domrec.graphs import FamilySpec, make_family
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 SPEC_EXAMPLES = [
@@ -22,6 +35,22 @@ SPEC_EXAMPLES = [
 def test_every_documented_spec_parses(text):
     g, _ = parse_graph_spec(text)
     assert g.n >= 1
+
+
+def _readme_specs() -> list[str]:
+    """The backticked specs of README's "Graph specs" paragraph, less those
+    with a <placeholder> and those without a ':' (such as `u v`)."""
+    paragraph = README.read_text().split("Graph specs:", 1)[1].split("\n\n", 1)[0]
+    return [spec for spec in re.findall(r"`([^`]+)`", paragraph)
+            if ":" in spec and "<" not in spec]
+
+
+def test_readme_specs_parse():
+    specs = _readme_specs()
+    assert "biclique:3,4" in specs and "union:path:2+cycle:3" in specs
+    for text in specs:
+        g, _ = parse_graph_spec(text)
+        assert g.n >= 1
 
 
 def test_spec_round_trips_to_family():
@@ -176,6 +205,18 @@ def test_verify_negative_control_exits_one(capsys):
     assert run_cli(["verify", "--claim", "path_cycle", "--negative-control"]) == 2
 
 
+def test_negative_control_plants_at_the_largest_even_order(capsys):
+    code = run_cli(["verify", "--claim", "dominating_graph_characterization",
+                    "--negative-control", "--max-n", "5"])
+    assert code == 1
+    assert "planted:cocktail:4" in capsys.readouterr().out
+    code = run_cli(["verify", "--claim", "dominating_graph_characterization",
+                    "--negative-control", "--max-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--max-n" in captured.err
+
+
 def test_verify_json_and_jobs(capsys):
     assert run_cli(["verify", "--claim", "parity_odd", "--max-n", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -225,6 +266,25 @@ def test_exit_code_usage_and_capacity(capsys):
     assert run_cli(["analyze", "--graph", "biclique:13,14", "--k", "3"]) == 3
     assert run_cli(["analyze", "--graph", "g6:" + chr(126) + "???", "--k", "2"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, error, code", [
+    (["analyze", "--graph", "nonsense", "--k", "3"], GraphSpecError, 2),
+    (["analyze", "--graph", "g6:A", "--k", "1"], MalformedGraph6, 2),
+    (["analyze", "--graph", "g6:A_", "--k", "0"], BoundBelowGamma, 2),
+    (["verify", "--claim", "dominating_graph_characterization", "--max-n", "9"],
+     BoundExceeded, 2),
+    (["verify", "--claim", "bogus"], ClaimUnknown, 2),
+    (["analyze", "--graph", "biclique:13,14", "--k", "3"], CapacityExceeded, 3),
+    (["analyze", "--graph", "complete:23", "--k", "max"], ReconfigTooLarge, 3),
+])
+def test_error_class_maps_to_exit_code(argv, error, code, capsys):
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(error):
+        args.func(args)
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
 
 
 def test_malformed_spec_no_partial_output(capsys):
@@ -317,3 +377,17 @@ def test_scan_computes_one_profile_per_instance(monkeypatch, capsys):
     assert run_cli(["scan", "--family", "path", "--n", "3..6"]) == 0
     capsys.readouterr()
     assert len(profiles) == 4
+
+
+def test_scan_past_the_cap_exits_before_any_profile(monkeypatch, capsys):
+    profiles = _counting(monkeypatch, "domination_profile")
+    assert run_cli(["scan", "--family", "path", "--n", "26..27"]) == 3
+    assert "capacity error" in capsys.readouterr().err
+    assert profiles == []
+
+
+def test_scan_huge_range_stops_at_the_cap(capsys):
+    start = time.perf_counter()
+    assert run_cli(["scan", "--family", "biclique", "--n", "1..1000000000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == ""

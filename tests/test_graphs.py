@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seed_graphs
 from domrec import (
@@ -22,7 +23,13 @@ from domrec.errors import (
     InvalidFamilyParameters,
     MalformedGraph6,
 )
-from domrec.graphs import is_bipartite, is_connected, seed_to_dot
+from domrec.graphs import (
+    ARITY,
+    HARD_CAP,
+    is_bipartite,
+    is_connected,
+    parse_graph_spec,
+)
 
 
 def test_cycle3_is_triangle():
@@ -266,7 +273,94 @@ def test_enumeration_bound():
         list(enumerate_labeled_graphs(0))
 
 
-def test_seed_dot_export():
-    dot = seed_to_dot(make_family(FamilySpec.path(3)))
-    assert "graph seed {" in dot
-    assert "0 -- 1;" in dot and "1 -- 2;" in dot
+# --- spec grammar ---------------------------------------------------------
+
+
+@st.composite
+def family_specs(draw, budget=HARD_CAP, depth=2, unions=True):
+    """(FamilySpec, order) of any kind in its valid range, order <= budget;
+    coronas and unions nest to the given depth.  No union lies inside a
+    union: the grammar splits a union at every '+'."""
+    kinds = ["path", "complete", "turan"]
+    kinds += ["complete_bipartite", "star"] * (budget >= 2) + ["cycle"] * (budget >= 3)
+    kinds += ["cocktail"] * (budget >= 4)
+    if depth:
+        kinds += ["corona"] * (budget >= 4) + ["disjoint_union"] * (unions and budget >= 2)
+    kind = draw(st.sampled_from(kinds))
+    size = st.integers
+    if kind == "complete_bipartite":
+        m = draw(size(1, budget - 1))
+        n = draw(size(1, budget - m))
+        return FamilySpec.complete_bipartite(m, n), m + n
+    if kind == "star":
+        n = draw(size(1, budget - 1))
+        return FamilySpec.star(n), n + 1
+    if kind == "turan":
+        n = draw(size(1, budget))
+        return FamilySpec.turan(n, draw(size(1, n))), n
+    if kind == "corona":
+        inner, order = draw(
+            family_specs(budget // 2, depth - 1, unions).filter(lambda so: so[1] >= 2)
+        )
+        return FamilySpec.corona(inner), 2 * order
+    if kind == "disjoint_union":
+        count = draw(size(2, min(3, budget)))
+        parts, total = [], 0
+        for i in range(count):
+            part, order = draw(
+                family_specs(budget - total - (count - 1 - i), depth - 1, unions=False)
+            )
+            parts.append(part)
+            total += order
+        return FamilySpec.disjoint_union(*parts), total
+    low = {"cycle": 3, "cocktail": 4}.get(kind, 1)
+    n = draw(size(low, budget))
+    if kind == "cocktail":
+        n -= n % 2
+    return FamilySpec(kind, (n,)), n
+
+
+@settings(max_examples=200)
+@given(family_specs())
+def test_spec_string_parses_back_to_its_family(spec_and_order):
+    spec, order = spec_and_order
+    text = spec.spec_string()
+    g, parsed = parse_graph_spec(text)
+    assert parsed == spec
+    assert g == make_family(spec)
+    assert g.n == order
+    assert g.name == make_family(spec).name == text
+
+
+@pytest.mark.parametrize("kind", sorted(ARITY))
+def test_wrong_argument_count_is_invalid_parameters(kind):
+    arity = ARITY[kind]
+    for count in sorted({0, arity - 1, arity + 1} - {arity}):
+        with pytest.raises(InvalidFamilyParameters, match="argument"):
+            make_family(FamilySpec(kind, (3,) * count))
+
+
+def test_corona_without_inner_family_is_invalid_parameters():
+    with pytest.raises(InvalidFamilyParameters):
+        make_family(FamilySpec("corona"))
+    with pytest.raises(InvalidFamilyParameters):
+        make_family(FamilySpec("corona", (), (FamilySpec.path(2),) * 2))
+
+
+def test_biclique_is_the_text_name_of_complete_bipartite():
+    assert FamilySpec.complete_bipartite(3, 4).spec_string() == "biclique:3,4"
+    for text in ("biclique:3,4", "complete_bipartite:3,4"):
+        g, spec = parse_graph_spec(text)
+        assert spec == FamilySpec.complete_bipartite(3, 4)
+        assert g.name == "biclique:3,4"
+    with pytest.raises(InvalidFamilyParameters, match="biclique takes 2 argument"):
+        make_family(FamilySpec("complete_bipartite", (3,)))
+
+
+@pytest.mark.parametrize("text", [
+    "g6:A_", "union:g6:A_+path:2", "corona:g6:A_", "corona:union:path:2+g6:A_",
+])
+def test_seeds_with_g6_parts_are_named_by_their_spec(text):
+    g, spec = parse_graph_spec(text)
+    assert spec is None
+    assert g.name == text
