@@ -7,9 +7,9 @@ catalog of closed-form characterizations at desk scale.
 
 from .domination import (
     DominationProfile,
-    VertexSet,
     domination_profile,
     enumerate_dominating_sets,
+    format_set,
     is_dominating,
     is_minimal_dominating,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "ReconfigGraph",
     "SeedGraph",
     "TheoremReport",
-    "VertexSet",
     "build_reconfig",
     "cartesian_product",
     "connected_components",
@@ -66,6 +65,7 @@ __all__ = [
     "euler_circuit",
     "eulerian_report",
     "expected_eulerian",
+    "format_set",
     "is_cocktail_party",
     "is_dominating",
     "is_minimal_dominating",

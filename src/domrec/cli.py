@@ -9,9 +9,9 @@ Subcommands:
 
 Graph specs (parsed by domrec.graphs.parse_graph_spec): path:7, cycle:7,
 complete:5, biclique:3,4, star:5, cocktail:6, turan:6,3, corona:path:3,
-union:path:2+cycle:3, g6:<record>, file:<path>.  Seeds are named by their
-canonical spec.  scan sweeps FamilySpecs and skips the sizes a family has no
-member at.
+union:path:2+cycle:3, union:path:1+(union:path:1+path:1), g6:<record>,
+file:<path>.  Seeds are named by their canonical spec.  scan sweeps
+FamilySpecs and skips the sizes a family has no member at.
 
 Exit codes: 0 all checks passed / analysis done; 1 a verified claim failed;
 2 usage or parse error; 3 capacity exceeded.
@@ -26,7 +26,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .domination import domination_profile
+from .domination import domination_profile, format_set
 from .errors import (
     CapacityExceeded,
     ClaimUnknown,
@@ -38,6 +38,7 @@ from .errors import (
 )
 from .graphs import FamilySpec, SeedGraph, make_family, parse_graph_spec, to_graph6
 from .reconfig import (
+    ReconfigGraph,
     build_reconfig,
     euler_circuit,
     eulerian_report,
@@ -97,10 +98,10 @@ def _bool_json(value):
     return value if value is None else bool(value)
 
 
-def analysis_report(g: SeedGraph, spec: FamilySpec | None, k: int, r=None) -> dict:
+def analysis_report(
+    g: SeedGraph, spec: FamilySpec | None, k: int, r: ReconfigGraph
+) -> dict:
     profile = domination_profile(g)
-    if r is None:
-        r = build_reconfig(g, k)
     rep = eulerian_report(r)
     expected = _expected_or_none(spec, g, k)
     out = {
@@ -123,7 +124,7 @@ def analysis_report(g: SeedGraph, spec: FamilySpec | None, k: int, r=None) -> di
             "node_count": rep.node_count,
             "edge_count": rep.edge_count,
             "odd_degree_count": rep.odd_degree_count,
-            "odd_degree_nodes": [str(vs) for vs in rep.odd_degree_nodes],
+            "odd_degree_nodes": [format_set(s) for s in rep.odd_degree_nodes],
             "isolated_count": rep.isolated_count,
             "nontrivial_component_count": rep.nontrivial_component_count,
             "is_connected": rep.is_connected,
@@ -179,7 +180,7 @@ def _cmd_analyze(args) -> int:
     if args.circuit:
         euler = report["euler"]
         if euler["is_eulerian"] and euler["edge_count"] > 0:
-            text = [str(v) for v in r.nodes]
+            text = [format_set(s) for s in r.nodes]
             circuit_labels = [text[i] for i in euler_circuit(r)]
         else:
             circuit_labels = []

@@ -1,11 +1,13 @@
 """Dominating-set predicates, enumeration, and summary statistics.
 
-A subset S dominates when the union of closed neighborhoods of its members
-covers every vertex.  Questions about all 2**n subsets at once are answered
-on the subset lattice: a set of subsets is one int whose bit S stands for
-the subset with bitmask S, so a whole-lattice question is a few bitwise
-operations on such ints instead of a loop over the subsets.  This module is
-the one owner of that representation.
+A set of vertices is an int mask, bit v set iff v is a member: the nodes of
+D_k and the sets the predicates below take are such masks, and format_set
+writes one as '{0,2}'.  A subset S dominates when the union of closed
+neighborhoods of its members covers every vertex.  Questions about all 2**n
+subsets at once are answered on the subset lattice: a set of subsets is one
+int whose bit S stands for the subset with bitmask S, so a whole-lattice
+question is a few bitwise operations on such ints instead of a loop over the
+subsets.  This module is the one owner of that representation.
 """
 
 from __future__ import annotations
@@ -13,71 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import or_
+from operator import or_, xor
 
 from .errors import DimensionMismatch, EmptyGraph
 from .graphs import SeedGraph
-
-
-class VertexSet:
-    """An immutable subset of seed-graph vertices, stored as a bitmask."""
-
-    __slots__ = ("bits", "n")
-
-    def __init__(self, bits: int, n: int):
-        if bits < 0 or bits >> n:
-            raise ValueError(f"bits {bits:#x} outside [0, 2**{n})")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *_):
-        raise AttributeError("VertexSet is immutable")
-
-    @classmethod
-    def of(cls, vertices, n: int) -> "VertexSet":
-        bits = 0
-        for v in vertices:
-            bits |= 1 << v
-        return cls(bits, n)
-
-    @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    def members(self) -> tuple[int, ...]:
-        out = []
-        m = self.bits
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool((self.bits >> v) & 1)
-
-    def __iter__(self):
-        return iter(self.members())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.bits == other.bits
-            and self.n == other.n
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.n))
-
-    def __lt__(self, other: "VertexSet") -> bool:
-        # Sorting key used for node order everywhere: cardinality, then mask.
-        return (self.cardinality, self.bits) < (other.cardinality, other.bits)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.members())) + "}"
-
-    def __repr__(self) -> str:
-        return f"VertexSet({self}, n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -92,12 +33,24 @@ class DominationProfile:
     well_dominated: bool
 
 
-def is_dominating(g: SeedGraph, s: VertexSet) -> bool:
-    """True iff every vertex outside s has a neighbor in s."""
-    if s.n != g.n:
-        raise DimensionMismatch(f"vertex set over {s.n} vertices, graph has {g.n}")
+def format_set(bits: int) -> str:
+    """Set notation for a vertex mask: 0b101 is '{0,2}'."""
+    if bits < 0:
+        raise ValueError(f"vertex mask must be non-negative, got {bits}")
+    members = []
+    while bits:
+        low = bits & -bits
+        members.append(str(low.bit_length() - 1))
+        bits ^= low
+    return "{" + ",".join(members) + "}"
+
+
+def is_dominating(g: SeedGraph, s: int) -> bool:
+    """True iff every vertex outside the mask s has a neighbor in s."""
+    if s < 0 or s >> g.n:
+        raise DimensionMismatch(f"vertex mask {s:#x} is not a set of vertices of {g!r}")
     covered = 0
-    m = s.bits
+    m = s
     adj = g.adj
     while m:
         low = m & -m
@@ -106,15 +59,15 @@ def is_dominating(g: SeedGraph, s: VertexSet) -> bool:
     return covered == (1 << g.n) - 1
 
 
-def is_minimal_dominating(g: SeedGraph, s: VertexSet) -> bool:
+def is_minimal_dominating(g: SeedGraph, s: int) -> bool:
     """True iff s dominates and no single-vertex deletion of s still dominates."""
     if not is_dominating(g, s):
         return False
-    m = s.bits
+    m = s
     while m:
         low = m & -m
         m ^= low
-        if is_dominating(g, VertexSet(s.bits ^ low, s.n)):
+        if is_dominating(g, s ^ low):
             return False
     return True
 
@@ -160,6 +113,19 @@ def removable_masks(n: int, table: int) -> list[int]:
     return [(table << (1 << u)) & x for u, x in enumerate(member)]
 
 
+def odd_degree_nodes(n: int, table: int, k: int) -> int:
+    """The odd-degree nodes of D_k, as a lattice mask over the domination
+    table of a seed on n vertices.
+
+    The degree of a node S is its removable-member count plus, below the
+    bound, one up-move per outside vertex; its parity is the XOR of the
+    removable masks, flipped on each size class c < k with n - c odd."""
+    _, size = _lattice(n)
+    parity = reduce(xor, removable_masks(n, table), 0)
+    parity ^= reduce(or_, (x for c, x in enumerate(size[:k]) if (n - c) & 1), 0)
+    return parity & table & reduce(or_, size[: k + 1])
+
+
 def size_counts(n: int, table: int) -> list[int]:
     """How many subsets in table have each cardinality 0..n."""
     _, size = _lattice(n)
@@ -182,11 +148,12 @@ def subset_masks(n: int, table: int, k: int) -> list[int]:
     return masks
 
 
-def enumerate_dominating_sets(g: SeedGraph, k: int) -> list[VertexSet]:
-    """All dominating sets of cardinality <= k, sorted by (cardinality, mask)."""
+def enumerate_dominating_sets(g: SeedGraph, k: int) -> list[int]:
+    """The masks of all dominating sets of cardinality <= k, sorted by
+    (cardinality, mask)."""
     if not 0 <= k <= g.n:
         raise ValueError(f"k must be in [0, {g.n}], got {k}")
-    return [VertexSet(s, g.n) for s in subset_masks(g.n, dominating_table(g), k)]
+    return subset_masks(g.n, dominating_table(g), k)
 
 
 def domination_profile(g: SeedGraph) -> DominationProfile:

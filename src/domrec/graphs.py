@@ -6,8 +6,10 @@ vertex, so a graph on n vertices fits in n machine words.  The hard cap
 HARD_CAP keeps every subset of vertices representable as a single int.
 
 FamilySpec.spec_string prints the spec grammar and parse_graph_spec reads it,
-plus the g6:<record> and file:<path> (edge list) forms.  A seed built from a
-spec is named by its canonical spec, a g6 part as g6:<to_graph6 record>.
+plus the g6:<record> and file:<path> (edge list) forms.  A union splits at
+each '+' outside parentheses, and a part whose own text holds a '+' (a union,
+or a corona of one) is printed in parentheses.  A seed built from a spec is
+named by its canonical spec, a g6 part as g6:<to_graph6 record>.
 """
 
 from __future__ import annotations
@@ -176,8 +178,14 @@ class FamilySpec:
         if self.kind == "corona":
             return f"corona:{self.parts[0].spec_string()}"
         if self.kind == "disjoint_union":
-            return "union:" + "+".join(p.spec_string() for p in self.parts)
+            return _union_text(p.spec_string() for p in self.parts)
         return f"{_TEXT_NAME.get(self.kind, self.kind)}:{','.join(map(str, self.args))}"
+
+
+def _union_text(parts) -> str:
+    """'union:' and the parts joined by '+', a part in parentheses when its
+    own text holds a '+'."""
+    return "union:" + "+".join(f"({p})" if "+" in p else p for p in parts)
 
 
 def _require(cond: bool, message: str):
@@ -285,18 +293,17 @@ def disjoint_union(graphs: list[SeedGraph]) -> SeedGraph:
     return SeedGraph(total, adj, validate=False)
 
 
-def induced_subgraph(g: SeedGraph, vertices: list[int]) -> SeedGraph:
-    """Subgraph induced by the given vertices, relabeled 0..len-1 in order."""
+def induced_subgraph(g: SeedGraph, mask: int) -> SeedGraph:
+    """Subgraph induced by the vertices in mask, relabeled 0..|mask|-1 in order."""
+    vertices = [v for v in range(g.n) if (mask >> v) & 1]
     pos = {v: i for i, v in enumerate(vertices)}
     adj = [0] * len(vertices)
     for v in vertices:
-        m = g.adj[v]
+        m = g.adj[v] & mask
         while m:
             low = m & -m
             m ^= low
-            u = low.bit_length() - 1
-            if u in pos:
-                adj[pos[v]] |= 1 << pos[u]
+            adj[pos[v]] |= 1 << pos[low.bit_length() - 1]
     return SeedGraph(len(vertices), adj, validate=False)
 
 
@@ -363,14 +370,14 @@ def _component_mask(adj, start: int) -> int:
     return seen
 
 
-def connected_components(g: SeedGraph) -> list[list[int]]:
-    """Vertex sets of the connected components, ordered by minimum vertex."""
+def connected_components(g: SeedGraph) -> list[int]:
+    """Vertex masks of the connected components, ordered by lowest vertex."""
     out = []
     remaining = (1 << g.n) - 1
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
         comp = _component_mask(g.adj, start)
-        out.append([v for v in range(g.n) if (comp >> v) & 1])
+        out.append(comp)
         remaining &= ~comp
     return out
 
@@ -508,19 +515,16 @@ def parse_graph_spec(text: str, offset: int = 0) -> tuple[SeedGraph, FamilySpec 
     if head == "union":
         parts = []
         specs: list[FamilySpec | None] = []
-        at = body_at
-        for chunk in rest.split("+"):
+        for chunk, at in _union_parts(rest, body_at):
             if not chunk:
                 raise GraphSpecError("empty union component", at)
             g, s = parse_graph_spec(chunk, at)
             parts.append(g)
             specs.append(s)
-            at += len(chunk) + 1
         if len(parts) < 2:
             raise GraphSpecError("union needs at least two components", body_at)
         spec = FamilySpec.disjoint_union(*specs) if None not in specs else None
-        name = "union:" + "+".join(p.name for p in parts)
-        return _named(disjoint_union(parts), name), spec
+        return _named(disjoint_union(parts), _union_text(p.name for p in parts)), spec
     kind = _KIND.get(head, head)
     if kind in ARITY:
         args = []
@@ -537,6 +541,31 @@ def parse_graph_spec(text: str, offset: int = 0) -> tuple[SeedGraph, FamilySpec 
         except InvalidFamilyParameters as exc:
             raise GraphSpecError(str(exc), body_at) from None
     raise GraphSpecError(f"unknown graph kind {head!r}", offset)
+
+
+def _union_parts(body: str, at: int) -> list[tuple[str, int]]:
+    """The parts of a union body with their positions: split at each '+'
+    outside parentheses, one enclosing pair of parentheses stripped."""
+    parts = []
+    opened: list[int] = []
+    begin = 0
+    for i, ch in enumerate(body + "+"):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")":
+            if not opened:
+                raise GraphSpecError("unmatched ')'", at + i)
+            opened.pop()
+        elif ch == "+" and not opened:
+            part = body[begin:i]
+            if part.startswith("(") and part.endswith(")"):
+                parts.append((part[1:-1], at + begin + 1))
+            else:
+                parts.append((part, at + begin))
+            begin = i + 1
+    if opened:
+        raise GraphSpecError("unmatched '('", at + opened[0])
+    return parts
 
 
 def _read_edge_list(path: str, at: int) -> SeedGraph:

@@ -1,20 +1,19 @@
 """k-dominating reconfiguration graphs and their Eulerian analysis.
 
 The reconfiguration graph of a seed graph G at bound k has one node per
-dominating set of cardinality at most k; nodes are adjacent when the sets
-differ by adding or removing a single vertex.  The Eulerian test used
-throughout is the relaxed one: every node has even degree and at most one
-component contains an edge (isolated nodes are harmless).
+dominating set of cardinality at most k, held as its vertex mask; nodes are
+adjacent when the sets differ by adding or removing a single vertex.  The
+Eulerian test used throughout is the relaxed one: every node has even degree
+and at most one component contains an edge (isolated nodes are harmless).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domination import VertexSet, dominating_table, is_dominating, size_counts, subset_masks
+from .domination import dominating_table, format_set, is_dominating, size_counts, subset_masks
 from .errors import (
     BoundBelowGamma,
-    DimensionMismatch,
     NoEdges,
     NotDominating,
     NotEulerian,
@@ -34,8 +33,9 @@ ODD_WITNESS_CAP = 8
 class ReconfigGraph:
     """Materialized reconfiguration graph with deterministic node order.
 
-    Seed-built graphs carry their nodes as VertexSets sorted by (cardinality,
-    bitmask); Cartesian products have no seed and carry tuple labels instead.
+    Seed-built graphs carry their nodes as vertex masks sorted by
+    (cardinality, mask); Cartesian products have no seed and carry their
+    factors' labels as nested pairs.
     Adjacency lists are sorted and never mutated after construction.
     """
 
@@ -57,10 +57,6 @@ class ReconfigGraph:
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
-
-    def label(self, i: int):
-        """Node label: a VertexSet for seed-built graphs, a tuple for products."""
-        return self.nodes[i]
 
     def degree_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -126,27 +122,24 @@ def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> Re
                 nbrs.append(pos[s | low])
         nbrs.sort()
         adjacency.append(nbrs)
-    nodes = [VertexSet(s, n) for s in masks]
-    return ReconfigGraph(g, k, nodes, adjacency)
+    return ReconfigGraph(g, k, masks, adjacency)
 
 
-def node_degree(g: SeedGraph, s: VertexSet, k: int) -> int:
-    """Degree of the node for s in the reconfiguration graph at bound k,
-    computed from the seed without materializing: removable members plus,
-    below the bound, one up-move per outside vertex."""
-    if s.n != g.n:
-        raise DimensionMismatch(f"vertex set over {s.n} vertices, graph has {g.n}")
+def node_degree(g: SeedGraph, s: int, k: int) -> int:
+    """Degree of the node for the vertex mask s in the reconfiguration graph
+    at bound k, computed from the seed without materializing: removable
+    members plus, below the bound, one up-move per outside vertex."""
     if not is_dominating(g, s):
-        raise NotDominating(f"{s} does not dominate {g!r}")
-    c = s.cardinality
+        raise NotDominating(f"{format_set(s)} does not dominate {g!r}")
+    c = s.bit_count()
     if c > k:
         raise ValueError(f"cardinality {c} exceeds bound k={k}")
     deg = g.n - c if c < k else 0
-    m = s.bits
+    m = s
     while m:
         low = m & -m
         m ^= low
-        if is_dominating(g, VertexSet(s.bits ^ low, s.n)):
+        if is_dominating(g, s ^ low):
             deg += 1
     return deg
 
@@ -165,7 +158,7 @@ def eulerian_report(r: ReconfigGraph) -> EulerReport:
         if len(a) % 2:
             odd_count += 1
             if len(witnesses) < ODD_WITNESS_CAP:
-                witnesses.append(r.label(i))
+                witnesses.append(r.nodes[i])
     edge_count = degsum // 2
     seen = bytearray(node_count)
     nontrivial = 0
@@ -273,10 +266,9 @@ def cartesian_product(a: ReconfigGraph, b: ReconfigGraph, node_cap: int = DEFAUL
         raise ReconfigTooLarge(f"product would have {na * nb} nodes")
     labels = []
     adjacency = []
-    for i in range(na):
-        la = a.label(i)
-        for j in range(nb):
-            labels.append((la, b.label(j)))
+    for i, la in enumerate(a.nodes):
+        for j, lb in enumerate(b.nodes):
+            labels.append((la, lb))
             nbrs = [i2 * nb + j for i2 in a.adjacency[i]]
             nbrs.extend(i * nb + j2 for j2 in b.adjacency[j])
             nbrs.sort()
@@ -289,7 +281,7 @@ def parity_bipartition_valid(r: ReconfigGraph) -> bool:
     coloring nodes by cardinality parity is a proper 2-coloring."""
     if r.seed is None:
         raise NotSeedBuilt("parity bipartition needs vertex-set nodes")
-    cards = [vs.cardinality for vs in r.nodes]
+    cards = [s.bit_count() for s in r.nodes]
     for i, nbrs in enumerate(r.adjacency):
         ci = cards[i]
         for j in nbrs:
@@ -303,13 +295,13 @@ def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> str:
     if label_style not in ("set", "bits"):
         raise ValueError(f"label_style must be 'set' or 'bits', got {label_style!r}")
     lines = ["graph reconfig {"]
-    for i in range(r.node_count):
-        label = r.label(i)
-        if r.seed is not None and label_style == "bits":
-            text = format(label.bits, f"0{label.n}b")
-        else:
-            text = str(label)
-        lines.append(f'  {i} [label="{text}"];')
+    if r.seed is None:
+        texts = map(str, r.nodes)
+    elif label_style == "bits":
+        texts = (format(s, f"0{r.seed.n}b") for s in r.nodes)
+    else:
+        texts = map(format_set, r.nodes)
+    lines.extend(f'  {i} [label="{text}"];' for i, text in enumerate(texts))
     for i, nbrs in enumerate(r.adjacency):
         lines.extend(f"  {i} -- {j};" for j in nbrs if i < j)
     lines.append("}")

@@ -19,14 +19,12 @@ from enum import Enum
 from functools import reduce
 from itertools import chain
 from math import comb
-from operator import or_, xor
 
 from .domination import (
-    VertexSet,
-    _lattice,
     dominating_table,
     domination_profile,
-    removable_masks,
+    format_set,
+    odd_degree_nodes,
     size_counts,
 )
 from .errors import BoundExceeded, ClaimUnknown, UncharacterizedInstance
@@ -142,7 +140,7 @@ def expected_eulerian_unrestricted(g: SeedGraph) -> bool:
     """Expected verdict for the unrestricted dominating graph: Eulerian iff
     every component is a single vertex or a cocktail party graph."""
     return all(
-        len(block) == 1 or is_cocktail_party(induced_subgraph(g, block))
+        block.bit_count() == 1 or is_cocktail_party(induced_subgraph(g, block))
         for block in connected_components(g)
     )
 
@@ -189,19 +187,6 @@ def expected_eulerian(spec: FamilySpec, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # Computed verdicts: staged brute force
 # ---------------------------------------------------------------------------
-
-
-def odd_degree_nodes(n: int, table: int, k: int) -> int:
-    """The odd-degree nodes of D_k, as a lattice mask over the domination
-    table of a seed on n vertices.
-
-    The degree of a node S is its removable-member count plus, below the
-    bound, one up-move per outside vertex; its parity is the XOR of the
-    removable masks, flipped on each size class c < k with n - c odd."""
-    _, size = _lattice(n)
-    parity = reduce(xor, removable_masks(n, table), 0)
-    parity ^= reduce(or_, (x for c, x in enumerate(size[:k]) if (n - c) & 1), 0)
-    return parity & table & reduce(or_, size[: k + 1])
 
 
 def computed_eulerian(g: SeedGraph, k: int, table: int | None = None) -> bool:
@@ -426,8 +411,8 @@ def _product_instance(report, parts: list[SeedGraph]):
     def restrict(bits: int):
         label = None
         for p in parts:
-            vs = VertexSet(bits & ((1 << p.n) - 1), p.n)
-            label = vs if label is None else (label, vs)
+            part = bits & ((1 << p.n) - 1)
+            label = part if label is None else (label, part)
             bits >>= p.n
         return label
 
@@ -436,10 +421,10 @@ def _product_instance(report, parts: list[SeedGraph]):
         return
 
     prod_index = {label: i for i, label in enumerate(prod.nodes)}
-    mapped = [prod_index.get(restrict(vs.bits)) for vs in du.nodes]
+    mapped = [prod_index.get(restrict(s)) for s in du.nodes]
     if None in mapped:
         yield (parts, None, "restriction lands on a product node",
-               str(du.nodes[mapped.index(None)]))
+               format_set(du.nodes[mapped.index(None)]))
     elif len(set(mapped)) != len(mapped):
         yield parts, None, "restriction map injective", "collision"
     else:
@@ -447,7 +432,7 @@ def _product_instance(report, parts: list[SeedGraph]):
             image = sorted(mapped[j] for j in nbrs)
             if image != prod.adjacency[mapped[i]]:
                 yield (parts, None, "edge-preserving bijection",
-                       f"node {du.nodes[i]} neighbor mismatch")
+                       f"node {format_set(du.nodes[i])} neighbor mismatch")
                 break
     union_eulerian = eulerian_report(du).is_eulerian
     factor_eulerian = [eulerian_report(f).is_eulerian for f in factors]

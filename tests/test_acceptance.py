@@ -193,10 +193,10 @@ def test_criterion_10_structural_invariants():
         r = build_reconfig(g, k)
         instances += 1
         assert parity_bipartition_valid(r)
-        for i, vs in enumerate(r.nodes):
-            assert node_degree(g, vs, k) == r.degree(i)
+        for i, s in enumerate(r.nodes):
+            assert node_degree(g, s, k) == r.degree(i)
         assert g.n <= 10
-        masks = [vs.bits for vs in r.nodes]
+        masks = r.nodes
         got = {(i, j) for i, nbrs in enumerate(r.adjacency) for j in nbrs if i < j}
         assert got == naive_reconfig_edges(masks)
         if k == g.n:

@@ -142,6 +142,30 @@ def test_analyze_circuit_output_is_unchanged(as_json, capsys):
     assert digest == CIRCUIT_STDOUT_SHA256[as_json]
 
 
+# sha256 of the stdout of `export --graph cocktail:6 --format dot` under each
+# --labels style, recorded when node labels were still formatted by a
+# vertex-set class; formatting the masks directly must not change a byte.
+EXPORT_DOT_SHA256 = {
+    "set": "304d81cb9ceb3a7d35a7be1a03ffe389d0efc0ce2b75353b9fed0da237ecd852",
+    "bits": "ea34ae2265e6fd58e955474ace94971905ec30aaf955df2386314aa3f96d8c9f",
+}
+
+
+@pytest.mark.parametrize("labels", ["set", "bits"])
+def test_export_dot_output_is_unchanged(labels, capsys):
+    argv = ["export", "--graph", "cocktail:6", "--format", "dot", "--labels", labels]
+    assert run_cli(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == EXPORT_DOT_SHA256[labels]
+
+
+def test_every_public_name_resolves():
+    import domrec
+
+    for name in domrec.__all__:
+        assert getattr(domrec, name) is not None, name
+
+
 def test_analyze_dot_output(tmp_path, capsys):
     dot_path = tmp_path / "out.dot"
     assert run_cli(["analyze", "--graph", "path:4", "--k", "3",

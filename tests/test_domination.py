@@ -14,13 +14,14 @@ from conftest import (
 from domrec import (
     FamilySpec,
     SeedGraph,
-    VertexSet,
     domination_profile,
     enumerate_dominating_sets,
     enumerate_labeled_graphs,
+    format_set,
     is_dominating,
     is_minimal_dominating,
     make_family,
+    node_degree,
 )
 from domrec.domination import dominating_table
 from domrec.errors import DimensionMismatch, EmptyGraph
@@ -38,35 +39,41 @@ def test_p4_oracle_agrees_with_frozen_list():
 
 
 def test_is_dominating_p4():
-    assert is_dominating(P4, VertexSet.of([1, 2], 4))
-    assert not is_dominating(P4, VertexSet.of([0, 1], 4))
+    assert is_dominating(P4, 0b0110)
+    assert not is_dominating(P4, 0b0011)
     for mask in range(16):
-        assert is_dominating(P4, VertexSet(mask, 4)) == (mask in P4_DOMINATING)
+        assert is_dominating(P4, mask) == (mask in P4_DOMINATING)
 
 
 def test_empty_set_never_dominates_nonempty_graph():
     for spec in [FamilySpec.path(1), FamilySpec.complete(5), FamilySpec.cycle(3)]:
         g = make_family(spec)
-        assert not is_dominating(g, VertexSet(0, g.n))
+        assert not is_dominating(g, 0)
 
 
 def test_star_leaves_dominate_minimally():
     g = make_family(FamilySpec.star(3))  # center 0, leaves 1..3
-    leaves = VertexSet.of([1, 2, 3], 4)
+    leaves = 0b1110
     assert is_dominating(g, leaves)
     assert is_minimal_dominating(g, leaves)
 
 
 def test_minimality():
-    assert not is_minimal_dominating(P4, VertexSet.of([0, 1, 2, 3], 4))
+    assert not is_minimal_dominating(P4, 0b1111)
     c7 = make_family(FamilySpec.cycle(7))
-    assert is_minimal_dominating(c7, VertexSet.of([0, 3, 5], 7))
-    assert not is_minimal_dominating(c7, VertexSet.of([0, 1], 7))  # not dominating
+    assert is_minimal_dominating(c7, 0b0101001)  # {0,3,5}
+    assert not is_minimal_dominating(c7, 0b0000011)  # {0,1}, not dominating
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        is_dominating(P4, VertexSet.of([0], 5))
+    # a mask naming vertex n, or a negative one, is no set of P4's vertices
+    for mask in (1 << P4.n, -1):
+        with pytest.raises(DimensionMismatch):
+            is_dominating(P4, mask)
+        with pytest.raises(DimensionMismatch):
+            is_minimal_dominating(P4, mask)
+        with pytest.raises(DimensionMismatch):
+            node_degree(P4, mask, P4.n)
 
 
 def _assert_table_agrees(g):
@@ -98,12 +105,12 @@ def test_enumerate_counts():
     assert len(enumerate_dominating_sets(P4, 3)) == 8
     k5 = make_family(FamilySpec.complete(5))
     singletons = enumerate_dominating_sets(k5, 1)
-    assert [s.bits for s in singletons] == [1 << v for v in range(5)]
+    assert singletons == [1 << v for v in range(5)]
 
 
 def test_enumerate_order_is_cardinality_then_mask():
     sets = enumerate_dominating_sets(P4, 4)
-    keys = [(s.cardinality, s.bits) for s in sets]
+    keys = [(s.bit_count(), s) for s in sets]
     assert keys == sorted(keys)
 
 
@@ -111,7 +118,7 @@ def test_enumerate_order_is_cardinality_then_mask():
 @given(seed_graphs(max_n=7))
 def test_enumerate_matches_naive_filter(g):
     for k in (g.n // 2, g.n):
-        got = [s.bits for s in enumerate_dominating_sets(g, k)]
+        got = enumerate_dominating_sets(g, k)
         expected = naive_dominating_masks(g, k)
         assert sorted(got) == sorted(expected)
 
@@ -135,8 +142,7 @@ def test_superset_monotonicity(g):
     # spot-check the set-level statement on every dominating set
     for s in enumerate_dominating_sets(g, n):
         for v in range(n):
-            sup = VertexSet(s.bits | (1 << v), n)
-            assert is_dominating(g, sup)
+            assert is_dominating(g, s | (1 << v))
 
 
 @settings(max_examples=120, deadline=None)
@@ -151,7 +157,7 @@ def test_profile_invariants(g):
     assert p.well_dominated == (p.gamma == p.upper_gamma)
     assert p.total_count == sum(p.counts_by_size)
     assert p.upper_gamma == max(
-        s.bit_count() for s in range(1 << n) if is_minimal_dominating(g, VertexSet(s, n))
+        s.bit_count() for s in range(1 << n) if is_minimal_dominating(g, s)
     )
 
 
@@ -191,19 +197,10 @@ def test_profile_empty_graph():
         domination_profile(SeedGraph(0, []))
 
 
-def test_vertex_set_behaviour():
-    s = VertexSet.of([0, 2], 4)
-    assert s.cardinality == 2 and 2 in s and 1 not in s
-    assert str(s) == "{0,2}" and s.members() == (0, 2)
-    assert VertexSet(0b011, 4) < VertexSet(0b111, 4)
+def test_format_set_matches_the_vertex_scan():
+    for bits in range(1 << 8):
+        scan = [v for v in range(8) if (bits >> v) & 1]
+        assert format_set(bits) == "{" + ",".join(map(str, scan)) + "}"
+    assert format_set(0b101) == "{0,2}" and format_set(0) == "{}"
     with pytest.raises(ValueError):
-        VertexSet(0b10000, 4)
-
-
-def test_members_match_the_vertex_scan():
-    for n in range(9):
-        for bits in range(1 << n):
-            s = VertexSet(bits, n)
-            scan = tuple(v for v in range(n) if (bits >> v) & 1)
-            assert s.members() == scan == tuple(s)
-            assert str(s) == "{" + ",".join(map(str, scan)) + "}"
+        format_set(-1)

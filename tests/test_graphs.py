@@ -20,6 +20,7 @@ from domrec import (
 from domrec.errors import (
     BoundExceeded,
     CapacityExceeded,
+    GraphSpecError,
     InvalidFamilyParameters,
     MalformedGraph6,
 )
@@ -90,7 +91,7 @@ def test_disjoint_union_offsets_second_component():
         FamilySpec.disjoint_union(FamilySpec.path(2), FamilySpec.cycle(3))
     )
     assert g.n == 5
-    assert connected_components(g) == [[0, 1], [2, 3, 4]]
+    assert connected_components(g) == [0b00011, 0b11100]
 
 
 @pytest.mark.parametrize(
@@ -208,8 +209,8 @@ def test_bipartite_recognizer():
 
 
 def test_components_basic():
-    assert connected_components(make_family(FamilySpec.path(4))) == [[0, 1, 2, 3]]
-    assert connected_components(SeedGraph(3, [0, 0, 0])) == [[0], [1], [2]]
+    assert connected_components(make_family(FamilySpec.path(4))) == [0b1111]
+    assert connected_components(SeedGraph(3, [0, 0, 0])) == [0b001, 0b010, 0b100]
 
 
 @settings(max_examples=80)
@@ -225,15 +226,14 @@ def test_union_component_count_adds(a, b):
 @given(seed_graphs(max_n=6))
 def test_components_partition_and_are_maximal(g):
     blocks = connected_components(g)
-    flat = [v for block in blocks for v in block]
-    assert sorted(flat) == list(range(g.n))
+    assert sum(blocks) == (1 << g.n) - 1 and sum(b.bit_count() for b in blocks) == g.n
+    lowest = [(b & -b).bit_length() for b in blocks]
+    assert lowest == sorted(lowest)
     for block in blocks:
-        mask = 0
-        for v in block:
-            mask |= 1 << v
-        for v in block:
-            # no edge leaves the block
-            assert g.adj[v] & ~mask == 0
+        for v in range(g.n):
+            if (block >> v) & 1:
+                # no edge leaves the block
+                assert g.adj[v] & ~block == 0
 
 
 # --- enumeration ----------------------------------------------------------
@@ -277,15 +277,14 @@ def test_enumeration_bound():
 
 
 @st.composite
-def family_specs(draw, budget=HARD_CAP, depth=2, unions=True):
+def family_specs(draw, budget=HARD_CAP, depth=3):
     """(FamilySpec, order) of any kind in its valid range, order <= budget;
-    coronas and unions nest to the given depth.  No union lies inside a
-    union: the grammar splits a union at every '+'."""
+    coronas and unions nest in each other to the given depth."""
     kinds = ["path", "complete", "turan"]
     kinds += ["complete_bipartite", "star"] * (budget >= 2) + ["cycle"] * (budget >= 3)
     kinds += ["cocktail"] * (budget >= 4)
     if depth:
-        kinds += ["corona"] * (budget >= 4) + ["disjoint_union"] * (unions and budget >= 2)
+        kinds += ["corona"] * (budget >= 4) + ["disjoint_union"] * (budget >= 2)
     kind = draw(st.sampled_from(kinds))
     size = st.integers
     if kind == "complete_bipartite":
@@ -300,7 +299,7 @@ def family_specs(draw, budget=HARD_CAP, depth=2, unions=True):
         return FamilySpec.turan(n, draw(size(1, n))), n
     if kind == "corona":
         inner, order = draw(
-            family_specs(budget // 2, depth - 1, unions).filter(lambda so: so[1] >= 2)
+            family_specs(budget // 2, depth - 1).filter(lambda so: so[1] >= 2)
         )
         return FamilySpec.corona(inner), 2 * order
     if kind == "disjoint_union":
@@ -308,7 +307,7 @@ def family_specs(draw, budget=HARD_CAP, depth=2, unions=True):
         parts, total = [], 0
         for i in range(count):
             part, order = draw(
-                family_specs(budget - total - (count - 1 - i), depth - 1, unions=False)
+                family_specs(budget - total - (count - 1 - i), depth - 1)
             )
             parts.append(part)
             total += order
@@ -330,6 +329,30 @@ def test_spec_string_parses_back_to_its_family(spec_and_order):
     assert g == make_family(spec)
     assert g.n == order
     assert g.name == make_family(spec).name == text
+
+
+@pytest.mark.parametrize("text,order", [
+    ("union:path:1+(union:path:1+path:1)", 3),
+    ("union:(corona:union:path:2+path:1)+path:3", 9),
+])
+def test_nested_unions_round_trip(text, order):
+    g, spec = parse_graph_spec(text)
+    assert spec.spec_string() == g.name == text
+    assert g == make_family(spec) and g.n == order
+
+
+def test_spec_errors_inside_parentheses_carry_positions():
+    cases = {
+        "union:path:1+(union:path:1+pth:1)": 27,
+        "union:path:1+(path:x)": 19,
+        "union:()+path:1": 7,
+        "union:(path:1+path:1": 6,
+        "union:path:1)+path:1": 12,
+    }
+    for text, position in cases.items():
+        with pytest.raises(GraphSpecError) as exc:
+            parse_graph_spec(text)
+        assert exc.value.position == position, text
 
 
 @pytest.mark.parametrize("kind", sorted(ARITY))

@@ -16,14 +16,15 @@ from conftest import (
 from domrec import (
     FamilySpec,
     ReconfigGraph,
-    VertexSet,
     build_reconfig,
     cartesian_product,
     corona_of,
     domination_profile,
+    enumerate_dominating_sets,
     enumerate_labeled_graphs,
     euler_circuit,
     eulerian_report,
+    format_set,
     make_family,
     node_degree,
     parity_bipartition_valid,
@@ -49,12 +50,12 @@ def test_d3_p4_structure():
     assert r.node_count == 8
     assert r.edge_count == 8
     assert all(r.degree(i) == 2 for i in range(8))
-    assert [str(vs) for vs in r.nodes[:4]] == ["{0,2}", "{1,2}", "{0,3}", "{1,3}"]
+    assert [format_set(s) for s in r.nodes[:4]] == ["{0,2}", "{1,2}", "{0,3}", "{1,3}"]
 
 
 def test_k13_k3_has_isolated_leaf_set():
     r = build(FamilySpec.star(3), 3)
-    leaves = VertexSet.of([1, 2, 3], 4)
+    leaves = 0b1110
     assert leaves in r.nodes
     assert r.degree(r.nodes.index(leaves)) == 0
 
@@ -69,8 +70,8 @@ def test_edges_change_cardinality_by_one():
     r = build(FamilySpec.cycle(5), 4)
     for i, nbrs in enumerate(r.adjacency):
         for j in nbrs:
-            assert abs(r.nodes[i].cardinality - r.nodes[j].cardinality) == 1
-            assert (r.nodes[i].bits ^ r.nodes[j].bits).bit_count() == 1
+            assert abs(r.nodes[i].bit_count() - r.nodes[j].bit_count()) == 1
+            assert (r.nodes[i] ^ r.nodes[j]).bit_count() == 1
 
 
 def test_build_errors():
@@ -96,7 +97,7 @@ def test_build_matches_all_pairs_oracle(g):
     gamma = domination_profile(g).gamma
     for k in (gamma, (gamma + g.n) // 2, g.n):
         r = build_reconfig(g, k)
-        masks = [vs.bits for vs in r.nodes]
+        masks = r.nodes
         assert sorted(masks) == sorted(naive_dominating_masks(g, k))
         got = {(i, j) for i, nbrs in enumerate(r.adjacency) for j in nbrs if i < j}
         assert got == naive_reconfig_edges(masks)
@@ -108,23 +109,23 @@ def test_build_matches_all_pairs_oracle(g):
 def test_node_degree_full_set():
     for spec in [FamilySpec.path(5), FamilySpec.cycle(6), FamilySpec.complete(4)]:
         g = make_family(spec)
-        assert node_degree(g, VertexSet((1 << g.n) - 1, g.n), g.n) == g.n
+        assert node_degree(g, (1 << g.n) - 1, g.n) == g.n
 
 
 def test_node_degree_examples():
     c9 = make_family(FamilySpec.cycle(9))
-    s = VertexSet.of([1, 4, 7], 9)  # minimum dominating set of C_9
+    s = 0b010010010  # {1,4,7}, a minimum dominating set of C_9
     assert node_degree(c9, s, 5) == 6  # 9 - ceil(9/3)
     h8 = make_family(FamilySpec.cocktail(8))
-    assert node_degree(h8, VertexSet.of([0, 2], 8), 8) == 6  # n - 2
+    assert node_degree(h8, 0b101, 8) == 6  # n - 2
 
 
 def test_node_degree_errors():
     g = make_family(FamilySpec.path(4))
     with pytest.raises(NotDominating):
-        node_degree(g, VertexSet.of([0], 4), 3)
+        node_degree(g, 0b0001, 3)
     with pytest.raises(ValueError):
-        node_degree(g, VertexSet.of([0, 1, 2], 4), 2)
+        node_degree(g, 0b0111, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,8 +134,8 @@ def test_node_degree_agrees_with_materialized(g):
     gamma = domination_profile(g).gamma
     for k in (gamma, g.n):
         r = build_reconfig(g, k)
-        for i, vs in enumerate(r.nodes):
-            assert node_degree(g, vs, k) == r.degree(i)
+        for i, s in enumerate(r.nodes):
+            assert node_degree(g, s, k) == r.degree(i)
 
 
 # --- eulerian_report ------------------------------------------------------
@@ -144,7 +145,7 @@ def test_euler_reports_for_known_instances():
     assert eulerian_report(build(FamilySpec.path(4), 3)).is_eulerian
     rep = eulerian_report(build(FamilySpec.cycle(4), 3))
     assert not rep.is_eulerian
-    assert VertexSet.of([0, 1, 2], 4) in rep.odd_degree_nodes
+    assert 0b0111 in rep.odd_degree_nodes
     rep7 = eulerian_report(build(FamilySpec.cycle(7), 4))
     assert rep7.is_eulerian
     assert rep7.node_count == 42 and rep7.edge_count == 56
@@ -299,6 +300,15 @@ def test_product_node_count_and_degrees():
     for i in range(3):
         for j in range(3):
             assert prod.degree(i * 3 + j) == p2.degree(i) + p2.degree(j)
+
+
+def test_nodes_are_masks_and_product_nodes_pair_them():
+    g = make_family(FamilySpec.path(2))
+    a = build_reconfig(g, 2)
+    assert a.nodes == enumerate_dominating_sets(g, 2) == [0b01, 0b10, 0b11]
+    b = build(FamilySpec.cycle(3), 2)
+    prod = cartesian_product(a, b)
+    assert prod.nodes == [(x, y) for x in a.nodes for y in b.nodes]
 
 
 def test_product_cap():

@@ -115,7 +115,7 @@ def test_odd_witness_is_a_real_odd_node(g):
     table = dominating_table(g)
     for k in range(domination_profile(g).gamma, g.n + 1):
         r = build_reconfig(g, k)
-        odd = sum(1 << vs.bits for i, vs in enumerate(r.nodes) if r.degree(i) % 2)
+        odd = sum(1 << s for i, s in enumerate(r.nodes) if r.degree(i) % 2)
         assert odd_degree_nodes(g.n, table, k) == odd, (g.adj, k)
 
 
