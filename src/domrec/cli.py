@@ -26,7 +26,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .domination import domination_profile, format_set
+from .domination import dominating_table, domination_profile, format_set
 from .errors import (
     CapacityExceeded,
     ClaimUnknown,
@@ -99,9 +99,10 @@ def _bool_json(value):
 
 
 def analysis_report(
-    g: SeedGraph, spec: FamilySpec | None, k: int, r: ReconfigGraph
+    g: SeedGraph, spec: FamilySpec | None, k: int, r: ReconfigGraph, table: int
 ) -> dict:
-    profile = domination_profile(g)
+    """The analyze report of D_k(g), built as r from g's dominating_table."""
+    profile = domination_profile(g, table)
     rep = eulerian_report(r)
     expected = _expected_or_none(spec, g, k)
     out = {
@@ -174,8 +175,9 @@ def _format_analysis_text(report: dict, circuit_labels: list[str] | None) -> str
 def _cmd_analyze(args) -> int:
     g, spec = parse_graph_spec(args.graph)
     k = _parse_k(args.k, g.n)
-    r = build_reconfig(g, k)
-    report = analysis_report(g, spec, k, r)
+    table = dominating_table(g)
+    r = build_reconfig(g, k, table=table)
+    report = analysis_report(g, spec, k, r, table)
     circuit_labels = None
     if args.circuit:
         euler = report["euler"]
@@ -214,10 +216,11 @@ _CSV_COLUMNS = (
 )
 
 
-def scan_row(spec: FamilySpec, k: int, gamma: int) -> dict:
-    """One CSV row for (spec, k); gamma is the seed's domination number."""
+def scan_row(spec: FamilySpec, k: int, gamma: int, table: int) -> dict:
+    """One CSV row for (spec, k); gamma is the seed's domination number and
+    table its dominating_table."""
     g = make_family(spec)
-    r = build_reconfig(g, k)
+    r = build_reconfig(g, k, table=table)
     rep = eulerian_report(r)
     expected = _expected_or_none(spec, g, k)
     return {
@@ -235,7 +238,7 @@ def scan_row(spec: FamilySpec, k: int, gamma: int) -> dict:
     }
 
 
-def _scan_worker(task: tuple[FamilySpec, int, int]) -> dict:
+def _scan_worker(task: tuple[FamilySpec, int, int, int]) -> dict:
     return scan_row(*task)
 
 
@@ -258,15 +261,16 @@ def _cmd_scan(args) -> int:
                 seeds.append((spec, make_family(spec)))
             except InvalidFamilyParameters:
                 continue
-    tasks: list[tuple[FamilySpec, int, int]] = []
+    tasks: list[tuple[FamilySpec, int, int, int]] = []
     for spec, g in seeds:
-        gamma = domination_profile(g).gamma
+        table = dominating_table(g)
+        gamma = domination_profile(g, table).gamma
         if args.k == "all":
             ks = range(gamma, g.n + 1)
         else:
             single = _k_value(args.k, g.n)
             ks = [single] if gamma <= single <= g.n else []
-        tasks.extend((spec, k, gamma) for k in ks)
+        tasks.extend((spec, k, gamma, table) for k in ks)
     rows = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":
         rows = [row for row in rows if row["is_eulerian"]]

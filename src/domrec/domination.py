@@ -8,6 +8,14 @@ subsets at once are answered on the subset lattice: a set of subsets is one
 int whose bit S stands for the subset with bitmask S, so a whole-lattice
 question is a few bitwise operations on such ints instead of a loop over the
 subsets.  This module is the one owner of that representation.
+
+It also owns its extension to the (edge mask E, subset S) lattice of a
+labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
+graph with edge mask E.  labeled_chunks cuts it into LabeledChunks of
+consecutive edge masks, about 2**CHUNK_BITS bits each: a chunk's table is
+the AND over v of cover_v = M_v | OR_u (M_u & X_uv), with M_u the member
+mask repeated per graph and X_uv the graphs that have edge uv, and folds of
+each graph's block of 2**n bits give one answer bit per graph.
 """
 
 from __future__ import annotations
@@ -15,10 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import or_, xor
+from operator import and_, or_, xor
 
-from .errors import DimensionMismatch, EmptyGraph
-from .graphs import SeedGraph
+from .errors import BoundExceeded, DimensionMismatch, EmptyGraph
+from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, vertex_pairs
+
+#: log2 of the lattice bits in one chunk of a labeled sweep: 2**17 bits, so
+#: each of a chunk's masks is a 16 KiB int.  A chunk on n vertices holds
+#: 2**(CHUNK_BITS - n) graphs (all of them if there are fewer, one at least),
+#: so a sweep's memory does not grow with its number of graphs.
+CHUNK_BITS = 17
 
 
 @dataclass(frozen=True)
@@ -106,11 +120,21 @@ def dominating_table(g: SeedGraph) -> int:
     return table
 
 
+def _removable(member, table: int) -> list[int]:
+    return [(table << (1 << u)) & x for u, x in enumerate(member)]
+
+
 def removable_masks(n: int, table: int) -> list[int]:
     """Per vertex u, the subsets S that contain u and whose deletion S - {u}
     is in table: the bits of table moved up by u and kept where u is a member."""
-    member, _ = _lattice(n)
-    return [(table << (1 << u)) & x for u, x in enumerate(member)]
+    return _removable(_lattice(n)[0], table)
+
+
+def _odd_nodes(lattice, n: int, table: int, k: int) -> int:
+    member, size = lattice
+    parity = reduce(xor, _removable(member, table), 0)
+    parity ^= reduce(or_, (x for c, x in enumerate(size[:k]) if (n - c) & 1), 0)
+    return parity & table & reduce(or_, size[: k + 1])
 
 
 def odd_degree_nodes(n: int, table: int, k: int) -> int:
@@ -120,10 +144,7 @@ def odd_degree_nodes(n: int, table: int, k: int) -> int:
     The degree of a node S is its removable-member count plus, below the
     bound, one up-move per outside vertex; its parity is the XOR of the
     removable masks, flipped on each size class c < k with n - c odd."""
-    _, size = _lattice(n)
-    parity = reduce(xor, removable_masks(n, table), 0)
-    parity ^= reduce(or_, (x for c, x in enumerate(size[:k]) if (n - c) & 1), 0)
-    return parity & table & reduce(or_, size[: k + 1])
+    return _odd_nodes(_lattice(n), n, table, k)
 
 
 def size_counts(n: int, table: int) -> list[int]:
@@ -156,13 +177,15 @@ def enumerate_dominating_sets(g: SeedGraph, k: int) -> list[int]:
     return subset_masks(g.n, dominating_table(g), k)
 
 
-def domination_profile(g: SeedGraph) -> DominationProfile:
+def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProfile:
     """Compute gamma, the upper domination number, per-size counts, and the
-    universal domination threshold (least t with every t-subset dominating)."""
+    universal domination threshold (least t with every t-subset dominating).
+    table is g's dominating_table, computed here if not given."""
     n = g.n
     if n == 0:
         raise EmptyGraph("domination profile undefined on the empty graph")
-    table = dominating_table(g)
+    if table is None:
+        table = dominating_table(g)
     counts = size_counts(n, table)
     gamma = next(c for c in range(n + 1) if counts[c])
     universal_threshold = next(t for t in range(n + 1) if counts[t] == comb(n, t))
@@ -176,3 +199,143 @@ def domination_profile(g: SeedGraph) -> DominationProfile:
         universal_threshold=universal_threshold,
         well_dominated=gamma == upper_gamma,
     )
+
+
+# ---------------------------------------------------------------------------
+# Labeled sweeps on the (edge mask, subset) lattice
+# ---------------------------------------------------------------------------
+
+
+def _repeat(x: int, period: int, width: int) -> int:
+    """x, which fills the low period bits, repeated up to width bits (both
+    powers of two)."""
+    while period < width:
+        x |= x << period
+        period <<= 1
+    return x
+
+
+#: Byte -> the ASCII binary digit of its lowest bit.
+_LOWEST_BIT_DIGIT = bytes(b"01"[i & 1] for i in range(256))
+
+
+@cache
+def _chunk_lattice(n: int, b: int):
+    """What every chunk of 2**b labeled graphs on n vertices shares.
+
+    The lattice masks member[u] and size[c] are repeated in each graph's
+    block of 2**n bits.  Graph i has low edge e < b iff bit e of i is set,
+    so the graphs with edge e come in alternate runs of 2**e.  Also shared:
+    per low edge, the graphs that have it, and the covers the low edges
+    give, cover[v] being member[v] plus member[u] in the blocks of the
+    graphs with edge uv.
+    """
+    member, size = _lattice(n)
+    block = 1 << n
+    width = block << b
+
+    def runs(e: int, unit: int) -> int:
+        run = unit << e
+        return _repeat(((1 << run) - 1) << run, 2 * run, unit << b)
+
+    members = [_repeat(x, block, width) for x in member]
+    sizes = [_repeat(x, block, width) for x in size]
+    covers = members[:]
+    for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
+        has = runs(e, block)
+        covers[u] |= members[v] & has
+        covers[v] |= members[u] & has
+    return (members, sizes), covers, [runs(e, 1) for e in range(b)]
+
+
+class LabeledChunk:
+    """Consecutive labeled graphs on n vertices on the (edge mask, subset)
+    lattice.
+
+    Graph i of the chunk is the one with edge mask first + i.  Its block of
+    2**n lattice bits starts at bit i * 2**n, and bit i * 2**n + S of table
+    is set iff S dominates graph i.  The graphs share their high edges and
+    run through every combination of the low ones.  A per-graph answer is an
+    int whose bit i is graph i's: every has all count bits set, and
+    edges[e] holds the graphs with the e-th pair of vertex_pairs(n).
+    """
+
+    __slots__ = ("n", "first", "count", "every", "edges", "table", "_lattice")
+
+    def __init__(self, n: int, first: int, b: int):
+        lattice, covers, low_edges = _chunk_lattice(n, b)
+        members = lattice[0]
+        self.n = n
+        self.first = first
+        self.count = 1 << b
+        self.every = (1 << self.count) - 1
+        self.edges = low_edges[:]
+        covers = covers[:]
+        for e, (u, v) in enumerate(vertex_pairs(n)[b:], b):
+            if first >> e & 1:
+                covers[u] |= members[v]
+                covers[v] |= members[u]
+                self.edges.append(self.every)
+            else:
+                self.edges.append(0)
+        self.table = reduce(and_, covers)
+        self._lattice = lattice
+
+    def _lowest(self, x: int) -> int:
+        """Per graph, the lowest bit of its block of x.  A block of 8 bits
+        or more starts a byte, so the bytes are taken at a stride of one
+        block and each becomes the binary digit of its lowest bit; a chunk
+        of narrower blocks (n < 3) is at most 8 bits, read digit by digit."""
+        block = 1 << self.n
+        width = block * self.count
+        if block < 8:
+            return int(format(x, f"0{width}b")[block - 1 :: block], 2)
+        data = x.to_bytes(width // 8, "little")[:: block // 8]
+        return int(data.translate(_LOWEST_BIT_DIGIT)[::-1], 2)
+
+    def any(self, x: int) -> int:
+        """Per graph, whether its block of the lattice mask x has a set bit:
+        an OR fold of each block into its lowest bit."""
+        for s in range(self.n):
+            x |= x >> (1 << s)
+        return self._lowest(x)
+
+    def parity(self, x: int) -> int:
+        """Per graph, the parity of the set bits in its block of x: an XOR
+        fold."""
+        for s in range(self.n):
+            x ^= x >> (1 << s)
+        return self._lowest(x)
+
+    def odd_degree_nodes(self) -> int:
+        """The odd-degree nodes of each graph's unrestricted D(G), as lattice
+        bits: odd_degree_nodes at k = n, whose member masks keep every
+        shifted bit inside its own block."""
+        return _odd_nodes(self._lattice, self.n, self.table, self.n)
+
+    def size_classes(self) -> tuple[list[int], list[int]]:
+        """Per cardinality c = 0..n, the graphs with a dominating c-set and
+        the graphs in which every c-set dominates."""
+        table = self.table
+        sizes = self._lattice[1]
+        return ([self.any(table & x) for x in sizes],
+                [self.every & ~self.any(~table & x) for x in sizes])
+
+    def graphs(self, bits: int):
+        """The graphs of the chunk whose bits are set, decoded in edge-mask
+        order."""
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            yield labeled_graph(self.n, self.first + low.bit_length() - 1)
+
+
+def labeled_chunks(n: int):
+    """Every labeled graph on n vertices, in edge-mask order, as chunks of
+    about 2**CHUNK_BITS lattice bits."""
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise BoundExceeded(f"labeled sweeps support 1 <= n <= {ENUMERATION_CAP}, got {n}")
+    m = len(vertex_pairs(n))
+    b = min(m, max(CHUNK_BITS - n, 0))
+    for first in range(0, 1 << m, 1 << b):
+        yield LabeledChunk(n, first, b)

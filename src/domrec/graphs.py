@@ -15,6 +15,8 @@ named by its canonical spec, a g6 part as g6:<to_graph6 record>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import and_
 
 from .errors import (
     BoundExceeded,
@@ -388,34 +390,83 @@ def is_connected(g: SeedGraph) -> bool:
     return _component_mask(g.adj, 0) == (1 << g.n) - 1
 
 
+@cache
+def vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of n vertices in lexicographic order (0,1), (0,2), ...,
+    (0,n-1), (1,2), ...: bit e of an edge mask stands for the e-th pair."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+def labeled_graph(n: int, edge_mask: int) -> SeedGraph:
+    """The labeled graph on n vertices whose edge mask is edge_mask, bit e
+    standing for the e-th pair of vertex_pairs(n)."""
+    _check_cap(n)
+    pairs = vertex_pairs(n)
+    if not 0 <= edge_mask < 1 << len(pairs):
+        raise ValueError(f"edge mask {edge_mask:#x} out of range for n={n}")
+    adj = [0] * n
+    while edge_mask:
+        low = edge_mask & -edge_mask
+        edge_mask ^= low
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return SeedGraph(n, adj, validate=False)
+
+
 def enumerate_labeled_graphs(n: int, connected_only: bool = False):
     """Yield every labeled graph on n vertices exactly once.
 
-    Edge subsets of K_n are enumerated in increasing edge-mask order, with
-    bit i of the mask standing for the i-th pair in the lexicographic order
-    (0,1), (0,2), ..., (0,n-1), (1,2), ...  With connected_only, graphs that
-    are not connected are skipped.
+    Edge masks are enumerated in increasing order and decoded by
+    labeled_graph.  With connected_only, graphs that are not connected are
+    skipped.
     """
     if not 1 <= n <= ENUMERATION_CAP:
         raise BoundExceeded(
             f"labeled enumeration supports 1 <= n <= {ENUMERATION_CAP}, got {n}"
         )
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    full = (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                u, v = pairs[i]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            m >>= 1
-            i += 1
-        if connected_only and n > 1 and _component_mask(adj, 0) != full:
-            continue
-        yield SeedGraph(n, adj, validate=False)
+    for mask in range(1 << len(vertex_pairs(n))):
+        g = labeled_graph(n, mask)
+        if not connected_only or is_connected(g):
+            yield g
+
+
+# Bit-sliced twins of the predicates above decide one question for a batch of
+# graphs on n vertices at once.  Graph i of the batch is bit i of an int:
+# edges[e] has bit i set iff graph i has the e-th pair of vertex_pairs(n), and
+# every has a bit for each graph of the batch.
+
+
+def sliced_connected(n: int, edges: list[int], every: int) -> int:
+    """The graphs of the batch that are connected: reach[v] holds the graphs
+    in which v is reachable from vertex 0, grown edge by edge until stable."""
+    pairs = vertex_pairs(n)
+    reach = [every] + [0] * (n - 1)
+    while True:
+        before = reach[:]
+        for (u, v), x in zip(pairs, edges):
+            reach[v] |= reach[u] & x
+            reach[u] |= reach[v] & x
+        if reach == before:
+            return reduce(and_, reach)
+
+
+def sliced_cocktail_party(n: int, edges: list[int], every: int) -> int:
+    """The graphs of the batch that are cocktail party graphs: even n >= 4
+    and exactly one non-neighbor per vertex, counted with at-least-one and
+    at-least-two accumulators.  Non-adjacency is symmetric, so one
+    non-neighbor each already pairs the vertices up, as is_cocktail_party
+    checks."""
+    if n < 4 or n % 2:
+        return 0
+    ones = [0] * n
+    twos = [0] * n
+    for (u, v), x in zip(vertex_pairs(n), edges):
+        missing = every & ~x
+        for w in (u, v):
+            twos[w] |= ones[w] & missing
+            ones[w] |= missing
+    return reduce(and_, (one & ~two for one, two in zip(ones, twos)))
 
 
 # ---------------------------------------------------------------------------

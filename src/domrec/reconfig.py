@@ -83,18 +83,21 @@ class EulerReport:
     is_eulerian: bool
 
 
-def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> ReconfigGraph:
+def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP,
+                   table: int | None = None) -> ReconfigGraph:
     """Materialize the reconfiguration graph of g at cardinality bound k.
 
-    The node count is read off the table's size counts before anything is
-    allocated.  A subset of a node is within the bound, so a down-move lands
-    on a node iff that subset dominates; up-moves need no test because
-    supersets of dominating sets dominate.
+    table is g's dominating_table, computed here if not given.  The node
+    count is read off its size counts before anything is allocated.  A
+    subset of a node is within the bound, so a down-move lands on a node iff
+    that subset dominates; up-moves need no test because supersets of
+    dominating sets dominate.
     """
     n = g.n
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
-    table = dominating_table(g)
+    if table is None:
+        table = dominating_table(g)
     count = sum(size_counts(n, table)[: k + 1])
     if count > node_cap:
         raise ReconfigTooLarge(

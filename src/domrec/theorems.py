@@ -8,6 +8,17 @@ bitwise operations on the domination table, without building the graph; a
 verdict of "Eulerian" is always confirmed on the fully materialized graph,
 including component analysis.  Each claim is a sweep body that yields its
 disagreements; one driver, _run, turns them into a capped, timed report.
+
+The four claims over every labeled seed (parity_odd, mixed_parity_lemma,
+dominating_graph_characterization, universal_gamma_set) are decided on the
+(edge mask, subset) lattice of domination.labeled_chunks: per chunk of
+consecutive edge masks, folds of the chunk's domination table give each
+seed's table parity, odd-node bit and size-class bits, and the bit-sliced
+predicates of graphs give its connectivity and cocktail bits, so a chunk
+costs a few dozen bitwise operations whatever its number of seeds.  A seed
+is built as a SeedGraph only where one is needed: an all-even or cocktail
+candidate, whose verdict computed_eulerian still decides on the built
+graph; a disagreement; a universal-gamma instance.
 """
 
 from __future__ import annotations
@@ -18,12 +29,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from itertools import chain
-from math import comb
+from operator import or_
 
 from .domination import (
     dominating_table,
     domination_profile,
     format_set,
+    labeled_chunks,
     odd_degree_nodes,
     size_counts,
 )
@@ -41,7 +53,10 @@ from .graphs import (
     is_cocktail_party,
     is_complete,
     is_connected,
+    labeled_graph,
     make_family,
+    sliced_cocktail_party,
+    sliced_connected,
     to_graph6,
 )
 from .reconfig import (
@@ -200,7 +215,7 @@ def computed_eulerian(g: SeedGraph, k: int, table: int | None = None) -> bool:
         table = dominating_table(g)
     if odd_degree_nodes(g.n, table, k):
         return False
-    return eulerian_report(build_reconfig(g, k)).is_eulerian
+    return eulerian_report(build_reconfig(g, k, table=table)).is_eulerian
 
 
 def _seed_label(seed) -> str:
@@ -241,16 +256,26 @@ def _run(claim: ClaimId, body, **bounds) -> TheoremReport:
     return report
 
 
-def _labeled(n_min: int, n_max: int, connected: bool):
-    """Every labeled seed on n_min..n_max vertices (connected ones only, if
-    asked), in order of n.  The bound is checked here, before any sweeping,
-    so an over-bound request fails fast."""
+def _orders(n_min: int, n_max: int) -> range:
+    """n_min..n_max, the orders of an exhaustive sweep.  The bound is checked
+    here, before any sweeping, so an over-bound request fails fast."""
     if n_max > ENUMERATION_CAP:
         raise BoundExceeded(f"exhaustive sweeps support n <= {ENUMERATION_CAP}, got {n_max}")
+    return range(n_min, n_max + 1)
+
+
+def _labeled(n_min: int, n_max: int, connected: bool):
+    """Every labeled seed on n_min..n_max vertices (connected ones only, if
+    asked), in order of n."""
     return chain.from_iterable(
-        enumerate_labeled_graphs(n, connected_only=connected)
-        for n in range(n_min, n_max + 1)
+        enumerate_labeled_graphs(n, connected_only=connected) for n in _orders(n_min, n_max)
     )
+
+
+def _chunks(n_min: int, n_max: int):
+    """Every labeled seed on n_min..n_max vertices as lattice chunks, in
+    order of n and edge mask."""
+    return chain.from_iterable(map(labeled_chunks, _orders(n_min, n_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +285,10 @@ def _labeled(n_min: int, n_max: int, connected: bool):
 
 def _parity_odd(report, n_max: int = 6):
     report.bounds = {"n_min": 1, "n_max": n_max}
-    for g in _labeled(1, n_max, connected=False):
-        total = dominating_table(g).bit_count()
-        report.instances_checked += 1
-        if total % 2 == 0:
-            yield g, None, "odd dominating-set count", total
+    for chunk in _chunks(1, n_max):
+        report.instances_checked += chunk.count
+        for g in chunk.graphs(chunk.every & ~chunk.parity(chunk.table)):
+            yield g, None, "odd dominating-set count", dominating_table(g).bit_count()
 
 
 def _characterization(report, n_min: int = 2, n_max: int = 7,
@@ -275,16 +299,21 @@ def _characterization(report, n_min: int = 2, n_max: int = 7,
     edgeless node."""
     report.bounds = {"n_min": n_min, "n_max": n_max}
     eulerian_seeds = {str(n): [] for n in range(n_min, n_max + 1)}
-    for g in _labeled(n_min, n_max, connected=True):
-        n = g.n
-        table = dominating_table(g)
-        expected = is_cocktail_party(g)
-        computed = computed_eulerian(g, n, table)
-        report.instances_checked += 1
-        if computed:
-            eulerian_seeds[str(n)].append(to_graph6(g))
-        if computed != expected:
-            yield g, n, expected, computed
+    for chunk in _chunks(n_min, n_max):
+        n = chunk.n
+        connected = sliced_connected(n, chunk.edges, chunk.every)
+        report.instances_checked += connected.bit_count()
+        # A seed with an odd node is not Eulerian; only the others, and the
+        # cocktail seeds expected to be Eulerian, are built and decided.
+        even = chunk.every & ~chunk.any(chunk.odd_degree_nodes())
+        cocktail = sliced_cocktail_party(n, chunk.edges, chunk.every)
+        for g in chunk.graphs(connected & (even | cocktail)):
+            expected = is_cocktail_party(g)
+            computed = computed_eulerian(g, n)
+            if computed:
+                eulerian_seeds[str(n)].append(to_graph6(g))
+            if computed != expected:
+                yield g, n, expected, computed
     for g, expected, desc in extra_instances or ():
         computed = computed_eulerian(g, g.n)
         report.instances_checked += 1
@@ -457,12 +486,9 @@ def verify_product_decomposition(parts: list[SeedGraph]) -> TheoremReport:
 
 
 def _random_connected(rng: random.Random, n: int) -> SeedGraph:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = n * (n - 1) // 2
     while True:
-        mask = rng.getrandbits(len(pairs)) if pairs else 0
-        g = SeedGraph.from_edges(
-            n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        )
+        g = labeled_graph(n, rng.getrandbits(m) if m else 0)
         if is_connected(g):
             return g
 
@@ -479,20 +505,22 @@ def _product_decomposition(report, samples: int = 100, max_part: int = 5, seed: 
 def _mixed_parity(report, n_max: int = 6):
     report.bounds = {"n_min": 2, "n_max": n_max}
     scanned = 0
-    for g in _labeled(2, n_max, connected=True):
-        scanned += 1
-        n = g.n
-        table = dominating_table(g)
-        counts = size_counts(n, table)
-        threshold = next(t for t in range(n + 1) if counts[t] == comb(n, t))
-        ell = threshold - 1
-        if ell < 1 or counts[ell] == 0 or counts[ell] == comb(n, ell):
-            continue
-        report.instances_checked += 1
-        odd = odd_degree_nodes(n, table, n)
-        seen = {"even": odd != table, "odd": odd != 0}
-        if not all(seen.values()):
-            yield g, n, "both degree parities", seen
+    for chunk in _chunks(2, n_max):
+        n = chunk.n
+        connected = sliced_connected(n, chunk.edges, chunk.every)
+        scanned += connected.bit_count()
+        # l = t - 1 for the universal threshold t is the largest c whose
+        # c-sets do not all dominate; the lemma needs l >= 1 and one that does.
+        some, every = chunk.size_classes()
+        lemma = connected & reduce(
+            or_, (some[c] & ~every[c] & every[c + 1] for c in range(1, n)), 0)
+        report.instances_checked += lemma.bit_count()
+        odd = chunk.odd_degree_nodes()
+        both = chunk.any(odd) & chunk.any(chunk.table & ~odd)
+        for g in chunk.graphs(lemma & ~both):
+            table = dominating_table(g)
+            odd = odd_degree_nodes(n, table, n)
+            yield g, n, "both degree parities", {"even": odd != table, "odd": odd != 0}
     report.details["graphs_scanned"] = scanned
 
 
@@ -508,23 +536,26 @@ def _universal_gamma_set(report, n_max: int = 6):
     graphs or cocktail party graphs, and their restricted-k verdicts follow
     the complete/cocktail rules."""
     report.bounds = {"n_min": 2, "n_max": n_max}
-    for g in _labeled(2, n_max, connected=True):
-        n = g.n
-        table = dominating_table(g)
-        counts = size_counts(n, table)
-        gamma = next(c for c in range(n + 1) if counts[c])
-        if counts[gamma] != comb(n, gamma):
-            continue
-        report.instances_checked += 1
-        complete = is_complete(g)
-        if not (complete or is_cocktail_party(g)):
-            yield g, None, "complete or cocktail", "neither"
-            continue
-        for k in range(gamma + 1, n):
-            computed = computed_eulerian(g, k, table)
-            expected = (n % 2 == 1 and k == 2) if complete else (k % 2 == 0)
-            if computed != expected:
-                yield g, k, expected, computed
+    for chunk in _chunks(2, n_max):
+        n = chunk.n
+        # every gamma-set dominates iff, for some c, every c-set dominates
+        # and no (c - 1)-set does
+        some, every = chunk.size_classes()
+        universal = reduce(or_, (x & ~y for x, y in zip(every, [0] + some)))
+        connected = sliced_connected(n, chunk.edges, chunk.every)
+        for g in chunk.graphs(connected & universal):
+            table = dominating_table(g)
+            gamma = next(c for c, count in enumerate(size_counts(n, table)) if count)
+            report.instances_checked += 1
+            complete = is_complete(g)
+            if not (complete or is_cocktail_party(g)):
+                yield g, None, "complete or cocktail", "neither"
+                continue
+            for k in range(gamma + 1, n):
+                computed = computed_eulerian(g, k, table)
+                expected = (n % 2 == 1 and k == 2) if complete else (k % 2 == 0)
+                if computed != expected:
+                    yield g, k, expected, computed
 
 
 def _gamma_formulas(report, path_max: int = 15, complete_max: int = 12, biclique_max: int = 8):

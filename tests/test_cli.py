@@ -3,12 +3,13 @@
 import hashlib
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from domrec import cli
+from domrec import cli, domination
 from domrec.cli import parse_graph_spec, run_cli
 from domrec.errors import (
     BoundBelowGamma,
@@ -401,6 +402,36 @@ def test_scan_computes_one_profile_per_instance(monkeypatch, capsys):
     assert run_cli(["scan", "--family", "path", "--n", "3..6"]) == 0
     capsys.readouterr()
     assert len(profiles) == 4
+
+
+def _counting_tables(monkeypatch):
+    """Count dominating_table calls through every domrec module binding it."""
+    calls = []
+    original = domination.dominating_table
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("domrec") and getattr(module, "dominating_table", None) is original:
+            monkeypatch.setattr(module, "dominating_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--circuit"]])
+def test_analyze_computes_one_domination_table(monkeypatch, capsys, extra):
+    tables = _counting_tables(monkeypatch)
+    assert run_cli(["analyze", "--graph", "cocktail:6", "--k", "max"] + extra) == 0
+    capsys.readouterr()
+    assert len(tables) == 1
+
+
+def test_scan_computes_one_domination_table_per_spec(monkeypatch, capsys):
+    tables = _counting_tables(monkeypatch)
+    assert run_cli(["scan", "--family", "cocktail", "--n", "4..8"]) == 0
+    assert capsys.readouterr().out.count("\ncocktail:") == 3 + 5 + 7
+    assert [g.name for g in tables] == ["cocktail:4", "cocktail:6", "cocktail:8"]
 
 
 def test_scan_past_the_cap_exits_before_any_profile(monkeypatch, capsys):

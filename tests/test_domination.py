@@ -18,13 +18,16 @@ from domrec import (
     enumerate_dominating_sets,
     enumerate_labeled_graphs,
     format_set,
+    is_cocktail_party,
     is_dominating,
     is_minimal_dominating,
     make_family,
     node_degree,
 )
-from domrec.domination import dominating_table
-from domrec.errors import DimensionMismatch, EmptyGraph
+from domrec import domination
+from domrec.domination import dominating_table, labeled_chunks, odd_degree_nodes, size_counts
+from domrec.graphs import is_connected, sliced_cocktail_party, sliced_connected
+from domrec.errors import BoundExceeded, DimensionMismatch, EmptyGraph
 
 P4 = make_family(FamilySpec.path(4))
 
@@ -204,3 +207,61 @@ def test_format_set_matches_the_vertex_scan():
     assert format_set(0b101) == "{0,2}" and format_set(0) == "{}"
     with pytest.raises(ValueError):
         format_set(-1)
+
+
+def _chunk_answers(chunk):
+    """Per graph of the chunk, in edge-mask order: table parity, odd node
+    and even dominating node at k = n, connected, cocktail, gamma and
+    universal threshold, all read off the sliced bits."""
+    n = chunk.n
+    odd = chunk.odd_degree_nodes()
+    bits = [chunk.parity(chunk.table), chunk.any(odd), chunk.any(chunk.table & ~odd),
+            sliced_connected(n, chunk.edges, chunk.every),
+            sliced_cocktail_party(n, chunk.edges, chunk.every)]
+    some, every = chunk.size_classes()
+    for i in range(chunk.count):
+        gamma = next(c for c in range(n + 1) if some[c] >> i & 1)
+        threshold = next(c for c in range(n + 1) if every[c] >> i & 1)
+        yield tuple(bool(x >> i & 1) for x in bits) + (gamma, threshold)
+
+
+def _seed_answers(g):
+    n = g.n
+    table = dominating_table(g)
+    odd = odd_degree_nodes(n, table, n)
+    counts = size_counts(n, table)
+    return (table.bit_count() % 2 == 1, odd != 0, odd != table, is_connected(g),
+            is_cocktail_party(g), next(c for c in range(n + 1) if counts[c]),
+            next(c for c in range(n + 1) if counts[c] == comb(n, c)))
+
+
+@pytest.mark.parametrize("chunk_bits,n_max,split", [
+    (domination.CHUNK_BITS, 6, {6}), (6, 5, {4, 5}), (5, 5, {3, 4, 5})])
+def test_labeled_chunks_match_the_per_seed_path(monkeypatch, chunk_bits, n_max, split):
+    """Every labeled graph with n <= n_max: the sliced per-graph bits equal
+    the per-seed answers, and each chunk decodes to the enumerated graphs.
+    The orders in split take several chunks; the narrow chunks cross their
+    seams at n <= 5, down to one-graph chunks at n = 5."""
+    monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
+    for n in range(1, n_max + 1):
+        seeds = list(enumerate_labeled_graphs(n))
+        chunks = list(labeled_chunks(n))
+        assert (len(chunks) > 1) == (n in split)
+        assert [c.first for c in chunks] == list(range(0, len(seeds), chunks[0].count))
+        sliced = [answer for c in chunks for answer in _chunk_answers(c)]
+        assert sliced == [_seed_answers(g) for g in seeds]
+        decoded = [g for c in chunks for g in c.graphs(c.every)]
+        assert [g.adj for g in decoded] == [g.adj for g in seeds]
+
+
+def test_sliced_connected_counts_match_oeis_a001187():
+    """Connected labeled graphs on n = 1..7 vertices (OEIS A001187)."""
+    counts = [sum(sliced_connected(n, c.edges, c.every).bit_count() for c in labeled_chunks(n))
+              for n in range(1, 8)]
+    assert counts == [1, 1, 4, 38, 728, 26704, 1866256]
+
+
+def test_labeled_chunks_bound():
+    for n in (0, 8):
+        with pytest.raises(BoundExceeded):
+            next(labeled_chunks(n))

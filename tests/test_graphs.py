@@ -29,6 +29,7 @@ from domrec.graphs import (
     HARD_CAP,
     is_bipartite,
     is_connected,
+    labeled_graph,
     parse_graph_spec,
 )
 
@@ -264,6 +265,20 @@ def test_enumeration_yields_valid_unique_graphs():
         SeedGraph(g.n, g.adj)  # re-validate invariants
         seen.add(g.adj)
     assert len(seen) == 64
+
+
+def test_labeled_graph_decodes_the_lexicographic_pair_order():
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        enumerated = list(enumerate_labeled_graphs(n))
+        assert len(enumerated) == 1 << len(pairs)
+        for mask, g in enumerate(enumerated):
+            decoded = labeled_graph(n, mask)
+            assert decoded.edges() == [p for i, p in enumerate(pairs) if mask >> i & 1]
+            assert decoded.adj == g.adj and to_graph6(decoded) == to_graph6(g)
+        for mask in (-1, 1 << len(pairs)):
+            with pytest.raises(ValueError):
+                labeled_graph(n, mask)
 
 
 def test_enumeration_bound():

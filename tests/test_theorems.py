@@ -24,6 +24,7 @@ from domrec.theorems import (
     negative_control_characterization,
     odd_degree_nodes,
 )
+from domrec import reconfig, theorems
 from domrec.domination import dominating_table
 
 
@@ -105,6 +106,18 @@ def test_staged_verdict_matches_materialized_exhaustively():
                 fast = computed_eulerian(g, k, table)
                 full = eulerian_report(build_reconfig(g, k)).is_eulerian
                 assert fast == full, (g.adj, k)
+
+
+def test_computed_eulerian_builds_from_the_table_it_is_given(monkeypatch):
+    g = make_family(FamilySpec.cocktail(6))
+    table = dominating_table(g)
+
+    def recomputed(_):
+        raise AssertionError("domination table computed again")
+
+    monkeypatch.setattr(theorems, "dominating_table", recomputed)
+    monkeypatch.setattr(reconfig, "dominating_table", recomputed)
+    assert computed_eulerian(g, 6, table) is True
 
 
 @settings(max_examples=80, deadline=None)
