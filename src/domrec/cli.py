@@ -94,8 +94,13 @@ def _expected_or_none(spec: FamilySpec | None, g: SeedGraph, k: int) -> bool | N
         return None
 
 
-def _bool_json(value):
-    return value if value is None else bool(value)
+def _write_file(path: str, text: str):
+    """Write text to path; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomrecError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def analysis_report(
@@ -187,8 +192,7 @@ def _cmd_analyze(args) -> int:
         else:
             circuit_labels = []
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(reconfig_to_dot(r))
+        _write_file(args.dot, reconfig_to_dot(r))
     if args.json:
         payload = dict(report)
         if circuit_labels is not None:
@@ -287,8 +291,7 @@ def _cmd_scan(args) -> int:
         )
     text = buf.getvalue()
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            fh.write(text)
+        _write_file(args.csv, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -49,10 +49,6 @@ class NoEdges(DomrecError):
     """An Euler circuit was requested on a graph with no edges."""
 
 
-class NotSeedBuilt(DomrecError):
-    """The operation needs nodes that are vertex sets, not product tuples."""
-
-
 class UncharacterizedInstance(DomrecError):
     """No catalogued claim predicts a verdict for this (family, k) instance."""
 

@@ -17,10 +17,9 @@ from .errors import (
     NoEdges,
     NotDominating,
     NotEulerian,
-    NotSeedBuilt,
     ReconfigTooLarge,
 )
-from .graphs import SeedGraph
+from .graphs import SeedGraph, disjoint_union
 
 #: Node-cap default: a reconfiguration graph can have ~2**n nodes, so builds
 #: above this size fail loudly instead of thrashing.
@@ -33,9 +32,9 @@ ODD_WITNESS_CAP = 8
 class ReconfigGraph:
     """Materialized reconfiguration graph with deterministic node order.
 
-    Seed-built graphs carry their nodes as vertex masks sorted by
-    (cardinality, mask); Cartesian products have no seed and carry their
-    factors' labels as nested pairs.
+    Every node is a vertex mask of seed.  build_reconfig sorts its nodes by
+    (cardinality, mask); a Cartesian product's seed is the disjoint union of
+    its factors' seeds, and its nodes are the unions of their masks.
     Adjacency lists are sorted and never mutated after construction.
     """
 
@@ -65,8 +64,8 @@ class ReconfigGraph:
         return dict(sorted(hist.items()))
 
     def __repr__(self) -> str:
-        src = f"{self.seed!r}, k={self.k}" if self.seed is not None else "product"
-        return f"ReconfigGraph({src}: {self.node_count} nodes, {self.edge_count} edges)"
+        return (f"ReconfigGraph({self.seed!r}, k={self.k}: "
+                f"{self.node_count} nodes, {self.edge_count} edges)")
 
 
 @dataclass(frozen=True)
@@ -263,27 +262,29 @@ def euler_circuit(r: ReconfigGraph) -> list[int]:
 
 def cartesian_product(a: ReconfigGraph, b: ReconfigGraph, node_cap: int = DEFAULT_NODE_CAP) -> ReconfigGraph:
     """Cartesian product: (u, v) ~ (x, y) iff equal in one coordinate and
-    adjacent in the other.  Node labels become (label_a, label_b) pairs."""
+    adjacent in the other.  Its seed is the disjoint union of a's and b's
+    seeds, so node i * nb + j is the mask a.nodes[i] | b.nodes[j] << a.seed.n,
+    and k is None.  After the node-cap check, factor seeds of more than
+    HARD_CAP vertices in all raise CapacityExceeded from disjoint_union."""
     na, nb = a.node_count, b.node_count
     if na * nb > node_cap:
         raise ReconfigTooLarge(f"product would have {na * nb} nodes")
-    labels = []
+    seed = disjoint_union([a.seed, b.seed])
+    masks = []
     adjacency = []
-    for i, la in enumerate(a.nodes):
-        for j, lb in enumerate(b.nodes):
-            labels.append((la, lb))
+    for i, sa in enumerate(a.nodes):
+        for j, sb in enumerate(b.nodes):
+            masks.append(sa | sb << a.seed.n)
             nbrs = [i2 * nb + j for i2 in a.adjacency[i]]
             nbrs.extend(i * nb + j2 for j2 in b.adjacency[j])
             nbrs.sort()
             adjacency.append(nbrs)
-    return ReconfigGraph(None, None, labels, adjacency)
+    return ReconfigGraph(seed, None, masks, adjacency)
 
 
 def parity_bipartition_valid(r: ReconfigGraph) -> bool:
     """True iff every edge joins sets whose cardinalities differ by one, so
     coloring nodes by cardinality parity is a proper 2-coloring."""
-    if r.seed is None:
-        raise NotSeedBuilt("parity bipartition needs vertex-set nodes")
     cards = [s.bit_count() for s in r.nodes]
     for i, nbrs in enumerate(r.adjacency):
         ci = cards[i]
@@ -298,9 +299,7 @@ def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> str:
     if label_style not in ("set", "bits"):
         raise ValueError(f"label_style must be 'set' or 'bits', got {label_style!r}")
     lines = ["graph reconfig {"]
-    if r.seed is None:
-        texts = map(str, r.nodes)
-    elif label_style == "bits":
+    if label_style == "bits":
         texts = (format(s, f"0{r.seed.n}b") for s in r.nodes)
     else:
         texts = map(format_set, r.nodes)

@@ -436,21 +436,13 @@ def _product_instance(report, parts: list[SeedGraph]):
     du = build_reconfig(union, union.n)
     factors = [build_reconfig(p, p.n) for p in parts]
     prod = reduce(cartesian_product, factors)
-
-    def restrict(bits: int):
-        label = None
-        for p in parts:
-            part = bits & ((1 << p.n) - 1)
-            label = part if label is None else (label, part)
-            bits >>= p.n
-        return label
-
     if du.node_count != prod.node_count:
         yield parts, None, prod.node_count, du.node_count
         return
-
-    prod_index = {label: i for i, label in enumerate(prod.nodes)}
-    mapped = [prod_index.get(restrict(s)) for s in du.nodes]
+    # Both graphs live on the union's vertex masks, so the restriction
+    # bijection is the identity on masks.
+    prod_index = {s: i for i, s in enumerate(prod.nodes)}
+    mapped = [prod_index.get(s) for s in du.nodes]
     if None in mapped:
         yield (parts, None, "restriction lands on a product node",
                format_set(du.nodes[mapped.index(None)]))
@@ -551,9 +543,10 @@ def _universal_gamma_set(report, n_max: int = 6):
             if not (complete or is_cocktail_party(g)):
                 yield g, None, "complete or cocktail", "neither"
                 continue
+            spec = FamilySpec.complete(n) if complete else FamilySpec.cocktail(n)
             for k in range(gamma + 1, n):
                 computed = computed_eulerian(g, k, table)
-                expected = (n % 2 == 1 and k == 2) if complete else (k % 2 == 0)
+                expected = expected_eulerian(spec, k)
                 if computed != expected:
                     yield g, k, expected, computed
 

@@ -16,6 +16,7 @@ from domrec.errors import (
     BoundExceeded,
     CapacityExceeded,
     ClaimUnknown,
+    DomrecError,
     GraphSpecError,
     MalformedGraph6,
     ReconfigTooLarge,
@@ -302,6 +303,10 @@ def test_exit_code_usage_and_capacity(capsys):
     (["verify", "--claim", "bogus"], ClaimUnknown, 2),
     (["analyze", "--graph", "biclique:13,14", "--k", "3"], CapacityExceeded, 3),
     (["analyze", "--graph", "complete:23", "--k", "max"], ReconfigTooLarge, 3),
+    (["analyze", "--graph", "path:4", "--k", "3", "--dot", "/nonexistent/x.dot"],
+     DomrecError, 2),
+    (["scan", "--family", "path", "--n", "3..4", "--csv", "/nonexistent/x.csv"],
+     DomrecError, 2),
 ])
 def test_error_class_maps_to_exit_code(argv, error, code, capsys):
     args = cli._build_parser().parse_args(argv)
@@ -310,6 +315,7 @@ def test_error_class_maps_to_exit_code(argv, error, code, capsys):
     assert run_cli(argv) == code
     captured = capsys.readouterr()
     assert captured.out == "" and "error: " in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_malformed_spec_no_partial_output(capsys):

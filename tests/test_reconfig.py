@@ -2,7 +2,8 @@
 Cartesian products."""
 
 from collections import Counter
-from itertools import chain
+from functools import reduce
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from domrec import (
     build_reconfig,
     cartesian_product,
     corona_of,
+    disjoint_union,
     domination_profile,
     enumerate_dominating_sets,
     enumerate_labeled_graphs,
@@ -31,10 +33,10 @@ from domrec import (
 )
 from domrec.errors import (
     BoundBelowGamma,
+    CapacityExceeded,
     NoEdges,
     NotDominating,
     NotEulerian,
-    NotSeedBuilt,
     ReconfigTooLarge,
 )
 from domrec import reconfig
@@ -308,7 +310,40 @@ def test_nodes_are_masks_and_product_nodes_pair_them():
     assert a.nodes == enumerate_dominating_sets(g, 2) == [0b01, 0b10, 0b11]
     b = build(FamilySpec.cycle(3), 2)
     prod = cartesian_product(a, b)
-    assert prod.nodes == [(x, y) for x in a.nodes for y in b.nodes]
+    assert prod.nodes == [x | y << 2 for x in a.nodes for y in b.nodes]
+
+
+def assert_product_is_union_dk(parts):
+    """The product of the parts' D(G) is D of their union, node for node and
+    edge for edge, checked against the naive oracles."""
+    prod = reduce(cartesian_product, [build_reconfig(p, p.n) for p in parts])
+    union = disjoint_union(parts)
+    assert prod.seed == union and prod.k is None
+    masks = naive_dominating_masks(union, union.n)
+    assert sorted(prod.nodes) == sorted(masks)
+    edges = {frozenset((masks[i], masks[j])) for i, j in naive_reconfig_edges(masks)}
+    assert {frozenset((prod.nodes[i], prod.nodes[j]))
+            for i, nbrs in enumerate(prod.adjacency) for j in nbrs} == edges
+    return prod
+
+
+def test_product_nodes_are_the_union_dominating_sets():
+    small = [g for n in (1, 2, 3) for g in enumerate_labeled_graphs(n)]
+    for a, b in product(small, repeat=2):
+        assert_product_is_union_dk([a, b])
+    parts = [make_family(FamilySpec.path(3)), make_family(FamilySpec.cycle(3)),
+             make_family(FamilySpec.path(2))]
+    assert_product_is_union_dk(parts)
+
+
+def test_product_accepts_seed_graph_operations():
+    parts = [make_family(FamilySpec.path(2)), make_family(FamilySpec.cycle(3))]
+    prod = assert_product_is_union_dk(parts)
+    assert parity_bipartition_valid(prod)
+    dot = reconfig_to_dot(prod, label_style="bits")
+    assert [f'  {i} [label="{s:05b}"];' for i, s in enumerate(prod.nodes)] == [
+        line for line in dot.splitlines() if "label=" in line]
+    assert dot.count(" -- ") == prod.edge_count
 
 
 def test_product_cap():
@@ -317,15 +352,22 @@ def test_product_cap():
         cartesian_product(big, big, node_cap=10)
 
 
+def test_product_seed_over_the_vertex_cap():
+    wide = build(FamilySpec.complete(14), 1)  # 14 nodes on 14 vertices
+    with pytest.raises(ReconfigTooLarge):
+        cartesian_product(wide, wide, node_cap=10)  # the node cap is checked first
+    with pytest.raises(CapacityExceeded):
+        cartesian_product(wide, wide)
+
+
 def test_parity_bipartition():
     assert parity_bipartition_valid(build(FamilySpec.path(4), 4))
     assert parity_bipartition_valid(build(FamilySpec.cycle(7), 4))
     k33 = build(FamilySpec.complete_bipartite(3, 3), 6)
     assert parity_bipartition_valid(k33)
     assert k33.node_count == 51 and k33.node_count % 2 == 1
-    with pytest.raises(NotSeedBuilt):
-        a = build(FamilySpec.path(2), 2)
-        parity_bipartition_valid(cartesian_product(a, a))
+    a = build(FamilySpec.path(2), 2)
+    assert parity_bipartition_valid(cartesian_product(a, a))
 
 
 # --- exports ----------------------------------------------------------------
