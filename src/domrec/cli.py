@@ -31,7 +31,6 @@ from .errors import (
     CapacityExceeded,
     ClaimUnknown,
     DomrecError,
-    GraphSpecError,
     InvalidFamilyParameters,
     ReconfigTooLarge,
     UncharacterizedInstance,
@@ -61,14 +60,14 @@ def _k_value(text: str, n: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise GraphSpecError(f"--k must be an integer or 'max', got {text!r}") from None
+        raise DomrecError(f"--k must be an integer or 'max', got {text!r}") from None
 
 
 def _parse_k(text: str, n: int) -> int:
     """--k as a cardinality bound in [0, n]."""
     k = _k_value(text, n)
     if not 0 <= k <= n:
-        raise GraphSpecError(f"--k must be in [0, {n}], got {k}")
+        raise DomrecError(f"--k must be in [0, {n}], got {k}")
     return k
 
 
@@ -248,14 +247,14 @@ def _scan_worker(task: tuple[FamilySpec, int, int, int]) -> dict:
 
 def _cmd_scan(args) -> int:
     if args.family not in _SCAN_FAMILIES:
-        raise GraphSpecError(
+        raise DomrecError(
             f"--family must be one of {', '.join(_SCAN_FAMILIES)}, got {args.family!r}"
         )
     try:
         lo_text, _, hi_text = args.n.partition("..")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise GraphSpecError(f"--n must look like 3..8, got {args.n!r}") from None
+        raise DomrecError(f"--n must look like 3..8, got {args.n!r}") from None
     # Every seed is built before any profile: a size past the cap raises at
     # once, so a huge --n range costs nothing.  No family has members at n < 0.
     seeds = []
@@ -315,13 +314,13 @@ def _verify_worker(task: tuple[str, dict]):
 def _cmd_verify(args) -> int:
     if args.negative_control:
         if args.claim != ClaimId.DOMINATING_GRAPH_CHARACTERIZATION.value:
-            raise GraphSpecError(
+            raise DomrecError(
                 "--negative-control applies to --claim dominating_graph_characterization"
             )
         n = min(args.max_n, 6) if args.max_n is not None else 6
         n -= n % 2
         if n < 4:
-            raise GraphSpecError(f"--negative-control needs --max-n >= 4, got {args.max_n}")
+            raise DomrecError(f"--negative-control needs --max-n >= 4, got {args.max_n}")
         reports = [negative_control_characterization(n)]
     else:
         if args.claim == "all":

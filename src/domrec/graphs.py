@@ -3,7 +3,13 @@ graph6, and the text grammar of graph specs.
 
 Vertices are the integers 0..n-1 and adjacency is stored as one bitmask per
 vertex, so a graph on n vertices fits in n machine words.  The hard cap
-HARD_CAP keeps every subset of vertices representable as a single int.
+HARD_CAP keeps every subset of vertices representable as a single int.  A
+SeedGraph is a frozen dataclass: an immutable value that pickles and copies.
+
+The complete, biclique, star, cocktail and turan families are complete
+multipartite graphs, built by one builder from their part sizes; the
+cocktail party rule is one predicate on vertex masks,
+induces_cocktail_party.
 
 FamilySpec.spec_string prints the spec grammar and parse_graph_spec reads it,
 plus the g6:<record> and file:<path> (edge list) forms.  A union splits at
@@ -14,7 +20,7 @@ named by its canonical spec, a g6 part as g6:<to_graph6 record>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cache, reduce
 from operator import and_
 
@@ -34,21 +40,28 @@ HARD_CAP = 26
 ENUMERATION_CAP = 7
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SeedGraph:
     """Simple undirected graph as per-vertex neighbor bitmasks.
 
-    adj[v] has bit u set iff uv is an edge.  Instances are immutable after
-    construction and safe to share across threads.
+    adj[v] has bit u set iff uv is an edge.  A seed is an immutable value:
+    it compares and hashes by (n, adj), its name aside, is safe to share
+    across threads, and pickles and copies.  validate=False skips the
+    adjacency checks for builders whose masks are correct by construction.
     """
 
-    __slots__ = ("n", "adj", "name")
+    n: int
+    adj: tuple[int, ...]
+    name: str | None = field(default=None, compare=False)
+    validate: InitVar[bool] = True
 
-    def __init__(self, n: int, adj, name: str | None = None, validate: bool = True):
+    def __post_init__(self, validate: bool):
+        n = self.n
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         if n > HARD_CAP:
             raise CapacityExceeded(f"{n} vertices exceeds the cap of {HARD_CAP}")
-        adj = tuple(adj)
+        adj = tuple(self.adj)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency masks, got {len(adj)}")
         if validate:
@@ -62,12 +75,7 @@ class SeedGraph:
                 for v in range(u + 1, n):
                     if ((adj[u] >> v) & 1) != ((adj[v] >> u) & 1):
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SeedGraph is immutable")
 
     @classmethod
     def from_edges(cls, n: int, edges, name: str | None = None) -> "SeedGraph":
@@ -105,16 +113,6 @@ class SeedGraph:
     def closed_neighborhoods(self) -> list[int]:
         """adj[v] | {v} for every v, the unit of domination checks."""
         return [self.adj[v] | (1 << v) for v in range(self.n)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SeedGraph)
-            and self.n == other.n
-            and self.adj == other.adj
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         label = self.name or f"{self.n}v{self.edge_count()}e"
@@ -219,39 +217,25 @@ def make_family(spec: FamilySpec) -> SeedGraph:
     elif kind == "complete":
         _require(n >= 1, f"complete needs n >= 1, got {n}")
         _check_cap(n)
-        full = (1 << n) - 1
-        g = SeedGraph(n, [full ^ (1 << v) for v in range(n)], validate=False)
+        g = _multipartite([1] * n)
     elif kind == "complete_bipartite":
         m, n = args
         _require(m >= 1 and n >= 1, f"biclique needs m, n >= 1, got {m}, {n}")
         _check_cap(m + n)
-        xmask = (1 << m) - 1
-        ymask = ((1 << (m + n)) - 1) ^ xmask
-        g = SeedGraph(m + n, [ymask] * m + [xmask] * n, validate=False)
+        g = _multipartite([m, n])
     elif kind == "star":
         _require(n >= 1, f"star needs n >= 1, got {n}")
         g = make_family(FamilySpec.complete_bipartite(1, n))
     elif kind == "cocktail":
         _require(n >= 4 and n % 2 == 0, f"cocktail needs even n >= 4, got {n}")
         _check_cap(n)
-        full = (1 << n) - 1
-        g = SeedGraph(
-            n, [full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)], validate=False
-        )
+        g = _multipartite([2] * (n // 2))
     elif kind == "turan":
         r = args[1]
         _require(1 <= r <= n, f"turan needs n >= r >= 1, got {n}, {r}")
         _check_cap(n)
-        # First n % r parts get the extra vertex; parts are contiguous ranges.
-        sizes = [n // r + (1 if i < n % r else 0) for i in range(r)]
-        full = (1 << n) - 1
-        adj = []
-        start = 0
-        for size in sizes:
-            part = ((1 << size) - 1) << start
-            adj.extend(full ^ part for _ in range(size))
-            start += size
-        g = SeedGraph(n, adj, validate=False)
+        # The first n % r parts get the extra vertex.
+        g = _multipartite([n // r + (1 if i < n % r else 0) for i in range(r)])
     elif kind == "corona":
         _require(len(spec.parts) == 1, f"corona takes 1 inner family, got {len(spec.parts)}")
         inner = make_family(spec.parts[0])
@@ -267,6 +251,21 @@ def make_family(spec: FamilySpec) -> SeedGraph:
 
 def _named(g: SeedGraph, name: str) -> SeedGraph:
     return SeedGraph(g.n, g.adj, name=name, validate=False)
+
+
+def _multipartite(sizes: list[int]) -> SeedGraph:
+    """Complete multipartite graph whose parts are contiguous vertex ranges
+    of the given sizes, in order: each vertex is adjacent to every vertex
+    outside its own part."""
+    n = sum(sizes)
+    full = (1 << n) - 1
+    adj = []
+    start = 0
+    for size in sizes:
+        part = ((1 << size) - 1) << start
+        adj.extend(full ^ part for _ in range(size))
+        start += size
+    return SeedGraph(n, adj, validate=False)
 
 
 def _check_cap(n: int):
@@ -295,42 +294,29 @@ def disjoint_union(graphs: list[SeedGraph]) -> SeedGraph:
     return SeedGraph(total, adj, validate=False)
 
 
-def induced_subgraph(g: SeedGraph, mask: int) -> SeedGraph:
-    """Subgraph induced by the vertices in mask, relabeled 0..|mask|-1 in order."""
-    vertices = [v for v in range(g.n) if (mask >> v) & 1]
-    pos = {v: i for i, v in enumerate(vertices)}
-    adj = [0] * len(vertices)
-    for v in vertices:
-        m = g.adj[v] & mask
-        while m:
-            low = m & -m
-            m ^= low
-            adj[pos[v]] |= 1 << pos[low.bit_length() - 1]
-    return SeedGraph(len(vertices), adj, validate=False)
-
-
 def is_complete(g: SeedGraph) -> bool:
     full = (1 << g.n) - 1
     return all(g.adj[v] == full ^ (1 << v) for v in range(g.n))
 
 
-def is_cocktail_party(g: SeedGraph) -> bool:
-    """True iff g is a complete graph of even order >= 4 minus a perfect matching.
-
-    Checked structurally: every vertex has exactly one non-neighbor and the
-    non-neighbor pairing is an involution.
-    """
-    n = g.n
-    if n < 4 or n % 2:
+def induces_cocktail_party(g: SeedGraph, block: int) -> bool:
+    """True iff the vertices of the mask block induce a cocktail party graph
+    (a complete graph of even order >= 4 minus a perfect matching): block
+    has an even number >= 4 of vertices, and each has exactly one
+    non-neighbor in block.  Non-adjacency is symmetric, so one non-neighbor
+    each already pairs the vertices up."""
+    size = block.bit_count()
+    if size < 4 or size % 2:
         return False
-    full = (1 << n) - 1
-    partner = []
-    for v in range(n):
-        non = full ^ g.adj[v] ^ (1 << v)
-        if non.bit_count() != 1:
+    for v in range(g.n):
+        if (block >> v) & 1 and (block & ~g.adj[v] & ~(1 << v)).bit_count() != 1:
             return False
-        partner.append(non.bit_length() - 1)
-    return all(partner[partner[v]] == v for v in range(n))
+    return True
+
+
+def is_cocktail_party(g: SeedGraph) -> bool:
+    """True iff g is a complete graph of even order >= 4 minus a perfect matching."""
+    return induces_cocktail_party(g, (1 << g.n) - 1)
 
 
 def is_bipartite(g: SeedGraph) -> bool:
@@ -452,11 +438,9 @@ def sliced_connected(n: int, edges: list[int], every: int) -> int:
 
 
 def sliced_cocktail_party(n: int, edges: list[int], every: int) -> int:
-    """The graphs of the batch that are cocktail party graphs: even n >= 4
-    and exactly one non-neighbor per vertex, counted with at-least-one and
-    at-least-two accumulators.  Non-adjacency is symmetric, so one
-    non-neighbor each already pairs the vertices up, as is_cocktail_party
-    checks."""
+    """The graphs of the batch that are cocktail party graphs, by the rule of
+    induces_cocktail_party: even n >= 4 and exactly one non-neighbor per
+    vertex, counted with at-least-one and at-least-two accumulators."""
     if n < 4 or n % 2:
         return 0
     ones = [0] * n

@@ -300,7 +300,8 @@ def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> str:
         raise ValueError(f"label_style must be 'set' or 'bits', got {label_style!r}")
     lines = ["graph reconfig {"]
     if label_style == "bits":
-        texts = (format(s, f"0{r.seed.n}b") for s in r.nodes)
+        # A leading 1 fixes the width at n digits, none when n = 0.
+        texts = (format(s | 1 << r.seed.n, "b")[1:] for s in r.nodes)
     else:
         texts = map(format_set, r.nodes)
     lines.extend(f'  {i} [label="{text}"];' for i, text in enumerate(texts))

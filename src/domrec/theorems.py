@@ -48,7 +48,7 @@ from .graphs import (
     corona_of,
     disjoint_union,
     enumerate_labeled_graphs,
-    induced_subgraph,
+    induces_cocktail_party,
     is_bipartite,
     is_cocktail_party,
     is_complete,
@@ -155,7 +155,7 @@ def expected_eulerian_unrestricted(g: SeedGraph) -> bool:
     """Expected verdict for the unrestricted dominating graph: Eulerian iff
     every component is a single vertex or a cocktail party graph."""
     return all(
-        block.bit_count() == 1 or is_cocktail_party(induced_subgraph(g, block))
+        block.bit_count() == 1 or induces_cocktail_party(g, block)
         for block in connected_components(g)
     )
 

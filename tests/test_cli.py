@@ -318,6 +318,36 @@ def test_error_class_maps_to_exit_code(argv, error, code, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["analyze", "--graph", "path:4", "--k", "x"],
+     "error: --k must be an integer or 'max', got 'x'"),
+    (["analyze", "--graph", "path:4", "--k", "9"], "error: --k must be in [0, 4], got 9"),
+    (["scan", "--family", "nope", "--n", "3..5"],
+     "error: --family must be one of path, cycle, complete, biclique, cocktail, "
+     "complete_k, corona, got 'nope'"),
+    (["scan", "--family", "path", "--n", "3-8"], "error: --n must look like 3..8, got '3-8'"),
+    (["verify", "--claim", "path_cycle", "--negative-control"],
+     "error: --negative-control applies to --claim dominating_graph_characterization"),
+    (["verify", "--claim", "dominating_graph_characterization", "--negative-control",
+      "--max-n", "3"], "error: --negative-control needs --max-n >= 4, got 3"),
+], ids=["k-text", "k-range", "family", "n-range", "control-claim", "control-max-n"])
+def test_flag_errors_carry_no_spec_position(argv, line, capsys):
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(DomrecError) as exc:
+        args.func(args)
+    assert not isinstance(exc.value, GraphSpecError)
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def test_export_bits_labels_of_the_empty_seed(capsys):
+    argv = ["export", "--graph", "g6:?", "--format", "dot", "--labels", "bits"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == 'graph reconfig {\n  0 [label=""];\n}\n'
+
+
 def test_malformed_spec_no_partial_output(capsys):
     assert run_cli(["analyze", "--graph", "path:x", "--k", "3"]) == 2
     captured = capsys.readouterr()

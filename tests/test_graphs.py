@@ -1,5 +1,8 @@
 """Seed-graph module: families, graph6, recognizers, enumeration."""
 
+import copy
+import pickle
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ from conftest import seed_graphs
 from domrec import (
     FamilySpec,
     SeedGraph,
+    build_reconfig,
+    cartesian_product,
     connected_components,
     disjoint_union,
     enumerate_labeled_graphs,
@@ -32,6 +37,7 @@ from domrec.graphs import (
     labeled_graph,
     parse_graph_spec,
 )
+from domrec.theorems import expected_eulerian_unrestricted
 
 
 def test_cycle3_is_triangle():
@@ -402,3 +408,117 @@ def test_seeds_with_g6_parts_are_named_by_their_spec(text):
     g, spec = parse_graph_spec(text)
     assert spec is None
     assert g.name == text
+
+
+def _round_trips(x):
+    return [pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)]
+
+
+def test_seeds_and_reconfig_graphs_pickle_and_copy():
+    g = make_family(FamilySpec.cocktail(6))
+    for h in _round_trips(g):
+        assert h == g and hash(h) == hash(g)
+        assert (h.n, h.adj, h.name) == (6, g.adj, "cocktail:6")
+        assert type(h.adj) is tuple
+    path = make_family(FamilySpec.path(3))
+    dk = build_reconfig(g, 3)
+    product = cartesian_product(build_reconfig(path, 2), dk)
+    for r in (dk, product):
+        for h in _round_trips(r):
+            assert (h.seed, h.k, h.nodes, h.adjacency) == (r.seed, r.k, r.nodes, r.adjacency)
+            assert h.seed.name == r.seed.name
+    assert dk.seed.name == "cocktail:6"
+
+
+def test_seeds_are_values_named_apart_from_equality():
+    a = SeedGraph(3, [0b010, 0b101, 0b010], name="path:3")
+    b = SeedGraph(3, (0b010, 0b101, 0b010), name="other")
+    c = SeedGraph(3, [0b010, 0b101, 0b010])
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a != SeedGraph(3, [0b110, 0b101, 0b011])
+    assert a != SeedGraph(4, [0b010, 0b101, 0b010, 0])
+    assert a != (3, (0b010, 0b101, 0b010))
+    for field, value in (("n", 4), ("adj", ()), ("name", "x")):
+        with pytest.raises(AttributeError):
+            setattr(a, field, value)
+    # CPython's frozen slotted dataclasses raise TypeError for a name that is
+    # not a field; either way no attribute is added.
+    with pytest.raises((AttributeError, TypeError)):
+        a.extra = 1
+    assert (a.n, a.adj, a.name) == (3, (0b010, 0b101, 0b010), "path:3")
+
+
+def _nx_graph(g: SeedGraph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _nx_is_cocktail_party(h: nx.Graph) -> bool:
+    """Isomorphic to K_{2,...,2} with at least two parts."""
+    n = h.number_of_nodes()
+    return (n >= 4 and n % 2 == 0
+            and nx.is_isomorphic(h, nx.complete_multipartite_graph(*[2] * (n // 2))))
+
+
+def _assert_cocktail_rules_match_networkx(g: SeedGraph):
+    h = _nx_graph(g)
+    assert is_cocktail_party(g) == _nx_is_cocktail_party(h), g.edges()
+    expected = all(len(c) == 1 or _nx_is_cocktail_party(h.subgraph(c))
+                   for c in nx.connected_components(h))
+    assert expected_eulerian_unrestricted(g) == expected, g.edges()
+
+
+def test_cocktail_rules_match_networkx_on_every_small_labeled_graph():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            _assert_cocktail_rules_match_networkx(g)
+
+
+@st.composite
+def shuffled_unions(draw):
+    """Disjoint unions of small graphs and cocktail party graphs, vertices
+    relabeled by a random permutation so that no component is a range."""
+    parts = draw(st.lists(
+        st.one_of(seed_graphs(max_n=4),
+                  st.sampled_from([4, 6, 8]).map(lambda n: make_family(FamilySpec.cocktail(n)))),
+        min_size=1, max_size=3,
+    ))
+    g = disjoint_union(parts) if len(parts) > 1 else parts[0]
+    perm = draw(st.permutations(range(g.n)))
+    return SeedGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_unions())
+def test_cocktail_rules_match_networkx_on_disjoint_unions(g):
+    _assert_cocktail_rules_match_networkx(g)
+
+
+def _multipartite_specs():
+    """(spec, part sizes) for every complete multipartite kind with n <= 12,
+    the sizes stated apart from the builder: a Turan part i holds the
+    vertices congruent to i mod r, counted."""
+    for n in range(1, 13):
+        yield FamilySpec.complete(n), [1] * n
+        if n >= 2:
+            yield FamilySpec.star(n - 1), [1, n - 1]
+        if n >= 4 and n % 2 == 0:
+            yield FamilySpec.cocktail(n), [2] * (n // 2)
+        for m in range(1, n):
+            yield FamilySpec.complete_bipartite(m, n - m), [m, n - m]
+        for r in range(1, n + 1):
+            yield FamilySpec.turan(n, r), [len(range(i, n, r)) for i in range(r)]
+
+
+def test_multipartite_families_match_networkx():
+    count = 0
+    for spec, sizes in _multipartite_specs():
+        g = make_family(spec)
+        want = nx.complete_multipartite_graph(*sizes)
+        assert g.n == want.number_of_nodes(), spec
+        assert set(g.edges()) == {tuple(sorted(e)) for e in want.edges()}, spec
+        count += 1
+    assert count == 12 + 11 + 5 + 66 + 78
