@@ -609,7 +609,7 @@ def _read_edge_list(path: str, at: int) -> SeedGraph:
         with open(path) as fh:
             lines = fh.read().split("\n")
     except OSError as exc:
-        raise GraphSpecError(f"cannot read {path!r}: {exc}", at) from None
+        raise GraphSpecError(f"cannot read {path!r}: {exc.strerror}", at) from None
     edges = []
     top = -1
     for ln, line in enumerate(lines, 1):

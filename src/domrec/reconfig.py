@@ -9,7 +9,9 @@ and at most one component contains an edge (isolated nodes are harmless).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .domination import dominating_table, format_set, is_dominating, size_counts, subset_masks
 from .errors import (
@@ -35,7 +37,8 @@ class ReconfigGraph:
     Every node is a vertex mask of seed.  build_reconfig sorts its nodes by
     (cardinality, mask); a Cartesian product's seed is the disjoint union of
     its factors' seeds, and its nodes are the unions of their masks.
-    Adjacency lists are sorted and never mutated after construction.
+    Adjacency lists are sorted and never mutated after construction;
+    euler_circuit relies on the order to find an edge's twin slot.
     """
 
     __slots__ = ("seed", "k", "nodes", "adjacency")
@@ -149,52 +152,36 @@ def node_degree(g: SeedGraph, s: int, k: int) -> int:
 def eulerian_report(r: ReconfigGraph) -> EulerReport:
     """Degrees plus component analysis; Eulerian means no odd degree and at
     most one component containing an edge.  The first ODD_WITNESS_CAP
-    odd-degree nodes are kept as witnesses."""
+    odd-degree nodes are kept as witnesses.  Isolated nodes are the nodes of
+    degree 0, and a search from each unseen node with an edge visits one
+    component that has edges."""
     adjacency = r.adjacency
-    node_count = len(adjacency)
-    odd_count = 0
-    witnesses = []
-    degsum = 0
-    for i, a in enumerate(adjacency):
-        degsum += len(a)
-        if len(a) % 2:
-            odd_count += 1
-            if len(witnesses) < ODD_WITNESS_CAP:
-                witnesses.append(r.nodes[i])
-    edge_count = degsum // 2
-    seen = bytearray(node_count)
+    degrees = [len(a) for a in adjacency]
+    odd_count = sum(d % 2 for d in degrees)
+    odd = (i for i, d in enumerate(degrees) if d % 2)
+    witnesses = tuple(r.nodes[i] for i in islice(odd, ODD_WITNESS_CAP))
+    isolated = degrees.count(0)
+    seen = bytearray(len(adjacency))
     nontrivial = 0
-    component_count = 0
-    isolated = 0
-    for start in range(node_count):
-        if seen[start]:
+    for start, d in enumerate(degrees):
+        if seen[start] or not d:
             continue
-        component_count += 1
+        nontrivial += 1
         stack = [start]
         seen[start] = 1
-        size = 0
-        has_edge = False
         while stack:
-            v = stack.pop()
-            size += 1
-            if adjacency[v]:
-                has_edge = True
-            for u in adjacency[v]:
+            for u in adjacency[stack.pop()]:
                 if not seen[u]:
                     seen[u] = 1
                     stack.append(u)
-        if has_edge:
-            nontrivial += 1
-        elif size == 1:
-            isolated += 1
     return EulerReport(
-        node_count=node_count,
-        edge_count=edge_count,
+        node_count=len(adjacency),
+        edge_count=sum(degrees) // 2,
         odd_degree_count=odd_count,
-        odd_degree_nodes=tuple(witnesses),
+        odd_degree_nodes=witnesses,
         isolated_count=isolated,
         nontrivial_component_count=nontrivial,
-        is_connected=component_count <= 1,
+        is_connected=nontrivial + isolated <= 1,
         is_eulerian=odd_count == 0 and nontrivial <= 1,
     )
 
@@ -207,10 +194,10 @@ def euler_circuit(r: ReconfigGraph) -> list[int]:
     unused neighbor.  The walk has edge_count + 1 entries.
 
     Adjacency slots are laid out CSR-style (node v owns slots offsets[v] to
-    offsets[v+1]) and both slots of an edge carry one edge id, so a
-    bytearray over edge ids marks edges used.  Ids come from one pass over
-    the sorted lists: a node's lower neighbors come first and reach it in
-    ascending order, so a per-node fill counter finds the twin slot.
+    offsets[v+1]) and a bytearray over the slots marks edges used.  Taking
+    the edge v -> u from slot i marks i and its twin, u's slot for v, found
+    by bisecting u's sorted list: O(E log Delta) for E edges and maximum
+    degree Delta.
 
     Raises NotEulerian for an odd degree, then NoEdges for an edgeless
     graph.  Even degrees make the walk close at its start after using every
@@ -226,17 +213,7 @@ def euler_circuit(r: ReconfigGraph) -> list[int]:
     edge_count = offsets[-1] // 2
     if edge_count == 0:
         raise NoEdges("no edges to traverse")
-    edge_id = [0] * offsets[-1]
-    fill = offsets[:-1]
-    e = 0
-    for v, a in enumerate(adjacency):
-        slot = fill[v]
-        for u in a[slot - offsets[v]:]:
-            edge_id[slot] = edge_id[fill[u]] = e
-            fill[u] += 1
-            slot += 1
-            e += 1
-    used = bytearray(edge_count)
+    used = bytearray(offsets[-1])
     ptr = offsets[:-1]
     start = next(i for i, a in enumerate(adjacency) if a)
     stack = [start]
@@ -245,12 +222,13 @@ def euler_circuit(r: ReconfigGraph) -> list[int]:
         v = stack[-1]
         i = ptr[v]
         end = offsets[v + 1]
-        while i < end and used[edge_id[i]]:
+        while i < end and used[i]:
             i += 1
         if i < end:
-            used[edge_id[i]] = 1
+            u = adjacency[v][i - offsets[v]]
+            used[i] = used[offsets[u] + bisect_left(adjacency[u], v)] = 1
             ptr[v] = i + 1
-            stack.append(adjacency[v][i - offsets[v]])
+            stack.append(u)
         else:
             ptr[v] = i
             circuit.append(stack.pop())

@@ -1,7 +1,9 @@
 """CLI: spec parsing, subcommands, exit codes, output stability."""
 
+import errno
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -72,6 +74,16 @@ def test_spec_file_form(tmp_path):
     g, spec = parse_graph_spec(f"file:{p}")
     assert spec is None
     assert g.n == 4 and g.edges() == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_unreadable_edge_list_names_path_and_reason_once(tmp_path, capsys):
+    p = tmp_path / "missing.txt"
+    assert run_cli(["analyze", "--graph", f"file:{p}", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: at position 5: cannot read {str(p)!r}: {os.strerror(errno.ENOENT)}\n"
+    )
 
 
 def test_spec_errors_carry_positions():

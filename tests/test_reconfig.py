@@ -1,10 +1,13 @@
 """Reconfiguration module: building, degrees, Eulerian reports, circuits,
 Cartesian products."""
 
+import tracemalloc
 from collections import Counter
 from functools import reduce
-from itertools import chain, product
+from itertools import chain, combinations, product
 
+import hypothesis.strategies as st
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -15,6 +18,7 @@ from conftest import (
     seed_graphs,
 )
 from domrec import (
+    EulerReport,
     FamilySpec,
     ReconfigGraph,
     build_reconfig,
@@ -278,6 +282,104 @@ def test_euler_circuit_needs_no_report(monkeypatch):
 
     monkeypatch.setattr(reconfig, "eulerian_report", refuse)
     assert euler_circuit(r) == expected
+
+
+# --- the report and the walk against independent oracles -------------------
+
+
+def networkx_report(r):
+    """EulerReport of r computed by networkx from its edge list."""
+    g = nx.Graph()
+    g.add_nodes_from(range(r.node_count))
+    g.add_edges_from((i, j) for i, nbrs in enumerate(r.adjacency) for j in nbrs)
+    odd = [v for v in range(r.node_count) if g.degree(v) % 2]
+    components = list(nx.connected_components(g))
+    nontrivial = sum(len(c) > 1 for c in components)
+    return EulerReport(
+        node_count=g.number_of_nodes(),
+        edge_count=g.number_of_edges(),
+        odd_degree_count=len(odd),
+        odd_degree_nodes=tuple(r.nodes[v] for v in odd[: reconfig.ODD_WITNESS_CAP]),
+        isolated_count=nx.number_of_isolates(g),
+        nontrivial_component_count=nontrivial,
+        is_connected=len(components) <= 1,
+        is_eulerian=not odd and nontrivial <= 1,
+    )
+
+
+def assert_report_and_walk_match_networkx(r):
+    rep = eulerian_report(r)
+    assert rep == networkx_report(r)
+    if rep.is_eulerian and rep.edge_count:
+        replay(r, euler_circuit(r))
+    else:
+        with pytest.raises(NoEdges if rep.is_eulerian else NotEulerian):
+            euler_circuit(r)
+
+
+def test_report_and_walk_match_networkx_on_every_small_labeled_graph():
+    pairs = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            for k in range(domination_profile(g).gamma, n + 1):
+                assert_report_and_walk_match_networkx(build_reconfig(g, k))
+                pairs += 1
+    assert pairs == 4429
+
+
+@pytest.mark.parametrize("adjacency, expected", [
+    ([], EulerReport(0, 0, 0, (), 0, 0, True, True)),
+    ([[], [], []], EulerReport(3, 0, 0, (), 3, 0, False, True)),
+    ([[], [2, 4], [1, 3], [2, 4], [1, 3], []], EulerReport(6, 4, 0, (), 2, 1, False, True)),
+], ids=["no-nodes", "only-isolated", "isolated-and-a-cycle"])
+def test_report_of_hand_built_graphs(adjacency, expected):
+    r = hand_built(adjacency)
+    assert eulerian_report(r) == expected
+    assert_report_and_walk_match_networkx(r)
+
+
+@st.composite
+def simple_graphs(draw, max_n: int = 10):
+    """Sorted adjacency lists of a random simple graph; when drawn, its odd
+    nodes are paired off in order and each pair's edge toggled, leaving every
+    degree even."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = {p for i, p in enumerate(pairs) if (mask >> i) & 1}
+    if draw(st.booleans()):
+        odd = [v for v in range(n) if sum(v in e for e in edges) % 2]
+        edges ^= set(zip(odd[::2], odd[1::2]))
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return [sorted(a) for a in adjacency]
+
+
+def walk_or_error(walk, r):
+    try:
+        return walk(r)
+    except (NotEulerian, NoEdges) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_graphs())
+def test_euler_circuit_matches_reference_on_hand_built_graphs(adjacency):
+    r = hand_built(adjacency)
+    assert walk_or_error(euler_circuit, r) == walk_or_error(reference_euler_circuit, r)
+
+
+def test_euler_circuit_memory_per_edge():
+    r = build(FamilySpec.cocktail(12), 12)
+    tracemalloc.start()
+    try:
+        euler_circuit(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / r.edge_count < 48
 
 
 # --- cartesian products -----------------------------------------------------
