@@ -32,7 +32,6 @@ from .errors import (
     ClaimUnknown,
     DomrecError,
     InvalidFamilyParameters,
-    ReconfigTooLarge,
     UncharacterizedInstance,
 )
 from .graphs import FamilySpec, SeedGraph, make_family, parse_graph_spec, to_graph6
@@ -422,7 +421,7 @@ def run_cli(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CapacityExceeded, ReconfigTooLarge) as exc:
+    except CapacityExceeded as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except DomrecError as exc:

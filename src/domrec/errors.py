@@ -10,7 +10,8 @@ class InvalidFamilyParameters(DomrecError):
 
 
 class CapacityExceeded(DomrecError):
-    """A seed graph would exceed the hard vertex cap (one machine word of subsets)."""
+    """A seed graph would exceed the hard vertex cap (one machine word of subsets),
+    or a graph built from one would exceed its cap."""
 
 
 class MalformedGraph6(DomrecError):
@@ -29,7 +30,7 @@ class EmptyGraph(DomrecError):
     """The operation is undefined on a graph with no vertices."""
 
 
-class ReconfigTooLarge(DomrecError):
+class ReconfigTooLarge(CapacityExceeded):
     """The reconfiguration graph would exceed the configured node cap."""
 
 

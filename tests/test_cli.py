@@ -322,8 +322,9 @@ def test_exit_code_usage_and_capacity(capsys):
 ])
 def test_error_class_maps_to_exit_code(argv, error, code, capsys):
     args = cli._build_parser().parse_args(argv)
-    with pytest.raises(error):
+    with pytest.raises(error) as excinfo:
         args.func(args)
+    assert type(excinfo.value) is error
     assert run_cli(argv) == code
     captured = capsys.readouterr()
     assert captured.out == "" and "error: " in captured.err

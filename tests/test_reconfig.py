@@ -462,6 +462,14 @@ def test_product_seed_over_the_vertex_cap():
         cartesian_product(wide, wide)
 
 
+def test_product_over_the_vertex_cap_raises_the_seed_error():
+    """ReconfigTooLarge is a CapacityExceeded too, so the class is pinned."""
+    wide = build(FamilySpec.complete(14), 1)
+    with pytest.raises(CapacityExceeded) as excinfo:
+        cartesian_product(wide, wide)
+    assert type(excinfo.value) is CapacityExceeded
+
+
 def test_parity_bipartition():
     assert parity_bipartition_valid(build(FamilySpec.path(4), 4))
     assert parity_bipartition_valid(build(FamilySpec.cycle(7), 4))

@@ -252,6 +252,47 @@ def test_product_decomposition_claim_sampled():
     assert report.instances_checked == 12
 
 
+def _tampered_products(monkeypatch, tamper):
+    """Make the product claim see products that tamper has changed in place."""
+    def tampered(a, b):
+        prod = reconfig.cartesian_product(a, b)
+        tamper(prod)
+        return prod
+
+    monkeypatch.setattr(theorems, "cartesian_product", tampered)
+    return [make_family(FamilySpec.path(2)), make_family(FamilySpec.path(2))]
+
+
+def test_product_decomposition_flags_a_changed_node_mask(monkeypatch):
+    def change_mask(prod):
+        prod.nodes[4] |= 1 << prod.seed.n
+
+    report = verify_product_decomposition(_tampered_products(monkeypatch, change_mask))
+    assert not report.passed
+    assert report.counterexamples == [{
+        "seed": "union[path:2, path:2]", "k": None,
+        "expected": "the union's node masks, once each", "computed": "node masks differ"}]
+
+
+def test_product_decomposition_flags_a_dropped_edge(monkeypatch):
+    def drop_edge(prod):
+        j = prod.adjacency[4].pop(0)
+        prod.adjacency[j].remove(4)
+
+    report = verify_product_decomposition(_tampered_products(monkeypatch, drop_edge))
+    assert not report.passed
+    assert report.counterexamples == [{
+        "seed": "union[path:2, path:2]", "k": None,
+        "expected": "edge-preserving bijection", "computed": "node {1,3} neighbor mismatch"}]
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_labeled_seeds_come_from_the_chunks_in_enumeration_order(connected):
+    for n in range(1, 7):
+        assert (list(theorems._labeled(n, n, connected))
+                == list(enumerate_labeled_graphs(n, connected_only=connected)))
+
+
 def test_bipartite_well_dominated_reports_catalog_defect():
     """The catalogued 4-cycle bullet contradicts the path/cycle theorem; the
     verifier must surface exactly that counterexample."""
