@@ -14,7 +14,12 @@ file:<path>.  Seeds are named by their canonical spec.  scan sweeps
 FamilySpecs and skips the sizes a family has no member at.
 
 Exit codes: 0 all checks passed / analysis done; 1 a verified claim failed;
-2 usage or parse error; 3 capacity exceeded.
+2 usage or parse error; 3 capacity exceeded; 141 stdout closed early (a
+broken pipe, as when piped into head).
+
+Outputs whose size grows with the edge count (analyze's Euler circuit, DOT
+and CSV exports) are written in pieces as they are formatted, never held as
+one string.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 
 from .domination import dominating_table, domination_profile, format_set
 from .errors import (
@@ -92,11 +100,30 @@ def _expected_or_none(spec: FamilySpec | None, g: SeedGraph, k: int) -> bool | N
         return None
 
 
-def _write_file(path: str, text: str):
-    """Write text to path; a path that cannot be written is a usage error."""
+#: Pieces (circuit steps, DOT or CSV lines) joined per write: one write
+#: stays well under a megabyte however large the output.
+_PIECES_PER_WRITE = 4096
+
+
+def _write_joined(out, pieces: Iterable[str], sep: str = ""):
+    """Write sep.join(pieces) to out, _PIECES_PER_WRITE pieces at a time.
+    stdout writes through to its buffer, so one write per piece would cost
+    more than the joins."""
+    it = iter(pieces)
+    batch = list(islice(it, _PIECES_PER_WRITE))
+    while batch:
+        out.write(sep.join(batch))
+        batch = list(islice(it, _PIECES_PER_WRITE))
+        if batch:
+            out.write(sep)
+
+
+def _write_file(path: str, pieces: Iterable[str]):
+    """Write the pieces to path as they come; a path that cannot be written
+    is a usage error."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            _write_joined(fh, pieces)
     except OSError as exc:
         raise DomrecError(f"cannot write {path!r}: {exc.strerror}") from None
 
@@ -145,7 +172,8 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _format_analysis_text(report: dict, circuit_labels: list[str] | None) -> str:
+def _analysis_lines(report: dict) -> list[str]:
+    """The text report's lines, the Euler circuit aside."""
     seed = report["seed"]
     rc = report["reconfig"]
     eu = report["euler"]
@@ -169,10 +197,35 @@ def _format_analysis_text(report: dict, circuit_labels: list[str] | None) -> str
             f"expected: {_yesno(report['expected_eulerian'])}, "
             f"match: {_yesno(report['match'])}"
         )
-    if circuit_labels is not None:
-        walk = " -> ".join(circuit_labels) if circuit_labels else "none"
-        lines.append(f"euler circuit: {walk}")
-    return "\n".join(lines)
+    return lines
+
+
+def _write_analysis(out, report: dict, as_json: bool,
+                    walk: list[int] | None, texts: list[str]):
+    """Write the analyze report to out, with the Euler circuit when walk is
+    not None (empty when there is none): text lines, or the report as
+    json.dumps(..., sort_keys=True, indent=2) prints it with the circuit as
+    its "euler_circuit" array of node labels.  texts[i] is node i's label
+    as written: in JSON, indented and quoted."""
+    if not as_json:
+        out.write("\n".join(_analysis_lines(report)) + "\n")
+        if walk is not None:
+            out.write("euler circuit: ")
+            _write_joined(out, map(texts.__getitem__, walk), " -> ")
+            out.write("\n" if walk else "none\n")
+        return
+    payload = dict(report)
+    if walk is not None:
+        payload["euler_circuit"] = []
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    if not walk:
+        out.write(text + "\n")
+        return
+    # The key is unique: any quote inside a JSON string is escaped.
+    head, _, tail = text.partition('"euler_circuit": []')
+    out.write(head + '"euler_circuit": [\n')
+    _write_joined(out, map(texts.__getitem__, walk), ",\n")
+    out.write("\n  ]" + tail + "\n")
 
 
 def _cmd_analyze(args) -> int:
@@ -181,23 +234,21 @@ def _cmd_analyze(args) -> int:
     table = dominating_table(g)
     r = build_reconfig(g, k, table=table)
     report = analysis_report(g, spec, k, r, table)
-    circuit_labels = None
+    walk = None
+    texts = []
     if args.circuit:
         euler = report["euler"]
+        walk = []
         if euler["is_eulerian"] and euler["edge_count"] > 0:
-            text = [format_set(s) for s in r.nodes]
-            circuit_labels = [text[i] for i in euler_circuit(r)]
-        else:
-            circuit_labels = []
+            walk = euler_circuit(r)
+            # Set labels hold digits, braces and commas: nothing JSON escapes.
+            template = '    "{}"' if args.json else "{}"
+            texts = [template.format(format_set(s)) for s in r.nodes]
     if args.dot:
         _write_file(args.dot, reconfig_to_dot(r))
-    if args.json:
-        payload = dict(report)
-        if circuit_labels is not None:
-            payload["euler_circuit"] = circuit_labels
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(_format_analysis_text(report, circuit_labels))
+    del r  # the walk and the labels are all the output needs of the graph
+    # Looked up at call time: callers may redirect sys.stdout.
+    _write_analysis(sys.stdout, report, args.json, walk, texts)
     return 0
 
 
@@ -289,7 +340,7 @@ def _cmd_scan(args) -> int:
         )
     text = buf.getvalue()
     if args.csv:
-        _write_file(args.csv, text)
+        _write_file(args.csv, [text])
     else:
         sys.stdout.write(text)
     return 0
@@ -362,9 +413,9 @@ def _cmd_export(args) -> int:
     k = _parse_k(args.k, g.n)
     r = build_reconfig(g, k)
     if args.format == "dot":
-        sys.stdout.write(reconfig_to_dot(r, label_style=args.labels))
+        _write_joined(sys.stdout, reconfig_to_dot(r, label_style=args.labels))
     else:
-        sys.stdout.write(reconfig_to_csv(r))
+        _write_joined(sys.stdout, reconfig_to_csv(r))
     return 0
 
 
@@ -430,7 +481,19 @@ def run_cli(argv=None) -> int:
 
 
 def main():
-    sys.exit(run_cli())
+    """Entry point: run_cli's exit code, or 141 when stdout is closed before
+    the output is written (no traceback)."""
+    try:
+        code = run_cli()
+        # Flush inside the try, so a reader gone at the last piece is seen here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ and at most one component contains an edge (isolated nodes are harmless).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .domination import dominating_table, format_set, is_dominating, size_counts, subset_masks
 from .errors import (
@@ -272,26 +273,29 @@ def parity_bipartition_valid(r: ReconfigGraph) -> bool:
     return True
 
 
-def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> str:
-    """DOT source; node labels in set notation '{0,2}' or as bitstrings."""
+def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> Iterator[str]:
+    """DOT source, one line (newline included) at a time; node labels in set
+    notation '{0,2}' or as bitstrings.  The label style is checked at once,
+    the lines are formatted as they are read."""
     if label_style not in ("set", "bits"):
         raise ValueError(f"label_style must be 'set' or 'bits', got {label_style!r}")
-    lines = ["graph reconfig {"]
     if label_style == "bits":
         # A leading 1 fixes the width at n digits, none when n = 0.
         texts = (format(s | 1 << r.seed.n, "b")[1:] for s in r.nodes)
     else:
         texts = map(format_set, r.nodes)
-    lines.extend(f'  {i} [label="{text}"];' for i, text in enumerate(texts))
-    for i, nbrs in enumerate(r.adjacency):
-        lines.extend(f"  {i} -- {j};" for j in nbrs if i < j)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return chain(
+        ["graph reconfig {\n"],
+        (f'  {i} [label="{text}"];\n' for i, text in enumerate(texts)),
+        (f"  {i} -- {j};\n" for i, nbrs in enumerate(r.adjacency) for j in nbrs if i < j),
+        ["}\n"],
+    )
 
 
-def reconfig_to_csv(r: ReconfigGraph) -> str:
-    """Adjacency CSV: node_id, space-separated neighbor ids."""
-    lines = ["node_id,neighbor_ids"]
-    for i, nbrs in enumerate(r.adjacency):
-        lines.append(f"{i},{' '.join(str(j) for j in nbrs)}")
-    return "\n".join(lines) + "\n"
+def reconfig_to_csv(r: ReconfigGraph) -> Iterator[str]:
+    """Adjacency CSV, one line (newline included) at a time: node_id,
+    space-separated neighbor ids."""
+    return chain(
+        ["node_id,neighbor_ids\n"],
+        (f"{i},{' '.join(map(str, nbrs))}\n" for i, nbrs in enumerate(r.adjacency)),
+    )

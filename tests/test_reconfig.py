@@ -442,7 +442,7 @@ def test_product_accepts_seed_graph_operations():
     parts = [make_family(FamilySpec.path(2)), make_family(FamilySpec.cycle(3))]
     prod = assert_product_is_union_dk(parts)
     assert parity_bipartition_valid(prod)
-    dot = reconfig_to_dot(prod, label_style="bits")
+    dot = "".join(reconfig_to_dot(prod, label_style="bits"))
     assert [f'  {i} [label="{s:05b}"];' for i, s in enumerate(prod.nodes)] == [
         line for line in dot.splitlines() if "label=" in line]
     assert dot.count(" -- ") == prod.edge_count
@@ -485,11 +485,11 @@ def test_parity_bipartition():
 
 def test_dot_and_csv_exports():
     r = build(FamilySpec.path(4), 3)
-    dot = reconfig_to_dot(r)
+    dot = "".join(reconfig_to_dot(r))
     assert 'label="{0,2}"' in dot and dot.count(" -- ") == r.edge_count
-    bits = reconfig_to_dot(r, label_style="bits")
+    bits = "".join(reconfig_to_dot(r, label_style="bits"))
     assert 'label="0101"' in bits
-    csv_text = reconfig_to_csv(r)
+    csv_text = "".join(reconfig_to_csv(r))
     lines = csv_text.strip().split("\n")
     assert lines[0] == "node_id,neighbor_ids"
     assert len(lines) == 1 + r.node_count
