@@ -7,7 +7,9 @@ neighborhoods of its members covers every vertex.  Questions about all 2**n
 subsets at once are answered on the subset lattice: a set of subsets is one
 int whose bit S stands for the subset with bitmask S, so a whole-lattice
 question is a few bitwise operations on such ints instead of a loop over the
-subsets.  This module is the one owner of that representation.
+subsets.  This module is the one owner of that representation.  D_k lives
+on it too: odd_degree_nodes reads its degree parities off the table, and
+lattice_eulerian floods its components, without building it.
 
 It also owns its extension to the (edge mask E, subset S) lattice of a
 labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
@@ -25,7 +27,7 @@ from functools import cache, reduce
 from math import comb
 from operator import and_, or_, xor
 
-from .errors import BoundExceeded, DimensionMismatch, EmptyGraph
+from .errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
 from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, vertex_pairs
 
 #: log2 of the lattice bits in one chunk of a labeled sweep: 2**17 bits, so
@@ -130,11 +132,17 @@ def removable_masks(n: int, table: int) -> list[int]:
     return _removable(_lattice(n)[0], table)
 
 
-def _odd_nodes(lattice, n: int, table: int, k: int) -> int:
+def _nodes(n: int, size, table: int, k: int) -> int:
+    """The nodes of D_k: the sets in table of cardinality <= k.  At k = n
+    the size classes cover every subset, so that is table itself."""
+    return table if k == n else table & reduce(or_, size[: k + 1])
+
+
+def _odd_nodes(lattice, n: int, table: int, k: int, nodes: int) -> int:
     member, size = lattice
     parity = reduce(xor, _removable(member, table), 0)
     parity ^= reduce(or_, (x for c, x in enumerate(size[:k]) if (n - c) & 1), 0)
-    return parity & table & reduce(or_, size[: k + 1])
+    return parity & nodes
 
 
 def odd_degree_nodes(n: int, table: int, k: int) -> int:
@@ -144,7 +152,47 @@ def odd_degree_nodes(n: int, table: int, k: int) -> int:
     The degree of a node S is its removable-member count plus, below the
     bound, one up-move per outside vertex; its parity is the XOR of the
     removable masks, flipped on each size class c < k with n - c odd."""
-    return _odd_nodes(_lattice(n), n, table, k)
+    lattice = _lattice(n)
+    return _odd_nodes(lattice, n, table, k, _nodes(n, lattice[1], table, k))
+
+
+def lattice_eulerian(n: int, table: int, k: int) -> bool:
+    """Whether D_k is Eulerian (every degree even, at most one component with
+    edges), decided on the lattice of an up-closed table on n vertices
+    without building D_k.
+
+    One flood step moves a set of nodes F to its neighbours: per vertex u,
+    the members of F that contain u drop it (a shift down by 2**u), the
+    others add it (a shift up), and the results are kept where they are
+    nodes.  The nodes that step(nodes) reaches are the non-isolated ones;
+    flooding from the lowest of them must reach them all.
+
+    Raises ValueError for k outside [0, n] and BoundBelowGamma when no set
+    of cardinality <= k is in table.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {k}")
+    lattice = _lattice(n)
+    member, size = lattice
+    nodes = _nodes(n, size, table, k)
+    if not nodes:
+        raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
+    if _odd_nodes(lattice, n, table, k, nodes):
+        return False
+
+    def step(front: int) -> int:
+        out = 0
+        for u, x in enumerate(member):
+            down = front & x
+            out |= down >> (1 << u) | (front ^ down) << (1 << u)
+        return out & nodes
+
+    linked = nodes & step(nodes)
+    reached = front = linked & -linked
+    while front:
+        front = step(front) & ~reached
+        reached |= front
+    return reached == linked
 
 
 def size_counts(n: int, table: int) -> list[int]:
@@ -311,7 +359,7 @@ class LabeledChunk:
         """The odd-degree nodes of each graph's unrestricted D(G), as lattice
         bits: odd_degree_nodes at k = n, whose member masks keep every
         shifted bit inside its own block."""
-        return _odd_nodes(self._lattice, self.n, self.table, self.n)
+        return _odd_nodes(self._lattice, self.n, self.table, self.n, self.table)
 
     def size_classes(self) -> tuple[list[int], list[int]]:
         """Per cardinality c = 0..n, the graphs with a dominating c-set and

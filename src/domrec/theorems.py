@@ -2,12 +2,15 @@
 graphs, each mapped to an exhaustive desk-scale verification.
 
 Each claim pairs a closed-form expected verdict with a brute-force computed
-verdict and reports any instance where the two disagree.  A verdict of "not
-Eulerian" is certified by odd-degree nodes found on the subset lattice, as
-bitwise operations on the domination table, without building the graph; a
-verdict of "Eulerian" is always confirmed on the fully materialized graph,
-including component analysis.  Each claim is a sweep body that yields its
-disagreements; one driver, _run, turns them into a capped, timed report.
+verdict and reports any instance where the two disagree.  Every computed
+verdict is decided on the subset lattice, as bitwise operations on the
+domination table, without building the graph: odd-degree nodes certify "not
+Eulerian", and otherwise one flood fill from the lowest non-isolated node
+decides whether the edges form one component (computed_eulerian).  A
+positive verdict is no longer confirmed on the materialized graph: the
+report on the built graph is the tests' oracle for the flood.  Each claim is
+a sweep body that yields its disagreements; one driver, _run, turns them
+into a capped, timed report.
 
 Every labeled seed comes from the (edge mask, subset) lattice of
 domination.labeled_chunks.  Four claims (parity_odd, mixed_parity_lemma,
@@ -15,10 +18,12 @@ dominating_graph_characterization, universal_gamma_set) are decided there:
 folds of each chunk's domination table and the bit-sliced predicates of
 graphs give every seed's parity, odd-node, size-class, connectivity and
 cocktail bits at once.  A seed is built as a SeedGraph only where needed: a
-candidate whose verdict computed_eulerian decides on the built graph, a
+candidate whose verdict computed_eulerian decides on its own table, a
 disagreement, a universal-gamma instance, or a seed of the three per-seed
-claims, which _labeled decodes from the chunks.  D of a disjoint union and
-the product of its parts' D's are compared on the union's vertex masks.
+claims, which _labeled decodes from the chunks.  D_k itself is built only
+where its edges are checked: D of a disjoint union against the product of
+its parts' D's (compared on the union's vertex masks), D(K_1), and the
+unrestricted D of each seed of dominating_graph_connected_odd_bipartite.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .domination import (
     domination_profile,
     format_set,
     labeled_chunks,
+    lattice_eulerian,
     odd_degree_nodes,
     size_counts,
 )
@@ -204,17 +210,20 @@ def expected_eulerian(spec: FamilySpec, k: int) -> bool:
 
 
 def computed_eulerian(g: SeedGraph, k: int, table: int | None = None) -> bool:
-    """Brute-force Eulerian verdict for D_k(g).
+    """Brute-force Eulerian verdict for D_k(g), decided on the subset lattice
+    by domination.lattice_eulerian without building D_k: an odd-degree node
+    settles the negative case, and otherwise one flood fill from the lowest
+    non-isolated node decides whether the edges form one component.  The
+    report on the built graph, eulerian_report(build_reconfig(g, k)), is
+    this verdict's test oracle.
 
-    An odd-degree node settles the negative case without materializing;
-    otherwise the graph is built and the full report (component analysis
-    included) decides.
+    table is g's dominating_table, computed here if not given.  Raises
+    ValueError for k outside [0, n] and BoundBelowGamma when no set of
+    cardinality <= k dominates.
     """
     if table is None:
         table = dominating_table(g)
-    if odd_degree_nodes(g.n, table, k):
-        return False
-    return eulerian_report(build_reconfig(g, k, table=table)).is_eulerian
+    return lattice_eulerian(g.n, table, k)
 
 
 def _seed_label(seed) -> str:

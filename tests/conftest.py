@@ -109,6 +109,54 @@ def naive_reconfig_edges(masks: list[int]) -> set[tuple[int, int]]:
     return edges
 
 
+def up_closure_table(n: int, generators) -> int:
+    """The up-closure of the vertex masks in generators, as a lattice table
+    over n vertices: bit S is set iff S contains some generator."""
+    return sum(1 << s for s in range(1 << n) if any(s & g == g for g in generators))
+
+
+def naive_up_closed_eulerian(n: int, generators, k: int) -> bool | None:
+    """Relaxed Eulerian verdict for the reconfiguration graph of the
+    up-closure of generators at bound k, on frozensets: nodes are the
+    closure's sets of size <= k, adjacent when they differ in one vertex.
+    None when there is no node."""
+    gens = [frozenset(v for v in range(n) if g >> v & 1) for g in generators]
+    nodes = {
+        frozenset(c)
+        for size in range(k + 1)
+        for c in combinations(range(n), size)
+        if any(gen <= frozenset(c) for gen in gens)
+    }
+    if not nodes:
+        return None
+    nbrs = {s: [s ^ {v} for v in range(n) if s ^ {v} in nodes] for s in nodes}
+    if any(len(a) % 2 for a in nbrs.values()):
+        return False
+    components = 0
+    seen: set[frozenset] = set()
+    for start in nodes:
+        if start in seen or not nbrs[start]:
+            continue
+        components += 1
+        seen.add(start)
+        queue = [start]
+        for s in queue:
+            for t in nbrs[s]:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+    return components <= 1
+
+
+@st.composite
+def up_closed_families(draw, max_n: int = 8):
+    """(n, generators): a few random vertex masks on n <= max_n vertices,
+    whose up-closure is the family."""
+    n = draw(st.integers(1, max_n))
+    generators = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    return n, generators
+
+
 @st.composite
 def seed_graphs(draw, min_n: int = 1, max_n: int = 7):
     n = draw(st.integers(min_n, max_n))

@@ -9,7 +9,10 @@ from conftest import (
     bytewise_dominating_table,
     naive_dominating_masks,
     naive_is_dominating,
+    naive_up_closed_eulerian,
     seed_graphs,
+    up_closed_families,
+    up_closure_table,
 )
 from domrec import (
     FamilySpec,
@@ -25,9 +28,15 @@ from domrec import (
     node_degree,
 )
 from domrec import domination
-from domrec.domination import dominating_table, labeled_chunks, odd_degree_nodes, size_counts
+from domrec.domination import (
+    dominating_table,
+    labeled_chunks,
+    lattice_eulerian,
+    odd_degree_nodes,
+    size_counts,
+)
 from domrec.graphs import is_connected, sliced_cocktail_party, sliced_connected
-from domrec.errors import BoundExceeded, DimensionMismatch, EmptyGraph
+from domrec.errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
 
 P4 = make_family(FamilySpec.path(4))
 
@@ -265,3 +274,39 @@ def test_labeled_chunks_bound():
     for n in (0, 8):
         with pytest.raises(BoundExceeded):
             next(labeled_chunks(n))
+
+
+# --- the lattice Eulerian verdict on up-closed tables ----------------------
+
+#: {0,1,4} and {2,5,6} on 7 vertices: at k = 5 no set contains both, so the
+#: up-closure's nodes split into the 11 supersets of each, all of even degree.
+SPLIT = (7, (0b0010011, 0b1100100), 5)
+
+
+def test_lattice_flood_finds_two_even_components():
+    """No domination table seen has even degrees and two components with
+    edges, so a synthetic up-closed table pins the flood's negative case."""
+    n, generators, k = SPLIT
+    table = up_closure_table(n, generators)
+    assert sum(size_counts(n, table)[: k + 1]) == 22
+    assert odd_degree_nodes(n, table, k) == 0
+    assert lattice_eulerian(n, table, k) is False
+    assert naive_up_closed_eulerian(n, generators, k) is False
+    for g in generators:
+        half = up_closure_table(n, [g])
+        assert sum(size_counts(n, half)[: k + 1]) == 11
+        assert lattice_eulerian(n, half, k) is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(up_closed_families(max_n=8))
+def test_lattice_eulerian_matches_naive_oracle_on_up_closed_tables(family):
+    n, generators = family
+    table = up_closure_table(n, generators)
+    for k in range(n + 1):
+        expected = naive_up_closed_eulerian(n, generators, k)
+        if expected is None:
+            with pytest.raises(BoundBelowGamma):
+                lattice_eulerian(n, table, k)
+        else:
+            assert lattice_eulerian(n, table, k) is expected, (n, generators, k)

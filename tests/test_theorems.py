@@ -16,7 +16,7 @@ from domrec import (
     verify_mixed_parity_lemma,
     verify_product_decomposition,
 )
-from domrec.errors import BoundExceeded, ClaimUnknown, UncharacterizedInstance
+from domrec.errors import BoundBelowGamma, BoundExceeded, ClaimUnknown, UncharacterizedInstance
 from domrec.graphs import enumerate_labeled_graphs
 from domrec.theorems import (
     computed_eulerian,
@@ -118,6 +118,81 @@ def test_computed_eulerian_builds_from_the_table_it_is_given(monkeypatch):
     monkeypatch.setattr(theorems, "dominating_table", recomputed)
     monkeypatch.setattr(reconfig, "dominating_table", recomputed)
     assert computed_eulerian(g, 6, table) is True
+
+
+def test_lattice_verdict_matches_materialized_on_every_small_labeled_pair():
+    """Every labeled seed on up to 5 vertices, disconnected ones included, at
+    every k from gamma to n: the lattice verdict equals the report on the
+    built graph."""
+    pairs = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            table = dominating_table(g)
+            for k in range(domination_profile(g, table).gamma, n + 1):
+                full = eulerian_report(build_reconfig(g, k, table=table)).is_eulerian
+                assert computed_eulerian(g, k, table) is full, (g.adj, k)
+                pairs += 1
+    assert pairs == 4429
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed_graphs(min_n=1, max_n=10))
+def test_lattice_verdict_matches_materialized_on_random_seeds(g):
+    table = dominating_table(g)
+    for k in range(domination_profile(g, table).gamma, g.n + 1):
+        full = eulerian_report(build_reconfig(g, k, table=table)).is_eulerian
+        assert computed_eulerian(g, k, table) is full, (g.adj, k)
+
+
+def test_computed_eulerian_rejects_k_outside_the_order():
+    g = make_family(FamilySpec.cycle(9))
+    for k in (-1, 10):
+        with pytest.raises(ValueError):
+            computed_eulerian(g, k)
+
+
+def test_computed_eulerian_below_gamma_raises():
+    """No set of size <= k dominates: BoundBelowGamma, as the build raises,
+    not an empty D_k called Eulerian."""
+    with pytest.raises(BoundBelowGamma):
+        computed_eulerian(make_family(FamilySpec.cycle(9)), 2)
+    with pytest.raises(BoundBelowGamma):
+        computed_eulerian(make_family(FamilySpec.path(1)), 0)
+
+
+#: Claims whose verdicts are all computed_eulerian's, at small bounds.
+LATTICE_CLAIMS = [
+    (ClaimId.PATH_CYCLE, {"n_max": 9}),
+    (ClaimId.COMPLETE_BIPARTITE, {"n_max": 5}),
+    (ClaimId.COCKTAIL_K, {"n_max": 10}),
+    (ClaimId.COMPLETE_K, {"n_max": 8}),
+    (ClaimId.CORONA, {"inner_max": 3}),
+    (ClaimId.BIPARTITE_WELL_DOMINATED, {"inner_max": 3}),
+    (ClaimId.UNIVERSAL_GAMMA_SET, {"n_max": 5}),
+    (ClaimId.DOMINATING_GRAPH_CHARACTERIZATION, {"n_max": 5}),
+]
+
+
+def _unclocked(report) -> dict:
+    out = report.to_json_dict()
+    del out["elapsed_seconds"]
+    return out
+
+
+@pytest.mark.parametrize("claim,bounds", LATTICE_CLAIMS, ids=[c.value for c, _ in LATTICE_CLAIMS])
+def test_lattice_claims_build_no_reconfiguration_graph(monkeypatch, claim, bounds):
+    """These claims decide every D_k on the lattice: with builds refused for
+    every seed but K_1, each gives the report it gives unpatched."""
+    unpatched = _unclocked(verify_claim(claim, **bounds))
+    build = theorems.build_reconfig
+
+    def refused(g, k, *args, **kwargs):
+        if g.n > 1:
+            raise AssertionError(f"D_{k} of {g!r} built")
+        return build(g, k, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "build_reconfig", refused)
+    assert _unclocked(verify_claim(claim, **bounds)) == unpatched
 
 
 @settings(max_examples=80, deadline=None)
