@@ -14,7 +14,8 @@ file:<path>.  Seeds are named by their canonical spec.  scan sweeps
 FamilySpecs and skips the sizes a family has no member at.
 
 Exit codes: 0 all checks passed / analysis done; 1 a verified claim failed;
-2 usage or parse error; 3 capacity exceeded; 141 stdout closed early (a
+2 usage or parse error; 3 capacity exceeded; 70 internal error (an
+unexpected exception, its traceback on stderr); 141 stdout closed early (a
 broken pipe, as when piped into head).
 
 Outputs whose size grows with the edge count (analyze's Euler circuit, DOT
@@ -30,11 +31,12 @@ import io
 import json
 import os
 import sys
+import traceback
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
-from .domination import dominating_table, domination_profile, format_set
+from .domination import DominationProfile, dominating_table, domination_profile, format_set
 from .errors import (
     CapacityExceeded,
     ClaimUnknown,
@@ -44,7 +46,7 @@ from .errors import (
 )
 from .graphs import FamilySpec, SeedGraph, make_family, parse_graph_spec, to_graph6
 from .reconfig import (
-    ReconfigGraph,
+    EulerReport,
     build_reconfig,
     euler_circuit,
     eulerian_report,
@@ -129,11 +131,11 @@ def _write_file(path: str, pieces: Iterable[str]):
 
 
 def analysis_report(
-    g: SeedGraph, spec: FamilySpec | None, k: int, r: ReconfigGraph, table: int
+    g: SeedGraph, spec: FamilySpec | None, k: int, rep: EulerReport,
+    profile: DominationProfile,
 ) -> dict:
-    """The analyze report of D_k(g), built as r from g's dominating_table."""
-    profile = domination_profile(g, table)
-    rep = eulerian_report(r)
+    """The analyze report of g at bound k, read off rep, the EulerReport of
+    D_k(g), and profile, g's domination_profile."""
     expected = _expected_or_none(spec, g, k)
     out = {
         "seed": {
@@ -147,9 +149,9 @@ def analysis_report(
         },
         "k": k,
         "reconfig": {
-            "node_count": r.node_count,
-            "edge_count": r.edge_count,
-            "degree_histogram": {str(d): c for d, c in r.degree_histogram().items()},
+            "node_count": rep.node_count,
+            "edge_count": rep.edge_count,
+            "degree_histogram": {str(d): c for d, c in rep.degree_histogram},
         },
         "euler": {
             "node_count": rep.node_count,
@@ -163,8 +165,8 @@ def analysis_report(
         },
     }
     if expected is not None:
-        out["expected_eulerian"] = bool(expected)
-        out["match"] = bool(expected) == rep.is_eulerian
+        out["expected_eulerian"] = expected
+        out["match"] = expected == rep.is_eulerian
     return out
 
 
@@ -233,13 +235,13 @@ def _cmd_analyze(args) -> int:
     k = _parse_k(args.k, g.n)
     table = dominating_table(g)
     r = build_reconfig(g, k, table=table)
-    report = analysis_report(g, spec, k, r, table)
+    rep = eulerian_report(r)
+    report = analysis_report(g, spec, k, rep, domination_profile(g, table))
     walk = None
     texts = []
     if args.circuit:
-        euler = report["euler"]
         walk = []
-        if euler["is_eulerian"] and euler["edge_count"] > 0:
+        if rep.is_eulerian and rep.edge_count > 0:
             walk = euler_circuit(r)
             # Set labels hold digits, braces and commas: nothing JSON escapes.
             template = '    "{}"' if args.json else "{}"
@@ -269,30 +271,27 @@ _CSV_COLUMNS = (
 )
 
 
-def scan_row(spec: FamilySpec, k: int, gamma: int, table: int) -> dict:
-    """One CSV row for (spec, k); gamma is the seed's domination number and
-    table its dominating_table."""
+def _scan_worker(task: tuple[FamilySpec, int, int, DominationProfile]) -> dict:
+    """The analyze report of one scan instance (spec, k), given the seed's
+    dominating_table and domination_profile."""
+    spec, k, table, profile = task
     g = make_family(spec)
-    r = build_reconfig(g, k, table=table)
-    rep = eulerian_report(r)
-    expected = _expected_or_none(spec, g, k)
-    return {
-        "family": g.name,
-        "n": g.n,
-        "k": k,
-        "gamma": gamma,
-        "nodes": rep.node_count,
-        "edges": rep.edge_count,
-        "odd_degree_count": rep.odd_degree_count,
-        "nontrivial_components": rep.nontrivial_component_count,
-        "is_eulerian": rep.is_eulerian,
-        "expected": expected,
-        "match": None if expected is None else expected == rep.is_eulerian,
-    }
+    rep = eulerian_report(build_reconfig(g, k, table=table))
+    return analysis_report(g, spec, k, rep, profile)
 
 
-def _scan_worker(task: tuple[FamilySpec, int, int, int]) -> dict:
-    return scan_row(*task)
+def _scan_cells(report: dict) -> list:
+    """A scan CSV row, in _CSV_COLUMNS order, read off an analyze report:
+    booleans as true/false, a missing expectation as an empty cell."""
+    seed, eu = report["seed"], report["euler"]
+    cells = (
+        seed["name"], seed["n"], report["k"], seed["gamma"],
+        eu["node_count"], eu["edge_count"], eu["odd_degree_count"],
+        eu["nontrivial_component_count"], eu["is_eulerian"],
+        report.get("expected_eulerian"), report.get("match"),
+    )
+    return ["" if c is None else (str(c).lower() if isinstance(c, bool) else c)
+            for c in cells]
 
 
 def _cmd_scan(args) -> int:
@@ -314,30 +313,23 @@ def _cmd_scan(args) -> int:
                 seeds.append((spec, make_family(spec)))
             except InvalidFamilyParameters:
                 continue
-    tasks: list[tuple[FamilySpec, int, int, int]] = []
+    tasks: list[tuple[FamilySpec, int, int, DominationProfile]] = []
     for spec, g in seeds:
         table = dominating_table(g)
-        gamma = domination_profile(g, table).gamma
+        profile = domination_profile(g, table)
         if args.k == "all":
-            ks = range(gamma, g.n + 1)
+            ks = range(profile.gamma, g.n + 1)
         else:
             single = _k_value(args.k, g.n)
-            ks = [single] if gamma <= single <= g.n else []
-        tasks.extend((spec, k, gamma, table) for k in ks)
-    rows = _map_tasks(_scan_worker, tasks, args.jobs)
+            ks = [single] if profile.gamma <= single <= g.n else []
+        tasks.extend((spec, k, table, profile) for k in ks)
+    reports = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":
-        rows = [row for row in rows if row["is_eulerian"]]
+        reports = [report for report in reports if report["euler"]["is_eulerian"]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                "" if row[col] is None
-                else (str(row[col]).lower() if isinstance(row[col], bool) else row[col])
-                for col in _CSV_COLUMNS
-            ]
-        )
+    writer.writerows(map(_scan_cells, reports))
     text = buf.getvalue()
     if args.csv:
         _write_file(args.csv, [text])
@@ -481,8 +473,10 @@ def run_cli(argv=None) -> int:
 
 
 def main():
-    """Entry point: run_cli's exit code, or 141 when stdout is closed before
-    the output is written (no traceback)."""
+    """Entry point: run_cli's exit code, 141 when stdout is closed before
+    the output is written (no traceback), or 70 (EX_SOFTWARE) with the
+    traceback on stderr when an unexpected exception escapes, so a crash is
+    never read as exit 1, a failed claim."""
     try:
         code = run_cli()
         # Flush inside the try, so a reader gone at the last piece is seen here.
@@ -493,6 +487,9 @@ def main():
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         sys.exit(141)
+    except Exception:
+        traceback.print_exc()
+        sys.exit(70)
     sys.exit(code)
 
 

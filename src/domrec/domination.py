@@ -123,13 +123,9 @@ def dominating_table(g: SeedGraph) -> int:
 
 
 def _removable(member, table: int) -> list[int]:
-    return [(table << (1 << u)) & x for u, x in enumerate(member)]
-
-
-def removable_masks(n: int, table: int) -> list[int]:
     """Per vertex u, the subsets S that contain u and whose deletion S - {u}
     is in table: the bits of table moved up by u and kept where u is a member."""
-    return _removable(_lattice(n)[0], table)
+    return [(table << (1 << u)) & x for u, x in enumerate(member)]
 
 
 def _nodes(n: int, size, table: int, k: int) -> int:
@@ -234,11 +230,12 @@ def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProf
         raise EmptyGraph("domination profile undefined on the empty graph")
     if table is None:
         table = dominating_table(g)
+    member, size = _lattice(n)
     counts = size_counts(n, table)
     gamma = next(c for c in range(n + 1) if counts[c])
     universal_threshold = next(t for t in range(n + 1) if counts[t] == comb(n, t))
-    minimal = table & ~reduce(or_, removable_masks(n, table))
-    upper_gamma = max(c for c, x in enumerate(_lattice(n)[1]) if minimal & x)
+    minimal = table & ~reduce(or_, _removable(member, table))
+    upper_gamma = max(c for c, x in enumerate(size) if minimal & x)
     return DominationProfile(
         gamma=gamma,
         upper_gamma=upper_gamma,

@@ -10,6 +10,7 @@ and at most one component contains an edge (isolated nodes are harmless).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -61,12 +62,6 @@ class ReconfigGraph:
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
-    def degree_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for a in self.adjacency:
-            hist[len(a)] = hist.get(len(a), 0) + 1
-        return dict(sorted(hist.items()))
-
     def __repr__(self) -> str:
         return (f"ReconfigGraph({self.seed!r}, k={self.k}: "
                 f"{self.node_count} nodes, {self.edge_count} edges)")
@@ -74,10 +69,13 @@ class ReconfigGraph:
 
 @dataclass(frozen=True)
 class EulerReport:
-    """Eulerian analysis of one reconfiguration graph."""
+    """Eulerian analysis of one reconfiguration graph: the one summary of a
+    built D_k.  degree_histogram holds (degree, node count) pairs in degree
+    order."""
 
     node_count: int
     edge_count: int
+    degree_histogram: tuple
     odd_degree_count: int
     odd_degree_nodes: tuple
     isolated_count: int
@@ -151,7 +149,7 @@ def node_degree(g: SeedGraph, s: int, k: int) -> int:
 
 
 def eulerian_report(r: ReconfigGraph) -> EulerReport:
-    """Degrees plus component analysis; Eulerian means no odd degree and at
+    """Counts, degrees and components; Eulerian means no odd degree and at
     most one component containing an edge.  The first ODD_WITNESS_CAP
     odd-degree nodes are kept as witnesses.  Isolated nodes are the nodes of
     degree 0, and a search from each unseen node with an edge visits one
@@ -178,6 +176,7 @@ def eulerian_report(r: ReconfigGraph) -> EulerReport:
     return EulerReport(
         node_count=len(adjacency),
         edge_count=sum(degrees) // 2,
+        degree_histogram=tuple(sorted(Counter(degrees).items())),
         odd_degree_count=odd_count,
         odd_degree_nodes=witnesses,
         isolated_count=isolated,

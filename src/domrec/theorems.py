@@ -6,8 +6,7 @@ verdict and reports any instance where the two disagree.  Every computed
 verdict is decided on the subset lattice, as bitwise operations on the
 domination table, without building the graph: odd-degree nodes certify "not
 Eulerian", and otherwise one flood fill from the lowest non-isolated node
-decides whether the edges form one component (computed_eulerian).  A
-positive verdict is no longer confirmed on the materialized graph: the
+decides whether the edges form one component (computed_eulerian).  The
 report on the built graph is the tests' oracle for the flood.  Each claim is
 a sweep body that yields its disagreements; one driver, _run, turns them
 into a capped, timed report.
@@ -205,7 +204,7 @@ def expected_eulerian(spec: FamilySpec, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Computed verdicts: staged brute force
+# Computed verdicts: brute force on the subset lattice
 # ---------------------------------------------------------------------------
 
 

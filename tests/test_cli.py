@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from domrec import cli, domination
 from domrec.cli import parse_graph_spec, run_cli
+from domrec.domination import format_set
 from domrec.errors import (
     BoundBelowGamma,
     BoundExceeded,
@@ -26,6 +28,7 @@ from domrec.errors import (
 from domrec.graphs import FamilySpec, make_family
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 SPEC_EXAMPLES = [
@@ -55,6 +58,24 @@ def test_readme_specs_parse():
     for text in specs:
         g, _ = parse_graph_spec(text)
         assert g.n >= 1
+
+
+def test_readme_library_example_does_what_its_comments_say(capsys):
+    """The README's "Library" block runs, and prints and holds what its
+    comments state for D_4 of the 7-cycle."""
+    block = README.read_text().split("## Library", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    r, rep, walk = scope["r"], scope["rep"], scope["walk"]
+    assert (r.node_count, r.edge_count) == (42, 56)
+    assert r.nodes[0] == 19 and format_set(r.nodes[0]) == "{0,1,4}"
+    assert rep.degree_histogram == ((2, 28), (4, 14))
+    assert rep.is_eulerian is True
+    assert len(walk) == 57
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("DominationProfile(gamma=3, upper_gamma=3,")
+    assert printed[1:] == ["19 {0,1,4}", "((2, 28), (4, 14))", "True"]
 
 
 def test_spec_round_trips_to_family():
@@ -278,12 +299,25 @@ def test_verify_all_is_deterministic_and_reports_known_defect(capsys):
         return code, [ln.split()[:2] for ln in out.splitlines()
                       if ln.startswith(("PASS", "FAIL"))]
 
+    def unclocked_json(jobs):
+        code = run_cli(["verify", "--claim", "all", "--max-n", "3",
+                        "--jobs", str(jobs), "--json"])
+        out = capsys.readouterr().out
+        return code, re.sub(r'"elapsed_seconds": [^,\n]+', '"elapsed_seconds": 0', out)
+
     code1, lines1 = statuses(1)
     code2, lines2 = statuses(2)
     assert code1 == code2 == 1
     assert lines1 == lines2
     assert ["FAIL", "bipartite_well_dominated"] in lines1
     assert sum(1 for s, _ in lines1 if s == "PASS") == 12
+    # The whole JSON reports, not only their verdicts, are the same bytes
+    # whatever --jobs is, elapsed times aside.
+    json_code1, json1 = unclocked_json(1)
+    json_code2, json2 = unclocked_json(2)
+    assert json_code1 == json_code2 == 1
+    assert json1 == json2
+    assert len(json.loads(json1)) == 13
 
 
 def test_export_formats(capsys):
@@ -416,6 +450,30 @@ def test_file_vertex_far_above_cap_is_capacity_error(tmp_path, capsys):
     p.write_text("0 100000000000\n")
     assert run_cli(["analyze", "--graph", f"file:{p}", "--k", "1"]) == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_70_with_its_traceback():
+    """An exception escaping a command is an internal error: the entry point
+    exits 70 with the traceback on stderr, never 1, which means a claim
+    failed."""
+    script = (
+        "import sys\n"
+        "from domrec import cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ValueError('internal fault')\n"
+        "cli.build_reconfig = broken\n"
+        "sys.argv = ['domrec', 'analyze', '--graph', 'path:4', '--k', '3']\n"
+        "cli.main()\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 70
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert "in _cmd_analyze" in proc.stderr
+    assert proc.stderr.endswith("ValueError: internal fault\n")
 
 
 def test_library_value_error_is_not_a_usage_error(monkeypatch):

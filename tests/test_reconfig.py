@@ -44,7 +44,9 @@ from domrec.errors import (
     ReconfigTooLarge,
 )
 from domrec import reconfig
+from domrec.domination import dominating_table
 from domrec.reconfig import reconfig_to_csv, reconfig_to_dot
+from domrec.theorems import computed_eulerian
 
 
 def build(spec, k):
@@ -298,6 +300,7 @@ def networkx_report(r):
     return EulerReport(
         node_count=g.number_of_nodes(),
         edge_count=g.number_of_edges(),
+        degree_histogram=tuple((d, c) for d, c in enumerate(nx.degree_histogram(g)) if c),
         odd_degree_count=len(odd),
         odd_degree_nodes=tuple(r.nodes[v] for v in odd[: reconfig.ODD_WITNESS_CAP]),
         isolated_count=nx.number_of_isolates(g),
@@ -307,7 +310,7 @@ def networkx_report(r):
     )
 
 
-def assert_report_and_walk_match_networkx(r):
+def assert_report_and_walk_match_networkx(r) -> EulerReport:
     rep = eulerian_report(r)
     assert rep == networkx_report(r)
     if rep.is_eulerian and rep.edge_count:
@@ -315,22 +318,30 @@ def assert_report_and_walk_match_networkx(r):
     else:
         with pytest.raises(NoEdges if rep.is_eulerian else NotEulerian):
             euler_circuit(r)
+    return rep
 
 
 def test_report_and_walk_match_networkx_on_every_small_labeled_graph():
+    """Every labeled seed on up to 5 vertices, disconnected ones included, at
+    every k from gamma to n: D_k is built once, and its report (degree
+    histogram included) and walk match networkx, and the lattice verdict
+    computed_eulerian equals the report's."""
     pairs = 0
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
-            for k in range(domination_profile(g).gamma, n + 1):
-                assert_report_and_walk_match_networkx(build_reconfig(g, k))
+            table = dominating_table(g)
+            for k in range(domination_profile(g, table).gamma, n + 1):
+                rep = assert_report_and_walk_match_networkx(build_reconfig(g, k, table=table))
+                assert computed_eulerian(g, k, table) is rep.is_eulerian, (g.adj, k)
                 pairs += 1
     assert pairs == 4429
 
 
 @pytest.mark.parametrize("adjacency, expected", [
-    ([], EulerReport(0, 0, 0, (), 0, 0, True, True)),
-    ([[], [], []], EulerReport(3, 0, 0, (), 3, 0, False, True)),
-    ([[], [2, 4], [1, 3], [2, 4], [1, 3], []], EulerReport(6, 4, 0, (), 2, 1, False, True)),
+    ([], EulerReport(0, 0, (), 0, (), 0, 0, True, True)),
+    ([[], [], []], EulerReport(3, 0, ((0, 3),), 0, (), 3, 0, False, True)),
+    ([[], [2, 4], [1, 3], [2, 4], [1, 3], []],
+     EulerReport(6, 4, ((0, 2), (2, 4)), 0, (), 2, 1, False, True)),
 ], ids=["no-nodes", "only-isolated", "isolated-and-a-cycle"])
 def test_report_of_hand_built_graphs(adjacency, expected):
     r = hand_built(adjacency)

@@ -16,8 +16,14 @@ import pytest
 
 from domrec import cli
 from domrec.cli import parse_graph_spec, run_cli
-from domrec.domination import dominating_table, format_set
-from domrec.reconfig import build_reconfig, euler_circuit, reconfig_to_csv, reconfig_to_dot
+from domrec.domination import dominating_table, domination_profile, format_set
+from domrec.reconfig import (
+    build_reconfig,
+    euler_circuit,
+    eulerian_report,
+    reconfig_to_csv,
+    reconfig_to_dot,
+)
 
 SRC = Path(cli.__file__).resolve().parent.parent
 
@@ -62,7 +68,7 @@ def one_string_analyze(spec_text: str, k_text: str, as_json: bool, circuit: bool
     k = cli._parse_k(k_text, g.n)
     table = dominating_table(g)
     r = build_reconfig(g, k, table=table)
-    report = cli.analysis_report(g, spec, k, r, table)
+    report = cli.analysis_report(g, spec, k, eulerian_report(r), domination_profile(g, table))
     labels = None
     if circuit:
         eu = report["euler"]
