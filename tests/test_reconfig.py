@@ -46,7 +46,6 @@ from domrec.errors import (
 from domrec import reconfig
 from domrec.domination import dominating_table
 from domrec.reconfig import reconfig_to_csv, reconfig_to_dot
-from domrec.theorems import computed_eulerian
 
 
 def build(spec, k):
@@ -310,7 +309,7 @@ def networkx_report(r):
     )
 
 
-def assert_report_and_walk_match_networkx(r) -> EulerReport:
+def assert_report_and_walk_match_networkx(r):
     rep = eulerian_report(r)
     assert rep == networkx_report(r)
     if rep.is_eulerian and rep.edge_count:
@@ -318,21 +317,18 @@ def assert_report_and_walk_match_networkx(r) -> EulerReport:
     else:
         with pytest.raises(NoEdges if rep.is_eulerian else NotEulerian):
             euler_circuit(r)
-    return rep
 
 
 def test_report_and_walk_match_networkx_on_every_small_labeled_graph():
     """Every labeled seed on up to 5 vertices, disconnected ones included, at
-    every k from gamma to n: D_k is built once, and its report (degree
-    histogram included) and walk match networkx, and the lattice verdict
-    computed_eulerian equals the report's."""
+    every k from gamma to n: the report of D_k (degree histogram included)
+    and its walk match networkx."""
     pairs = 0
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
             table = dominating_table(g)
             for k in range(domination_profile(g, table).gamma, n + 1):
-                rep = assert_report_and_walk_match_networkx(build_reconfig(g, k, table=table))
-                assert computed_eulerian(g, k, table) is rep.is_eulerian, (g.adj, k)
+                assert_report_and_walk_match_networkx(build_reconfig(g, k, table=table))
                 pairs += 1
     assert pairs == 4429
 

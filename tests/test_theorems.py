@@ -107,6 +107,21 @@ def test_computed_eulerian_reads_the_given_table_and_computes_none(monkeypatch):
     assert computed_eulerian(g, 6, table) is True
 
 
+def test_lattice_verdict_matches_materialized_on_every_small_labeled_pair():
+    """Every labeled seed on up to 5 vertices, disconnected ones included, at
+    every k from gamma to n: the lattice verdict equals the report on the
+    built graph."""
+    pairs = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            table = dominating_table(g)
+            for k in range(domination_profile(g, table).gamma, n + 1):
+                full = eulerian_report(build_reconfig(g, k, table=table)).is_eulerian
+                assert computed_eulerian(g, k, table) is full, (g.adj, k)
+                pairs += 1
+    assert pairs == 4429
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed_graphs(min_n=1, max_n=10))
 def test_lattice_verdict_matches_materialized_on_random_seeds(g):
