@@ -8,8 +8,10 @@ subsets at once are answered on the subset lattice: a set of subsets is one
 int whose bit S stands for the subset with bitmask S, so a whole-lattice
 question is a few bitwise operations on such ints instead of a loop over the
 subsets.  This module is the one owner of that representation.  D_k lives
-on it too: odd_degree_nodes reads its degree parities off the table, and
-lattice_eulerian floods its components, without building it.
+on it too: odd_degree_nodes reads its degree parities off the table,
+lattice_eulerian floods its components, and dominating_graph_shape answers
+whether the unrestricted D(G) is connected and 2-colored by cardinality
+parity, all without building it.
 
 It also owns its extension to the (edge mask E, subset S) lattice of a
 labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
@@ -152,16 +154,31 @@ def odd_degree_nodes(n: int, table: int, k: int) -> int:
     return _odd_nodes(lattice, n, table, k, _nodes(n, lattice[1], table, k))
 
 
+def _step(member, nodes: int, front: int) -> int:
+    """One flood step: the nodes one vertex away from the sets in front.  Per
+    vertex u, the sets that contain u drop it (a shift down by 2**u) and the
+    others add it (a shift up)."""
+    out = 0
+    for u, x in enumerate(member):
+        down = front & x
+        out |= down >> (1 << u) | (front ^ down) << (1 << u)
+    return out & nodes
+
+
+def _flood(member, nodes: int, start: int) -> int:
+    """The nodes that steps from start reach, start included."""
+    reached = front = start
+    while front:
+        front = _step(member, nodes, front) & ~reached
+        reached |= front
+    return reached
+
+
 def lattice_eulerian(n: int, table: int, k: int) -> bool:
     """Whether D_k is Eulerian (every degree even, at most one component with
     edges), decided on the lattice of an up-closed table on n vertices
-    without building D_k.
-
-    One flood step moves a set of nodes F to its neighbours: per vertex u,
-    the members of F that contain u drop it (a shift down by 2**u), the
-    others add it (a shift up), and the results are kept where they are
-    nodes.  The nodes that step(nodes) reaches are the non-isolated ones;
-    flooding from the lowest of them must reach them all.
+    without building D_k: the flood from the lowest non-isolated node must
+    reach every node that a step from all nodes reaches.
 
     Raises ValueError for k outside [0, n] and BoundBelowGamma when no set
     of cardinality <= k is in table.
@@ -175,20 +192,20 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
     if _odd_nodes(lattice, n, table, k, nodes):
         return False
+    linked = nodes & _step(member, nodes, nodes)
+    return _flood(member, nodes, linked & -linked) == linked
 
-    def step(front: int) -> int:
-        out = 0
-        for u, x in enumerate(member):
-            down = front & x
-            out |= down >> (1 << u) | (front ^ down) << (1 << u)
-        return out & nodes
 
-    linked = nodes & step(nodes)
-    reached = front = linked & -linked
-    while front:
-        front = step(front) & ~reached
-        reached |= front
-    return reached == linked
+def dominating_graph_shape(n: int, table: int) -> tuple[bool, bool]:
+    """(connected, parity bipartite) for the D(G) whose nodes are the sets of
+    a non-empty table on n vertices: the flood from the lowest node reaches
+    every node, and no step from either cardinality-parity class lands in
+    that class."""
+    member, size = _lattice(n)
+    even = reduce(or_, size[::2])
+    return (_flood(member, table, table & -table) == table,
+            not (_step(member, table, table & even) & even
+                 or _step(member, table, table & ~even) & ~even))
 
 
 def size_counts(n: int, table: int) -> list[int]:

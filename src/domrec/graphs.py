@@ -99,16 +99,7 @@ class SeedGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as (u, v) pairs with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    out.append((u, v))
-                m >>= 1
-                v += 1
-        return out
+        return [(u, v) for u, v in vertex_pairs(self.n) if self.adj[u] >> v & 1]
 
     def closed_neighborhoods(self) -> list[int]:
         """adj[v] | {v} for every v, the unit of domination checks."""

@@ -3,13 +3,13 @@ graphs, each mapped to an exhaustive desk-scale verification.
 
 Each claim pairs a closed-form expected verdict with a brute-force computed
 verdict and reports any instance where the two disagree.  Every computed
-verdict is decided on the subset lattice, as bitwise operations on the
-domination table, without building the graph: odd-degree nodes certify "not
-Eulerian", and otherwise one flood fill from the lowest non-isolated node
-decides whether the edges form one component (computed_eulerian).  The
-report on the built graph is the tests' oracle for the flood.  Each claim is
-a sweep body that yields its disagreements; one driver, _run, turns them
-into a capped, timed report.
+answer is read off domination tables on the subset lattice and no D_k is
+built: odd-degree nodes certify "not Eulerian", and otherwise one flood fill
+from the lowest non-isolated node decides whether the edges form one
+component (computed_eulerian).  The built report, the Cartesian product and
+the parity bipartition of reconfig are the tests' oracles.  Each claim is a
+sweep body that yields its disagreements; one driver, _run, turns them into
+a capped, timed report.
 
 Every labeled seed comes from the (edge mask, subset) lattice of
 domination.labeled_chunks.  Four claims (parity_odd, mixed_parity_lemma,
@@ -19,10 +19,8 @@ graphs give every seed's parity, odd-node, size-class, connectivity and
 cocktail bits at once.  A seed is built as a SeedGraph only where needed: a
 candidate whose verdict computed_eulerian decides on its own table, a
 disagreement, a universal-gamma instance, or a seed of the three per-seed
-claims, which _labeled decodes from the chunks.  D_k itself is built only
-where its edges are checked: D of a disjoint union against the product of
-its parts' D's (compared on the union's vertex masks), D(K_1), and the
-unrestricted D of each seed of dominating_graph_connected_odd_bipartite.
+claims, which _labeled decodes from the chunks.  The product claim compares
+the table of a disjoint union with the outer product of its parts' tables.
 """
 
 from __future__ import annotations
@@ -36,9 +34,9 @@ from itertools import chain
 from operator import or_
 
 from .domination import (
+    dominating_graph_shape,
     dominating_table,
     domination_profile,
-    format_set,
     labeled_chunks,
     lattice_eulerian,
     odd_degree_nodes,
@@ -62,12 +60,6 @@ from .graphs import (
     sliced_cocktail_party,
     sliced_connected,
     to_graph6,
-)
-from .reconfig import (
-    build_reconfig,
-    cartesian_product,
-    eulerian_report,
-    parity_bipartition_valid,
 )
 
 #: Cap on counterexamples kept per report; the total count goes in details.
@@ -320,9 +312,9 @@ def _characterization(report, n_min: int = 2, n_max: int = 7):
                 eulerian_seeds[str(n)].append(to_graph6(g))
             if computed != expected:
                 yield g, n, expected, computed
-    single = build_reconfig(make_family(FamilySpec.complete(1)), 1)
-    if single.node_count != 1 or single.edge_count != 0:
-        yield "complete:1", 1, "one isolated node", f"{single!r}"
+    single = dominating_table(make_family(FamilySpec.complete(1)))
+    if single != 1 << 1:  # the one set {0}
+        yield "complete:1", 1, "one isolated node", f"table {single:#b}"
     report.details["eulerian_seeds"] = eulerian_seeds
 
 
@@ -438,29 +430,26 @@ def _bipartite_well_dominated(report, inner_max: int = 5):
 
 def _product_instance(report, parts: list[SeedGraph]):
     """One disjoint union against the product of its parts' dominating graphs.
-    Both live on the union's vertex masks: the product must have the union's
-    masks, once each, and the same neighbours at every mask."""
+    Both live on the union's vertex masks, where a set dominates the union
+    iff each part's share dominates that part: the union's table must be the
+    outer product of the parts' tables.  Equal tables make equal graphs,
+    since both join the sets one vertex apart.  The union must be Eulerian
+    iff every part is."""
     report.instances_checked += 1
     union = disjoint_union(parts)
-    du = build_reconfig(union, union.n)
-    factors = [build_reconfig(p, p.n) for p in parts]
-    prod = reduce(cartesian_product, factors)
-    prod_index = {s: i for i, s in enumerate(prod.nodes)}
-    if len(prod_index) != prod.node_count or prod_index.keys() != set(du.nodes):
+    table = dominating_table(union)
+    product, low = 1, 0  # the empty set dominates the graph on no vertices
+    factor_eulerian = []
+    for p in parts:
+        t = dominating_table(p)
+        product = sum(product << (s << low) for s in range(t.bit_length()) if t >> s & 1)
+        low += p.n
+        factor_eulerian.append(computed_eulerian(p, p.n, t))
+    if table != product:
         yield parts, None, "the union's node masks, once each", "node masks differ"
-    else:
-        mapped = [prod_index[s] for s in du.nodes]
-        for i, nbrs in enumerate(du.adjacency):
-            if sorted(mapped[j] for j in nbrs) != prod.adjacency[mapped[i]]:
-                yield (parts, None, "edge-preserving bijection",
-                       f"node {format_set(du.nodes[i])} neighbor mismatch")
-                break
-    union_eulerian = eulerian_report(du).is_eulerian
-    factor_eulerian = [eulerian_report(f).is_eulerian for f in factors]
+    union_eulerian = computed_eulerian(union, union.n, table)
     if union_eulerian != all(factor_eulerian):
         yield parts, None, f"union Eulerian iff factors {factor_eulerian}", union_eulerian
-    if union_eulerian != eulerian_report(prod).is_eulerian:
-        yield parts, None, "union and product agree on Eulerian", union_eulerian
 
 
 def _product_parts(report, parts: list[SeedGraph]):
@@ -470,8 +459,8 @@ def _product_parts(report, parts: list[SeedGraph]):
 
 def verify_product_decomposition(parts: list[SeedGraph]) -> TheoremReport:
     """Check that the dominating graph of a disjoint union is the Cartesian
-    product of the parts' dominating graphs, node mask by node mask, and that
-    the union is Eulerian iff every factor is."""
+    product of the parts' dominating graphs, as the outer product of their
+    domination tables, and that the union is Eulerian iff every factor is."""
     if len(parts) < 2:
         raise ValueError("need at least two parts")
     return _run(ClaimId.PRODUCT_DECOMPOSITION, _product_parts, parts=parts)
@@ -574,17 +563,18 @@ def _gamma_formulas(report, path_max: int = 15, complete_max: int = 12, biclique
 def _connected_odd_bipartite(report, n_max: int = 5):
     """Unrestricted dominating graphs of connected seeds are connected, have
     odd order, are properly 2-colored by cardinality parity, and contain an
-    even-degree node."""
+    even-degree node: dominating_graph_shape, the popcount and the odd-degree
+    nodes of the seed's domination table."""
     report.bounds = {"n_min": 1, "n_max": n_max}
     for g in _labeled(1, n_max, connected=True):
-        r = build_reconfig(g, g.n)
-        rep = eulerian_report(r)
+        table = dominating_table(g)
+        connected, bipartite = dominating_graph_shape(g.n, table)
         report.instances_checked += 1
         problems = [problem for problem, found in (
-            ("disconnected", not rep.is_connected),
-            ("even node count", rep.node_count % 2 == 0),
-            ("parity bipartition broken", not parity_bipartition_valid(r)),
-            ("no even-degree node", rep.odd_degree_count == rep.node_count),
+            ("disconnected", not connected),
+            ("even node count", table.bit_count() % 2 == 0),
+            ("parity bipartition broken", not bipartite),
+            ("no even-degree node", odd_degree_nodes(g.n, table, g.n) == table),
         ) if found]
         if problems:
             yield g, g.n, "connected, odd order, bipartite, even-degree node", problems

@@ -7,13 +7,14 @@ difference instead of incremental moves) so agreement is meaningful.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
 import hypothesis.strategies as st
 
-from domrec import SeedGraph
+from domrec import SeedGraph, disjoint_union
 from domrec.errors import NoEdges, NotEulerian
-from domrec.reconfig import eulerian_report
+from domrec.reconfig import build_reconfig, cartesian_product, eulerian_report
 
 
 def naive_is_dominating(g: SeedGraph, bits: int) -> bool:
@@ -84,6 +85,35 @@ def reference_euler_circuit(r) -> list[int]:
             circuit.append(stack.pop())
     circuit.reverse()
     return circuit
+
+
+def built_product_problems(parts: list[SeedGraph]) -> list[tuple]:
+    """The product claim's check on built graphs, as the (expected, computed)
+    pair of each problem found.  The package's former check, kept as an
+    oracle for the table comparison: D of the union against the Cartesian
+    product of its parts' D's, which must have the union's node masks once
+    each and the same neighbours at every mask, and the built verdicts, the
+    union Eulerian iff every part is and iff the product is."""
+    union = disjoint_union(parts)
+    du = build_reconfig(union, union.n)
+    factors = [build_reconfig(p, p.n) for p in parts]
+    prod = reduce(cartesian_product, factors)
+    index = {s: i for i, s in enumerate(prod.nodes)}
+    problems = []
+    if len(index) != prod.node_count or index.keys() != set(du.nodes):
+        problems.append(("the union's node masks, once each", "node masks differ"))
+    else:
+        mapped = [index[s] for s in du.nodes]
+        if any(sorted(mapped[j] for j in nbrs) != prod.adjacency[mapped[i]]
+               for i, nbrs in enumerate(du.adjacency)):
+            problems.append(("edge-preserving bijection", "neighbor mismatch"))
+    union_eulerian = eulerian_report(du).is_eulerian
+    factor_eulerian = [eulerian_report(f).is_eulerian for f in factors]
+    if union_eulerian != all(factor_eulerian):
+        problems.append((f"union Eulerian iff factors {factor_eulerian}", union_eulerian))
+    if union_eulerian != eulerian_report(prod).is_eulerian:
+        problems.append(("union and product agree on Eulerian", union_eulerian))
+    return problems
 
 
 def naive_dominating_masks(g: SeedGraph, k: int) -> list[int]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from domrec import cli, domination
+from domrec import cli, domination, theorems
 from domrec.cli import parse_graph_spec, run_cli
 from domrec.domination import format_set
 from domrec.errors import (
@@ -274,6 +274,30 @@ def test_negative_control_plants_at_the_largest_even_order(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "--max-n" in captured.err
+
+
+@pytest.mark.parametrize("flipped,more", [(5, 2), (25, 22)])
+def test_verify_text_counts_the_unprinted_counterexamples(monkeypatch, capsys, flipped, more):
+    """Three counterexamples are printed and the rest counted, whether or not
+    the report kept them; --json keeps the first 20 and counts them all."""
+    expected = theorems.expected_eulerian
+    calls = []
+
+    def flip_first(spec, k):
+        calls.append(k)
+        return expected(spec, k) ^ (len(calls) <= flipped)
+
+    monkeypatch.setattr(theorems, "expected_eulerian", flip_first)
+    assert run_cli(["verify", "--claim", "cocktail_k"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL cocktail_k (instances=30,")
+    assert [ln.startswith("  counterexample: seed=cocktail:") for ln in lines[1:4]] == [True] * 3
+    assert lines[4:] == [f"  ... and {more} more"]
+    calls.clear()
+    assert run_cli(["verify", "--claim", "cocktail_k", "--json"]) == 1
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["details"]["counterexample_count"] == flipped
+    assert len(report["counterexamples"]) == min(flipped, 20)
 
 
 def test_verify_json_and_jobs(capsys):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import seed_graphs
+from conftest import built_product_problems, seed_graphs
 from domrec import (
     ClaimId,
     FamilySpec,
@@ -12,6 +12,7 @@ from domrec import (
     eulerian_report,
     expected_eulerian,
     make_family,
+    parity_bipartition_valid,
     verify_claim,
     verify_mixed_parity_lemma,
     verify_product_decomposition,
@@ -25,7 +26,7 @@ from domrec.theorems import (
     odd_degree_nodes,
 )
 from domrec import reconfig, theorems
-from domrec.domination import dominating_table
+from domrec.domination import dominating_graph_shape, dominating_table
 
 
 # --- expected verdicts -------------------------------------------------------
@@ -147,8 +148,11 @@ def test_computed_eulerian_below_gamma_raises():
         computed_eulerian(make_family(FamilySpec.path(1)), 0)
 
 
-#: Claims whose verdicts are all computed_eulerian's, at small bounds.
+#: Every claim, at small bounds.
 LATTICE_CLAIMS = [
+    (ClaimId.PARITY_ODD, {"n_max": 4}),
+    (ClaimId.PRODUCT_DECOMPOSITION, {}),
+    (ClaimId.MIXED_PARITY_LEMMA, {"n_max": 5}),
     (ClaimId.PATH_CYCLE, {"n_max": 9}),
     (ClaimId.COMPLETE_BIPARTITE, {"n_max": 5}),
     (ClaimId.COCKTAIL_K, {"n_max": 10}),
@@ -156,7 +160,9 @@ LATTICE_CLAIMS = [
     (ClaimId.CORONA, {"inner_max": 3}),
     (ClaimId.BIPARTITE_WELL_DOMINATED, {"inner_max": 3}),
     (ClaimId.UNIVERSAL_GAMMA_SET, {"n_max": 5}),
+    (ClaimId.GAMMA_FORMULAS, {}),
     (ClaimId.DOMINATING_GRAPH_CHARACTERIZATION, {"n_max": 5}),
+    (ClaimId.DOMINATING_GRAPH_CONNECTED_ODD_BIPARTITE, {"n_max": 4}),
 ]
 
 
@@ -166,19 +172,25 @@ def _unclocked(report) -> dict:
     return out
 
 
+def test_lattice_claims_cover_the_catalog():
+    assert {claim for claim, _ in LATTICE_CLAIMS} == set(ClaimId)
+
+
 @pytest.mark.parametrize("claim,bounds", LATTICE_CLAIMS, ids=[c.value for c, _ in LATTICE_CLAIMS])
 def test_lattice_claims_build_no_reconfiguration_graph(monkeypatch, claim, bounds):
-    """These claims decide every D_k on the lattice: with builds refused for
-    every seed but K_1, each gives the report it gives unpatched."""
+    """Every claim decides on the lattice: theorems holds no object of
+    reconfig, and with reconfig's builders and built-graph checks raising,
+    each claim gives the report it gives unpatched."""
+    assert not [name for name, value in vars(theorems).items()
+                if getattr(value, "__module__", None) == reconfig.__name__]
     unpatched = _unclocked(verify_claim(claim, **bounds))
-    build = theorems.build_reconfig
 
-    def refused(g, k, *args, **kwargs):
-        if g.n > 1:
-            raise AssertionError(f"D_{k} of {g!r} built")
-        return build(g, k, *args, **kwargs)
+    def refused(*args, **kwargs):
+        raise AssertionError("a reconfiguration graph was built or read")
 
-    monkeypatch.setattr(theorems, "build_reconfig", refused)
+    for name in ("build_reconfig", "eulerian_report", "cartesian_product",
+                 "parity_bipartition_valid"):
+        monkeypatch.setattr(reconfig, name, refused)
     assert _unclocked(verify_claim(claim, **bounds)) == unpatched
 
 
@@ -314,38 +326,104 @@ def test_product_decomposition_claim_sampled():
     assert report.instances_checked == 12
 
 
-def _tampered_products(monkeypatch, tamper):
-    """Make the product claim see products that tamper has changed in place."""
-    def tampered(a, b):
-        prod = reconfig.cartesian_product(a, b)
-        tamper(prod)
-        return prod
-
-    monkeypatch.setattr(theorems, "cartesian_product", tampered)
-    return [make_family(FamilySpec.path(2)), make_family(FamilySpec.path(2))]
+#: The part lists of test_product_decomposition_single and _three_parts.
+PRODUCT_PART_LISTS = [
+    [FamilySpec.path(2), FamilySpec.path(2)],
+    [FamilySpec.cocktail(4), FamilySpec.cocktail(4)],
+    [FamilySpec.path(3), FamilySpec.cocktail(4)],
+    [FamilySpec.path(2), FamilySpec.cycle(3), FamilySpec.complete(1)],
+]
 
 
-def test_product_decomposition_flags_a_changed_node_mask(monkeypatch):
-    def change_mask(prod):
-        prod.nodes[4] |= 1 << prod.seed.n
+def test_product_decomposition_agrees_with_the_built_product(monkeypatch):
+    """The claim's 100 sampled instances and the hand-picked part lists: the
+    table comparison finds what the built union, product and reports find."""
+    samples = []
+    instance = theorems._product_instance
 
-    report = verify_product_decomposition(_tampered_products(monkeypatch, change_mask))
-    assert not report.passed
-    assert report.counterexamples == [{
+    def recorded(report, parts):
+        samples.append(parts)
+        return instance(report, parts)
+
+    monkeypatch.setattr(theorems, "_product_instance", recorded)
+    report = verify_claim(ClaimId.PRODUCT_DECOMPOSITION)
+    assert report.bounds == {"samples": 100, "max_part": 5, "rng_seed": 2025}
+    monkeypatch.undo()
+    samples += [[make_family(spec) for spec in specs] for specs in PRODUCT_PART_LISTS]
+    for parts in samples:
+        found = [(ce["expected"], ce["computed"])
+                 for ce in verify_product_decomposition(parts).counterexamples]
+        assert found == built_product_problems(parts), [p.adj for p in parts]
+    assert len(samples) == 104
+
+
+def test_product_decomposition_flags_a_changed_union_table(monkeypatch):
+    """The union's table with its lowest dominating set removed is not the
+    outer product of its parts' tables."""
+    table = theorems.dominating_table
+
+    def dropped(g):
+        t = table(g)
+        return t & (t - 1) if g.n == 4 else t
+
+    monkeypatch.setattr(theorems, "dominating_table", dropped)
+    parts = [make_family(FamilySpec.path(2)), make_family(FamilySpec.path(2))]
+    assert verify_product_decomposition(parts).counterexamples == [{
         "seed": "union[path:2, path:2]", "k": None,
         "expected": "the union's node masks, once each", "computed": "node masks differ"}]
 
 
-def test_product_decomposition_flags_a_dropped_edge(monkeypatch):
-    def drop_edge(prod):
-        j = prod.adjacency[4].pop(0)
-        prod.adjacency[j].remove(4)
+def test_product_decomposition_flags_a_flipped_part_verdict(monkeypatch):
+    parts = [make_family(FamilySpec.cocktail(4)), make_family(FamilySpec.cocktail(4))]
+    verdict = theorems.computed_eulerian
 
-    report = verify_product_decomposition(_tampered_products(monkeypatch, drop_edge))
-    assert not report.passed
+    def flipped(g, k, table=None):
+        return verdict(g, k, table) ^ (g is parts[0])
+
+    monkeypatch.setattr(theorems, "computed_eulerian", flipped)
+    assert verify_product_decomposition(parts).counterexamples == [{
+        "seed": "union[cocktail:4, cocktail:4]", "k": None,
+        "expected": "union Eulerian iff factors [False, True]", "computed": True}]
+
+
+def test_characterization_flags_a_changed_single_vertex_table(monkeypatch):
+    """D(K_1) is the one set {0}: a table that also holds the empty set is
+    the complete:1 counterexample."""
+    table = theorems.dominating_table
+    monkeypatch.setattr(theorems, "dominating_table",
+                        lambda g: 0b11 if g.n == 1 else table(g))
+    report = verify_claim(ClaimId.DOMINATING_GRAPH_CHARACTERIZATION, n_max=3)
     assert report.counterexamples == [{
-        "seed": "union[path:2, path:2]", "k": None,
-        "expected": "edge-preserving bijection", "computed": "node {1,3} neighbor mismatch"}]
+        "seed": "complete:1", "k": 1, "expected": "one isolated node", "computed": "table 0b11"}]
+
+
+def test_dominating_graph_shape_matches_the_built_graph_on_every_small_labeled_seed():
+    """Every labeled seed on up to 5 vertices, disconnected ones included:
+    the lattice answers equal the built D(G)'s connectivity and parity
+    bipartition."""
+    seeds = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            r = build_reconfig(g, n)
+            built = (eulerian_report(r).is_connected, parity_bipartition_valid(r))
+            assert dominating_graph_shape(n, dominating_table(g)) == built, g.adj
+            seeds += 1
+    assert seeds == 1099
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed_graphs(min_n=1, max_n=10))
+def test_dominating_graph_shape_matches_the_built_graph_on_random_seeds(g):
+    r = build_reconfig(g, g.n)
+    built = (eulerian_report(r).is_connected, parity_bipartition_valid(r))
+    assert dominating_graph_shape(g.n, dominating_table(g)) == built
+
+
+def test_dominating_graph_shape_of_hand_picked_sets():
+    """Two sets two vertices apart, {} and {0,1}, are two components of one
+    parity class."""
+    assert dominating_graph_shape(2, 0b1001) == (False, True)
+    assert dominating_graph_shape(2, 0b1011) == (True, True)
 
 
 @pytest.mark.parametrize("connected", [False, True])
