@@ -304,8 +304,9 @@ def _cmd_scan(args) -> int:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise DomrecError(f"--n must look like 3..8, got {args.n!r}") from None
-    # Every seed is built before any profile: a size past the cap raises at
-    # once, so a huge --n range costs nothing.  No family has members at n < 0.
+    # --k is read, and every seed built, before any profile: a bad --k or a
+    # size past the cap raises at once.  No family has members at n < 0.
+    single = None if args.k in ("all", "max") else _k_value(args.k, 0)
     seeds = []
     for n in range(max(lo, 0), hi + 1):
         for spec in _SCAN_FAMILIES[args.family](n):
@@ -317,11 +318,10 @@ def _cmd_scan(args) -> int:
     for spec, g in seeds:
         table = dominating_table(g)
         profile = domination_profile(g, table)
-        if args.k == "all":
-            ks = range(profile.gamma, g.n + 1)
-        else:
-            single = _k_value(args.k, g.n)
-            ks = [single] if profile.gamma <= single <= g.n else []
+        ks = range(profile.gamma, g.n + 1)
+        if args.k != "all":
+            k = g.n if single is None else single  # None: 'max', the seed's n
+            ks = [k] if k in ks else []
         tasks.extend((spec, k, table, profile) for k in ks)
     reports = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":

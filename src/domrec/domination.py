@@ -9,9 +9,9 @@ int whose bit S stands for the subset with bitmask S, so a whole-lattice
 question is a few bitwise operations on such ints instead of a loop over the
 subsets.  This module is the one owner of that representation.  D_k lives
 on it too: odd_degree_nodes reads its degree parities off the table,
-lattice_eulerian floods its components, and dominating_graph_shape answers
-whether the unrestricted D(G) is connected and 2-colored by cardinality
-parity, all without building it.
+lattice_eulerian floods its components, and dominating_graph_shape floods
+the unrestricted D(G) from V and steps from each cardinality-parity class,
+for one seed or a chunk of them, all without building it.
 
 It also owns its extension to the (edge mask E, subset S) lattice of a
 labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
@@ -196,16 +196,16 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
     return _flood(member, nodes, linked & -linked) == linked
 
 
-def dominating_graph_shape(n: int, table: int) -> tuple[bool, bool]:
-    """(connected, parity bipartite) for the D(G) whose nodes are the sets of
-    a non-empty table on n vertices: the flood from the lowest node reaches
-    every node, and no step from either cardinality-parity class lands in
-    that class."""
-    member, size = _lattice(n)
+def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
+    """(unreached, crossed) for the D(G) on the sets of table, which must hold
+    the full set V, on the lattice masks of a seed or a chunk: D(G) is
+    connected iff the flood from V misses no node, and 2-colored by cardinality
+    parity iff no step from either parity class lands on a node in it."""
+    member, size = lattice
     even = reduce(or_, size[::2])
-    return (_flood(member, table, table & -table) == table,
-            not (_step(member, table, table & even) & even
-                 or _step(member, table, table & ~even) & ~even))
+    return (table & ~_flood(member, table, size[-1]),
+            _step(member, table, table & even) & even
+            | _step(member, table, table & ~even) & ~even)
 
 
 def size_counts(n: int, table: int) -> list[int]:
@@ -311,18 +311,18 @@ def _chunk_lattice(n: int, b: int):
 
 
 class LabeledChunk:
-    """Consecutive labeled graphs on n vertices on the (edge mask, subset)
-    lattice.
+    """Consecutive labeled graphs on n vertices on the (edge mask, subset) lattice.
 
     Graph i of the chunk is the one with edge mask first + i.  Its block of
     2**n lattice bits starts at bit i * 2**n, and bit i * 2**n + S of table
-    is set iff S dominates graph i.  The graphs share their high edges and
-    run through every combination of the low ones.  A per-graph answer is an
-    int whose bit i is graph i's: every has all count bits set, and
-    edges[e] holds the graphs with the e-th pair of vertex_pairs(n).
+    is set iff S dominates graph i; lattice holds the masks of _lattice(n)
+    repeated in every block.  The graphs share their high edges and run
+    through every combination of the low ones.  A per-graph answer is an int
+    whose bit i is graph i's: every has all count bits set, and edges[e]
+    holds the graphs with the e-th pair of vertex_pairs(n).
     """
 
-    __slots__ = ("n", "first", "count", "every", "edges", "table", "_lattice")
+    __slots__ = ("n", "first", "count", "every", "edges", "table", "lattice")
 
     def __init__(self, n: int, first: int, b: int):
         lattice, covers, low_edges = _chunk_lattice(n, b)
@@ -341,7 +341,7 @@ class LabeledChunk:
             else:
                 self.edges.append(0)
         self.table = reduce(and_, covers)
-        self._lattice = lattice
+        self.lattice = lattice
 
     def _lowest(self, x: int) -> int:
         """Per graph, the lowest bit of its block of x.  A block of 8 bits
@@ -373,13 +373,13 @@ class LabeledChunk:
         """The odd-degree nodes of each graph's unrestricted D(G), as lattice
         bits: odd_degree_nodes at k = n, whose member masks keep every
         shifted bit inside its own block."""
-        return _odd_nodes(self._lattice, self.n, self.table, self.n, self.table)
+        return _odd_nodes(self.lattice, self.n, self.table, self.n, self.table)
 
     def size_classes(self) -> tuple[list[int], list[int]]:
         """Per cardinality c = 0..n, the graphs with a dominating c-set and
         the graphs in which every c-set dominates."""
         table = self.table
-        sizes = self._lattice[1]
+        sizes = self.lattice[1]
         return ([self.any(table & x) for x in sizes],
                 [self.every & ~self.any(~table & x) for x in sizes])
 

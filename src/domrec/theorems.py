@@ -12,15 +12,14 @@ sweep body that yields its disagreements; one driver, _run, turns them into
 a capped, timed report.
 
 Every labeled seed comes from the (edge mask, subset) lattice of
-domination.labeled_chunks.  Four claims (parity_odd, mixed_parity_lemma,
-dominating_graph_characterization, universal_gamma_set) are decided there:
-folds of each chunk's domination table and the bit-sliced predicates of
-graphs give every seed's parity, odd-node, size-class, connectivity and
-cocktail bits at once.  A seed is built as a SeedGraph only where needed: a
-candidate whose verdict computed_eulerian decides on its own table, a
-disagreement, a universal-gamma instance, or a seed of the three per-seed
-claims, which _labeled decodes from the chunks.  The product claim compares
-the table of a disjoint union with the outer product of its parts' tables.
+domination.labeled_chunks.  All but the two corona claims are decided
+there: folds of each chunk's masks and the bit-sliced predicates of graphs
+give every seed's answers at once.  A seed is built as a SeedGraph only
+where needed: a candidate whose verdict computed_eulerian decides on its
+own table, a disagreement, a universal-gamma instance, or an inner graph of
+the two corona claims, which _labeled decodes from the chunks.  The product
+claim compares the table of a disjoint union with the outer product of its
+parts' tables.
 """
 
 from __future__ import annotations
@@ -269,12 +268,9 @@ def _chunks(n_min: int, n_max: int):
     return chain.from_iterable(map(labeled_chunks, _orders(n_min, n_max)))
 
 
-def _labeled(n_min: int, n_max: int, connected: bool):
-    """Every labeled seed on n_min..n_max vertices (connected ones only, if
-    asked), decoded from _chunks in order of n and edge mask."""
-    return chain.from_iterable(
-        chunk.graphs(sliced_connected(chunk.n, chunk.edges, chunk.every) if connected
-                     else chunk.every) for chunk in _chunks(n_min, n_max))
+def _labeled(n_min: int, n_max: int):
+    """Every labeled seed on n_min..n_max vertices, in order of n and edge mask."""
+    return chain.from_iterable(chunk.graphs(chunk.every) for chunk in _chunks(n_min, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +401,7 @@ def _corona(report, inner_max: int = 5):
     the inner order is even and k is one above it.  Also checks that coronas
     are well-dominated with domination number equal to the inner order."""
     report.bounds = {"inner_min": 2, "inner_max": inner_max}
-    return _corona_sweep(report, _labeled(2, inner_max, connected=False), check_profile=True)
+    return _corona_sweep(report, _labeled(2, inner_max), check_profile=True)
 
 
 def _bipartite_well_dominated(report, inner_max: int = 5):
@@ -419,7 +415,7 @@ def _bipartite_well_dominated(report, inner_max: int = 5):
     counterexample.
     """
     report.bounds = {"inner_min": 2, "inner_max": inner_max}
-    inners = filter(is_bipartite, _labeled(2, inner_max, connected=False))
+    inners = filter(is_bipartite, _labeled(2, inner_max))
     c4 = make_family(FamilySpec.cycle(4))
     computed = computed_eulerian(c4, 3)
     report.instances_checked += 1
@@ -562,22 +558,24 @@ def _gamma_formulas(report, path_max: int = 15, complete_max: int = 12, biclique
 
 def _connected_odd_bipartite(report, n_max: int = 5):
     """Unrestricted dominating graphs of connected seeds are connected, have
-    odd order, are properly 2-colored by cardinality parity, and contain an
-    even-degree node: dominating_graph_shape, the popcount and the odd-degree
-    nodes of the seed's domination table."""
+    odd order, are 2-colored by cardinality parity and have an even-degree
+    node: folds of each chunk's masks, building only a seed with a problem."""
     report.bounds = {"n_min": 1, "n_max": n_max}
-    for g in _labeled(1, n_max, connected=True):
-        table = dominating_table(g)
-        connected, bipartite = dominating_graph_shape(g.n, table)
-        report.instances_checked += 1
-        problems = [problem for problem, found in (
-            ("disconnected", not connected),
-            ("even node count", table.bit_count() % 2 == 0),
-            ("parity bipartition broken", not bipartite),
-            ("no even-degree node", odd_degree_nodes(g.n, table, g.n) == table),
-        ) if found]
-        if problems:
-            yield g, g.n, "connected, odd order, bipartite, even-degree node", problems
+    for chunk in _chunks(1, n_max):
+        seeds = sliced_connected(chunk.n, chunk.edges, chunk.every)
+        report.instances_checked += seeds.bit_count()
+        unreached, crossed = dominating_graph_shape(chunk.lattice, chunk.table)
+        found = {"disconnected": chunk.any(unreached),
+                 "even node count": ~chunk.parity(chunk.table),
+                 "parity bipartition broken": chunk.any(crossed),
+                 "no even-degree node": ~chunk.any(chunk.table & ~chunk.odd_degree_nodes())}
+        bad = seeds & reduce(or_, found.values())
+        while bad:
+            low = bad & -bad
+            bad ^= low
+            yield (next(chunk.graphs(low)), chunk.n,
+                   "connected, odd order, bipartite, even-degree node",
+                   [problem for problem, bits in found.items() if bits & low])
 
 
 # ---------------------------------------------------------------------------

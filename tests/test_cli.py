@@ -246,6 +246,14 @@ def test_scan_rejects_bad_family_and_range(capsys):
     assert run_cli(["scan", "--family", "path", "--n", "3-5"]) == 2
 
 
+@pytest.mark.parametrize("family,n_range", [("path", "5..3"), ("cycle", "0..2"), ("path", "3..4")])
+def test_scan_reads_k_before_any_seed(capsys, family, n_range):
+    """A malformed --k is a usage error, and nothing is written, also when
+    the --n range holds no seed: an empty range, or cycles below 3."""
+    assert run_cli(["scan", "--family", family, "--n", n_range, "--k", "abc"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_pass_and_exit_codes(capsys):
     assert run_cli(["verify", "--claim", "path_cycle", "--max-n", "8"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Claim catalog: expected verdicts, lattice verdicts, claim runners."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,15 +20,15 @@ from domrec import (
     verify_product_decomposition,
 )
 from domrec.errors import BoundBelowGamma, BoundExceeded, ClaimUnknown, UncharacterizedInstance
-from domrec.graphs import enumerate_labeled_graphs
+from domrec.graphs import enumerate_labeled_graphs, labeled_graph, to_graph6, vertex_pairs
 from domrec.theorems import (
     computed_eulerian,
     expected_eulerian_unrestricted,
     negative_control_characterization,
     odd_degree_nodes,
 )
-from domrec import reconfig, theorems
-from domrec.domination import dominating_graph_shape, dominating_table
+from domrec import domination, reconfig, theorems
+from domrec.domination import dominating_graph_shape, dominating_table, labeled_chunks
 
 
 # --- expected verdicts -------------------------------------------------------
@@ -397,6 +399,13 @@ def test_characterization_flags_a_changed_single_vertex_table(monkeypatch):
         "seed": "complete:1", "k": 1, "expected": "one isolated node", "computed": "table 0b11"}]
 
 
+def _shape(n: int, table: int) -> tuple[bool, bool]:
+    """(connected, parity bipartite) of one seed's D(G): dominating_graph_shape
+    on the seed's lattice, each mask folded to whether it is empty."""
+    unreached, crossed = dominating_graph_shape(domination._lattice(n), table)
+    return not unreached, not crossed
+
+
 def test_dominating_graph_shape_matches_the_built_graph_on_every_small_labeled_seed():
     """Every labeled seed on up to 5 vertices, disconnected ones included:
     the lattice answers equal the built D(G)'s connectivity and parity
@@ -406,7 +415,7 @@ def test_dominating_graph_shape_matches_the_built_graph_on_every_small_labeled_s
         for g in enumerate_labeled_graphs(n):
             r = build_reconfig(g, n)
             built = (eulerian_report(r).is_connected, parity_bipartition_valid(r))
-            assert dominating_graph_shape(n, dominating_table(g)) == built, g.adj
+            assert _shape(n, dominating_table(g)) == built, g.adj
             seeds += 1
     assert seeds == 1099
 
@@ -416,21 +425,67 @@ def test_dominating_graph_shape_matches_the_built_graph_on_every_small_labeled_s
 def test_dominating_graph_shape_matches_the_built_graph_on_random_seeds(g):
     r = build_reconfig(g, g.n)
     built = (eulerian_report(r).is_connected, parity_bipartition_valid(r))
-    assert dominating_graph_shape(g.n, dominating_table(g)) == built
+    assert _shape(g.n, dominating_table(g)) == built
 
 
 def test_dominating_graph_shape_of_hand_picked_sets():
     """Two sets two vertices apart, {} and {0,1}, are two components of one
     parity class."""
-    assert dominating_graph_shape(2, 0b1001) == (False, True)
-    assert dominating_graph_shape(2, 0b1011) == (True, True)
+    assert _shape(2, 0b1001) == (False, True)
+    assert _shape(2, 0b1011) == (True, True)
 
 
-@pytest.mark.parametrize("connected", [False, True])
-def test_labeled_seeds_come_from_the_chunks_in_enumeration_order(connected):
+def test_dominating_graph_shape_on_chunks_matches_the_per_seed_answers():
+    """Every labeled seed with n <= 6, disconnected ones included: the folds
+    of a chunk's masks give each graph the connectivity, parity bipartition,
+    odd order and even-degree node that its own table gives."""
+
+    @cache  # the 33,867 seeds have 15,284 distinct tables
+    def seed_answers(n, table):
+        return _shape(n, table) + (table.bit_count() % 2 == 1,
+                                   odd_degree_nodes(n, table, n) != table)
+
     for n in range(1, 7):
-        assert (list(theorems._labeled(n, n, connected))
-                == list(enumerate_labeled_graphs(n, connected_only=connected)))
+        sliced, seeds = [], []
+        for chunk in labeled_chunks(n):
+            unreached, crossed = dominating_graph_shape(chunk.lattice, chunk.table)
+            bits = [~chunk.any(unreached), ~chunk.any(crossed), chunk.parity(chunk.table),
+                    chunk.any(chunk.table & ~chunk.odd_degree_nodes())]
+            sliced += [tuple(bool(x >> i & 1) for x in bits) for i in range(chunk.count)]
+            seeds += chunk.graphs(chunk.every)
+        assert sliced == [seed_answers(n, dominating_table(g)) for g in seeds], n
+
+
+def test_connected_odd_bipartite_reports_planted_chunk_tables(monkeypatch):
+    """Real tables pass, so two blocks of the n = 4 chunk are tampered: K_4
+    loses every 3-set, which cuts V off, and the star at vertex 0 loses its
+    lowest dominating set, which leaves it an even number of nodes.  The
+    claim reports those two graphs, each with its one problem."""
+    pairs = vertex_pairs(4)
+    complete, star = (1 << len(pairs)) - 1, sum(1 << e for e, p in enumerate(pairs) if 0 in p)
+    chunks = theorems._chunks
+
+    def tampered(n_min, n_max):
+        for chunk in chunks(n_min, n_max):
+            if chunk.n == 4:
+                _, size = chunk.lattice
+                star_block = chunk.table >> 16 * star & 0xFFFF
+                chunk.table &= ~(size[3] & 0xFFFF << 16 * complete)
+                chunk.table &= ~((star_block & -star_block) << 16 * star)
+            yield chunk
+
+    monkeypatch.setattr(theorems, "_chunks", tampered)
+    report = verify_claim(ClaimId.DOMINATING_GRAPH_CONNECTED_ODD_BIPARTITE, n_max=4)
+    assert report.instances_checked == 1 + 1 + 4 + 38
+    assert [(ce["seed"], ce["computed"]) for ce in report.counterexamples] == [
+        (f"g6:{to_graph6(labeled_graph(4, star))}", ["even node count"]),
+        (f"g6:{to_graph6(labeled_graph(4, complete))}", ["disconnected"]),
+    ]
+
+
+def test_labeled_seeds_come_from_the_chunks_in_enumeration_order():
+    for n in range(1, 7):
+        assert list(theorems._labeled(n, n)) == list(enumerate_labeled_graphs(n))
 
 
 def test_bipartite_well_dominated_reports_catalog_defect():
