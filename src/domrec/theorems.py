@@ -17,7 +17,9 @@ there: folds of each chunk's masks and the bit-sliced predicates of graphs
 give every seed's answers at once.  A seed is built as a SeedGraph only
 where needed: a candidate whose verdict computed_eulerian decides on its
 own table, a disagreement, a universal-gamma instance, or an inner graph of
-the two corona claims, which _labeled decodes from the chunks.  The product
+the two corona claims, which _labeled decodes from the chunks.  Those two
+compute every corona's table but decide each distinct (table, k) once,
+since all inner graphs of one order share one corona table.  The product
 claim compares the table of a disjoint union with the outer product of its
 parts' tables.
 """
@@ -378,18 +380,32 @@ def _complete_k(report, n_max: int = 12):
 
 def _corona_sweep(report, inners, check_profile: bool):
     """D_k of the corona of each inner graph, for n < k < 2n with n the inner
-    order; with check_profile, also its domination profile."""
+    order; with check_profile, also its domination profile.
+
+    Every inner graph is built, its corona's table computed and each of its
+    instances counted and checked, but each distinct table is profiled once
+    and each distinct (table, k) decided once: a set dominates the corona
+    iff it meets {v, v'} for every inner vertex v, so every inner graph of
+    one order gives the same table.  A table's top bit is the full vertex
+    set, so the table fixes the order too.
+    """
+    gammas = {}
+    verdicts = {}
     for inner in inners:
         n = inner.n
         g = corona_of(inner)
         table = dominating_table(g)
         if check_profile:
-            profile = domination_profile(g, table)
-            if not (profile.gamma == profile.upper_gamma == n):
+            if table not in gammas:
+                profile = domination_profile(g, table)
+                gammas[table] = profile.gamma, profile.upper_gamma
+            if gammas[table] != (n, n):
                 yield (f"corona:g6:{to_graph6(inner)}", None, f"gamma = upper_gamma = {n}",
-                       [profile.gamma, profile.upper_gamma])
+                       list(gammas[table]))
         for k in range(n + 1, 2 * n):
-            computed = computed_eulerian(g, k, table)
+            if (table, k) not in verdicts:
+                verdicts[table, k] = computed_eulerian(g, k, table)
+            computed = verdicts[table, k]
             expected = n % 2 == 0 and k == n + 1
             report.instances_checked += 1
             if computed != expected:

@@ -12,8 +12,10 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from domrec import SeedGraph, disjoint_union
+from domrec import SeedGraph, disjoint_union, theorems
+from domrec.domination import dominating_table, domination_profile
 from domrec.errors import NoEdges, NotEulerian
+from domrec.graphs import to_graph6
 from domrec.reconfig import build_reconfig, cartesian_product, eulerian_report
 
 
@@ -85,6 +87,32 @@ def reference_euler_circuit(r) -> list[int]:
             circuit.append(stack.pop())
     circuit.reverse()
     return circuit
+
+
+def reference_corona_sweep(report, inners, check_profile: bool):
+    """The corona claims' sweep with no shared verdicts: one profile and one
+    computed_eulerian call per inner graph and k.
+
+    The package's former loop, kept as an oracle for the per-table verdicts
+    of theorems._corona_sweep, whose place it takes under monkeypatch.  It
+    reads theorems.corona_of and theorems.computed_eulerian at call time, so
+    a patched corona reaches both sweeps alike.
+    """
+    for inner in inners:
+        n = inner.n
+        g = theorems.corona_of(inner)
+        table = dominating_table(g)
+        if check_profile:
+            profile = domination_profile(g, table)
+            if not (profile.gamma == profile.upper_gamma == n):
+                yield (f"corona:g6:{to_graph6(inner)}", None, f"gamma = upper_gamma = {n}",
+                       [profile.gamma, profile.upper_gamma])
+        for k in range(n + 1, 2 * n):
+            computed = theorems.computed_eulerian(g, k, table)
+            expected = n % 2 == 0 and k == n + 1
+            report.instances_checked += 1
+            if computed != expected:
+                yield f"corona:g6:{to_graph6(inner)}", k, expected, computed
 
 
 def built_product_problems(parts: list[SeedGraph]) -> list[tuple]:

@@ -5,10 +5,11 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 
-from conftest import built_product_problems, seed_graphs
+from conftest import built_product_problems, reference_corona_sweep, seed_graphs
 from domrec import (
     ClaimId,
     FamilySpec,
+    SeedGraph,
     build_reconfig,
     domination_profile,
     eulerian_report,
@@ -20,7 +21,13 @@ from domrec import (
     verify_product_decomposition,
 )
 from domrec.errors import BoundBelowGamma, BoundExceeded, ClaimUnknown, UncharacterizedInstance
-from domrec.graphs import enumerate_labeled_graphs, labeled_graph, to_graph6, vertex_pairs
+from domrec.graphs import (
+    corona_of,
+    enumerate_labeled_graphs,
+    labeled_graph,
+    to_graph6,
+    vertex_pairs,
+)
 from domrec.theorems import (
     computed_eulerian,
     expected_eulerian_unrestricted,
@@ -497,6 +504,95 @@ def test_bipartite_well_dominated_reports_catalog_defect():
     ce = report.counterexamples[0]
     assert ce["seed"] == "cycle:4" and ce["k"] == 3
     assert ce["expected"] is True and ce["computed"] is False
+
+
+# --- corona claims: one verdict per distinct table ----------------------------
+
+
+def _corona_outcome(report):
+    return (report.passed, report.instances_checked, report.counterexamples,
+            report.details["counterexample_count"])
+
+
+def _reference_corona_report(monkeypatch, claim, inner_max):
+    """The claim's report with the per-inner reference loop as its sweep."""
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "_corona_sweep", reference_corona_sweep)
+        return verify_claim(claim, inner_max=inner_max)
+
+
+@pytest.mark.parametrize("claim", [ClaimId.CORONA, ClaimId.BIPARTITE_WELL_DOMINATED])
+@pytest.mark.parametrize("inner_max", [4, 5])
+def test_corona_claims_match_the_per_inner_reference(monkeypatch, claim, inner_max):
+    assert _corona_outcome(verify_claim(claim, inner_max=inner_max)) == _corona_outcome(
+        _reference_corona_report(monkeypatch, claim, inner_max))
+
+
+def test_corona_claims_report_a_tampered_corona_table(monkeypatch):
+    """One inner graph's corona loses the pendant edge at vertex 0, so its
+    table is new: the shared verdicts must not answer it, and both sweeps
+    report exactly its counterexamples.  With vertex 4 isolated and 0 joined
+    only to 1, gamma is 4 ({1, 2, 3, 4}), {0, 4, 5, 6, 7} is a minimal
+    dominating set of 5, and D_5 is not Eulerian."""
+    target = make_family(FamilySpec.path(4))
+    honest = theorems.corona_of
+
+    def tampered(inner):
+        g = honest(inner)
+        if inner != target:
+            return g
+        adj = list(g.adj)
+        adj[0] ^= 1 << 4
+        adj[4] ^= 1
+        return SeedGraph(g.n, adj)
+
+    monkeypatch.setattr(theorems, "corona_of", tampered)
+    seed = f"corona:g6:{to_graph6(target)}"
+    missed = {"seed": seed, "k": 5, "expected": True, "computed": False}
+    expected = {
+        ClaimId.CORONA: [{"seed": seed, "k": None, "expected": "gamma = upper_gamma = 4",
+                          "computed": [4, 5]}, missed],
+        ClaimId.BIPARTITE_WELL_DOMINATED: [
+            {"seed": "cycle:4", "k": 3, "expected": True, "computed": False}, missed],
+    }
+    for claim, counterexamples in expected.items():
+        report = verify_claim(claim, inner_max=4)
+        assert report.counterexamples == counterexamples
+        assert _corona_outcome(report) == _corona_outcome(
+            _reference_corona_report(monkeypatch, claim, 4))
+
+
+@pytest.mark.parametrize("claim,verdicts,profiles,instances", [
+    (ClaimId.CORONA, 10, 4, 4306),
+    (ClaimId.BIPARTITE_WELL_DOMINATED, 11, 0, 1644),
+])
+def test_corona_claims_decide_each_distinct_table_once(monkeypatch, claim, verdicts,
+                                                       profiles, instances):
+    """At default bounds: one verdict per inner order and k (plus the
+    4-cycle's), one profile per inner order, every instance still counted."""
+    calls = {"verdicts": 0, "profiles": 0}
+
+    def counted(name, key):
+        original = getattr(theorems, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(theorems, name, wrapper)
+
+    counted("computed_eulerian", "verdicts")
+    counted("domination_profile", "profiles")
+    report = verify_claim(claim)
+    assert calls == {"verdicts": verdicts, "profiles": profiles}
+    assert report.instances_checked == instances
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_inner_graph_of_one_order_gives_one_corona_table(n):
+    """A set dominates H o K_1 iff it meets {v, v'} for every inner vertex v,
+    so the corona's table does not depend on the inner graph's edges."""
+    assert len({dominating_table(corona_of(g)) for g in enumerate_labeled_graphs(n)}) == 1
 
 
 def test_negative_control_flags_exactly_the_plant():
