@@ -11,7 +11,11 @@ subsets.  This module is the one owner of that representation.  D_k lives
 on it too: odd_degree_nodes reads its degree parities off the table,
 lattice_eulerian floods its components, and dominating_graph_shape floods
 the unrestricted D(G) from V and steps from each cardinality-parity class,
-for one seed or a chunk of them, all without building it.
+for one seed or a chunk of them, all without building it.  Any set of
+masks taken as nodes, two adjacent when they differ in one vertex, is read
+the same way: flip_masks gives each vertex's moves, degree_classes sums
+them into degrees, component_count floods, and node_fields turns lattice
+masks into one int per node.
 
 It also owns its extension to the (edge mask E, subset S) lattice of a
 labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
@@ -24,10 +28,11 @@ each graph's block of 2**n bits give one answer bit per graph.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import and_, or_, xor
+from operator import and_, getitem, or_, xor
 
 from .errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
 from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, vertex_pairs
@@ -51,16 +56,22 @@ class DominationProfile:
     well_dominated: bool
 
 
+@cache
+def _byte_labels(size: int) -> tuple[tuple[str, ...], ...]:
+    """Per byte position j < size, the labels of the 256 byte values there:
+    entry b is ',v,w' for the members v, w of 8j..8j+7 whose bits b sets."""
+    return tuple(tuple("".join(f",{8 * j + v}" for v in range(8) if b >> v & 1)
+                       for b in range(256))
+                 for j in range(size))
+
+
 def format_set(bits: int) -> str:
-    """Set notation for a vertex mask: 0b101 is '{0,2}'."""
+    """Set notation for a vertex mask: 0b101 is '{0,2}'.  Each byte of the
+    mask is looked up in its position's table of labels."""
     if bits < 0:
         raise ValueError(f"vertex mask must be non-negative, got {bits}")
-    members = []
-    while bits:
-        low = bits & -bits
-        members.append(str(low.bit_length() - 1))
-        bits ^= low
-    return "{" + ",".join(members) + "}"
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    return "{" + "".join(map(getitem, _byte_labels(len(data)), data))[1:] + "}"
 
 
 def is_dominating(g: SeedGraph, s: int) -> bool:
@@ -130,10 +141,10 @@ def _removable(member, table: int) -> list[int]:
     return [(table << (1 << u)) & x for u, x in enumerate(member)]
 
 
-def _nodes(n: int, size, table: int, k: int) -> int:
+def bounded(n: int, table: int, k: int) -> int:
     """The nodes of D_k: the sets in table of cardinality <= k.  At k = n
     the size classes cover every subset, so that is table itself."""
-    return table if k == n else table & reduce(or_, size[: k + 1])
+    return table if k == n else table & reduce(or_, _lattice(n)[1][: k + 1])
 
 
 def _odd_nodes(lattice, n: int, table: int, k: int, nodes: int) -> int:
@@ -150,8 +161,7 @@ def odd_degree_nodes(n: int, table: int, k: int) -> int:
     The degree of a node S is its removable-member count plus, below the
     bound, one up-move per outside vertex; its parity is the XOR of the
     removable masks, flipped on each size class c < k with n - c odd."""
-    lattice = _lattice(n)
-    return _odd_nodes(lattice, n, table, k, _nodes(n, lattice[1], table, k))
+    return _odd_nodes(_lattice(n), n, table, k, bounded(n, table, k))
 
 
 def _step(member, nodes: int, front: int) -> int:
@@ -186,8 +196,8 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     lattice = _lattice(n)
-    member, size = lattice
-    nodes = _nodes(n, size, table, k)
+    member = lattice[0]
+    nodes = bounded(n, table, k)
     if not nodes:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
     if _odd_nodes(lattice, n, table, k, nodes):
@@ -208,26 +218,108 @@ def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
             | _step(member, table, table & ~even) & ~even)
 
 
+def flip_masks(n: int, nodes: int):
+    """Per vertex u = 0..n-1, the nodes from which flipping u lands on a
+    node, for nodes any set of subsets of n vertices, two of which are
+    adjacent when they differ in one vertex: the nodes that hold u and stay
+    nodes without it, and those that lack u and stay nodes with it.  Yielded
+    one at a time, so a wide lattice holds few of them at once."""
+    member, _ = _lattice(n)
+    for u, x in enumerate(member):
+        w = 1 << u
+        has = nodes & x
+        lacks = nodes ^ has
+        yield has & lacks << w | lacks & has >> w
+
+
+def degree_classes(n: int, nodes: int) -> dict[int, int]:
+    """Per degree d of the graph on the node set nodes, the lattice mask of
+    its nodes of degree d, for the degrees some node has.  The degrees are
+    summed bit-sliced over the flip masks (slice i holds bit i of each
+    node's count), then the nodes are split slice by slice."""
+    slices: list[int] = []
+    for x in flip_masks(n, nodes):
+        for i, c in enumerate(slices):
+            if not x:
+                break
+            slices[i] = c ^ x
+            x &= c
+        if x:
+            slices.append(x)
+    classes = {0: nodes} if nodes else {}
+    for i, s in enumerate(slices):
+        split = {}
+        for d, x in classes.items():
+            high = x & s
+            if high:
+                split[d | 1 << i] = high
+            if high != x:
+                split[d] = x ^ high
+        classes = split
+    return classes
+
+
+def component_count(n: int, nodes: int, linked: int) -> int:
+    """How many components of the graph on the node set nodes meet linked,
+    a subset of nodes: one flood from the lowest node of linked not yet
+    reached per component."""
+    member, _ = _lattice(n)
+    count = 0
+    while linked:
+        linked &= ~_flood(member, nodes, linked & -linked)
+        count += 1
+    return count
+
+
+#: Binary digit -> byte of that value, turning bin() digits into bytes.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+#: memoryview format of an unsigned machine word, by its width in bytes.
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def node_fields(n: int, masks, nodes: list[int]) -> list[int]:
+    """Per set s of nodes, in order, the int whose bit p is bit s of
+    masks[p], for up to 64 lattice masks over n vertices.
+
+    Eight masks at a time become one plane, a byte per subset: the digits of
+    each mask, least significant first, are turned into bytes of value 0 or
+    1 and shifted to their bit of the byte.  The bytes at the nodes, read
+    off each plane in node order, are interleaved as the bytes of one
+    machine word per node."""
+    planes = []
+    for p, x in enumerate(masks):
+        if p % 8 == 0:
+            planes.append(0)
+        digits = bin(x)[:1:-1].encode().translate(_DIGIT_BYTES)
+        planes[-1] |= int.from_bytes(digits, "little") << p % 8
+    width = next(w for w in (1, 2, 4, 8) if w >= len(planes))
+    words = bytearray(width * len(nodes))
+    for j, plane in enumerate(planes):
+        at = j if sys.byteorder == "little" else width - 1 - j
+        words[at::width] = bytes(map(plane.to_bytes(1 << n, "little").__getitem__, nodes))
+    return memoryview(words).cast(_WORD_FORMATS[width]).tolist()
+
+
 def size_counts(n: int, table: int) -> list[int]:
     """How many subsets in table have each cardinality 0..n."""
     _, size = _lattice(n)
     return [(table & x).bit_count() for x in size]
 
 
-def subset_masks(n: int, table: int, k: int) -> list[int]:
-    """The subsets in table of cardinality <= k, sorted by (cardinality, mask).
+def ordered_subsets(n: int, x: int):
+    """Yield the subsets in the lattice mask x by (cardinality, mask).
 
-    Set bits are found with str.find over the binary digits, since peeling
-    the lowest bit off a 2**n-bit int costs time linear in its length."""
+    Set bits are found with str.find over each size class's binary digits,
+    since peeling the lowest bit off a 2**n-bit int costs time linear in its
+    length."""
     _, size = _lattice(n)
-    masks = []
-    for x in size[: k + 1]:
-        digits = bin(table & x)[:1:-1]  # least significant digit first
+    for c in size:
+        digits = bin(x & c)[:1:-1]  # least significant digit first
         s = digits.find("1")
         while s >= 0:
-            masks.append(s)
+            yield s
             s = digits.find("1", s + 1)
-    return masks
 
 
 def enumerate_dominating_sets(g: SeedGraph, k: int) -> list[int]:
@@ -235,7 +327,7 @@ def enumerate_dominating_sets(g: SeedGraph, k: int) -> list[int]:
     (cardinality, mask)."""
     if not 0 <= k <= g.n:
         raise ValueError(f"k must be in [0, {g.n}], got {k}")
-    return subset_masks(g.n, dominating_table(g), k)
+    return list(ordered_subsets(g.n, bounded(g.n, dominating_table(g), k)))
 
 
 def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProfile:

@@ -9,15 +9,28 @@ and at most one component contains an edge (isolated nodes are harmless).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, islice
+from operator import or_
 
-from .domination import dominating_table, format_set, is_dominating, size_counts, subset_masks
+from .domination import (
+    bounded,
+    component_count,
+    degree_classes,
+    dominating_table,
+    flip_masks,
+    format_set,
+    is_dominating,
+    node_fields,
+    ordered_subsets,
+    size_counts,
+)
 from .errors import (
     BoundBelowGamma,
+    DimensionMismatch,
     NoEdges,
     NotDominating,
     NotEulerian,
@@ -34,30 +47,44 @@ ODD_WITNESS_CAP = 8
 
 
 class ReconfigGraph:
-    """Materialized reconfiguration graph with deterministic node order.
+    """Reconfiguration graph on a set of vertex masks of seed.
 
-    Every node is a vertex mask of seed.  build_reconfig sorts its nodes by
-    (cardinality, mask); a Cartesian product's seed is the disjoint union of
-    its factors' seeds, and its nodes are the unions of their masks.
-    Adjacency lists are sorted and never mutated after construction;
-    euler_circuit relies on the order to find an edge's twin slot.
+    node_set is the set as one subset-lattice int (bit S set iff the mask S
+    is a node) and nodes lists its masks by (cardinality, mask).  Two nodes
+    are adjacent iff their masks differ in one vertex, so nothing else is
+    stored: reports and walks are read off node_set, and adjacency, node i's
+    neighbour indices in increasing order, is computed on first read and
+    then kept.  A Cartesian product's seed is the disjoint union of its
+    factors' seeds, and its nodes are the unions of their masks.
     """
 
-    __slots__ = ("seed", "k", "nodes", "adjacency")
+    __slots__ = ("seed", "k", "node_set", "nodes", "_adjacency")
 
-    def __init__(self, seed, k, nodes, adjacency):
+    def __init__(self, seed: SeedGraph, k: int | None, node_set: int):
+        if node_set < 0 or node_set >> (1 << seed.n):
+            raise DimensionMismatch(f"node set holds a mask outside the vertices of {seed!r}")
         self.seed = seed
         self.k = k
-        self.nodes = nodes
-        self.adjacency = adjacency
+        self.node_set = node_set
+        self.nodes = list(ordered_subsets(seed.n, node_set))
+        self._adjacency = None
+
+    @property
+    def adjacency(self) -> list[list[int]]:
+        if self._adjacency is None:
+            index = {s: i for i, s in enumerate(self.nodes)}
+            flips = [1 << u for u in range(self.seed.n)]
+            self._adjacency = [sorted(index[s ^ f] for f in flips if m & f)
+                               for s, m in zip(self.nodes, _moves(self))]
+        return self._adjacency
 
     @property
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.nodes)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(x.bit_count() for x in flip_masks(self.seed.n, self.node_set)) // 2
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -67,10 +94,17 @@ class ReconfigGraph:
                 f"{self.node_count} nodes, {self.edge_count} edges)")
 
 
+def _moves(r: ReconfigGraph) -> list[int]:
+    """Per node, in node order, its moves as one vertex mask: bit u is set
+    iff flipping vertex u of the node's mask gives a node."""
+    n = r.seed.n
+    return node_fields(n, flip_masks(n, r.node_set), r.nodes)
+
+
 @dataclass(frozen=True)
 class EulerReport:
     """Eulerian analysis of one reconfiguration graph: the one summary of a
-    built D_k.  degree_histogram holds (degree, node count) pairs in degree
+    D_k.  degree_histogram holds (degree, node count) pairs in degree
     order."""
 
     node_count: int
@@ -86,13 +120,11 @@ class EulerReport:
 
 def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP,
                    table: int | None = None) -> ReconfigGraph:
-    """Materialize the reconfiguration graph of g at cardinality bound k.
+    """The reconfiguration graph of g at cardinality bound k.
 
     table is g's dominating_table, computed here if not given.  The node
-    count is read off its size counts before anything is allocated.  A
-    subset of a node is within the bound, so a down-move lands on a node iff
-    that subset dominates; up-moves need no test because supersets of
-    dominating sets dominate.
+    count is read off its size counts before anything is allocated, and the
+    nodes are the sets of table of cardinality <= k.
     """
     n = g.n
     if not 0 <= k <= n:
@@ -106,27 +138,7 @@ def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP,
         )
     if count == 0:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
-    masks = subset_masks(n, table, k)
-    pos = {s: i for i, s in enumerate(masks)}
-    adjacency = []
-    for s in masks:
-        nbrs = []
-        m = s
-        while m:
-            low = m & -m
-            m ^= low
-            t = pos.get(s ^ low)
-            if t is not None:
-                nbrs.append(t)
-        if s.bit_count() < k:
-            rest = ((1 << n) - 1) ^ s
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                nbrs.append(pos[s | low])
-        nbrs.sort()
-        adjacency.append(nbrs)
-    return ReconfigGraph(g, k, masks, adjacency)
+    return ReconfigGraph(g, k, bounded(n, table, k))
 
 
 def node_degree(g: SeedGraph, s: int, k: int) -> int:
@@ -149,39 +161,28 @@ def node_degree(g: SeedGraph, s: int, k: int) -> int:
 
 
 def eulerian_report(r: ReconfigGraph) -> EulerReport:
-    """Counts, degrees and components; Eulerian means no odd degree and at
-    most one component containing an edge.  The first ODD_WITNESS_CAP
-    odd-degree nodes are kept as witnesses.  Isolated nodes are the nodes of
-    degree 0, and a search from each unseen node with an edge visits one
-    component that has edges."""
-    adjacency = r.adjacency
-    degrees = [len(a) for a in adjacency]
-    odd_count = sum(d % 2 for d in degrees)
-    odd = (i for i, d in enumerate(degrees) if d % 2)
-    witnesses = tuple(r.nodes[i] for i in islice(odd, ODD_WITNESS_CAP))
-    isolated = degrees.count(0)
-    seen = bytearray(len(adjacency))
-    nontrivial = 0
-    for start, d in enumerate(degrees):
-        if seen[start] or not d:
-            continue
-        nontrivial += 1
-        stack = [start]
-        seen[start] = 1
-        while stack:
-            for u in adjacency[stack.pop()]:
-                if not seen[u]:
-                    seen[u] = 1
-                    stack.append(u)
+    """Counts, degrees and components, read off the node set on the subset
+    lattice; Eulerian means no odd degree and at most one component
+    containing an edge.  The first ODD_WITNESS_CAP odd-degree nodes in node
+    order are kept as witnesses.  Isolated nodes are the nodes of degree 0;
+    every other node lies in a component with edges."""
+    n, nodes = r.seed.n, r.node_set
+    classes = degree_classes(n, nodes)
+    histogram = tuple(sorted((d, x.bit_count()) for d, x in classes.items()))
+    odd = reduce(or_, (x for d, x in classes.items() if d & 1), 0)
+    isolated = classes.get(0, 0)
+    nontrivial = component_count(n, nodes, nodes ^ isolated)
+    odd_count = odd.bit_count()
+    isolated_count = isolated.bit_count()
     return EulerReport(
-        node_count=len(adjacency),
-        edge_count=sum(degrees) // 2,
-        degree_histogram=tuple(sorted(Counter(degrees).items())),
+        node_count=r.node_count,
+        edge_count=sum(d * c for d, c in histogram) // 2,
+        degree_histogram=histogram,
         odd_degree_count=odd_count,
-        odd_degree_nodes=witnesses,
-        isolated_count=isolated,
+        odd_degree_nodes=tuple(islice(ordered_subsets(n, odd), ODD_WITNESS_CAP)),
+        isolated_count=isolated_count,
         nontrivial_component_count=nontrivial,
-        is_connected=nontrivial + isolated <= 1,
+        is_connected=nontrivial + isolated_count <= 1,
         is_eulerian=odd_count == 0 and nontrivial <= 1,
     )
 
@@ -191,73 +192,70 @@ def euler_circuit(r: ReconfigGraph) -> list[int]:
 
     Hierholzer construction with a deterministic tie-break: start at the
     lowest-index node incident to an edge and always take the lowest-index
-    unused neighbor.  The walk has edge_count + 1 entries.
+    unused neighbour.  The walk has edge_count + 1 entries.
 
-    Adjacency slots are laid out CSR-style (node v owns slots offsets[v] to
-    offsets[v+1]) and a bytearray over the slots marks edges used.  Taking
-    the edge v -> u from slot i marks i and its twin, u's slot for v, found
-    by bisecting u's sorted list: O(E log Delta) for E edges and maximum
-    degree Delta.
+    The walk steps on masks.  Each node's unused moves are one vertex mask
+    (see _moves).  Its lowest-index unused neighbour drops the highest
+    vertex it can, since a down-move lands a size class lower and leaves a
+    smaller mask the higher the vertex it drops; with no down-move left, it
+    adds the lowest vertex it can.  Taking a move flips its vertex in the
+    node's mask and clears its bit at both ends, the same bit since flipping
+    the vertex again leads back.  The walk is read into node indices at the
+    end.
 
     Raises NotEulerian for an odd degree, then NoEdges for an edgeless
     graph.  Even degrees make the walk close at its start after using every
     edge of the start's component, so a walk shorter than edge_count + 1
     means a second component has edges: NotEulerian again.
     """
-    adjacency = r.adjacency
-    offsets = [0]
-    for a in adjacency:
-        if len(a) % 2:
-            raise NotEulerian("graph has an odd-degree node")
-        offsets.append(offsets[-1] + len(a))
-    edge_count = offsets[-1] // 2
+    fields = _moves(r)
+    if any(m.bit_count() & 1 for m in fields):
+        raise NotEulerian("graph has an odd-degree node")
+    edge_count = sum(m.bit_count() for m in fields) // 2
     if edge_count == 0:
         raise NoEdges("no edges to traverse")
-    used = bytearray(offsets[-1])
-    ptr = offsets[:-1]
-    start = next(i for i, a in enumerate(adjacency) if a)
-    stack = [start]
-    circuit = []
+    moves = dict(zip(r.nodes, fields))
+    del fields
+    # The stack and the walk hold masks as 32-bit words (a seed has at most
+    # HARD_CAP = 26 vertices), as an int of its own per edge would be several
+    # times larger: each s ^= low below makes a new one.
+    stack = array("I", [next(s for s, m in moves.items() if m)])
+    walk = array("I")
     while stack:
-        v = stack[-1]
-        i = ptr[v]
-        end = offsets[v + 1]
-        while i < end and used[i]:
-            i += 1
-        if i < end:
-            u = adjacency[v][i - offsets[v]]
-            used[i] = used[offsets[u] + bisect_left(adjacency[u], v)] = 1
-            ptr[v] = i + 1
-            stack.append(u)
-        else:
-            ptr[v] = i
-            circuit.append(stack.pop())
-    if len(circuit) != edge_count + 1:
+        s = stack.pop()
+        m = moves[s]
+        while m:
+            stack.append(s)
+            d = m & s
+            low = 1 << d.bit_length() - 1 if d else m & -m
+            moves[s] = m ^ low
+            s ^= low
+            moves[s] = m = moves[s] ^ low
+        walk.append(s)
+    if len(walk) != edge_count + 1:
         raise NotEulerian("edges in more than one component")
-    circuit.reverse()
-    return circuit
+    # Every move is used up: the same dict, its values overwritten, maps
+    # each node's mask to its index without a second table.
+    for i, s in enumerate(r.nodes):
+        moves[s] = i
+    return list(map(moves.__getitem__, reversed(walk)))
 
 
 def cartesian_product(a: ReconfigGraph, b: ReconfigGraph, node_cap: int = DEFAULT_NODE_CAP) -> ReconfigGraph:
     """Cartesian product: (u, v) ~ (x, y) iff equal in one coordinate and
     adjacent in the other.  Its seed is the disjoint union of a's and b's
-    seeds, so node i * nb + j is the mask a.nodes[i] | b.nodes[j] << a.seed.n,
-    and k is None.  After the node-cap check, factor seeds of more than
-    HARD_CAP vertices in all raise CapacityExceeded from disjoint_union."""
+    seeds and its nodes the masks x | y << a.seed.n, so its node set is the
+    outer product of the factors' node sets, and k is None.  After the
+    node-cap check, factor seeds of more than HARD_CAP vertices in all raise
+    CapacityExceeded from disjoint_union."""
     na, nb = a.node_count, b.node_count
     if na * nb > node_cap:
         raise ReconfigTooLarge(f"product would have {na * nb} nodes")
     seed = disjoint_union([a.seed, b.seed])
-    masks = []
-    adjacency = []
-    for i, sa in enumerate(a.nodes):
-        for j, sb in enumerate(b.nodes):
-            masks.append(sa | sb << a.seed.n)
-            nbrs = [i2 * nb + j for i2 in a.adjacency[i]]
-            nbrs.extend(i * nb + j2 for j2 in b.adjacency[j])
-            nbrs.sort()
-            adjacency.append(nbrs)
-    return ReconfigGraph(seed, None, masks, adjacency)
+    node_set = 0
+    for y in b.nodes:
+        node_set |= a.node_set << (y << a.seed.n)
+    return ReconfigGraph(seed, None, node_set)
 
 
 def parity_bipartition_valid(r: ReconfigGraph) -> bool:

@@ -7,8 +7,9 @@ difference instead of incremental moves) so agreement is meaningful.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 
 import hypothesis.strategies as st
 
@@ -16,7 +17,13 @@ from domrec import SeedGraph, disjoint_union, theorems
 from domrec.domination import dominating_table, domination_profile
 from domrec.errors import NoEdges, NotEulerian
 from domrec.graphs import to_graph6
-from domrec.reconfig import build_reconfig, cartesian_product, eulerian_report
+from domrec.reconfig import (
+    ODD_WITNESS_CAP,
+    EulerReport,
+    build_reconfig,
+    cartesian_product,
+    eulerian_report,
+)
 
 
 def naive_is_dominating(g: SeedGraph, bits: int) -> bool:
@@ -54,19 +61,68 @@ def bytewise_dominating_table(g: SeedGraph) -> bytearray:
     return table
 
 
+def naive_adjacency(r) -> list[list[int]]:
+    """Sorted neighbour lists of r's nodes, from the all-pairs edge oracle."""
+    adjacency = [[] for _ in r.nodes]
+    for i, j in naive_reconfig_edges(r.nodes):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    return [sorted(a) for a in adjacency]
+
+
+def reference_eulerian_report(r, adjacency=None) -> EulerReport:
+    """Counts, degrees and components on neighbour lists (naive_adjacency(r)
+    unless given), found by a search from each unseen node with an edge.
+
+    The package's former report, kept as an oracle for the report read off
+    the subset lattice."""
+    if adjacency is None:
+        adjacency = naive_adjacency(r)
+    degrees = [len(a) for a in adjacency]
+    odd_count = sum(d % 2 for d in degrees)
+    odd = (i for i, d in enumerate(degrees) if d % 2)
+    witnesses = tuple(r.nodes[i] for i in islice(odd, ODD_WITNESS_CAP))
+    isolated = degrees.count(0)
+    seen = bytearray(len(adjacency))
+    nontrivial = 0
+    for start, d in enumerate(degrees):
+        if seen[start] or not d:
+            continue
+        nontrivial += 1
+        stack = [start]
+        seen[start] = 1
+        while stack:
+            for u in adjacency[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return EulerReport(
+        node_count=len(adjacency),
+        edge_count=sum(degrees) // 2,
+        degree_histogram=tuple(sorted(Counter(degrees).items())),
+        odd_degree_count=odd_count,
+        odd_degree_nodes=witnesses,
+        isolated_count=isolated,
+        nontrivial_component_count=nontrivial,
+        is_connected=nontrivial + isolated <= 1,
+        is_eulerian=odd_count == 0 and nontrivial <= 1,
+    )
+
+
 def reference_euler_circuit(r) -> list[int]:
     """Tuple-set Hierholzer walk with the package's tie-break.
 
-    The package's former circuit, kept as an oracle for the edge-id walk:
-    it validates through a full eulerian_report and marks used edges as
-    (min, max) pairs in a set.
+    The package's former circuit, kept as an oracle for the walk on masks:
+    it runs on naive_adjacency(r), validates through
+    reference_eulerian_report and marks used edges as (min, max) pairs in a
+    set.
     """
-    report = eulerian_report(r)
+    adjacency = naive_adjacency(r)
+    report = reference_eulerian_report(r, adjacency)
     if not report.is_eulerian:
         raise NotEulerian("graph has an odd degree or two non-trivial components")
     if report.edge_count == 0:
         raise NoEdges("no edges to traverse")
-    adjacency = r.adjacency
     start = next(i for i, a in enumerate(adjacency) if a)
     ptr = [0] * len(adjacency)
     used: set[tuple[int, int]] = set()
@@ -87,6 +143,19 @@ def reference_euler_circuit(r) -> list[int]:
             circuit.append(stack.pop())
     circuit.reverse()
     return circuit
+
+
+def peeling_format_set(bits: int) -> str:
+    """Set notation for a vertex mask, peeling off the lowest bit in turn.
+    The package's former formatter, kept as an oracle for the byte tables."""
+    if bits < 0:
+        raise ValueError(f"vertex mask must be non-negative, got {bits}")
+    members = []
+    while bits:
+        low = bits & -bits
+        members.append(str(low.bit_length() - 1))
+        bits ^= low
+    return "{" + ",".join(members) + "}"
 
 
 def reference_corona_sweep(report, inners, check_profile: bool):

@@ -2,6 +2,7 @@
 
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +11,7 @@ from conftest import (
     naive_dominating_masks,
     naive_is_dominating,
     naive_up_closed_eulerian,
+    peeling_format_set,
     seed_graphs,
     up_closed_families,
     up_closure_table,
@@ -32,6 +34,7 @@ from domrec.domination import (
     dominating_table,
     labeled_chunks,
     lattice_eulerian,
+    node_fields,
     odd_degree_nodes,
     size_counts,
 )
@@ -216,6 +219,37 @@ def test_format_set_matches_the_vertex_scan():
     assert format_set(0b101) == "{0,2}" and format_set(0) == "{}"
     with pytest.raises(ValueError):
         format_set(-1)
+
+
+def test_format_set_matches_the_peeling_formatter_below_2_16():
+    for bits in range(1 << 16):
+        assert format_set(bits) == peeling_format_set(bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 40))
+def test_format_set_matches_the_peeling_formatter_on_wide_masks(bits):
+    assert format_set(bits) == peeling_format_set(bits)
+
+
+@pytest.mark.parametrize("bits", [-1, -(1 << 40)])
+def test_format_set_rejects_negative_masks_like_the_peeling_formatter(bits):
+    for formatter in (format_set, peeling_format_set):
+        with pytest.raises(ValueError, match="non-negative"):
+            formatter(bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << (1 << n)) - 1), max_size=40),
+    st.lists(st.integers(0, (1 << n) - 1), unique=True))))
+def test_node_fields_transposes_lattice_masks(case):
+    """Bit p of each node's field is bit s of masks[p], for field widths of
+    one, two, four and eight bytes."""
+    n, masks, nodes = case
+    assert node_fields(n, masks, nodes) == [
+        sum((x >> s & 1) << p for p, x in enumerate(masks)) for s in nodes]
 
 
 def _chunk_answers(chunk):

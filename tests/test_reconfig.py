@@ -4,7 +4,7 @@ Cartesian products."""
 import tracemalloc
 from collections import Counter
 from functools import reduce
-from itertools import chain, combinations, product
+from itertools import chain, product
 
 import hypothesis.strategies as st
 import networkx as nx
@@ -12,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    naive_adjacency,
     naive_dominating_masks,
     naive_reconfig_edges,
     reference_euler_circuit,
+    reference_eulerian_report,
     seed_graphs,
 )
 from domrec import (
     EulerReport,
     FamilySpec,
     ReconfigGraph,
+    SeedGraph,
     build_reconfig,
     cartesian_product,
     corona_of,
@@ -38,6 +41,7 @@ from domrec import (
 from domrec.errors import (
     BoundBelowGamma,
     CapacityExceeded,
+    DimensionMismatch,
     NoEdges,
     NotDominating,
     NotEulerian,
@@ -108,6 +112,7 @@ def test_build_matches_all_pairs_oracle(g):
         assert sorted(masks) == sorted(naive_dominating_masks(g, k))
         got = {(i, j) for i, nbrs in enumerate(r.adjacency) for j in nbrs if i < j}
         assert got == naive_reconfig_edges(masks)
+        assert r.adjacency == naive_adjacency(r)  # each list sorted
 
 
 # --- node_degree ----------------------------------------------------------
@@ -233,6 +238,7 @@ EULERIAN_FAMILIES = [
 
 def assert_matches_reference(r):
     rep = eulerian_report(r)
+    assert rep == reference_eulerian_report(r)
     assert rep.is_eulerian and rep.edge_count > 0
     assert euler_circuit(r) == reference_euler_circuit(r)
 
@@ -255,23 +261,38 @@ def test_euler_circuit_matches_reference_on_a_product():
     assert_matches_reference(prod)
 
 
-def hand_built(adjacency):
-    return ReconfigGraph(None, None, list(range(len(adjacency))), adjacency)
+def planted(n, masks):
+    """The graph on the given vertex masks of n vertices, each a node, two
+    adjacent iff they differ in one vertex: a subgraph of the hypercube Q_n
+    that no D_k need have."""
+    return ReconfigGraph(SeedGraph(n, [0] * n), None, sum(1 << s for s in set(masks)))
 
 
 def test_two_edged_components_are_not_eulerian():
-    # Two disjoint 4-cycles: every degree is even, so only the short walk
-    # gives the second component away.
-    r = hand_built([[1, 3], [0, 2], [1, 3], [0, 2], [5, 7], [4, 6], [5, 7], [4, 6]])
+    # Two disjoint 4-cycles on Q_4: every degree is even, so only the short
+    # walk gives the second component away.  No D_k with n <= 6 has this shape.
+    r = planted(4, [0b0000, 0b0001, 0b0011, 0b0010, 0b1100, 0b1101, 0b1111, 0b1110])
+    rep = eulerian_report(r)
+    assert rep.odd_degree_count == 0 and rep.nontrivial_component_count == 2
     with pytest.raises(NotEulerian):
         euler_circuit(r)
     with pytest.raises(NotEulerian):
         reference_euler_circuit(r)
 
 
+def test_node_set_outside_the_seed_is_rejected():
+    with pytest.raises(DimensionMismatch):
+        planted(2, [0b100])
+    with pytest.raises(DimensionMismatch):
+        ReconfigGraph(SeedGraph(2, [0, 0]), None, -1)
+
+
 def test_isolated_nodes_are_skipped():
-    r = hand_built([[], [], [3, 5], [2, 4], [3, 5], [2, 4], []])
-    assert euler_circuit(r) == [2, 3, 4, 5, 2] == reference_euler_circuit(r)
+    # Nodes 0, 1 and 6 are isolated; 2, 3, 5, 4 is a 4-cycle, which in the
+    # (cardinality, mask) order cannot run 2, 3, 4, 5.
+    r = planted(5, [0b01000, 0b10000, 0b00011, 0b00111, 0b01011, 0b01111, 0b11110])
+    assert [r.degree(i) for i in range(7)] == [0, 0, 2, 2, 2, 2, 0]
+    assert euler_circuit(r) == [2, 3, 5, 4, 2] == reference_euler_circuit(r)
 
 
 def test_euler_circuit_needs_no_report(monkeypatch):
@@ -311,9 +332,11 @@ def networkx_report(r):
 
 def assert_report_and_walk_match_networkx(r):
     rep = eulerian_report(r)
-    assert rep == networkx_report(r)
+    assert rep == networkx_report(r) == reference_eulerian_report(r)
     if rep.is_eulerian and rep.edge_count:
-        replay(r, euler_circuit(r))
+        walk = euler_circuit(r)
+        replay(r, walk)
+        assert walk == reference_euler_circuit(r)
     else:
         with pytest.raises(NoEdges if rep.is_eulerian else NotEulerian):
             euler_circuit(r)
@@ -322,7 +345,7 @@ def assert_report_and_walk_match_networkx(r):
 def test_report_and_walk_match_networkx_on_every_small_labeled_graph():
     """Every labeled seed on up to 5 vertices, disconnected ones included, at
     every k from gamma to n: the report of D_k (degree histogram included)
-    and its walk match networkx."""
+    and its walk match networkx and the reference report and walk."""
     pairs = 0
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
@@ -333,35 +356,42 @@ def test_report_and_walk_match_networkx_on_every_small_labeled_graph():
     assert pairs == 4429
 
 
-@pytest.mark.parametrize("adjacency, expected", [
-    ([], EulerReport(0, 0, (), 0, (), 0, 0, True, True)),
-    ([[], [], []], EulerReport(3, 0, ((0, 3),), 0, (), 3, 0, False, True)),
-    ([[], [2, 4], [1, 3], [2, 4], [1, 3], []],
+@pytest.mark.parametrize("n, masks, expected", [
+    (2, [], EulerReport(0, 0, (), 0, (), 0, 0, True, True)),
+    (3, [0b000, 0b011, 0b101], EulerReport(3, 0, ((0, 3),), 0, (), 3, 0, False, True)),
+    (4, [0b0001, 0b0011, 0b0101, 0b0111, 0b1010, 0b1100],
      EulerReport(6, 4, ((0, 2), (2, 4)), 0, (), 2, 1, False, True)),
 ], ids=["no-nodes", "only-isolated", "isolated-and-a-cycle"])
-def test_report_of_hand_built_graphs(adjacency, expected):
-    r = hand_built(adjacency)
+def test_report_of_hand_built_graphs(n, masks, expected):
+    r = planted(n, masks)
     assert eulerian_report(r) == expected
     assert_report_and_walk_match_networkx(r)
 
 
 @st.composite
-def simple_graphs(draw, max_n: int = 10):
-    """Sorted adjacency lists of a random simple graph; when drawn, its odd
-    nodes are paired off in order and each pair's edge toggled, leaving every
-    degree even."""
+def node_sets(draw, max_n: int = 7):
+    """A planted graph on Q_n, n <= max_n: a random set of vertex masks, or
+    a union of subcubes of even dimension (every degree even within one),
+    with a few random masks toggled in or out when drawn."""
     n = draw(st.integers(0, max_n))
-    pairs = list(combinations(range(n), 2))
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    edges = {p for i, p in enumerate(pairs) if (mask >> i) & 1}
+    full = (1 << n) - 1
     if draw(st.booleans()):
-        odd = [v for v in range(n) if sum(v in e for e in edges) % 2]
-        edges ^= set(zip(odd[::2], odd[1::2]))
-    adjacency = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return [sorted(a) for a in adjacency]
+        masks = set(draw(st.lists(st.integers(0, full), max_size=1 << n)))
+    else:
+        masks = set()
+        for _ in range(draw(st.integers(1, 3))):
+            free = draw(st.integers(0, full))
+            if free.bit_count() % 2:
+                free ^= 1 << free.bit_length() - 1  # an even dimension
+            base = draw(st.integers(0, full)) & ~free
+            sub = free
+            while True:
+                masks.add(base | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+        masks ^= set(draw(st.lists(st.integers(0, full), max_size=2)))
+    return planted(n, masks)
 
 
 def walk_or_error(walk, r):
@@ -372,10 +402,21 @@ def walk_or_error(walk, r):
 
 
 @settings(max_examples=300, deadline=None)
-@given(simple_graphs())
-def test_euler_circuit_matches_reference_on_hand_built_graphs(adjacency):
-    r = hand_built(adjacency)
+@given(node_sets())
+def test_euler_circuit_matches_reference_on_hand_built_graphs(r):
+    assert r.adjacency == naive_adjacency(r)
+    assert eulerian_report(r) == reference_eulerian_report(r)
     assert walk_or_error(euler_circuit, r) == walk_or_error(reference_euler_circuit, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed_graphs(min_n=1, max_n=10))
+def test_report_and_walk_match_reference_on_random_seeds(g):
+    table = dominating_table(g)
+    for k in range(domination_profile(g, table).gamma, g.n + 1):
+        r = build_reconfig(g, k, table=table)
+        assert eulerian_report(r) == reference_eulerian_report(r)
+        assert walk_or_error(euler_circuit, r) == walk_or_error(reference_euler_circuit, r)
 
 
 def test_euler_circuit_memory_per_edge():
@@ -408,9 +449,9 @@ def test_product_node_count_and_degrees():
     assert p2.node_count == 3  # {0}, {1}, {0,1}
     prod = cartesian_product(p2, p2)
     assert prod.node_count == 9
-    for i in range(3):
-        for j in range(3):
-            assert prod.degree(i * 3 + j) == p2.degree(i) + p2.degree(j)
+    for i, x in enumerate(p2.nodes):
+        for j, y in enumerate(p2.nodes):
+            assert prod.degree(prod.nodes.index(x | y << 2)) == p2.degree(i) + p2.degree(j)
 
 
 def test_nodes_are_masks_and_product_nodes_pair_them():
@@ -419,7 +460,8 @@ def test_nodes_are_masks_and_product_nodes_pair_them():
     assert a.nodes == enumerate_dominating_sets(g, 2) == [0b01, 0b10, 0b11]
     b = build(FamilySpec.cycle(3), 2)
     prod = cartesian_product(a, b)
-    assert prod.nodes == [x | y << 2 for x in a.nodes for y in b.nodes]
+    pairs = [x | y << 2 for x in a.nodes for y in b.nodes]
+    assert prod.nodes == sorted(pairs, key=lambda s: (s.bit_count(), s))
 
 
 def assert_product_is_union_dk(parts):
@@ -433,6 +475,7 @@ def assert_product_is_union_dk(parts):
     edges = {frozenset((masks[i], masks[j])) for i, j in naive_reconfig_edges(masks)}
     assert {frozenset((prod.nodes[i], prod.nodes[j]))
             for i, nbrs in enumerate(prod.adjacency) for j in nbrs} == edges
+    assert eulerian_report(prod) == reference_eulerian_report(prod)
     return prod
 
 
