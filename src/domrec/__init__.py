@@ -8,10 +8,7 @@ catalog of closed-form characterizations at desk scale.
 from .domination import (
     DominationProfile,
     domination_profile,
-    enumerate_dominating_sets,
     format_set,
-    is_dominating,
-    is_minimal_dominating,
 )
 from .graphs import (
     FamilySpec,
@@ -19,7 +16,6 @@ from .graphs import (
     connected_components,
     corona_of,
     disjoint_union,
-    enumerate_labeled_graphs,
     is_cocktail_party,
     make_family,
     parse_graph6,
@@ -29,11 +25,8 @@ from .reconfig import (
     EulerReport,
     ReconfigGraph,
     build_reconfig,
-    cartesian_product,
     euler_circuit,
     eulerian_report,
-    node_degree,
-    parity_bipartition_valid,
 )
 from .theorems import (
     ClaimId,
@@ -55,23 +48,16 @@ __all__ = [
     "SeedGraph",
     "TheoremReport",
     "build_reconfig",
-    "cartesian_product",
     "connected_components",
     "corona_of",
     "disjoint_union",
     "domination_profile",
-    "enumerate_dominating_sets",
-    "enumerate_labeled_graphs",
     "euler_circuit",
     "eulerian_report",
     "expected_eulerian",
     "format_set",
     "is_cocktail_party",
-    "is_dominating",
-    "is_minimal_dominating",
     "make_family",
-    "node_degree",
-    "parity_bipartition_valid",
     "parse_graph6",
     "to_graph6",
     "verify_claim",

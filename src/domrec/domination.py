@@ -1,7 +1,7 @@
-"""Dominating-set predicates, enumeration, and summary statistics.
+"""Domination tables on the subset lattice, and summary statistics.
 
 A set of vertices is an int mask, bit v set iff v is a member: the nodes of
-D_k and the sets the predicates below take are such masks, and format_set
+D_k and the subsets of the lattice below are such masks, and format_set
 writes one as '{0,2}'.  A subset S dominates when the union of closed
 neighborhoods of its members covers every vertex.  Questions about all 2**n
 subsets at once are answered on the subset lattice: a set of subsets is one
@@ -34,7 +34,7 @@ from functools import cache, reduce
 from math import comb
 from operator import and_, getitem, or_, xor
 
-from .errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
+from .errors import BoundBelowGamma, BoundExceeded, EmptyGraph
 from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, vertex_pairs
 
 #: log2 of the lattice bits in one chunk of a labeled sweep: 2**17 bits, so
@@ -72,33 +72,6 @@ def format_set(bits: int) -> str:
         raise ValueError(f"vertex mask must be non-negative, got {bits}")
     data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
     return "{" + "".join(map(getitem, _byte_labels(len(data)), data))[1:] + "}"
-
-
-def is_dominating(g: SeedGraph, s: int) -> bool:
-    """True iff every vertex outside the mask s has a neighbor in s."""
-    if s < 0 or s >> g.n:
-        raise DimensionMismatch(f"vertex mask {s:#x} is not a set of vertices of {g!r}")
-    covered = 0
-    m = s
-    adj = g.adj
-    while m:
-        low = m & -m
-        m ^= low
-        covered |= adj[low.bit_length() - 1] | low
-    return covered == (1 << g.n) - 1
-
-
-def is_minimal_dominating(g: SeedGraph, s: int) -> bool:
-    """True iff s dominates and no single-vertex deletion of s still dominates."""
-    if not is_dominating(g, s):
-        return False
-    m = s
-    while m:
-        low = m & -m
-        m ^= low
-        if is_dominating(g, s ^ low):
-            return False
-    return True
 
 
 @cache  # one entry per n <= HARD_CAP; at n = 26 its 53 ints take 8 MiB each
@@ -320,14 +293,6 @@ def ordered_subsets(n: int, x: int):
         while s >= 0:
             yield s
             s = digits.find("1", s + 1)
-
-
-def enumerate_dominating_sets(g: SeedGraph, k: int) -> list[int]:
-    """The masks of all dominating sets of cardinality <= k, sorted by
-    (cardinality, mask)."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"k must be in [0, {g.n}], got {k}")
-    return list(ordered_subsets(g.n, bounded(g.n, dominating_table(g), k)))
 
 
 def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProfile:

@@ -1,5 +1,5 @@
-"""Seed graphs: bitmask representation, family generators, enumeration,
-graph6, and the text grammar of graph specs.
+"""Seed graphs: bitmask representation, family generators, labeled graphs
+by edge mask, graph6, and the text grammar of graph specs.
 
 Vertices are the integers 0..n-1 and adjacency is stored as one bitmask per
 vertex, so a graph on n vertices fits in n machine words.  The hard cap
@@ -25,7 +25,6 @@ from functools import cache, reduce
 from operator import and_
 
 from .errors import (
-    BoundExceeded,
     CapacityExceeded,
     GraphSpecError,
     InvalidFamilyParameters,
@@ -389,23 +388,6 @@ def labeled_graph(n: int, edge_mask: int) -> SeedGraph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return SeedGraph(n, adj, validate=False)
-
-
-def enumerate_labeled_graphs(n: int, connected_only: bool = False):
-    """Yield every labeled graph on n vertices exactly once.
-
-    Edge masks are enumerated in increasing order and decoded by
-    labeled_graph.  With connected_only, graphs that are not connected are
-    skipped.
-    """
-    if not 1 <= n <= ENUMERATION_CAP:
-        raise BoundExceeded(
-            f"labeled enumeration supports 1 <= n <= {ENUMERATION_CAP}, got {n}"
-        )
-    for mask in range(1 << len(vertex_pairs(n))):
-        g = labeled_graph(n, mask)
-        if not connected_only or is_connected(g):
-            yield g
 
 
 # Bit-sliced twins of the predicates above decide one question for a batch of

@@ -23,7 +23,6 @@ from .domination import (
     dominating_table,
     flip_masks,
     format_set,
-    is_dominating,
     node_fields,
     ordered_subsets,
     size_counts,
@@ -32,11 +31,10 @@ from .errors import (
     BoundBelowGamma,
     DimensionMismatch,
     NoEdges,
-    NotDominating,
     NotEulerian,
     ReconfigTooLarge,
 )
-from .graphs import SeedGraph, disjoint_union
+from .graphs import SeedGraph
 
 #: Node-cap default: a reconfiguration graph can have ~2**n nodes, so builds
 #: above this size fail loudly instead of thrashing.
@@ -54,8 +52,8 @@ class ReconfigGraph:
     are adjacent iff their masks differ in one vertex, so nothing else is
     stored: reports and walks are read off node_set, and adjacency, node i's
     neighbour indices in increasing order, is computed on first read and
-    then kept.  A Cartesian product's seed is the disjoint union of its
-    factors' seeds, and its nodes are the unions of their masks.
+    then kept.  node_set may hold any vertex masks of seed, not only
+    dominating sets, and k is None when no cardinality bound chose them.
     """
 
     __slots__ = ("seed", "k", "node_set", "nodes", "_adjacency")
@@ -85,9 +83,6 @@ class ReconfigGraph:
     @property
     def edge_count(self) -> int:
         return sum(x.bit_count() for x in flip_masks(self.seed.n, self.node_set)) // 2
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
 
     def __repr__(self) -> str:
         return (f"ReconfigGraph({self.seed!r}, k={self.k}: "
@@ -139,25 +134,6 @@ def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP,
     if count == 0:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
     return ReconfigGraph(g, k, bounded(n, table, k))
-
-
-def node_degree(g: SeedGraph, s: int, k: int) -> int:
-    """Degree of the node for the vertex mask s in the reconfiguration graph
-    at bound k, computed from the seed without materializing: removable
-    members plus, below the bound, one up-move per outside vertex."""
-    if not is_dominating(g, s):
-        raise NotDominating(f"{format_set(s)} does not dominate {g!r}")
-    c = s.bit_count()
-    if c > k:
-        raise ValueError(f"cardinality {c} exceeds bound k={k}")
-    deg = g.n - c if c < k else 0
-    m = s
-    while m:
-        low = m & -m
-        m ^= low
-        if is_dominating(g, s ^ low):
-            deg += 1
-    return deg
 
 
 def eulerian_report(r: ReconfigGraph) -> EulerReport:
@@ -239,35 +215,6 @@ def euler_circuit(r: ReconfigGraph) -> list[int]:
     for i, s in enumerate(r.nodes):
         moves[s] = i
     return list(map(moves.__getitem__, reversed(walk)))
-
-
-def cartesian_product(a: ReconfigGraph, b: ReconfigGraph, node_cap: int = DEFAULT_NODE_CAP) -> ReconfigGraph:
-    """Cartesian product: (u, v) ~ (x, y) iff equal in one coordinate and
-    adjacent in the other.  Its seed is the disjoint union of a's and b's
-    seeds and its nodes the masks x | y << a.seed.n, so its node set is the
-    outer product of the factors' node sets, and k is None.  After the
-    node-cap check, factor seeds of more than HARD_CAP vertices in all raise
-    CapacityExceeded from disjoint_union."""
-    na, nb = a.node_count, b.node_count
-    if na * nb > node_cap:
-        raise ReconfigTooLarge(f"product would have {na * nb} nodes")
-    seed = disjoint_union([a.seed, b.seed])
-    node_set = 0
-    for y in b.nodes:
-        node_set |= a.node_set << (y << a.seed.n)
-    return ReconfigGraph(seed, None, node_set)
-
-
-def parity_bipartition_valid(r: ReconfigGraph) -> bool:
-    """True iff every edge joins sets whose cardinalities differ by one, so
-    coloring nodes by cardinality parity is a proper 2-coloring."""
-    cards = [s.bit_count() for s in r.nodes]
-    for i, nbrs in enumerate(r.adjacency):
-        ci = cards[i]
-        for j in nbrs:
-            if abs(ci - cards[j]) != 1:
-                return False
-    return True
 
 
 def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> Iterator[str]:

@@ -6,10 +6,9 @@ verdict and reports any instance where the two disagree.  Every computed
 answer is read off domination tables on the subset lattice and no D_k is
 built: odd-degree nodes certify "not Eulerian", and otherwise one flood fill
 from the lowest non-isolated node decides whether the edges form one
-component (computed_eulerian).  The built report, the Cartesian product and
-the parity bipartition of reconfig are the tests' oracles.  Each claim is a
-sweep body that yields its disagreements; one driver, _run, turns them into
-a capped, timed report.
+component (computed_eulerian).  The report on a built D_k is the tests'
+oracle.  Each claim is a sweep body that yields its disagreements; one
+driver, _run, turns them into a capped, timed report.
 
 Every labeled seed comes from the (edge mask, subset) lattice of
 domination.labeled_chunks.  All but the two corona claims are decided
@@ -157,6 +156,12 @@ def expected_eulerian_unrestricted(g: SeedGraph) -> bool:
     )
 
 
+def _corona_eulerian(inner_n: int, k: int) -> bool:
+    """Closed form for D_k of the corona of an inner graph of order inner_n:
+    Eulerian iff inner_n is even and k = inner_n + 1."""
+    return inner_n % 2 == 0 and k == inner_n + 1
+
+
 def expected_eulerian(spec: FamilySpec, k: int) -> bool:
     """Closed-form predicted verdict for D_k of a characterized family.
 
@@ -191,8 +196,7 @@ def expected_eulerian(spec: FamilySpec, k: int) -> bool:
     if kind == "complete":
         return n % 2 == 1 and k == 2
     if kind == "corona":
-        inner_n = n // 2
-        return inner_n % 2 == 0 and k == inner_n + 1
+        return _corona_eulerian(n // 2, k)
     raise UncharacterizedInstance(f"no claim covers family {spec.spec_string()}")
 
 
@@ -406,7 +410,7 @@ def _corona_sweep(report, inners, check_profile: bool):
             if (table, k) not in verdicts:
                 verdicts[table, k] = computed_eulerian(g, k, table)
             computed = verdicts[table, k]
-            expected = n % 2 == 0 and k == n + 1
+            expected = _corona_eulerian(n, k)
             report.instances_checked += 1
             if computed != expected:
                 yield f"corona:g6:{to_graph6(inner)}", k, expected, computed

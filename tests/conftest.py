@@ -3,6 +3,12 @@
 The oracles deliberately use different formulations than the package code
 (per-vertex adjacency loops instead of coverage unions, all-pairs symmetric
 difference instead of incremental moves) so agreement is meaningful.
+
+The package's former one-set and one-seed functions live here too
+(enumerate_labeled_graphs, is_dominating, is_minimal_dominating,
+enumerate_dominating_sets, node_degree, cartesian_product and
+parity_bipartition_valid): each restates an answer the subset lattice gives
+whole, and the package itself never called them.
 """
 
 from __future__ import annotations
@@ -14,16 +20,128 @@ from itertools import combinations, islice
 import hypothesis.strategies as st
 
 from domrec import SeedGraph, disjoint_union, theorems
-from domrec.domination import dominating_table, domination_profile
-from domrec.errors import NoEdges, NotEulerian
-from domrec.graphs import to_graph6
+from domrec.domination import (
+    bounded,
+    dominating_table,
+    domination_profile,
+    format_set,
+    ordered_subsets,
+)
+from domrec.errors import (
+    BoundExceeded,
+    DimensionMismatch,
+    NoEdges,
+    NotDominating,
+    NotEulerian,
+    ReconfigTooLarge,
+)
+from domrec.graphs import ENUMERATION_CAP, labeled_graph, to_graph6, vertex_pairs
 from domrec.reconfig import (
+    DEFAULT_NODE_CAP,
     ODD_WITNESS_CAP,
     EulerReport,
+    ReconfigGraph,
     build_reconfig,
-    cartesian_product,
     eulerian_report,
 )
+
+
+def enumerate_labeled_graphs(n: int):
+    """Yield every labeled graph on n vertices exactly once.
+
+    Edge masks are enumerated in increasing order and decoded by
+    labeled_graph.
+    """
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise BoundExceeded(
+            f"labeled enumeration supports 1 <= n <= {ENUMERATION_CAP}, got {n}"
+        )
+    for mask in range(1 << len(vertex_pairs(n))):
+        yield labeled_graph(n, mask)
+
+
+def is_dominating(g: SeedGraph, s: int) -> bool:
+    """True iff every vertex outside the mask s has a neighbor in s."""
+    if s < 0 or s >> g.n:
+        raise DimensionMismatch(f"vertex mask {s:#x} is not a set of vertices of {g!r}")
+    covered = 0
+    m = s
+    adj = g.adj
+    while m:
+        low = m & -m
+        m ^= low
+        covered |= adj[low.bit_length() - 1] | low
+    return covered == (1 << g.n) - 1
+
+
+def is_minimal_dominating(g: SeedGraph, s: int) -> bool:
+    """True iff s dominates and no single-vertex deletion of s still dominates."""
+    if not is_dominating(g, s):
+        return False
+    m = s
+    while m:
+        low = m & -m
+        m ^= low
+        if is_dominating(g, s ^ low):
+            return False
+    return True
+
+
+def enumerate_dominating_sets(g: SeedGraph, k: int) -> list[int]:
+    """The masks of all dominating sets of cardinality <= k, sorted by
+    (cardinality, mask)."""
+    if not 0 <= k <= g.n:
+        raise ValueError(f"k must be in [0, {g.n}], got {k}")
+    return list(ordered_subsets(g.n, bounded(g.n, dominating_table(g), k)))
+
+
+def node_degree(g: SeedGraph, s: int, k: int) -> int:
+    """Degree of the node for the vertex mask s in the reconfiguration graph
+    at bound k, computed from the seed without materializing: removable
+    members plus, below the bound, one up-move per outside vertex."""
+    if not is_dominating(g, s):
+        raise NotDominating(f"{format_set(s)} does not dominate {g!r}")
+    c = s.bit_count()
+    if c > k:
+        raise ValueError(f"cardinality {c} exceeds bound k={k}")
+    deg = g.n - c if c < k else 0
+    m = s
+    while m:
+        low = m & -m
+        m ^= low
+        if is_dominating(g, s ^ low):
+            deg += 1
+    return deg
+
+
+def cartesian_product(a: ReconfigGraph, b: ReconfigGraph,
+                      node_cap: int = DEFAULT_NODE_CAP) -> ReconfigGraph:
+    """Cartesian product: (u, v) ~ (x, y) iff equal in one coordinate and
+    adjacent in the other.  Its seed is the disjoint union of a's and b's
+    seeds and its nodes the masks x | y << a.seed.n, so its node set is the
+    outer product of the factors' node sets, and k is None.  After the
+    node-cap check, factor seeds of more than HARD_CAP vertices in all raise
+    CapacityExceeded from disjoint_union."""
+    na, nb = a.node_count, b.node_count
+    if na * nb > node_cap:
+        raise ReconfigTooLarge(f"product would have {na * nb} nodes")
+    seed = disjoint_union([a.seed, b.seed])
+    node_set = 0
+    for y in b.nodes:
+        node_set |= a.node_set << (y << a.seed.n)
+    return ReconfigGraph(seed, None, node_set)
+
+
+def parity_bipartition_valid(r: ReconfigGraph) -> bool:
+    """True iff every edge joins sets whose cardinalities differ by one, so
+    coloring nodes by cardinality parity is a proper 2-coloring."""
+    cards = [s.bit_count() for s in r.nodes]
+    for i, nbrs in enumerate(r.adjacency):
+        ci = cards[i]
+        for j in nbrs:
+            if abs(ci - cards[j]) != 1:
+                return False
+    return True
 
 
 def naive_is_dominating(g: SeedGraph, bits: int) -> bool:

@@ -8,9 +8,14 @@ from hypothesis import given, settings
 
 from conftest import (
     bytewise_dominating_table,
+    enumerate_dominating_sets,
+    enumerate_labeled_graphs,
+    is_dominating,
+    is_minimal_dominating,
     naive_dominating_masks,
     naive_is_dominating,
     naive_up_closed_eulerian,
+    node_degree,
     peeling_format_set,
     seed_graphs,
     up_closed_families,
@@ -20,14 +25,9 @@ from domrec import (
     FamilySpec,
     SeedGraph,
     domination_profile,
-    enumerate_dominating_sets,
-    enumerate_labeled_graphs,
     format_set,
     is_cocktail_party,
-    is_dominating,
-    is_minimal_dominating,
     make_family,
-    node_degree,
 )
 from domrec import domination
 from domrec.domination import (

@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_graphs
+from conftest import cartesian_product, enumerate_labeled_graphs, seed_graphs
 from domrec import (
     FamilySpec,
     SeedGraph,
     build_reconfig,
-    cartesian_product,
     connected_components,
     disjoint_union,
-    enumerate_labeled_graphs,
     is_cocktail_party,
     make_family,
     parse_graph6,
@@ -262,7 +260,7 @@ def test_enumeration_connected_count_matches_networkx():
         if nx.is_connected(h):
             expected += 1
     assert expected == 38
-    assert sum(1 for _ in enumerate_labeled_graphs(4, connected_only=True)) == 38
+    assert sum(map(is_connected, enumerate_labeled_graphs(4))) == 38
 
 
 def test_enumeration_yields_valid_unique_graphs():

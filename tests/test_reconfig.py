@@ -12,9 +12,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    cartesian_product,
+    enumerate_dominating_sets,
+    enumerate_labeled_graphs,
     naive_adjacency,
     naive_dominating_masks,
     naive_reconfig_edges,
+    node_degree,
+    parity_bipartition_valid,
     reference_euler_circuit,
     reference_eulerian_report,
     seed_graphs,
@@ -25,18 +30,13 @@ from domrec import (
     ReconfigGraph,
     SeedGraph,
     build_reconfig,
-    cartesian_product,
     corona_of,
     disjoint_union,
     domination_profile,
-    enumerate_dominating_sets,
-    enumerate_labeled_graphs,
     euler_circuit,
     eulerian_report,
     format_set,
     make_family,
-    node_degree,
-    parity_bipartition_valid,
 )
 from domrec.errors import (
     BoundBelowGamma,
@@ -60,7 +60,7 @@ def test_d3_p4_structure():
     r = build(FamilySpec.path(4), 3)
     assert r.node_count == 8
     assert r.edge_count == 8
-    assert all(r.degree(i) == 2 for i in range(8))
+    assert all(len(r.adjacency[i]) == 2 for i in range(8))
     assert [format_set(s) for s in r.nodes[:4]] == ["{0,2}", "{1,2}", "{0,3}", "{1,3}"]
 
 
@@ -68,13 +68,13 @@ def test_k13_k3_has_isolated_leaf_set():
     r = build(FamilySpec.star(3), 3)
     leaves = 0b1110
     assert leaves in r.nodes
-    assert r.degree(r.nodes.index(leaves)) == 0
+    assert len(r.adjacency[r.nodes.index(leaves)]) == 0
 
 
 def test_c3_k2_all_degree_two():
     r = build(FamilySpec.cycle(3), 2)
     assert r.node_count == 6
-    assert all(r.degree(i) == 2 for i in range(6))
+    assert all(len(r.adjacency[i]) == 2 for i in range(6))
 
 
 def test_edges_change_cardinality_by_one():
@@ -147,7 +147,7 @@ def test_node_degree_agrees_with_materialized(g):
     for k in (gamma, g.n):
         r = build_reconfig(g, k)
         for i, s in enumerate(r.nodes):
-            assert node_degree(g, s, k) == r.degree(i)
+            assert node_degree(g, s, k) == len(r.adjacency[i])
 
 
 # --- eulerian_report ------------------------------------------------------
@@ -166,7 +166,7 @@ def test_euler_reports_for_known_instances():
 def test_euler_report_edge_count_is_half_degree_sum():
     r = build(FamilySpec.complete(5), 3)
     rep = eulerian_report(r)
-    assert rep.edge_count * 2 == sum(r.degree(i) for i in range(r.node_count))
+    assert rep.edge_count * 2 == sum(len(r.adjacency[i]) for i in range(r.node_count))
 
 
 def test_isolated_node_tolerated():
@@ -291,7 +291,7 @@ def test_isolated_nodes_are_skipped():
     # Nodes 0, 1 and 6 are isolated; 2, 3, 5, 4 is a 4-cycle, which in the
     # (cardinality, mask) order cannot run 2, 3, 4, 5.
     r = planted(5, [0b01000, 0b10000, 0b00011, 0b00111, 0b01011, 0b01111, 0b11110])
-    assert [r.degree(i) for i in range(7)] == [0, 0, 2, 2, 2, 2, 0]
+    assert [len(r.adjacency[i]) for i in range(7)] == [0, 0, 2, 2, 2, 2, 0]
     assert euler_circuit(r) == [2, 3, 5, 4, 2] == reference_euler_circuit(r)
 
 
@@ -449,9 +449,10 @@ def test_product_node_count_and_degrees():
     assert p2.node_count == 3  # {0}, {1}, {0,1}
     prod = cartesian_product(p2, p2)
     assert prod.node_count == 9
+    degrees = [len(a) for a in p2.adjacency]
     for i, x in enumerate(p2.nodes):
         for j, y in enumerate(p2.nodes):
-            assert prod.degree(prod.nodes.index(x | y << 2)) == p2.degree(i) + p2.degree(j)
+            assert len(prod.adjacency[prod.nodes.index(x | y << 2)]) == degrees[i] + degrees[j]
 
 
 def test_nodes_are_masks_and_product_nodes_pair_them():

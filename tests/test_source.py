@@ -1,0 +1,49 @@
+"""Guards on the package source, read with ast: every public function has a
+caller in the package, and no module imports a name it never uses.
+
+Functions that only the tests call belong in tests/conftest.py, next to the
+other oracles, so the package answers each question one way.
+"""
+
+import ast
+from pathlib import Path
+
+import domrec
+
+PACKAGE = Path(domrec.__file__).resolve().parent
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+#: Public functions kept for library callers, with no caller in the package.
+ENTRY_POINTS = {"verify_mixed_parity_lemma", "verify_product_decomposition"}
+
+
+def _referenced(tree) -> set[str]:
+    """The names tree reads, as a bare name or as an attribute."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    referenced = set().union(*(_referenced(tree) for name, tree in MODULES.items()
+                               if name != "__init__.py"))
+    uncalled = [f"{name}: {node.name}" for name, tree in MODULES.items() for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and node.name not in referenced | ENTRY_POINTS]
+    assert uncalled == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":  # its imports are the package's exports
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            unused += [f"{name}: {alias.name}" for alias in node.names
+                       if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unused == []
