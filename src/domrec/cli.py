@@ -304,8 +304,9 @@ def _cmd_scan(args) -> int:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise DomrecError(f"--n must look like 3..8, got {args.n!r}") from None
-    # --k is read, and every seed built, before any profile: a bad --k or a
-    # size past the cap raises at once.  No family has members at n < 0.
+    # --k is read and every seed built before any profile, and every D_k is
+    # built (listing no node) and dropped before any report, so a bad --k or
+    # a size past either cap raises at once.  No family has members at n < 0.
     single = None if args.k in ("all", "max") else _k_value(args.k, 0)
     seeds = []
     for n in range(max(lo, 0), hi + 1):
@@ -322,7 +323,9 @@ def _cmd_scan(args) -> int:
         if args.k != "all":
             k = g.n if single is None else single  # None: 'max', the seed's n
             ks = [k] if k in ks else []
-        tasks.extend((spec, k, table, profile) for k in ks)
+        for k in ks:
+            build_reconfig(g, k, table=table)
+            tasks.append((spec, k, table, profile))
     reports = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":
         reports = [report for report in reports if report["euler"]["is_eulerian"]]

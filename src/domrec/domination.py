@@ -116,7 +116,10 @@ def _removable(member, table: int) -> list[int]:
 
 def bounded(n: int, table: int, k: int) -> int:
     """The nodes of D_k: the sets in table of cardinality <= k.  At k = n
-    the size classes cover every subset, so that is table itself."""
+    the size classes cover every subset, so that is table itself.  Raises
+    ValueError for k outside [0, n]: this is the one check of the bound."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {k}")
     return table if k == n else table & reduce(or_, _lattice(n)[1][: k + 1])
 
 
@@ -166,8 +169,6 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
     Raises ValueError for k outside [0, n] and BoundBelowGamma when no set
     of cardinality <= k is in table.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
     lattice = _lattice(n)
     member = lattice[0]
     nodes = bounded(n, table, k)

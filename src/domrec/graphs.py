@@ -434,10 +434,9 @@ _G6_HEADER = ">>graph6<<"
 
 
 def to_graph6(g: SeedGraph) -> str:
-    """Encode as a single graph6 record (no header, no newline)."""
+    """Encode as a single graph6 record (no header, no newline).  A seed
+    has at most HARD_CAP vertices, so its count fits the one-byte form."""
     n = g.n
-    if n > 62:
-        raise CapacityExceeded("graph6 short form supports at most 62 vertices")
     bits = []
     for v in range(1, n):
         col = g.adj[v]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, islice
 from operator import or_
 
@@ -25,7 +25,6 @@ from .domination import (
     format_set,
     node_fields,
     ordered_subsets,
-    size_counts,
 )
 from .errors import (
     BoundBelowGamma,
@@ -48,15 +47,13 @@ class ReconfigGraph:
     """Reconfiguration graph on a set of vertex masks of seed.
 
     node_set is the set as one subset-lattice int (bit S set iff the mask S
-    is a node) and nodes lists its masks by (cardinality, mask).  Two nodes
-    are adjacent iff their masks differ in one vertex, so nothing else is
-    stored: reports and walks are read off node_set, and adjacency, node i's
-    neighbour indices in increasing order, is computed on first read and
+    is a node), and it is all that is stored: two nodes are adjacent iff
+    their masks differ in one vertex, so reports are read off node_set.
+    nodes, its masks by (cardinality, mask), and adjacency, node i's
+    neighbour indices in increasing order, are listed on first read and
     then kept.  node_set may hold any vertex masks of seed, not only
     dominating sets, and k is None when no cardinality bound chose them.
     """
-
-    __slots__ = ("seed", "k", "node_set", "nodes", "_adjacency")
 
     def __init__(self, seed: SeedGraph, k: int | None, node_set: int):
         if node_set < 0 or node_set >> (1 << seed.n):
@@ -64,21 +61,21 @@ class ReconfigGraph:
         self.seed = seed
         self.k = k
         self.node_set = node_set
-        self.nodes = list(ordered_subsets(seed.n, node_set))
-        self._adjacency = None
 
-    @property
+    @cached_property
+    def nodes(self) -> list[int]:
+        return list(ordered_subsets(self.seed.n, self.node_set))
+
+    @cached_property
     def adjacency(self) -> list[list[int]]:
-        if self._adjacency is None:
-            index = {s: i for i, s in enumerate(self.nodes)}
-            flips = [1 << u for u in range(self.seed.n)]
-            self._adjacency = [sorted(index[s ^ f] for f in flips if m & f)
-                               for s, m in zip(self.nodes, _moves(self))]
-        return self._adjacency
+        index = {s: i for i, s in enumerate(self.nodes)}
+        flips = [1 << u for u in range(self.seed.n)]
+        return [sorted(index[s ^ f] for f in flips if m & f)
+                for s, m in zip(self.nodes, _moves(self))]
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return self.node_set.bit_count()
 
     @property
     def edge_count(self) -> int:
@@ -115,25 +112,24 @@ class EulerReport:
 
 def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP,
                    table: int | None = None) -> ReconfigGraph:
-    """The reconfiguration graph of g at cardinality bound k.
+    """The reconfiguration graph of g at cardinality bound k, on the node
+    set bounded(n, table, k): the sets of table of cardinality <= k.
 
-    table is g's dominating_table, computed here if not given.  The node
-    count is read off its size counts before anything is allocated, and the
-    nodes are the sets of table of cardinality <= k.
+    table is g's dominating_table, computed here if not given.  No node is
+    listed here: the node cap is checked on the node set's popcount.
+    Raises ValueError for k outside [0, n] (from bounded), ReconfigTooLarge
+    for more than node_cap nodes and BoundBelowGamma for none.
     """
-    n = g.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
     if table is None:
         table = dominating_table(g)
-    count = sum(size_counts(n, table)[: k + 1])
-    if count > node_cap:
+    node_set = bounded(g.n, table, k)
+    if node_set.bit_count() > node_cap:
         raise ReconfigTooLarge(
             f"more than {node_cap} nodes for k={k}; raise node_cap to force"
         )
-    if count == 0:
+    if not node_set:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
-    return ReconfigGraph(g, k, bounded(n, table, k))
+    return ReconfigGraph(g, k, node_set)
 
 
 def eulerian_report(r: ReconfigGraph) -> EulerReport:

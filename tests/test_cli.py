@@ -580,6 +580,16 @@ def test_scan_past_the_cap_exits_before_any_profile(monkeypatch, capsys):
     assert profiles == []
 
 
+def test_scan_past_the_node_cap_exits_before_any_report(monkeypatch, capsys):
+    """complete:22 fits the node cap and complete:23 does not: no row of
+    either is computed."""
+    reports = _counting(monkeypatch, "eulerian_report")
+    assert run_cli(["scan", "--family", "complete", "--n", "22..23", "--k", "max"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("capacity error: more than 4194304 nodes for k=23")
+    assert reports == []
+
+
 def test_scan_huge_range_stops_at_the_cap(capsys):
     start = time.perf_counter()
     assert run_cli(["scan", "--family", "biclique", "--n", "1..1000000000000"]) == 3

@@ -31,6 +31,7 @@ from domrec import (
 )
 from domrec import domination
 from domrec.domination import (
+    bounded,
     dominating_table,
     labeled_chunks,
     lattice_eulerian,
@@ -330,6 +331,16 @@ def test_lattice_flood_finds_two_even_components():
         half = up_closure_table(n, [g])
         assert sum(size_counts(n, half)[: k + 1]) == 11
         assert lattice_eulerian(n, half, k) is True
+
+
+def test_bound_outside_the_order_is_rejected():
+    """bounded is the one check of k, so no negative k picks size classes
+    by a negative slice and k = n + 1 is not read as k = n."""
+    table = dominating_table(P4)
+    for k in (-2, -1, P4.n + 1):
+        for kernel in (bounded, odd_degree_nodes):
+            with pytest.raises(ValueError, match=r"k must be in \[0, 4\]"):
+                kernel(P4.n, table, k)
 
 
 @settings(max_examples=150, deadline=None)

@@ -216,6 +216,19 @@ def test_analyze_circuit_json_memory_per_edge():
     assert peak / COCKTAIL_12_EDGES < 96
 
 
+def test_analyze_report_lists_no_node():
+    """The report alone reads D_18's 262,125 nodes off its node set: listed,
+    they took 11 MiB."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["analyze", "--graph", "cocktail:18", "--k", "max"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 # --- errors -------------------------------------------------------------------
 
 
