@@ -38,10 +38,6 @@ class BoundBelowGamma(DomrecError):
     """The cardinality bound k is below the domination number, so no nodes exist."""
 
 
-class NotDominating(DomrecError):
-    """The given vertex set does not dominate the seed graph."""
-
-
 class NotEulerian(DomrecError):
     """An Euler circuit was requested on a graph that is not Eulerian."""
 

@@ -7,20 +7,20 @@ answer is read off domination tables on the subset lattice and no D_k is
 built: odd-degree nodes certify "not Eulerian", and otherwise one flood fill
 from the lowest non-isolated node decides whether the edges form one
 component (computed_eulerian).  The report on a built D_k is the tests'
-oracle.  Each claim is a sweep body that yields its disagreements; one
-driver, _run, turns them into a capped, timed report.
+oracle.  Every claim is a sweep body that yields its disagreements; _run,
+the driver of every claim, turns them into a capped, timed report.
 
 Every labeled seed comes from the (edge mask, subset) lattice of
-domination.labeled_chunks.  All but the two corona claims are decided
-there: folds of each chunk's masks and the bit-sliced predicates of graphs
-give every seed's answers at once.  A seed is built as a SeedGraph only
-where needed: a candidate whose verdict computed_eulerian decides on its
-own table, a disagreement, a universal-gamma instance, or an inner graph of
-the two corona claims, which _labeled decodes from the chunks.  Those two
-compute every corona's table but decide each distinct (table, k) once,
-since all inner graphs of one order share one corona table.  The product
-claim compares the table of a disjoint union with the outer product of its
-parts' tables.
+domination.labeled_chunks.  Five claims are decided there by a second driver,
+_chunk_sweep, which owns the sweep order, the instance count and the decoding
+of flagged seeds; a judge per claim answers for a whole chunk at once.  A
+seed is built as a SeedGraph only where needed: a candidate whose verdict
+computed_eulerian decides on its own table, a disagreement, a universal-gamma
+instance, or an inner graph of the two corona claims, which _labeled decodes
+from the chunks.  Those two compute every corona's table but decide each
+distinct (table, k) once, since all inner graphs of one order share one
+corona table.  The product claim compares the table of a disjoint union with
+the outer product of its parts' tables.
 """
 
 from __future__ import annotations
@@ -260,23 +260,33 @@ def _run(claim: ClaimId, body, **bounds) -> TheoremReport:
     return report
 
 
-def _orders(n_min: int, n_max: int) -> range:
-    """n_min..n_max, the orders of an exhaustive sweep.  The bound is checked
-    here, before any sweeping, so an over-bound request fails fast."""
+def _chunks(n_min: int, n_max: int):
+    """Every labeled seed on n_min..n_max vertices as lattice chunks, in order
+    of n and edge mask; an over-bound request fails here, before any sweep."""
     if n_max > ENUMERATION_CAP:
         raise BoundExceeded(f"exhaustive sweeps support n <= {ENUMERATION_CAP}, got {n_max}")
-    return range(n_min, n_max + 1)
-
-
-def _chunks(n_min: int, n_max: int):
-    """Every labeled seed on n_min..n_max vertices as lattice chunks, in
-    order of n and edge mask."""
-    return chain.from_iterable(map(labeled_chunks, _orders(n_min, n_max)))
+    return chain.from_iterable(map(labeled_chunks, range(n_min, n_max + 1)))
 
 
 def _labeled(n_min: int, n_max: int):
     """Every labeled seed on n_min..n_max vertices, in order of n and edge mask."""
     return chain.from_iterable(chunk.graphs(chunk.every) for chunk in _chunks(n_min, n_max))
+
+
+def _chunk_sweep(report, n_min: int, n_max: int, judge):
+    """The sweep of the claims decided on lattice chunks.  judge(chunk) gives
+    the chunk's instances and a dict of named problems, each as per-graph
+    bits.  The bounds are stated, the instances counted, and (g, names of
+    g's problems) yielded per flagged instance in order of n and edge mask."""
+    report.bounds = {"n_min": n_min, "n_max": n_max}
+    for chunk in _chunks(n_min, n_max):
+        instances, problems = judge(chunk)
+        report.instances_checked += instances.bit_count()
+        flagged = instances & reduce(or_, problems.values())
+        while flagged:
+            low = flagged & -flagged
+            flagged ^= low
+            yield next(chunk.graphs(low)), [name for name, bits in problems.items() if bits & low]
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +295,11 @@ def _labeled(n_min: int, n_max: int):
 
 
 def _parity_odd(report, n_max: int = 6):
-    report.bounds = {"n_min": 1, "n_max": n_max}
-    for chunk in _chunks(1, n_max):
-        report.instances_checked += chunk.count
-        for g in chunk.graphs(chunk.every & ~chunk.parity(chunk.table)):
-            yield g, None, "odd dominating-set count", dominating_table(g).bit_count()
+    def judge(chunk):
+        return chunk.every, {"even dominating-set count": ~chunk.parity(chunk.table)}
+
+    for g, _ in _chunk_sweep(report, 1, n_max, judge):
+        yield g, None, "odd dominating-set count", dominating_table(g).bit_count()
 
 
 def _characterization(report, n_min: int = 2, n_max: int = 7):
@@ -297,23 +307,22 @@ def _characterization(report, n_min: int = 2, n_max: int = 7):
     graph, swept over every connected labeled seed in range.  One-vertex seeds
     are excluded from the equivalence but D(K_1) is checked to be a single
     edgeless node."""
-    report.bounds = {"n_min": n_min, "n_max": n_max}
     eulerian_seeds = {str(n): [] for n in range(n_min, n_max + 1)}
-    for chunk in _chunks(n_min, n_max):
-        n = chunk.n
-        connected = sliced_connected(n, chunk.edges, chunk.every)
-        report.instances_checked += connected.bit_count()
+
+    def judge(chunk):
         # A seed with an odd node is not Eulerian; only the others, and the
         # cocktail seeds expected to be Eulerian, are built and decided.
-        even = chunk.every & ~chunk.any(chunk.odd_degree_nodes())
-        cocktail = sliced_cocktail_party(n, chunk.edges, chunk.every)
-        for g in chunk.graphs(connected & (even | cocktail)):
-            expected = is_cocktail_party(g)
-            computed = computed_eulerian(g, n)
-            if computed:
-                eulerian_seeds[str(n)].append(to_graph6(g))
-            if computed != expected:
-                yield g, n, expected, computed
+        return (sliced_connected(chunk.n, chunk.edges, chunk.every),
+                {"no odd-degree node": ~chunk.any(chunk.odd_degree_nodes()),
+                 "cocktail party": sliced_cocktail_party(chunk.n, chunk.edges, chunk.every)})
+
+    for g, _ in _chunk_sweep(report, n_min, n_max, judge):
+        expected = is_cocktail_party(g)
+        computed = computed_eulerian(g, g.n)
+        if computed:
+            eulerian_seeds[str(g.n)].append(to_graph6(g))
+        if computed != expected:
+            yield g, g.n, expected, computed
     single = dominating_table(make_family(FamilySpec.complete(1)))
     if single != 1 << 1:  # the one set {0}
         yield "complete:1", 1, "one isolated node", f"table {single:#b}"
@@ -500,25 +509,23 @@ def _product_decomposition(report, samples: int = 100, max_part: int = 5, seed: 
 
 
 def _mixed_parity(report, n_max: int = 6):
-    report.bounds = {"n_min": 2, "n_max": n_max}
-    scanned = 0
-    for chunk in _chunks(2, n_max):
-        n = chunk.n
-        connected = sliced_connected(n, chunk.edges, chunk.every)
-        scanned += connected.bit_count()
+    report.details["graphs_scanned"] = 0
+
+    def judge(chunk):
+        connected = sliced_connected(chunk.n, chunk.edges, chunk.every)
+        report.details["graphs_scanned"] += connected.bit_count()
         # l = t - 1 for the universal threshold t is the largest c whose
         # c-sets do not all dominate; the lemma needs l >= 1 and one that does.
         some, every = chunk.size_classes()
-        lemma = connected & reduce(
-            or_, (some[c] & ~every[c] & every[c + 1] for c in range(1, n)), 0)
-        report.instances_checked += lemma.bit_count()
+        lemma = reduce(or_, (some[c] & ~every[c] & every[c + 1] for c in range(1, chunk.n)), 0)
         odd = chunk.odd_degree_nodes()
         both = chunk.any(odd) & chunk.any(chunk.table & ~odd)
-        for g in chunk.graphs(lemma & ~both):
-            table = dominating_table(g)
-            odd = odd_degree_nodes(n, table, n)
-            yield g, n, "both degree parities", {"even": odd != table, "odd": odd != 0}
-    report.details["graphs_scanned"] = scanned
+        return connected & lemma, {"one degree parity": ~both}
+
+    for g, _ in _chunk_sweep(report, 2, n_max, judge):
+        table = dominating_table(g)
+        odd = odd_degree_nodes(g.n, table, g.n)
+        yield g, g.n, "both degree parities", {"even": odd != table, "odd": odd != 0}
 
 
 def verify_mixed_parity_lemma(n_max: int = 6) -> TheoremReport:
@@ -532,28 +539,27 @@ def _universal_gamma_set(report, n_max: int = 6):
     """Connected seeds where every gamma-sized set dominates are complete
     graphs or cocktail party graphs, and their restricted-k verdicts follow
     the complete/cocktail rules."""
-    report.bounds = {"n_min": 2, "n_max": n_max}
-    for chunk in _chunks(2, n_max):
-        n = chunk.n
+    def judge(chunk):
         # every gamma-set dominates iff, for some c, every c-set dominates
         # and no (c - 1)-set does
         some, every = chunk.size_classes()
         universal = reduce(or_, (x & ~y for x, y in zip(every, [0] + some)))
-        connected = sliced_connected(n, chunk.edges, chunk.every)
-        for g in chunk.graphs(connected & universal):
-            table = dominating_table(g)
-            gamma = next(c for c, count in enumerate(size_counts(n, table)) if count)
-            report.instances_checked += 1
-            complete = is_complete(g)
-            if not (complete or is_cocktail_party(g)):
-                yield g, None, "complete or cocktail", "neither"
-                continue
-            spec = FamilySpec.complete(n) if complete else FamilySpec.cocktail(n)
-            for k in range(gamma + 1, n):
-                computed = computed_eulerian(g, k, table)
-                expected = expected_eulerian(spec, k)
-                if computed != expected:
-                    yield g, k, expected, computed
+        return (sliced_connected(chunk.n, chunk.edges, chunk.every) & universal,
+                {"universal gamma set": universal})
+
+    for g, _ in _chunk_sweep(report, 2, n_max, judge):
+        table = dominating_table(g)
+        gamma = next(c for c, count in enumerate(size_counts(g.n, table)) if count)
+        complete = is_complete(g)
+        if not (complete or is_cocktail_party(g)):
+            yield g, None, "complete or cocktail", "neither"
+            continue
+        spec = FamilySpec.complete(g.n) if complete else FamilySpec.cocktail(g.n)
+        for k in range(gamma + 1, g.n):
+            computed = computed_eulerian(g, k, table)
+            expected = expected_eulerian(spec, k)
+            if computed != expected:
+                yield g, k, expected, computed
 
 
 def _gamma_formulas(report, path_max: int = 15, complete_max: int = 12, biclique_max: int = 8):
@@ -580,22 +586,16 @@ def _connected_odd_bipartite(report, n_max: int = 5):
     """Unrestricted dominating graphs of connected seeds are connected, have
     odd order, are 2-colored by cardinality parity and have an even-degree
     node: folds of each chunk's masks, building only a seed with a problem."""
-    report.bounds = {"n_min": 1, "n_max": n_max}
-    for chunk in _chunks(1, n_max):
-        seeds = sliced_connected(chunk.n, chunk.edges, chunk.every)
-        report.instances_checked += seeds.bit_count()
+    def judge(chunk):
         unreached, crossed = dominating_graph_shape(chunk.lattice, chunk.table)
-        found = {"disconnected": chunk.any(unreached),
+        return (sliced_connected(chunk.n, chunk.edges, chunk.every),
+                {"disconnected": chunk.any(unreached),
                  "even node count": ~chunk.parity(chunk.table),
                  "parity bipartition broken": chunk.any(crossed),
-                 "no even-degree node": ~chunk.any(chunk.table & ~chunk.odd_degree_nodes())}
-        bad = seeds & reduce(or_, found.values())
-        while bad:
-            low = bad & -bad
-            bad ^= low
-            yield (next(chunk.graphs(low)), chunk.n,
-                   "connected, odd order, bipartite, even-degree node",
-                   [problem for problem, bits in found.items() if bits & low])
+                 "no even-degree node": ~chunk.any(chunk.table & ~chunk.odd_degree_nodes())})
+
+    for g, problems in _chunk_sweep(report, 1, n_max, judge):
+        yield g, g.n, "connected, odd order, bipartite, even-degree node", problems
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ The package's former one-set and one-seed functions live here too
 (enumerate_labeled_graphs, is_dominating, is_minimal_dominating,
 enumerate_dominating_sets, node_degree, cartesian_product and
 parity_bipartition_valid): each restates an answer the subset lattice gives
-whole, and the package itself never called them.
+whole, and the package itself never called them.  So does NotDominating,
+the error that only node_degree raises.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from domrec.domination import (
 from domrec.errors import (
     BoundExceeded,
     DimensionMismatch,
+    DomrecError,
     NoEdges,
-    NotDominating,
     NotEulerian,
     ReconfigTooLarge,
 )
@@ -44,6 +45,10 @@ from domrec.reconfig import (
     build_reconfig,
     eulerian_report,
 )
+
+
+class NotDominating(DomrecError):
+    """The given vertex set does not dominate the seed graph."""
 
 
 def enumerate_labeled_graphs(n: int):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    NotDominating,
     cartesian_product,
     enumerate_dominating_sets,
     enumerate_labeled_graphs,
@@ -43,7 +44,6 @@ from domrec.errors import (
     CapacityExceeded,
     DimensionMismatch,
     NoEdges,
-    NotDominating,
     NotEulerian,
     ReconfigTooLarge,
 )

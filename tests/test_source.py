@@ -1,8 +1,9 @@
-"""Guards on the package source, read with ast: every public function has a
-caller in the package, and no module imports a name it never uses.
+"""Guards on the package source, read with ast: every public function and
+class has a user in the package, and no module imports a name it never uses.
 
-Functions that only the tests call belong in tests/conftest.py, next to the
-other oracles, so the package answers each question one way.
+Functions that only the tests call, and exception classes that only they
+raise, belong in tests/conftest.py, next to the other oracles, so the
+package answers each question one way.
 """
 
 import ast
@@ -24,13 +25,13 @@ def _referenced(tree) -> set[str]:
     }
 
 
-def test_every_public_function_has_a_caller_in_the_package():
+def test_every_public_function_and_class_has_a_user_in_the_package():
     referenced = set().union(*(_referenced(tree) for name, tree in MODULES.items()
                                if name != "__init__.py"))
-    uncalled = [f"{name}: {node.name}" for name, tree in MODULES.items() for node in tree.body
-                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                and node.name not in referenced | ENTRY_POINTS]
-    assert uncalled == []
+    unused = [f"{name}: {node.name}" for name, tree in MODULES.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in referenced | ENTRY_POINTS]
+    assert unused == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

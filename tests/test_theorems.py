@@ -498,6 +498,24 @@ def test_labeled_seeds_come_from_the_chunks_in_enumeration_order():
         assert list(theorems._labeled(n, n)) == list(enumerate_labeled_graphs(n))
 
 
+@pytest.mark.parametrize("claim", [
+    ClaimId.PARITY_ODD, ClaimId.DOMINATING_GRAPH_CHARACTERIZATION, ClaimId.MIXED_PARITY_LEMMA,
+    ClaimId.UNIVERSAL_GAMMA_SET, ClaimId.DOMINATING_GRAPH_CONNECTED_ODD_BIPARTITE,
+], ids=lambda c: c.value)
+def test_chunk_claim_reports_do_not_depend_on_the_chunk_width(monkeypatch, claim):
+    """The five claims decided on lattice chunks give one report whatever
+    CHUNK_BITS is.  At 17 each n <= 5 is one chunk; at 3 every chunk with
+    n >= 3 holds one graph, so a seed decoded without its chunk's first
+    edge mask would change the report."""
+    reports = []
+    for bits in (3, 8, 17):
+        monkeypatch.setattr(domination, "CHUNK_BITS", bits)
+        report = verify_claim(claim, n_max=5).to_json_dict()
+        del report["elapsed_seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_bipartite_well_dominated_reports_catalog_defect():
     """The catalogued 4-cycle bullet contradicts the path/cycle theorem; the
     verifier must surface exactly that counterexample."""
