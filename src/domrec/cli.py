@@ -14,9 +14,10 @@ file:<path>.  Seeds are named by their canonical spec.  scan sweeps
 FamilySpecs and skips the sizes a family has no member at.
 
 Exit codes: 0 all checks passed / analysis done; 1 a verified claim failed;
-2 usage or parse error; 3 capacity exceeded; 70 internal error (an
-unexpected exception, its traceback on stderr); 141 stdout closed early (a
-broken pipe, as when piped into head).
+2 usage or parse error; 3 capacity exceeded (a seed past 26 vertices, or a
+listing of D_k past 2^22 nodes: --circuit, --dot, export dot/csv; reports
+list no node); 70 internal error (an unexpected exception, its traceback on
+stderr); 141 stdout closed early (a broken pipe, as when piped into head).
 
 Outputs whose size grows with the edge count (analyze's Euler circuit, DOT
 and CSV exports) are written in pieces as they are formatted, never held as
@@ -304,9 +305,8 @@ def _cmd_scan(args) -> int:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise DomrecError(f"--n must look like 3..8, got {args.n!r}") from None
-    # --k is read and every seed built before any profile, and every D_k is
-    # built (listing no node) and dropped before any report, so a bad --k or
-    # a size past either cap raises at once.  No family has members at n < 0.
+    # --k is read and every seed built before any profile, so a bad --k or a
+    # size past the vertex cap raises at once.  No family has members at n < 0.
     single = None if args.k in ("all", "max") else _k_value(args.k, 0)
     seeds = []
     for n in range(max(lo, 0), hi + 1):
@@ -323,9 +323,7 @@ def _cmd_scan(args) -> int:
         if args.k != "all":
             k = g.n if single is None else single  # None: 'max', the seed's n
             ks = [k] if k in ks else []
-        for k in ks:
-            build_reconfig(g, k, table=table)
-            tasks.append((spec, k, table, profile))
+        tasks.extend((spec, k, table, profile) for k in ks)
     reports = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":
         reports = [report for report in reports if report["euler"]["is_eulerian"]]

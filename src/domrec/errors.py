@@ -31,7 +31,8 @@ class EmptyGraph(DomrecError):
 
 
 class ReconfigTooLarge(CapacityExceeded):
-    """The reconfiguration graph would exceed the configured node cap."""
+    """Listing a reconfiguration graph's nodes (for its adjacency, an Euler
+    circuit, DOT or CSV) would exceed the node cap."""
 
 
 class BoundBelowGamma(DomrecError):

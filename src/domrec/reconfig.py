@@ -35,8 +35,8 @@ from .errors import (
 )
 from .graphs import SeedGraph
 
-#: Node-cap default: a reconfiguration graph can have ~2**n nodes, so builds
-#: above this size fail loudly instead of thrashing.
+#: Node cap on listings (nodes, adjacency, a circuit, DOT or CSV): a D_k can
+#: have ~2**n nodes, and reports, which list none, are not capped.
 DEFAULT_NODE_CAP = 1 << 22
 
 #: How many odd-degree witness nodes a report keeps.
@@ -51,8 +51,10 @@ class ReconfigGraph:
     their masks differ in one vertex, so reports are read off node_set.
     nodes, its masks by (cardinality, mask), and adjacency, node i's
     neighbour indices in increasing order, are listed on first read and
-    then kept.  node_set may hold any vertex masks of seed, not only
-    dominating sets, and k is None when no cardinality bound chose them.
+    then kept; every listing reads nodes, which raises ReconfigTooLarge for
+    more than DEFAULT_NODE_CAP nodes.  node_set may hold any vertex masks
+    of seed, not only dominating sets, and k is None when no cardinality
+    bound chose them.
     """
 
     def __init__(self, seed: SeedGraph, k: int | None, node_set: int):
@@ -64,6 +66,8 @@ class ReconfigGraph:
 
     @cached_property
     def nodes(self) -> list[int]:
+        if self.node_count > DEFAULT_NODE_CAP:
+            raise ReconfigTooLarge(f"{self.node_count} nodes to list, over {DEFAULT_NODE_CAP}")
         return list(ordered_subsets(self.seed.n, self.node_set))
 
     @cached_property
@@ -110,23 +114,18 @@ class EulerReport:
     is_eulerian: bool
 
 
-def build_reconfig(g: SeedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP,
-                   table: int | None = None) -> ReconfigGraph:
+def build_reconfig(g: SeedGraph, k: int, table: int | None = None) -> ReconfigGraph:
     """The reconfiguration graph of g at cardinality bound k, on the node
     set bounded(n, table, k): the sets of table of cardinality <= k.
 
     table is g's dominating_table, computed here if not given.  No node is
-    listed here: the node cap is checked on the node set's popcount.
-    Raises ValueError for k outside [0, n] (from bounded), ReconfigTooLarge
-    for more than node_cap nodes and BoundBelowGamma for none.
+    listed, so the node cap applies only when its nodes are read.  Raises
+    ValueError for k outside [0, n] (from bounded) and BoundBelowGamma for
+    no node.
     """
     if table is None:
         table = dominating_table(g)
     node_set = bounded(g.n, table, k)
-    if node_set.bit_count() > node_cap:
-        raise ReconfigTooLarge(
-            f"more than {node_cap} nodes for k={k}; raise node_cap to force"
-        )
     if not node_set:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
     return ReconfigGraph(g, k, node_set)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from domrec import cli, domination, theorems
+from domrec import cli, domination, reconfig, theorems
 from domrec.cli import parse_graph_spec, run_cli
 from domrec.domination import format_set
 from domrec.errors import (
@@ -380,7 +380,7 @@ def test_exit_code_usage_and_capacity(capsys):
      BoundExceeded, 2),
     (["verify", "--claim", "bogus"], ClaimUnknown, 2),
     (["analyze", "--graph", "biclique:13,14", "--k", "3"], CapacityExceeded, 3),
-    (["analyze", "--graph", "complete:23", "--k", "max"], ReconfigTooLarge, 3),
+    (["export", "--graph", "complete:23", "--format", "csv"], ReconfigTooLarge, 3),
     (["analyze", "--graph", "path:4", "--k", "3", "--dot", "/nonexistent/x.dot"],
      DomrecError, 2),
     (["scan", "--family", "path", "--n", "3..4", "--csv", "/nonexistent/x.csv"],
@@ -580,14 +580,30 @@ def test_scan_past_the_cap_exits_before_any_profile(monkeypatch, capsys):
     assert profiles == []
 
 
-def test_scan_past_the_node_cap_exits_before_any_report(monkeypatch, capsys):
-    """complete:22 fits the node cap and complete:23 does not: no row of
-    either is computed."""
-    reports = _counting(monkeypatch, "eulerian_report")
-    assert run_cli(["scan", "--family", "complete", "--n", "22..23", "--k", "max"]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("capacity error: more than 4194304 nodes for k=23")
-    assert reports == []
+def test_the_node_cap_guards_listings_only(monkeypatch, capsys, tmp_path):
+    """Reports list no node, so at a node cap of 1 scan and analyze print
+    what they print at the default cap; every listing of a D_k exits 3
+    with nothing on stdout and no DOT file written."""
+    analyze = ["analyze", "--graph", "cocktail:8", "--k", "max"]
+    reports = [["scan", "--family", "cocktail", "--n", "4..10"], analyze, analyze + ["--json"]]
+
+    def outputs():
+        codes = [run_cli(argv) for argv in reports]
+        return codes, capsys.readouterr()
+
+    default = outputs()
+    assert default[0] == [0, 0, 0] and default[1].err == ""
+    monkeypatch.setattr(reconfig, "DEFAULT_NODE_CAP", 1)
+    assert outputs() == default
+    dot = tmp_path / "d.dot"
+    listings = [analyze + ["--circuit"], analyze + ["--dot", str(dot)],
+                ["export", "--graph", "cocktail:8", "--format", "dot"],
+                ["export", "--graph", "cocktail:8", "--format", "csv"]]
+    for argv in listings:
+        assert run_cli(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("capacity error: 247 nodes to list, over 1")
+    assert not dot.exists()
 
 
 def test_scan_huge_range_stops_at_the_cap(capsys):

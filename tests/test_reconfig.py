@@ -85,11 +85,16 @@ def test_edges_change_cardinality_by_one():
             assert (r.nodes[i] ^ r.nodes[j]).bit_count() == 1
 
 
-def test_build_errors():
+def test_build_errors(monkeypatch):
     with pytest.raises(BoundBelowGamma):
         build(FamilySpec.path(7), 2)  # gamma(P_7) = 3
-    with pytest.raises(ReconfigTooLarge):
-        build_reconfig(make_family(FamilySpec.path(6)), 6, node_cap=5)
+    # The node cap guards listings: a D_k past it builds and reports.
+    monkeypatch.setattr(reconfig, "DEFAULT_NODE_CAP", 5)
+    r = build(FamilySpec.path(6), 6)
+    assert eulerian_report(r).node_count > 5
+    for listing in (lambda: r.nodes, lambda: r.adjacency, lambda: euler_circuit(r)):
+        with pytest.raises(ReconfigTooLarge):
+            listing()
     with pytest.raises(ValueError):
         build(FamilySpec.path(3), 4)
 
