@@ -33,7 +33,7 @@ import json
 import os
 import sys
 import traceback
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
@@ -204,7 +204,7 @@ def _analysis_lines(report: dict) -> list[str]:
 
 
 def _write_analysis(out, report: dict, as_json: bool,
-                    walk: list[int] | None, texts: list[str]):
+                    walk: Sequence[int] | None, texts: list[str]):
     """Write the analyze report to out, with the Euler circuit when walk is
     not None (empty when there is none): text lines, or the report as
     json.dumps(..., sort_keys=True, indent=2) prints it with the circuit as
@@ -236,10 +236,12 @@ def _cmd_analyze(args) -> int:
     k = _parse_k(args.k, g.n)
     table = dominating_table(g)
     r = build_reconfig(g, k, table=table)
+    if args.dot:
+        # Listed first, so that a D_k past the node cap exits before any report.
+        _write_file(args.dot, reconfig_to_dot(r))
     rep = eulerian_report(r)
     report = analysis_report(g, spec, k, rep, domination_profile(g, table))
-    walk = None
-    texts = []
+    walk, texts = None, []
     if args.circuit:
         walk = []
         if rep.is_eulerian and rep.edge_count > 0:
@@ -247,8 +249,6 @@ def _cmd_analyze(args) -> int:
             # Set labels hold digits, braces and commas: nothing JSON escapes.
             template = '    "{}"' if args.json else "{}"
             texts = [template.format(format_set(s)) for s in r.nodes]
-    if args.dot:
-        _write_file(args.dot, reconfig_to_dot(r))
     del r  # the walk and the labels are all the output needs of the graph
     # Looked up at call time: callers may redirect sys.stdout.
     _write_analysis(sys.stdout, report, args.json, walk, texts)

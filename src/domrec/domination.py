@@ -117,7 +117,7 @@ def _removable(member, table: int) -> list[int]:
 def bounded(n: int, table: int, k: int) -> int:
     """The nodes of D_k: the sets in table of cardinality <= k.  At k = n
     the size classes cover every subset, so that is table itself.  Raises
-    ValueError for k outside [0, n]: this is the one check of the bound."""
+    ValueError for k outside [0, n] (the CLI checks --k first, to name it)."""
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     return table if k == n else table & reduce(or_, _lattice(n)[1][: k + 1])

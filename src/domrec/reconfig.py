@@ -49,12 +49,12 @@ class ReconfigGraph:
     node_set is the set as one subset-lattice int (bit S set iff the mask S
     is a node), and it is all that is stored: two nodes are adjacent iff
     their masks differ in one vertex, so reports are read off node_set.
-    nodes, its masks by (cardinality, mask), and adjacency, node i's
-    neighbour indices in increasing order, are listed on first read and
-    then kept; every listing reads nodes, which raises ReconfigTooLarge for
-    more than DEFAULT_NODE_CAP nodes.  node_set may hold any vertex masks
-    of seed, not only dominating sets, and k is None when no cardinality
-    bound chose them.
+    nodes, its masks by (cardinality, mask), index, each node's mask to its
+    index in nodes, and adjacency, node i's neighbour indices in increasing
+    order, are listed on first read and then kept; every listing reads
+    nodes, which raises ReconfigTooLarge for more than DEFAULT_NODE_CAP
+    nodes.  node_set may hold any vertex masks of seed, not only dominating
+    sets, and k is None when no cardinality bound chose them.
     """
 
     def __init__(self, seed: SeedGraph, k: int | None, node_set: int):
@@ -71,8 +71,12 @@ class ReconfigGraph:
         return list(ordered_subsets(self.seed.n, self.node_set))
 
     @cached_property
+    def index(self) -> dict[int, int]:
+        return {s: i for i, s in enumerate(self.nodes)}
+
+    @cached_property
     def adjacency(self) -> list[list[int]]:
-        index = {s: i for i, s in enumerate(self.nodes)}
+        index = self.index
         flips = [1 << u for u in range(self.seed.n)]
         return [sorted(index[s ^ f] for f in flips if m & f)
                 for s, m in zip(self.nodes, _moves(self))]
@@ -158,58 +162,54 @@ def eulerian_report(r: ReconfigGraph) -> EulerReport:
     )
 
 
-def euler_circuit(r: ReconfigGraph) -> list[int]:
-    """Closed walk (node indices) using every edge exactly once.
+def euler_circuit(r: ReconfigGraph) -> array:
+    """Closed walk (an array('I') of node indices) using every edge once.
 
     Hierholzer construction with a deterministic tie-break: start at the
     lowest-index node incident to an edge and always take the lowest-index
     unused neighbour.  The walk has edge_count + 1 entries.
 
-    The walk steps on masks.  Each node's unused moves are one vertex mask
-    (see _moves).  Its lowest-index unused neighbour drops the highest
-    vertex it can, since a down-move lands a size class lower and leaves a
-    smaller mask the higher the vertex it drops; with no down-move left, it
-    adds the lowest vertex it can.  Taking a move flips its vertex in the
-    node's mask and clears its bit at both ends, the same bit since flipping
-    the vertex again leads back.  The walk is read into node indices at the
-    end.
+    The walk steps on node indices.  Each node's unused moves are one
+    vertex mask (see _moves).  Its lowest-index unused neighbour drops the
+    highest vertex it can, since a down-move lands a size class lower and
+    leaves a smaller mask the higher the vertex it drops; with no down-move
+    left, it adds the lowest vertex it can.  Taking a move flips its vertex
+    in the node's mask, finds the new node through r.index and clears the
+    move's bit at both ends, the same bit since flipping the vertex again
+    leads back.
 
     Raises NotEulerian for an odd degree, then NoEdges for an edgeless
     graph.  Even degrees make the walk close at its start after using every
     edge of the start's component, so a walk shorter than edge_count + 1
     means a second component has edges: NotEulerian again.
     """
-    fields = _moves(r)
-    if any(m.bit_count() & 1 for m in fields):
+    nodes = r.nodes
+    moves = array("I", _moves(r))
+    if any(m.bit_count() & 1 for m in moves):
         raise NotEulerian("graph has an odd-degree node")
-    edge_count = sum(m.bit_count() for m in fields) // 2
+    edge_count = sum(m.bit_count() for m in moves) // 2
     if edge_count == 0:
         raise NoEdges("no edges to traverse")
-    moves = dict(zip(r.nodes, fields))
-    del fields
-    # The stack and the walk hold masks as 32-bit words (a seed has at most
-    # HARD_CAP = 26 vertices), as an int of its own per edge would be several
-    # times larger: each s ^= low below makes a new one.
-    stack = array("I", [next(s for s, m in moves.items() if m)])
+    index = r.index
+    # Indices as 32-bit words: an int of its own per edge is several times larger.
+    stack = array("I", [next(i for i, m in enumerate(moves) if m)])
     walk = array("I")
     while stack:
-        s = stack.pop()
-        m = moves[s]
+        i = stack.pop()
+        m = moves[i]
         while m:
-            stack.append(s)
+            stack.append(i)
+            s = nodes[i]
             d = m & s
             low = 1 << d.bit_length() - 1 if d else m & -m
-            moves[s] = m ^ low
-            s ^= low
-            moves[s] = m = moves[s] ^ low
-        walk.append(s)
+            moves[i] = m ^ low
+            i = index[s ^ low]
+            moves[i] = m = moves[i] ^ low
+        walk.append(i)
     if len(walk) != edge_count + 1:
         raise NotEulerian("edges in more than one component")
-    # Every move is used up: the same dict, its values overwritten, maps
-    # each node's mask to its index without a second table.
-    for i, s in enumerate(r.nodes):
-        moves[s] = i
-    return list(map(moves.__getitem__, reversed(walk)))
+    walk.reverse()
+    return walk
 
 
 def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> Iterator[str]:

@@ -606,6 +606,17 @@ def test_the_node_cap_guards_listings_only(monkeypatch, capsys, tmp_path):
     assert not dot.exists()
 
 
+def test_analyze_dot_past_the_cap_exits_before_any_report(monkeypatch, capsys, tmp_path):
+    def refuse(*_):
+        raise AssertionError("eulerian_report called")
+
+    monkeypatch.setattr(cli, "eulerian_report", refuse)
+    dot = tmp_path / "d.dot"
+    assert run_cli(["analyze", "--graph", "complete:23", "--k", "max", "--dot", str(dot)]) == 3
+    assert capsys.readouterr().err.startswith("capacity error: 8388607 nodes to list")
+    assert not dot.exists()
+
+
 def test_scan_huge_range_stops_at_the_cap(capsys):
     start = time.perf_counter()
     assert run_cli(["scan", "--family", "biclique", "--n", "1..1000000000000"]) == 3

@@ -92,7 +92,8 @@ def test_build_errors(monkeypatch):
     monkeypatch.setattr(reconfig, "DEFAULT_NODE_CAP", 5)
     r = build(FamilySpec.path(6), 6)
     assert eulerian_report(r).node_count > 5
-    for listing in (lambda: r.nodes, lambda: r.adjacency, lambda: euler_circuit(r)):
+    for listing in (lambda: r.nodes, lambda: r.index, lambda: r.adjacency,
+                    lambda: euler_circuit(r)):
         with pytest.raises(ReconfigTooLarge):
             listing()
     with pytest.raises(ValueError):
@@ -245,7 +246,7 @@ def assert_matches_reference(r):
     rep = eulerian_report(r)
     assert rep == reference_eulerian_report(r)
     assert rep.is_eulerian and rep.edge_count > 0
-    assert euler_circuit(r) == reference_euler_circuit(r)
+    assert list(euler_circuit(r)) == reference_euler_circuit(r)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +298,7 @@ def test_isolated_nodes_are_skipped():
     # (cardinality, mask) order cannot run 2, 3, 4, 5.
     r = planted(5, [0b01000, 0b10000, 0b00011, 0b00111, 0b01011, 0b01111, 0b11110])
     assert [len(r.adjacency[i]) for i in range(7)] == [0, 0, 2, 2, 2, 2, 0]
-    assert euler_circuit(r) == [2, 3, 5, 4, 2] == reference_euler_circuit(r)
+    assert list(euler_circuit(r)) == [2, 3, 5, 4, 2] == reference_euler_circuit(r)
 
 
 def test_euler_circuit_needs_no_report(monkeypatch):
@@ -308,7 +309,7 @@ def test_euler_circuit_needs_no_report(monkeypatch):
         raise AssertionError("eulerian_report called")
 
     monkeypatch.setattr(reconfig, "eulerian_report", refuse)
-    assert euler_circuit(r) == expected
+    assert list(euler_circuit(r)) == expected
 
 
 # --- the report and the walk against independent oracles -------------------
@@ -339,7 +340,7 @@ def assert_report_and_walk_match_networkx(r):
     rep = eulerian_report(r)
     assert rep == networkx_report(r) == reference_eulerian_report(r)
     if rep.is_eulerian and rep.edge_count:
-        walk = euler_circuit(r)
+        walk = list(euler_circuit(r))
         replay(r, walk)
         assert walk == reference_euler_circuit(r)
     else:
@@ -401,7 +402,7 @@ def node_sets(draw, max_n: int = 7):
 
 def walk_or_error(walk, r):
     try:
-        return walk(r)
+        return list(walk(r))
     except (NotEulerian, NoEdges) as exc:
         return type(exc)
 
@@ -432,7 +433,7 @@ def test_euler_circuit_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / r.edge_count < 48
+    assert peak / r.edge_count < 30
 
 
 # --- cartesian products -----------------------------------------------------
