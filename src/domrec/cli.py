@@ -204,12 +204,12 @@ def _analysis_lines(report: dict) -> list[str]:
 
 
 def _write_analysis(out, report: dict, as_json: bool,
-                    walk: Sequence[int] | None, texts: list[str]):
+                    walk: Sequence[int] | None, texts: dict[int, str]):
     """Write the analyze report to out, with the Euler circuit when walk is
     not None (empty when there is none): text lines, or the report as
     json.dumps(..., sort_keys=True, indent=2) prints it with the circuit as
-    its "euler_circuit" array of node labels.  texts[i] is node i's label
-    as written: in JSON, indented and quoted."""
+    its "euler_circuit" array of node labels.  walk holds node masks, and
+    texts[s] is node s's label as written: in JSON, indented and quoted."""
     if not as_json:
         out.write("\n".join(_analysis_lines(report)) + "\n")
         if walk is not None:
@@ -241,14 +241,14 @@ def _cmd_analyze(args) -> int:
         _write_file(args.dot, reconfig_to_dot(r))
     rep = eulerian_report(r)
     report = analysis_report(g, spec, k, rep, domination_profile(g, table))
-    walk, texts = None, []
+    walk, texts = None, {}
     if args.circuit:
         walk = []
         if rep.is_eulerian and rep.edge_count > 0:
             walk = euler_circuit(r)
             # Set labels hold digits, braces and commas: nothing JSON escapes.
-            template = '    "{}"' if args.json else "{}"
-            texts = [template.format(format_set(s)) for s in r.nodes]
+            head, tail = ('    "', '"') if args.json else ("", "")
+            texts = {s: head + format_set(s) + tail for s in r.nodes}
     del r  # the walk and the labels are all the output needs of the graph
     # Looked up at call time: callers may redirect sys.stdout.
     _write_analysis(sys.stdout, report, args.json, walk, texts)

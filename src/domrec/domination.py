@@ -2,20 +2,21 @@
 
 A set of vertices is an int mask, bit v set iff v is a member: the nodes of
 D_k and the subsets of the lattice below are such masks, and format_set
-writes one as '{0,2}'.  A subset S dominates when the union of closed
-neighborhoods of its members covers every vertex.  Questions about all 2**n
-subsets at once are answered on the subset lattice: a set of subsets is one
-int whose bit S stands for the subset with bitmask S, so a whole-lattice
-question is a few bitwise operations on such ints instead of a loop over the
-subsets.  This module is the one owner of that representation.  D_k lives
+writes one as '{0,2}' from tables of labels.  A subset S dominates when the
+union of closed neighborhoods of its members covers every vertex.  Questions
+about all 2**n subsets at once are answered on the subset lattice: a set of
+subsets is one int whose bit S stands for the subset with bitmask S, so a
+whole-lattice question is a few bitwise operations on such ints instead of a
+loop over the subsets.  This module is the one owner of that representation.  D_k lives
 on it too: odd_degree_nodes reads its degree parities off the table,
 lattice_eulerian floods its components, and dominating_graph_shape floods
 the unrestricted D(G) from V and steps from each cardinality-parity class,
 for one seed or a chunk of them, all without building it.  Any set of
 masks taken as nodes, two adjacent when they differ in one vertex, is read
 the same way: flip_masks gives each vertex's moves, degree_classes sums
-them into degrees, component_count floods, and node_fields turns lattice
-masks into one int per node.
+them into degrees, component_count floods, and node_fields transposes
+lattice masks into one word per subset (the Euler walk's table of moves)
+or per listed node.
 
 It also owns its extension to the (edge mask E, subset S) lattice of a
 labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
@@ -32,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import comb
-from operator import and_, getitem, or_, xor
+from operator import and_, or_, xor
 
 from .errors import BoundBelowGamma, BoundExceeded, EmptyGraph
 from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, vertex_pairs
@@ -57,21 +58,29 @@ class DominationProfile:
 
 
 @cache
-def _byte_labels(size: int) -> tuple[tuple[str, ...], ...]:
-    """Per byte position j < size, the labels of the 256 byte values there:
-    entry b is ',v,w' for the members v, w of 8j..8j+7 whose bits b sets."""
-    return tuple(tuple("".join(f",{8 * j + v}" for v in range(8) if b >> v & 1)
-                       for b in range(256))
-                 for j in range(size))
+def _chunk_labels(j: int) -> tuple[str, ...]:
+    """Per value b of the j-th 13-bit chunk of a mask, ',v,w' for the
+    vertices v, w of 13j..13j+12 that b holds: each vertex doubles the
+    table, appending itself to every label before it."""
+    labels = [""]
+    for v in range(13 * j, 13 * j + 13):
+        labels += [x + f",{v}" for x in labels]
+    return tuple(labels)
 
 
 def format_set(bits: int) -> str:
-    """Set notation for a vertex mask: 0b101 is '{0,2}'.  Each byte of the
-    mask is looked up in its position's table of labels."""
+    """Set notation for a vertex mask: 0b101 is '{0,2}'.  Each 13-bit chunk
+    of the mask is looked up in its table of 8,192 labels, built on first
+    use: two tables, about 1.2 MiB, cover every seed up to HARD_CAP = 26."""
     if bits < 0:
         raise ValueError(f"vertex mask must be non-negative, got {bits}")
-    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-    return "{" + "".join(map(getitem, _byte_labels(len(data)), data))[1:] + "}"
+    text = ""
+    j = 0
+    while bits:
+        text += _chunk_labels(j)[bits & 0x1FFF]
+        bits >>= 13
+        j += 1
+    return "{" + text[1:] + "}"
 
 
 @cache  # one entry per n <= HARD_CAP; at n = 26 its 53 ints take 8 MiB each
@@ -252,15 +261,17 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def node_fields(n: int, masks, nodes: list[int]) -> list[int]:
-    """Per set s of nodes, in order, the int whose bit p is bit s of
-    masks[p], for up to 64 lattice masks over n vertices.
+def node_fields(n: int, masks, nodes: list[int] | None = None) -> memoryview:
+    """Per subset s, the int whose bit p is bit s of masks[p], for up to 64
+    lattice masks over n vertices, as a writable memoryview of machine
+    words: one for every s < 2**n (width * 2**n bytes), or, given nodes, one
+    for each set s of nodes in order.
 
     Eight masks at a time become one plane, a byte per subset: the digits of
     each mask, least significant first, are turned into bytes of value 0 or
-    1 and shifted to their bit of the byte.  The bytes at the nodes, read
-    off each plane in node order, are interleaved as the bytes of one
-    machine word per node."""
+    1 and shifted to their bit of the byte.  The planes, or their bytes at
+    the nodes, are interleaved as the bytes of words 1, 2, 4 or 8 bytes
+    wide, a byte per plane rounded up."""
     planes = []
     for p, x in enumerate(masks):
         if p % 8 == 0:
@@ -268,11 +279,13 @@ def node_fields(n: int, masks, nodes: list[int]) -> list[int]:
         digits = bin(x)[:1:-1].encode().translate(_DIGIT_BYTES)
         planes[-1] |= int.from_bytes(digits, "little") << p % 8
     width = next(w for w in (1, 2, 4, 8) if w >= len(planes))
-    words = bytearray(width * len(nodes))
+    words = bytearray(width * (1 << n if nodes is None else len(nodes)))
     for j, plane in enumerate(planes):
         at = j if sys.byteorder == "little" else width - 1 - j
-        words[at::width] = bytes(map(plane.to_bytes(1 << n, "little").__getitem__, nodes))
-    return memoryview(words).cast(_WORD_FORMATS[width]).tolist()
+        data = plane.to_bytes(1 << n, "little")
+        words[at::width] = data if nodes is None else bytes(map(data.__getitem__, nodes))
+        del data  # freed before the next plane's bytes are made
+    return memoryview(words).cast(_WORD_FORMATS[width])
 
 
 def size_counts(n: int, table: int) -> list[int]:

@@ -48,13 +48,13 @@ class ReconfigGraph:
 
     node_set is the set as one subset-lattice int (bit S set iff the mask S
     is a node), and it is all that is stored: two nodes are adjacent iff
-    their masks differ in one vertex, so reports are read off node_set.
-    nodes, its masks by (cardinality, mask), index, each node's mask to its
-    index in nodes, and adjacency, node i's neighbour indices in increasing
-    order, are listed on first read and then kept; every listing reads
-    nodes, which raises ReconfigTooLarge for more than DEFAULT_NODE_CAP
-    nodes.  node_set may hold any vertex masks of seed, not only dominating
-    sets, and k is None when no cardinality bound chose them.
+    their masks differ in one vertex, so reports and the Euler walk are read
+    off node_set.  nodes, its masks by (cardinality, mask), and adjacency,
+    node i's neighbour indices in increasing order, are listed on first read
+    and then kept.  Every listing, the walk included, raises
+    ReconfigTooLarge for more than DEFAULT_NODE_CAP nodes before it lists
+    anything.  node_set may hold any vertex masks of seed, not only
+    dominating sets, and k is None when no cardinality bound chose them.
     """
 
     def __init__(self, seed: SeedGraph, k: int | None, node_set: int):
@@ -66,20 +66,16 @@ class ReconfigGraph:
 
     @cached_property
     def nodes(self) -> list[int]:
-        if self.node_count > DEFAULT_NODE_CAP:
-            raise ReconfigTooLarge(f"{self.node_count} nodes to list, over {DEFAULT_NODE_CAP}")
+        _check_cap(self)
         return list(ordered_subsets(self.seed.n, self.node_set))
 
     @cached_property
-    def index(self) -> dict[int, int]:
-        return {s: i for i, s in enumerate(self.nodes)}
-
-    @cached_property
     def adjacency(self) -> list[list[int]]:
-        index = self.index
-        flips = [1 << u for u in range(self.seed.n)]
+        n, nodes = self.seed.n, self.nodes
+        index = {s: i for i, s in enumerate(nodes)}
+        flips = [1 << u for u in range(n)]
         return [sorted(index[s ^ f] for f in flips if m & f)
-                for s, m in zip(self.nodes, _moves(self))]
+                for s, m in zip(nodes, node_fields(n, flip_masks(n, self.node_set), nodes))]
 
     @property
     def node_count(self) -> int:
@@ -94,11 +90,10 @@ class ReconfigGraph:
                 f"{self.node_count} nodes, {self.edge_count} edges)")
 
 
-def _moves(r: ReconfigGraph) -> list[int]:
-    """Per node, in node order, its moves as one vertex mask: bit u is set
-    iff flipping vertex u of the node's mask gives a node."""
-    n = r.seed.n
-    return node_fields(n, flip_masks(n, r.node_set), r.nodes)
+def _check_cap(r: ReconfigGraph):
+    """Refuse to list r past DEFAULT_NODE_CAP nodes, read at call time."""
+    if r.node_count > DEFAULT_NODE_CAP:
+        raise ReconfigTooLarge(f"{r.node_count} nodes to list, over {DEFAULT_NODE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -163,50 +158,56 @@ def eulerian_report(r: ReconfigGraph) -> EulerReport:
 
 
 def euler_circuit(r: ReconfigGraph) -> array:
-    """Closed walk (an array('I') of node indices) using every edge once.
+    """Closed walk (an array('I') of node masks) using every edge once.
 
     Hierholzer construction with a deterministic tie-break: start at the
-    lowest-index node incident to an edge and always take the lowest-index
-    unused neighbour.  The walk has edge_count + 1 entries.
+    lowest-index node (by place in r.nodes) incident to an edge and always
+    take the lowest-index unused neighbour.  The walk has edge_count + 1
+    entries, and lists no node: each subset's unused moves are one vertex
+    mask in node_fields' table of the flip masks over all 2**n subsets (2
+    bytes a subset for n <= 16, 4 above).  The lowest-index unused
+    neighbour drops the highest vertex it can, since a down-move lands a
+    size class lower and leaves a smaller mask the higher the vertex it
+    drops; with no down-move left, it adds the lowest vertex it can.  A move
+    flips its vertex in the mask and clears its bit at both ends, the same
+    bit since flipping the vertex again leads back.
 
-    The walk steps on node indices.  Each node's unused moves are one
-    vertex mask (see _moves).  Its lowest-index unused neighbour drops the
-    highest vertex it can, since a down-move lands a size class lower and
-    leaves a smaller mask the higher the vertex it drops; with no down-move
-    left, it adds the lowest vertex it can.  Taking a move flips its vertex
-    in the node's mask, finds the new node through r.index and clears the
-    move's bit at both ends, the same bit since flipping the vertex again
-    leads back.
-
-    Raises NotEulerian for an odd degree, then NoEdges for an edgeless
-    graph.  Even degrees make the walk close at its start after using every
-    edge of the start's component, so a walk shorter than edge_count + 1
-    means a second component has edges: NotEulerian again.
+    Raises ReconfigTooLarge past the node cap.  The other checks read the
+    flip masks: their XOR holds the odd-degree nodes (NotEulerian), their
+    popcounts sum to twice the edge count (NoEdges when 0), and their OR
+    holds the nodes with an edge, the first of which starts the walk.  Even
+    degrees make the walk close at its start after using every edge of the
+    start's component, so a walk shorter than edge_count + 1 means a second
+    component has edges: NotEulerian again.
     """
-    nodes = r.nodes
-    moves = array("I", _moves(r))
-    if any(m.bit_count() & 1 for m in moves):
+    _check_cap(r)
+    n = r.seed.n
+    odd = linked = twice_edges = 0
+    for x in flip_masks(n, r.node_set):
+        odd ^= x
+        linked |= x
+        twice_edges += x.bit_count()
+    if odd:
         raise NotEulerian("graph has an odd-degree node")
-    edge_count = sum(m.bit_count() for m in moves) // 2
-    if edge_count == 0:
+    if twice_edges == 0:
         raise NoEdges("no edges to traverse")
-    index = r.index
-    # Indices as 32-bit words: an int of its own per edge is several times larger.
-    stack = array("I", [next(i for i, m in enumerate(moves) if m)])
+    moves = node_fields(n, flip_masks(n, r.node_set))
+    # Masks as 32-bit words: an int of its own per edge is several times larger.
+    stack = array("I", [next(ordered_subsets(n, linked))])
     walk = array("I")
+    push, pop, step = stack.append, stack.pop, walk.append
     while stack:
-        i = stack.pop()
-        m = moves[i]
+        s = pop()
+        m = moves[s]
         while m:
-            stack.append(i)
-            s = nodes[i]
+            push(s)
             d = m & s
             low = 1 << d.bit_length() - 1 if d else m & -m
-            moves[i] = m ^ low
-            i = index[s ^ low]
-            moves[i] = m = moves[i] ^ low
-        walk.append(i)
-    if len(walk) != edge_count + 1:
+            moves[s] = m ^ low
+            s ^= low
+            moves[s] = m = moves[s] ^ low
+        step(s)
+    if len(walk) != twice_edges // 2 + 1:
         raise NotEulerian("edges in more than one component")
     walk.reverse()
     return walk

@@ -214,7 +214,8 @@ def test_criterion_11_witnesses():
     for spec, k, node_count in cases:
         r = build_reconfig(make_family(spec), k)
         assert r.node_count == node_count
-        walk = euler_circuit(r)
+        index = {s: i for i, s in enumerate(r.nodes)}
+        walk = [index[s] for s in euler_circuit(r)]
         assert walk[0] == walk[-1]
         assert len(walk) == r.edge_count + 1
         used = Counter()

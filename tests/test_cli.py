@@ -72,7 +72,7 @@ def test_readme_library_example_does_what_its_comments_say(capsys):
     assert r.nodes[0] == 19 and format_set(r.nodes[0]) == "{0,1,4}"
     assert rep.degree_histogram == ((2, 28), (4, 14))
     assert rep.is_eulerian is True
-    assert len(walk) == 57
+    assert len(walk) == 57 and set(walk) == set(r.nodes)  # every node, as its mask
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("DominationProfile(gamma=3, upper_gamma=3,")
     assert printed[1:] == ["19 {0,1,4}", "((2, 28), (4, 14))", "True"]

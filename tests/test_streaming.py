@@ -74,7 +74,7 @@ def one_string_analyze(spec_text: str, k_text: str, as_json: bool, circuit: bool
         eu = report["euler"]
         labels = []
         if eu["is_eulerian"] and eu["edge_count"] > 0:
-            labels = [format_set(r.nodes[i]) for i in euler_circuit(r)]
+            labels = [format_set(s) for s in euler_circuit(r)]
     if as_json:
         payload = dict(report)
         if labels is not None:
