@@ -308,6 +308,8 @@ def _cmd_scan(args) -> int:
     # --k is read and every seed built before any profile, so a bad --k or a
     # size past the vertex cap raises at once.  No family has members at n < 0.
     single = None if args.k in ("all", "max") else _k_value(args.k, 0)
+    if single is not None and single < 0:
+        raise DomrecError(f"--k must be non-negative, got {single}")
     seeds = []
     for n in range(max(lo, 0), hi + 1):
         for spec in _SCAN_FAMILIES[args.family](n):

@@ -8,15 +8,14 @@ about all 2**n subsets at once are answered on the subset lattice: a set of
 subsets is one int whose bit S stands for the subset with bitmask S, so a
 whole-lattice question is a few bitwise operations on such ints instead of a
 loop over the subsets.  This module is the one owner of that representation.  D_k lives
-on it too: odd_degree_nodes reads its degree parities off the table,
-lattice_eulerian floods its components, and dominating_graph_shape floods
-the unrestricted D(G) from V and steps from each cardinality-parity class,
-for one seed or a chunk of them, all without building it.  Any set of
-masks taken as nodes, two adjacent when they differ in one vertex, is read
-the same way: flip_masks gives each vertex's moves, degree_classes sums
-them into degrees, component_count floods, and node_fields transposes
-lattice masks into one word per subset (the Euler walk's table of moves)
-or per listed node.
+on it too, unbuilt: lattice_eulerian reads its degree parities off the
+table and floods its components, and up_closure_gaps checks that a table,
+of one seed or a chunk of them, is up-closed, which makes its unrestricted
+D(G) connected.  Any set of masks taken as nodes, two adjacent when they
+differ in one vertex, is read the same way: flip_masks gives each vertex's
+moves, degree_classes sums them into degrees, component_count floods, and
+node_fields transposes lattice masks into one word per subset (the Euler
+walk's table of moves) or per listed node.
 
 It also owns its extension to the (edge mask E, subset S) lattice of a
 labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
@@ -133,20 +132,15 @@ def bounded(n: int, table: int, k: int) -> int:
 
 
 def _odd_nodes(lattice, n: int, table: int, k: int, nodes: int) -> int:
+    """The odd-degree nodes of D_k among nodes, the sets of table of
+    cardinality <= k, on the lattice masks of a seed or a chunk.  The degree
+    of a node S is its removable-member count plus, below the bound, one
+    up-move per outside vertex; its parity is the XOR of the removable
+    masks, flipped on each size class c < k with n - c odd."""
     member, size = lattice
     parity = reduce(xor, _removable(member, table), 0)
     parity ^= reduce(or_, (x for c, x in enumerate(size[:k]) if (n - c) & 1), 0)
     return parity & nodes
-
-
-def odd_degree_nodes(n: int, table: int, k: int) -> int:
-    """The odd-degree nodes of D_k, as a lattice mask over the domination
-    table of a seed on n vertices.
-
-    The degree of a node S is its removable-member count plus, below the
-    bound, one up-move per outside vertex; its parity is the XOR of the
-    removable masks, flipped on each size class c < k with n - c odd."""
-    return _odd_nodes(_lattice(n), n, table, k, bounded(n, table, k))
 
 
 def _step(member, nodes: int, front: int) -> int:
@@ -189,16 +183,13 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
     return _flood(member, nodes, linked & -linked) == linked
 
 
-def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
-    """(unreached, crossed) for the D(G) on the sets of table, which must hold
-    the full set V, on the lattice masks of a seed or a chunk: D(G) is
-    connected iff the flood from V misses no node, and 2-colored by cardinality
-    parity iff no step from either parity class lands on a node in it."""
-    member, size = lattice
-    even = reduce(or_, size[::2])
-    return (table & ~_flood(member, table, size[-1]),
-            _step(member, table, table & even) & even
-            | _step(member, table, table & ~even) & ~even)
+def up_closure_gaps(lattice, table: int) -> int:
+    """The sets outside table one vertex above a set in it, on the lattice
+    masks of a seed or a chunk: per vertex u, the sets of table that lack u
+    move up by 2**u to their superset with u.  It is 0 iff table is
+    up-closed, as every domination table is."""
+    member, _ = lattice
+    return reduce(or_, ((table & ~x) << (1 << u) for u, x in enumerate(member)), 0) & ~table
 
 
 def flip_masks(n: int, nodes: int):
@@ -442,8 +433,8 @@ class LabeledChunk:
 
     def odd_degree_nodes(self) -> int:
         """The odd-degree nodes of each graph's unrestricted D(G), as lattice
-        bits: odd_degree_nodes at k = n, whose member masks keep every
-        shifted bit inside its own block."""
+        bits: _odd_nodes at k = n, whose member masks keep every shifted bit
+        inside its own block."""
         return _odd_nodes(self.lattice, self.n, self.table, self.n, self.table)
 
     def size_classes(self) -> tuple[list[int], list[int]]:

@@ -13,14 +13,14 @@ the driver of every claim, turns them into a capped, timed report.
 Every labeled seed comes from the (edge mask, subset) lattice of
 domination.labeled_chunks.  Five claims are decided there by a second driver,
 _chunk_sweep, which owns the sweep order, the instance count and the decoding
-of flagged seeds; a judge per claim answers for a whole chunk at once.  A
-seed is built as a SeedGraph only where needed: a candidate whose verdict
-computed_eulerian decides on its own table, a disagreement, a universal-gamma
-instance, or an inner graph of the two corona claims, which _labeled decodes
-from the chunks.  Those two compute every corona's table but decide each
-distinct (table, k) once, since all inner graphs of one order share one
-corona table.  The product claim compares the table of a disjoint union with
-the outer product of its parts' tables.
+of flagged seeds; a judge per claim reads each seed's D(G) off the chunk's
+folds (its order, degree parities and up-closure) for the whole chunk at
+once.  A seed is built as a SeedGraph only where needed: an Eulerian
+candidate, a disagreement, a universal-gamma instance, or a corona claim's
+inner graph, which _labeled decodes from the chunks.  The two corona claims
+decide each distinct (table, k) once, since all inner graphs of one order
+share one corona table.  The product claim compares the table of a disjoint
+union with the outer product of its parts' tables.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from itertools import chain
 from operator import or_
 
 from .domination import (
-    dominating_graph_shape,
     dominating_table,
     domination_profile,
     labeled_chunks,
     lattice_eulerian,
-    odd_degree_nodes,
     size_counts,
+    up_closure_gaps,
 )
 from .errors import BoundExceeded, ClaimUnknown, UncharacterizedInstance
 from .graphs import (
@@ -519,13 +518,12 @@ def _mixed_parity(report, n_max: int = 6):
         some, every = chunk.size_classes()
         lemma = reduce(or_, (some[c] & ~every[c] & every[c + 1] for c in range(1, chunk.n)), 0)
         odd = chunk.odd_degree_nodes()
-        both = chunk.any(odd) & chunk.any(chunk.table & ~odd)
-        return connected & lemma, {"one degree parity": ~both}
+        return connected & lemma, {"no even-degree node": ~chunk.any(chunk.table & ~odd),
+                                   "no odd-degree node": ~chunk.any(odd)}
 
-    for g, _ in _chunk_sweep(report, 2, n_max, judge):
-        table = dominating_table(g)
-        odd = odd_degree_nodes(g.n, table, g.n)
-        yield g, g.n, "both degree parities", {"even": odd != table, "odd": odd != 0}
+    for g, problems in _chunk_sweep(report, 2, n_max, judge):
+        yield g, g.n, "both degree parities", {"even": "no even-degree node" not in problems,
+                                               "odd": "no odd-degree node" not in problems}
 
 
 def verify_mixed_parity_lemma(n_max: int = 6) -> TheoremReport:
@@ -585,13 +583,14 @@ def _gamma_formulas(report, path_max: int = 15, complete_max: int = 12, biclique
 def _connected_odd_bipartite(report, n_max: int = 5):
     """Unrestricted dominating graphs of connected seeds are connected, have
     odd order, are 2-colored by cardinality parity and have an even-degree
-    node: folds of each chunk's masks, building only a seed with a problem."""
+    node.  The coloring holds by construction, as each move changes |S| by
+    one.  The judge checks that the table is up-closed, so every dominating
+    set reaches V one vertex at a time and D(G) is connected (Haas &
+    Seyffarth, "The k-dominating graph", 2014)."""
     def judge(chunk):
-        unreached, crossed = dominating_graph_shape(chunk.lattice, chunk.table)
         return (sliced_connected(chunk.n, chunk.edges, chunk.every),
-                {"disconnected": chunk.any(unreached),
+                {"table not up-closed": chunk.any(up_closure_gaps(chunk.lattice, chunk.table)),
                  "even node count": ~chunk.parity(chunk.table),
-                 "parity bipartition broken": chunk.any(crossed),
                  "no even-degree node": ~chunk.any(chunk.table & ~chunk.odd_degree_nodes())})
 
     for g, problems in _chunk_sweep(report, 1, n_max, judge):

@@ -9,19 +9,28 @@ The package's former one-set and one-seed functions live here too
 enumerate_dominating_sets, node_degree, cartesian_product and
 parity_bipartition_valid): each restates an answer the subset lattice gives
 whole, and the package itself never called them.  So does NotDominating,
-the error that only node_degree raises.
+the error that only node_degree raises.  So do two lattice kernels,
+odd_degree_nodes and dominating_graph_shape: the chunk judges read degree
+parities off the chunk, and cite the lemma that an up-closed table makes
+D(G) connected, whose moves keep it bipartite; the flood from V and the
+parity step are that lemma's oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
+from operator import or_
 from itertools import combinations, islice
 
 import hypothesis.strategies as st
 
 from domrec import SeedGraph, disjoint_union, theorems
 from domrec.domination import (
+    _flood,
+    _lattice,
+    _odd_nodes,
+    _step,
     bounded,
     dominating_table,
     domination_profile,
@@ -147,6 +156,28 @@ def parity_bipartition_valid(r: ReconfigGraph) -> bool:
             if abs(ci - cards[j]) != 1:
                 return False
     return True
+
+
+def odd_degree_nodes(n: int, table: int, k: int) -> int:
+    """The odd-degree nodes of D_k, as a lattice mask over the domination
+    table of a seed on n vertices.
+
+    The degree of a node S is its removable-member count plus, below the
+    bound, one up-move per outside vertex; its parity is the XOR of the
+    removable masks, flipped on each size class c < k with n - c odd."""
+    return _odd_nodes(_lattice(n), n, table, k, bounded(n, table, k))
+
+
+def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
+    """(unreached, crossed) for the D(G) on the sets of table, which must hold
+    the full set V, on the lattice masks of a seed or a chunk: D(G) is
+    connected iff the flood from V misses no node, and 2-colored by cardinality
+    parity iff no step from either parity class lands on a node in it."""
+    member, size = lattice
+    even = reduce(or_, size[::2])
+    return (table & ~_flood(member, table, size[-1]),
+            _step(member, table, table & even) & even
+            | _step(member, table, table & ~even) & ~even)
 
 
 def naive_is_dominating(g: SeedGraph, bits: int) -> bool:

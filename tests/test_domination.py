@@ -16,6 +16,7 @@ from conftest import (
     naive_is_dominating,
     naive_up_closed_eulerian,
     node_degree,
+    odd_degree_nodes,
     peeling_format_set,
     seed_graphs,
     up_closed_families,
@@ -36,8 +37,8 @@ from domrec.domination import (
     labeled_chunks,
     lattice_eulerian,
     node_fields,
-    odd_degree_nodes,
     size_counts,
+    up_closure_gaps,
 )
 from domrec.graphs import is_connected, sliced_cocktail_party, sliced_connected
 from domrec.errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
@@ -347,6 +348,21 @@ def test_bound_outside_the_order_is_rejected():
         for kernel in (bounded, odd_degree_nodes):
             with pytest.raises(ValueError, match=r"k must be in \[0, 4\]"):
                 kernel(P4.n, table, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(up_closed_families(max_n=8), st.data())
+def test_up_closure_gaps_find_each_removed_set(family, data):
+    """An up-closed table has no gaps.  Without one of its sets S it has
+    exactly the gap S when a set one vertex below S is still in it, and
+    none when S was minimal."""
+    n, generators = family
+    lattice = domination._lattice(n)
+    table = up_closure_table(n, generators)
+    assert up_closure_gaps(lattice, table) == 0
+    s = data.draw(st.sampled_from([s for s in range(1 << n) if table >> s & 1]))
+    below = any(table >> (s ^ 1 << u) & 1 for u in range(n) if s >> u & 1)
+    assert up_closure_gaps(lattice, table & ~(1 << s)) == (1 << s if below else 0)
 
 
 @settings(max_examples=150, deadline=None)

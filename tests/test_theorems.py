@@ -7,7 +7,9 @@ from hypothesis import given, settings
 
 from conftest import (
     built_product_problems,
+    dominating_graph_shape,
     enumerate_labeled_graphs,
+    odd_degree_nodes,
     parity_bipartition_valid,
     reference_corona_sweep,
     seed_graphs,
@@ -36,10 +38,9 @@ from domrec.theorems import (
     computed_eulerian,
     expected_eulerian_unrestricted,
     negative_control_characterization,
-    odd_degree_nodes,
 )
 from domrec import domination, reconfig, theorems
-from domrec.domination import dominating_graph_shape, dominating_table, labeled_chunks
+from domrec.domination import dominating_table, labeled_chunks, up_closure_gaps
 
 
 # --- expected verdicts -------------------------------------------------------
@@ -448,31 +449,43 @@ def test_dominating_graph_shape_of_hand_picked_sets():
 def test_dominating_graph_shape_on_chunks_matches_the_per_seed_answers():
     """Every labeled seed with n <= 6, disconnected ones included: the folds
     of a chunk's masks give each graph the connectivity, parity bipartition,
-    odd order and even-degree node that its own table gives."""
+    odd order, even-degree node and up-closure gaps that its own table
+    gives.  Every table is up-closed and every D(G) connected there: the
+    lemma the claim cites, measured."""
 
     @cache  # the 33,867 seeds have 15,284 distinct tables
     def seed_answers(n, table):
         return _shape(n, table) + (table.bit_count() % 2 == 1,
-                                   odd_degree_nodes(n, table, n) != table)
+                                   odd_degree_nodes(n, table, n) != table,
+                                   up_closure_gaps(domination._lattice(n), table) != 0)
 
     for n in range(1, 7):
         sliced, seeds = [], []
         for chunk in labeled_chunks(n):
             unreached, crossed = dominating_graph_shape(chunk.lattice, chunk.table)
             bits = [~chunk.any(unreached), ~chunk.any(crossed), chunk.parity(chunk.table),
-                    chunk.any(chunk.table & ~chunk.odd_degree_nodes())]
+                    chunk.any(chunk.table & ~chunk.odd_degree_nodes()),
+                    chunk.any(up_closure_gaps(chunk.lattice, chunk.table))]
             sliced += [tuple(bool(x >> i & 1) for x in bits) for i in range(chunk.count)]
             seeds += chunk.graphs(chunk.every)
         assert sliced == [seed_answers(n, dominating_table(g)) for g in seeds], n
+        assert all(connected and not gaps for connected, *_, gaps in sliced), n
 
 
 def test_connected_odd_bipartite_reports_planted_chunk_tables(monkeypatch):
-    """Real tables pass, so two blocks of the n = 4 chunk are tampered: K_4
-    loses every 3-set, which cuts V off, and the star at vertex 0 loses its
-    lowest dominating set, which leaves it an even number of nodes.  The
-    claim reports those two graphs, each with its one problem."""
+    """Real tables pass, so three blocks of the n = 4 chunk are tampered: K_4
+    loses every 3-set, which cuts V off; the star at vertex 0 loses its
+    lowest dominating set, which leaves it an even number of nodes; and the
+    star at vertex 1 loses {1,2} and {1,3}, which leaves its table not
+    up-closed while its D(G), of 7 nodes, stays connected.  The claim reports
+    those three graphs, each with its one problem."""
     pairs = vertex_pairs(4)
-    complete, star = (1 << len(pairs)) - 1, sum(1 << e for e, p in enumerate(pairs) if 0 in p)
+    complete = (1 << len(pairs)) - 1
+    star, star1 = (sum(1 << e for e, p in enumerate(pairs) if v in p) for v in (0, 1))
+    lost = 1 << 0b0110 | 1 << 0b1010
+    block = dominating_table(labeled_graph(4, star1)) & ~lost
+    assert dominating_graph_shape(domination._lattice(4), block)[0] == 0
+    assert up_closure_gaps(domination._lattice(4), block) != 0
     chunks = theorems._chunks
 
     def tampered(n_min, n_max):
@@ -482,6 +495,7 @@ def test_connected_odd_bipartite_reports_planted_chunk_tables(monkeypatch):
                 star_block = chunk.table >> 16 * star & 0xFFFF
                 chunk.table &= ~(size[3] & 0xFFFF << 16 * complete)
                 chunk.table &= ~((star_block & -star_block) << 16 * star)
+                chunk.table &= ~(lost << 16 * star1)
             yield chunk
 
     monkeypatch.setattr(theorems, "_chunks", tampered)
@@ -489,8 +503,24 @@ def test_connected_odd_bipartite_reports_planted_chunk_tables(monkeypatch):
     assert report.instances_checked == 1 + 1 + 4 + 38
     assert [(ce["seed"], ce["computed"]) for ce in report.counterexamples] == [
         (f"g6:{to_graph6(labeled_graph(4, star))}", ["even node count"]),
-        (f"g6:{to_graph6(labeled_graph(4, complete))}", ["disconnected"]),
+        (f"g6:{to_graph6(labeled_graph(4, star1))}", ["table not up-closed"]),
+        (f"g6:{to_graph6(labeled_graph(4, complete))}", ["table not up-closed"]),
     ]
+
+
+@pytest.mark.parametrize("odd_nodes, parities", [
+    (lambda chunk: chunk.table, {"even": False, "odd": True}),
+    (lambda chunk: 0, {"even": True, "odd": False}),
+], ids=["all-odd", "all-even"])
+def test_mixed_parity_reports_each_missing_parity(monkeypatch, odd_nodes, parities):
+    """With every node of every D(G) made odd, then even, each of the 37
+    instances at n <= 4 lacks one degree parity, and its counterexample
+    names which one it has."""
+    monkeypatch.setattr(domination.LabeledChunk, "odd_degree_nodes", odd_nodes)
+    report = verify_mixed_parity_lemma(n_max=4)
+    assert report.instances_checked == report.details["counterexample_count"] == 37
+    assert len(report.counterexamples) == theorems.COUNTEREXAMPLE_CAP
+    assert all(ce["computed"] == parities for ce in report.counterexamples)
 
 
 def test_labeled_seeds_come_from_the_chunks_in_enumeration_order():
