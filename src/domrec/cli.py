@@ -326,6 +326,8 @@ def _cmd_scan(args) -> int:
             k = g.n if single is None else single  # None: 'max', the seed's n
             ks = [k] if k in ks else []
         tasks.extend((spec, k, table, profile) for k in ks)
+    if seeds and not tasks:  # 'all' and 'max' fit every seed, since gamma <= n
+        raise DomrecError(f"--k must be in [gamma, n] for some seed in the range, got {single}")
     reports = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":
         reports = [report for report in reports if report["euler"]["is_eulerian"]]

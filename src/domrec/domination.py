@@ -14,8 +14,8 @@ of one seed or a chunk of them, is up-closed, which makes its unrestricted
 D(G) connected.  Any set of masks taken as nodes, two adjacent when they
 differ in one vertex, is read the same way: flip_masks gives each vertex's
 moves, degree_classes sums them into degrees, component_count floods, and
-node_fields transposes lattice masks into one word per subset (the Euler
-walk's table of moves) or per listed node.
+node_fields transposes lattice masks into one word per subset, the Euler
+walk's table of moves.
 
 It also owns its extension to the (edge mask E, subset S) lattice of a
 labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
@@ -252,17 +252,15 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def node_fields(n: int, masks, nodes: list[int] | None = None) -> memoryview:
-    """Per subset s, the int whose bit p is bit s of masks[p], for up to 64
-    lattice masks over n vertices, as a writable memoryview of machine
-    words: one for every s < 2**n (width * 2**n bytes), or, given nodes, one
-    for each set s of nodes in order.
+def node_fields(n: int, masks) -> memoryview:
+    """Per subset s < 2**n, the int whose bit p is bit s of masks[p], for up
+    to 64 lattice masks over n vertices, as a writable memoryview of machine
+    words (width * 2**n bytes).
 
     Eight masks at a time become one plane, a byte per subset: the digits of
     each mask, least significant first, are turned into bytes of value 0 or
-    1 and shifted to their bit of the byte.  The planes, or their bytes at
-    the nodes, are interleaved as the bytes of words 1, 2, 4 or 8 bytes
-    wide, a byte per plane rounded up."""
+    1 and shifted to their bit of the byte.  The planes are interleaved as
+    the bytes of words 1, 2, 4 or 8 bytes wide, a byte per plane rounded up."""
     planes = []
     for p, x in enumerate(masks):
         if p % 8 == 0:
@@ -270,12 +268,10 @@ def node_fields(n: int, masks, nodes: list[int] | None = None) -> memoryview:
         digits = bin(x)[:1:-1].encode().translate(_DIGIT_BYTES)
         planes[-1] |= int.from_bytes(digits, "little") << p % 8
     width = next(w for w in (1, 2, 4, 8) if w >= len(planes))
-    words = bytearray(width * (1 << n if nodes is None else len(nodes)))
+    words = bytearray(width << n)
     for j, plane in enumerate(planes):
         at = j if sys.byteorder == "little" else width - 1 - j
-        data = plane.to_bytes(1 << n, "little")
-        words[at::width] = data if nodes is None else bytes(map(data.__getitem__, nodes))
-        del data  # freed before the next plane's bytes are made
+        words[at::width] = plane.to_bytes(1 << n, "little")
     return memoryview(words).cast(_WORD_FORMATS[width])
 
 

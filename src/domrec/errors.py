@@ -31,8 +31,8 @@ class EmptyGraph(DomrecError):
 
 
 class ReconfigTooLarge(CapacityExceeded):
-    """Listing a reconfiguration graph's nodes (for its adjacency, an Euler
-    circuit, DOT or CSV) would exceed the node cap."""
+    """Listing a reconfiguration graph's nodes (for an Euler circuit, DOT or
+    CSV) would exceed the node cap."""
 
 
 class BoundBelowGamma(DomrecError):

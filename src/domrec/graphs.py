@@ -58,8 +58,7 @@ class SeedGraph:
         n = self.n
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        if n > HARD_CAP:
-            raise CapacityExceeded(f"{n} vertices exceeds the cap of {HARD_CAP}")
+        _check_cap(n)
         adj = tuple(self.adj)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency masks, got {len(adj)}")
@@ -259,6 +258,7 @@ def _multipartite(sizes: list[int]) -> SeedGraph:
 
 
 def _check_cap(n: int):
+    """The one vertex-cap check: CapacityExceeded past HARD_CAP vertices."""
     if n > HARD_CAP:
         raise CapacityExceeded(f"{n} vertices exceeds the cap of {HARD_CAP}")
 
@@ -466,8 +466,7 @@ def parse_graph6(text: str) -> SeedGraph:
         # Long-form counts start at 63 vertices, always over our cap.
         raise CapacityExceeded("multi-byte graph6 vertex counts exceed the cap")
     n = ord(record[0]) - 63
-    if n > HARD_CAP:
-        raise CapacityExceeded(f"{n} vertices exceeds the cap of {HARD_CAP}")
+    _check_cap(n)
     nbits = n * (n - 1) // 2
     body = record[1:]
     expected_len = (nbits + 5) // 6

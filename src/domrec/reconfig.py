@@ -26,17 +26,11 @@ from .domination import (
     node_fields,
     ordered_subsets,
 )
-from .errors import (
-    BoundBelowGamma,
-    DimensionMismatch,
-    NoEdges,
-    NotEulerian,
-    ReconfigTooLarge,
-)
+from .errors import BoundBelowGamma, DimensionMismatch, NoEdges, NotEulerian, ReconfigTooLarge
 from .graphs import SeedGraph
 
-#: Node cap on listings (nodes, adjacency, a circuit, DOT or CSV): a D_k can
-#: have ~2**n nodes, and reports, which list none, are not capped.
+#: Node cap on listings (nodes, a circuit, DOT or CSV): a D_k can have
+#: ~2**n nodes, and reports, which list none, are not capped.
 DEFAULT_NODE_CAP = 1 << 22
 
 #: How many odd-degree witness nodes a report keeps.
@@ -49,9 +43,9 @@ class ReconfigGraph:
     node_set is the set as one subset-lattice int (bit S set iff the mask S
     is a node), and it is all that is stored: two nodes are adjacent iff
     their masks differ in one vertex, so reports and the Euler walk are read
-    off node_set.  nodes, its masks by (cardinality, mask), and adjacency,
-    node i's neighbour indices in increasing order, are listed on first read
-    and then kept.  Every listing, the walk included, raises
+    off node_set.  nodes, its masks by (cardinality, mask) as an
+    array('I'), is listed on first read and then kept; a node's place in it
+    is its id in DOT and CSV.  Every listing, the walk included, raises
     ReconfigTooLarge for more than DEFAULT_NODE_CAP nodes before it lists
     anything.  node_set may hold any vertex masks of seed, not only
     dominating sets, and k is None when no cardinality bound chose them.
@@ -65,17 +59,9 @@ class ReconfigGraph:
         self.node_set = node_set
 
     @cached_property
-    def nodes(self) -> list[int]:
+    def nodes(self) -> array:
         _check_cap(self)
-        return list(ordered_subsets(self.seed.n, self.node_set))
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        n, nodes = self.seed.n, self.nodes
-        index = {s: i for i, s in enumerate(nodes)}
-        flips = [1 << u for u in range(n)]
-        return [sorted(index[s ^ f] for f in flips if m & f)
-                for s, m in zip(nodes, node_fields(n, flip_masks(n, self.node_set), nodes))]
+        return array("I", ordered_subsets(self.seed.n, self.node_set))
 
     @property
     def node_count(self) -> int:
@@ -213,6 +199,20 @@ def euler_circuit(r: ReconfigGraph) -> array:
     return walk
 
 
+def _neighbour_ids(r: ReconfigGraph) -> Iterator[list[int]]:
+    """Per node of r in order, its neighbours' places in r.nodes, ascending.
+    rank[s] is mask s's place in r.nodes and -1 off the node set: 4 bytes for
+    each of the 2**n subsets, however few the nodes.  It is filled at the
+    call, after the node cap's check; node s's ids are rank[s ^ 1 << u] >= 0."""
+    nodes = r.nodes
+    rank = array("i", [-1]) * (1 << r.seed.n)
+    for i, s in enumerate(nodes):
+        rank[s] = i
+    flips = [1 << u for u in range(r.seed.n)]
+    ranked = (sorted([rank[s ^ f] for f in flips]) for s in nodes)
+    return (ids[ids.count(-1):] for ids in ranked)  # the -1s sort first
+
+
 def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> Iterator[str]:
     """DOT source, one line (newline included) at a time; node labels in set
     notation '{0,2}' or as bitstrings.  The label style is checked at once,
@@ -227,7 +227,7 @@ def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> Iterator[str]
     return chain(
         ["graph reconfig {\n"],
         (f'  {i} [label="{text}"];\n' for i, text in enumerate(texts)),
-        (f"  {i} -- {j};\n" for i, nbrs in enumerate(r.adjacency) for j in nbrs if i < j),
+        (f"  {i} -- {j};\n" for i, ids in enumerate(_neighbour_ids(r)) for j in ids if i < j),
         ["}\n"],
     )
 
@@ -237,5 +237,5 @@ def reconfig_to_csv(r: ReconfigGraph) -> Iterator[str]:
     space-separated neighbor ids."""
     return chain(
         ["node_id,neighbor_ids\n"],
-        (f"{i},{' '.join(map(str, nbrs))}\n" for i, nbrs in enumerate(r.adjacency)),
+        (f"{i},{' '.join(map(str, ids))}\n" for i, ids in enumerate(_neighbour_ids(r))),
     )

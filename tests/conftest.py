@@ -13,7 +13,9 @@ the error that only node_degree raises.  So do two lattice kernels,
 odd_degree_nodes and dominating_graph_shape: the chunk judges read degree
 parities off the chunk, and cite the lemma that an up-closed table makes
 D(G) connected, whose moves keep it bipartite; the flood from V and the
-parity step are that lemma's oracles.
+parity step are that lemma's oracles.  ReconfigGraph keeps no neighbour
+lists: listed_adjacency parses them from the CSV export, and naive_adjacency
+builds them from all pairs of nodes.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from domrec.reconfig import (
     ReconfigGraph,
     build_reconfig,
     eulerian_report,
+    reconfig_to_csv,
 )
 
 
@@ -150,7 +153,7 @@ def parity_bipartition_valid(r: ReconfigGraph) -> bool:
     """True iff every edge joins sets whose cardinalities differ by one, so
     coloring nodes by cardinality parity is a proper 2-coloring."""
     cards = [s.bit_count() for s in r.nodes]
-    for i, nbrs in enumerate(r.adjacency):
+    for i, nbrs in enumerate(listed_adjacency(r)):
         ci = cards[i]
         for j in nbrs:
             if abs(ci - cards[j]) != 1:
@@ -222,6 +225,19 @@ def naive_adjacency(r) -> list[list[int]]:
         adjacency[i].append(j)
         adjacency[j].append(i)
     return [sorted(a) for a in adjacency]
+
+
+def listed_adjacency(r) -> list[list[int]]:
+    """Sorted neighbour ids of r's nodes, parsed from reconfig_to_csv(r), so
+    that tests of D_k's edges read the listing the package ships."""
+    lines = "".join(reconfig_to_csv(r)).splitlines()
+    assert lines[0] == "node_id,neighbor_ids" and len(lines) == r.node_count + 1
+    adjacency = []
+    for i, line in enumerate(lines[1:]):
+        node, _, ids = line.partition(",")
+        assert node == str(i)
+        adjacency.append([int(j) for j in ids.split()])
+    return adjacency
 
 
 def reference_eulerian_report(r, adjacency=None) -> EulerReport:
@@ -355,8 +371,9 @@ def built_product_problems(parts: list[SeedGraph]) -> list[tuple]:
         problems.append(("the union's node masks, once each", "node masks differ"))
     else:
         mapped = [index[s] for s in du.nodes]
-        if any(sorted(mapped[j] for j in nbrs) != prod.adjacency[mapped[i]]
-               for i, nbrs in enumerate(du.adjacency)):
+        listed = listed_adjacency(prod)
+        if any(sorted(mapped[j] for j in nbrs) != listed[mapped[i]]
+               for i, nbrs in enumerate(listed_adjacency(du))):
             problems.append(("edge-preserving bijection", "neighbor mismatch"))
     union_eulerian = eulerian_report(du).is_eulerian
     factor_eulerian = [eulerian_report(f).is_eulerian for f in factors]

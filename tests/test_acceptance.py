@@ -10,7 +10,12 @@ import functools
 import time
 from collections import Counter
 
-from conftest import naive_reconfig_edges, node_degree, parity_bipartition_valid
+from conftest import (
+    listed_adjacency,
+    naive_reconfig_edges,
+    node_degree,
+    parity_bipartition_valid,
+)
 from domrec import (
     ClaimId,
     FamilySpec,
@@ -191,17 +196,18 @@ def test_criterion_10_structural_invariants():
         r = build_reconfig(g, k)
         instances += 1
         assert parity_bipartition_valid(r)
+        adjacency = listed_adjacency(r)
         for i, s in enumerate(r.nodes):
-            assert node_degree(g, s, k) == len(r.adjacency[i])
+            assert node_degree(g, s, k) == len(adjacency[i])
         assert g.n <= 10
         masks = r.nodes
-        got = {(i, j) for i, nbrs in enumerate(r.adjacency) for j in nbrs if i < j}
+        got = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if i < j}
         assert got == naive_reconfig_edges(masks)
         if k == g.n:
             rep = eulerian_report(r)
             assert rep.is_connected
             assert rep.node_count % 2 == 1
-            assert any(len(r.adjacency[i]) % 2 == 0 for i in range(r.node_count))
+            assert any(len(adjacency[i]) % 2 == 0 for i in range(r.node_count))
     assert instances > 200
     print(f"\n  checked {instances} materialized instances", end="")
 
@@ -218,9 +224,10 @@ def test_criterion_11_witnesses():
         walk = [index[s] for s in euler_circuit(r)]
         assert walk[0] == walk[-1]
         assert len(walk) == r.edge_count + 1
+        adjacency = listed_adjacency(r)
         used = Counter()
         for a, b in zip(walk, walk[1:]):
-            assert b in r.adjacency[a]
+            assert b in adjacency[a]
             used[(min(a, b), max(a, b))] += 1
         assert len(used) == r.edge_count
         assert all(c == 1 for c in used.values())

@@ -16,6 +16,7 @@ from conftest import (
     cartesian_product,
     enumerate_dominating_sets,
     enumerate_labeled_graphs,
+    listed_adjacency,
     naive_adjacency,
     naive_dominating_masks,
     naive_reconfig_edges,
@@ -60,7 +61,8 @@ def test_d3_p4_structure():
     r = build(FamilySpec.path(4), 3)
     assert r.node_count == 8
     assert r.edge_count == 8
-    assert all(len(r.adjacency[i]) == 2 for i in range(8))
+    adjacency = listed_adjacency(r)
+    assert all(len(adjacency[i]) == 2 for i in range(8))
     assert [format_set(s) for s in r.nodes[:4]] == ["{0,2}", "{1,2}", "{0,3}", "{1,3}"]
 
 
@@ -68,18 +70,19 @@ def test_k13_k3_has_isolated_leaf_set():
     r = build(FamilySpec.star(3), 3)
     leaves = 0b1110
     assert leaves in r.nodes
-    assert len(r.adjacency[r.nodes.index(leaves)]) == 0
+    assert len(listed_adjacency(r)[r.nodes.index(leaves)]) == 0
 
 
 def test_c3_k2_all_degree_two():
     r = build(FamilySpec.cycle(3), 2)
     assert r.node_count == 6
-    assert all(len(r.adjacency[i]) == 2 for i in range(6))
+    adjacency = listed_adjacency(r)
+    assert all(len(adjacency[i]) == 2 for i in range(6))
 
 
 def test_edges_change_cardinality_by_one():
     r = build(FamilySpec.cycle(5), 4)
-    for i, nbrs in enumerate(r.adjacency):
+    for i, nbrs in enumerate(listed_adjacency(r)):
         for j in nbrs:
             assert abs(r.nodes[i].bit_count() - r.nodes[j].bit_count()) == 1
             assert (r.nodes[i] ^ r.nodes[j]).bit_count() == 1
@@ -92,7 +95,9 @@ def test_build_errors(monkeypatch):
     monkeypatch.setattr(reconfig, "DEFAULT_NODE_CAP", 5)
     r = build(FamilySpec.path(6), 6)
     assert eulerian_report(r).node_count > 5
-    for listing in (lambda: r.nodes, lambda: r.adjacency, lambda: euler_circuit(r)):
+    listings = (lambda: r.nodes, lambda: reconfig_to_csv(r), lambda: reconfig_to_dot(r),
+                lambda: euler_circuit(r))
+    for listing in listings:
         with pytest.raises(ReconfigTooLarge):
             listing()
     with pytest.raises(ValueError):
@@ -115,9 +120,10 @@ def test_build_matches_all_pairs_oracle(g):
         r = build_reconfig(g, k)
         masks = r.nodes
         assert sorted(masks) == sorted(naive_dominating_masks(g, k))
-        got = {(i, j) for i, nbrs in enumerate(r.adjacency) for j in nbrs if i < j}
+        adjacency = listed_adjacency(r)
+        got = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if i < j}
         assert got == naive_reconfig_edges(masks)
-        assert r.adjacency == naive_adjacency(r)  # each list sorted
+        assert adjacency == naive_adjacency(r)  # each list sorted
 
 
 # --- node_degree ----------------------------------------------------------
@@ -151,8 +157,9 @@ def test_node_degree_agrees_with_materialized(g):
     gamma = domination_profile(g).gamma
     for k in (gamma, g.n):
         r = build_reconfig(g, k)
+        adjacency = listed_adjacency(r)
         for i, s in enumerate(r.nodes):
-            assert node_degree(g, s, k) == len(r.adjacency[i])
+            assert node_degree(g, s, k) == len(adjacency[i])
 
 
 # --- eulerian_report ------------------------------------------------------
@@ -171,7 +178,8 @@ def test_euler_reports_for_known_instances():
 def test_euler_report_edge_count_is_half_degree_sum():
     r = build(FamilySpec.complete(5), 3)
     rep = eulerian_report(r)
-    assert rep.edge_count * 2 == sum(len(r.adjacency[i]) for i in range(r.node_count))
+    adjacency = listed_adjacency(r)
+    assert rep.edge_count * 2 == sum(len(adjacency[i]) for i in range(r.node_count))
 
 
 def test_isolated_node_tolerated():
@@ -207,9 +215,10 @@ def indexed_walk(r):
 def replay(r, walk):
     assert walk[0] == walk[-1]
     assert len(walk) == eulerian_report(r).edge_count + 1
+    adjacency = listed_adjacency(r)
     used = Counter()
     for a, b in zip(walk, walk[1:]):
-        assert b in r.adjacency[a]
+        assert b in adjacency[a]
         used[(min(a, b), max(a, b))] += 1
     assert all(c == 1 for c in used.values())
     assert len(used) == eulerian_report(r).edge_count
@@ -303,7 +312,8 @@ def test_isolated_nodes_are_skipped():
     # Nodes 0, 1 and 6 are isolated; 2, 3, 5, 4 is a 4-cycle, which in the
     # (cardinality, mask) order cannot run 2, 3, 4, 5.
     r = planted(5, [0b01000, 0b10000, 0b00011, 0b00111, 0b01011, 0b01111, 0b11110])
-    assert [len(r.adjacency[i]) for i in range(7)] == [0, 0, 2, 2, 2, 2, 0]
+    adjacency = listed_adjacency(r)
+    assert [len(adjacency[i]) for i in range(7)] == [0, 0, 2, 2, 2, 2, 0]
     assert indexed_walk(r) == [2, 3, 5, 4, 2] == reference_euler_circuit(r)
 
 
@@ -325,7 +335,7 @@ def networkx_report(r):
     """EulerReport of r computed by networkx from its edge list."""
     g = nx.Graph()
     g.add_nodes_from(range(r.node_count))
-    g.add_edges_from((i, j) for i, nbrs in enumerate(r.adjacency) for j in nbrs)
+    g.add_edges_from((i, j) for i, nbrs in enumerate(listed_adjacency(r)) for j in nbrs)
     odd = [v for v in range(r.node_count) if g.degree(v) % 2]
     components = list(nx.connected_components(g))
     nontrivial = sum(len(c) > 1 for c in components)
@@ -364,6 +374,24 @@ def test_report_and_walk_match_networkx_on_every_small_labeled_graph():
             table = dominating_table(g)
             for k in range(domination_profile(g, table).gamma, n + 1):
                 assert_report_and_walk_match_networkx(build_reconfig(g, k, table=table))
+                pairs += 1
+    assert pairs == 4429
+
+
+def test_listings_match_the_all_pairs_oracle_on_every_small_labeled_graph():
+    """Every labeled seed on up to 5 vertices, at every k from gamma to n:
+    the CSV's neighbour ids are the all-pairs oracle's sorted lists, and the
+    DOT's edge lines are its pairs i < j, in order."""
+    pairs = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            table = dominating_table(g)
+            for k in range(domination_profile(g, table).gamma, n + 1):
+                r = build_reconfig(g, k, table=table)
+                oracle = naive_adjacency(r)
+                assert listed_adjacency(r) == oracle
+                assert [line for line in reconfig_to_dot(r) if " -- " in line] == [
+                    f"  {i} -- {j};\n" for i, nbrs in enumerate(oracle) for j in nbrs if i < j]
                 pairs += 1
     assert pairs == 4429
 
@@ -416,7 +444,7 @@ def walk_or_error(walk, r):
 @settings(max_examples=300, deadline=None)
 @given(node_sets())
 def test_euler_circuit_matches_reference_on_hand_built_graphs(r):
-    assert r.adjacency == naive_adjacency(r)
+    assert listed_adjacency(r) == naive_adjacency(r)
     assert eulerian_report(r) == reference_eulerian_report(r)
     assert walk_or_error(indexed_walk, r) == walk_or_error(reference_euler_circuit, r)
 
@@ -469,8 +497,8 @@ def test_product_with_single_node_factor():
     prod = cartesian_product(single, b)
     assert prod.node_count == b.node_count
     assert prod.edge_count == b.edge_count
-    assert sorted(len(a) for a in prod.adjacency) == sorted(
-        len(a) for a in b.adjacency
+    assert sorted(len(a) for a in listed_adjacency(prod)) == sorted(
+        len(a) for a in listed_adjacency(b)
     )
 
 
@@ -479,20 +507,21 @@ def test_product_node_count_and_degrees():
     assert p2.node_count == 3  # {0}, {1}, {0,1}
     prod = cartesian_product(p2, p2)
     assert prod.node_count == 9
-    degrees = [len(a) for a in p2.adjacency]
+    degrees = [len(a) for a in listed_adjacency(p2)]
+    adjacency = listed_adjacency(prod)
     for i, x in enumerate(p2.nodes):
         for j, y in enumerate(p2.nodes):
-            assert len(prod.adjacency[prod.nodes.index(x | y << 2)]) == degrees[i] + degrees[j]
+            assert len(adjacency[prod.nodes.index(x | y << 2)]) == degrees[i] + degrees[j]
 
 
 def test_nodes_are_masks_and_product_nodes_pair_them():
     g = make_family(FamilySpec.path(2))
     a = build_reconfig(g, 2)
-    assert a.nodes == enumerate_dominating_sets(g, 2) == [0b01, 0b10, 0b11]
+    assert list(a.nodes) == enumerate_dominating_sets(g, 2) == [0b01, 0b10, 0b11]
     b = build(FamilySpec.cycle(3), 2)
     prod = cartesian_product(a, b)
     pairs = [x | y << 2 for x in a.nodes for y in b.nodes]
-    assert prod.nodes == sorted(pairs, key=lambda s: (s.bit_count(), s))
+    assert list(prod.nodes) == sorted(pairs, key=lambda s: (s.bit_count(), s))
 
 
 def assert_product_is_union_dk(parts):
@@ -505,7 +534,7 @@ def assert_product_is_union_dk(parts):
     assert sorted(prod.nodes) == sorted(masks)
     edges = {frozenset((masks[i], masks[j])) for i, j in naive_reconfig_edges(masks)}
     assert {frozenset((prod.nodes[i], prod.nodes[j]))
-            for i, nbrs in enumerate(prod.adjacency) for j in nbrs} == edges
+            for i, nbrs in enumerate(listed_adjacency(prod)) for j in nbrs} == edges
     assert eulerian_report(prod) == reference_eulerian_report(prod)
     return prod
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import naive_adjacency
 from domrec import cli
 from domrec.cli import parse_graph_spec, run_cli
 from domrec.domination import dominating_table, domination_profile, format_set
@@ -88,7 +89,7 @@ def one_string_dot(r, label_style: str = "set") -> str:
     for i, s in enumerate(r.nodes):
         text = format(s | 1 << r.seed.n, "b")[1:] if label_style == "bits" else format_set(s)
         lines.append(f'  {i} [label="{text}"];')
-    for i, nbrs in enumerate(r.adjacency):
+    for i, nbrs in enumerate(naive_adjacency(r)):
         lines.extend(f"  {i} -- {j};" for j in nbrs if i < j)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -96,7 +97,7 @@ def one_string_dot(r, label_style: str = "set") -> str:
 
 def one_string_csv(r) -> str:
     lines = ["node_id,neighbor_ids"]
-    for i, nbrs in enumerate(r.adjacency):
+    for i, nbrs in enumerate(naive_adjacency(r)):
         lines.append(f"{i},{' '.join(str(j) for j in nbrs)}")
     return "\n".join(lines) + "\n"
 
@@ -227,6 +228,27 @@ def test_analyze_report_lists_no_node():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+# sha256 of the stdout of `export --graph cocktail:16 --format csv`, recorded
+# when the CSV was formatted from a list of sorted neighbour lists.
+COCKTAIL_16_CSV_SHA256 = "c7fb6b39f356989a2519a96f5b37fd326d00b387ad9d511585362b32c33ee1b7"
+
+
+def test_export_csv_lists_no_adjacency():
+    """export reads D_16's 65,519 nodes' neighbour ids through one rank array
+    of 4 bytes a subset and peaks under 8 MiB when its output is not kept;
+    a list of neighbour lists took 19 MiB."""
+    sink = HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert run_cli(["export", "--graph", "cocktail:16", "--format", "csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.sha256.hexdigest() == COCKTAIL_16_CSV_SHA256
+    assert peak < 8 << 20
 
 
 # --- errors -------------------------------------------------------------------

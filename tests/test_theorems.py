@@ -9,6 +9,7 @@ from conftest import (
     built_product_problems,
     dominating_graph_shape,
     enumerate_labeled_graphs,
+    listed_adjacency,
     odd_degree_nodes,
     parity_bipartition_valid,
     reference_corona_sweep,
@@ -215,7 +216,8 @@ def test_odd_witness_is_a_real_odd_node(g):
     table = dominating_table(g)
     for k in range(domination_profile(g).gamma, g.n + 1):
         r = build_reconfig(g, k)
-        odd = sum(1 << s for i, s in enumerate(r.nodes) if len(r.adjacency[i]) % 2)
+        adjacency = listed_adjacency(r)
+        odd = sum(1 << s for i, s in enumerate(r.nodes) if len(adjacency[i]) % 2)
         assert odd_degree_nodes(g.n, table, k) == odd, (g.adj, k)
 
 
