@@ -317,6 +317,8 @@ def _cmd_scan(args) -> int:
                 seeds.append((spec, make_family(spec)))
             except InvalidFamilyParameters:
                 continue
+    if not seeds:
+        raise DomrecError(f"--n must hold a {args.family} seed, got {args.n!r}")
     tasks: list[tuple[FamilySpec, int, int, DominationProfile]] = []
     for spec, g in seeds:
         table = dominating_table(g)
@@ -326,7 +328,7 @@ def _cmd_scan(args) -> int:
             k = g.n if single is None else single  # None: 'max', the seed's n
             ks = [k] if k in ks else []
         tasks.extend((spec, k, table, profile) for k in ks)
-    if seeds and not tasks:  # 'all' and 'max' fit every seed, since gamma <= n
+    if not tasks:  # 'all' and 'max' fit every seed, since gamma <= n
         raise DomrecError(f"--k must be in [gamma, n] for some seed in the range, got {single}")
     reports = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":

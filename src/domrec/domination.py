@@ -31,11 +31,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache, reduce
-from math import comb
 from operator import and_, or_, xor
 
 from .errors import BoundBelowGamma, BoundExceeded, EmptyGraph
-from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, vertex_pairs
+from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, sliced_non_neighbors, vertex_pairs
 
 #: log2 of the lattice bits in one chunk of a labeled sweep: 2**17 bits, so
 #: each of a chunk's masks is a 16 KiB int.  A chunk on n vertices holds
@@ -298,8 +297,9 @@ def ordered_subsets(n: int, x: int):
 
 def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProfile:
     """Compute gamma, the upper domination number, per-size counts, and the
-    universal domination threshold (least t with every t-subset dominating).
-    table is g's dominating_table, computed here if not given."""
+    universal domination threshold (least t with every t-subset dominating),
+    which is n - delta: a set fails to dominate iff it lies in V - N[v] for
+    some v.  table is g's dominating_table, computed here if not given."""
     n = g.n
     if n == 0:
         raise EmptyGraph("domination profile undefined on the empty graph")
@@ -308,7 +308,7 @@ def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProf
     member, size = _lattice(n)
     counts = size_counts(n, table)
     gamma = next(c for c in range(n + 1) if counts[c])
-    universal_threshold = next(t for t in range(n + 1) if counts[t] == comb(n, t))
+    universal_threshold = n - min(map(g.degree, range(n)))
     minimal = table & ~reduce(or_, _removable(member, table))
     upper_gamma = max(c for c, x in enumerate(size) if minimal & x)
     return DominationProfile(
@@ -377,7 +377,8 @@ class LabeledChunk:
     repeated in every block.  The graphs share their high edges and run
     through every combination of the low ones.  A per-graph answer is an int
     whose bit i is graph i's: every has all count bits set, and edges[e]
-    holds the graphs with the e-th pair of vertex_pairs(n).
+    holds the graphs with the e-th pair of vertex_pairs(n).  Folds of the
+    blocks give such answers: any, parity, and the threshold fold below_threshold.
     """
 
     __slots__ = ("n", "first", "count", "every", "edges", "table", "lattice")
@@ -433,13 +434,16 @@ class LabeledChunk:
         inside its own block."""
         return _odd_nodes(self.lattice, self.n, self.table, self.n, self.table)
 
-    def size_classes(self) -> tuple[list[int], list[int]]:
-        """Per cardinality c = 0..n, the graphs with a dominating c-set and
-        the graphs in which every c-set dominates."""
-        table = self.table
+    def below_threshold(self) -> int:
+        """The graphs with gamma below the universal threshold t = n - delta:
+        those with a dominating and a non-dominating c-set for some c.  A set
+        fails to dominate iff it lies in V - N[v] for some v, so wide[c - 1],
+        the graphs with a vertex of c or more non-neighbors, have the latter,
+        and a fold per c = 1..n-1 finds the former."""
         sizes = self.lattice[1]
-        return ([self.any(table & x) for x in sizes],
-                [self.every & ~self.any(~table & x) for x in sizes])
+        counts = sliced_non_neighbors(self.n, self.edges, self.every, self.n - 1)
+        wide = [reduce(or_, level) for level in zip(*counts)]
+        return reduce(or_, (self.any(self.table & sizes[c]) & x for c, x in enumerate(wide, 1)), 0)
 
     def graphs(self, bits: int):
         """The graphs of the chunk whose bits are set, decoded in edge-mask

@@ -410,20 +410,28 @@ def sliced_connected(n: int, edges: list[int], every: int) -> int:
             return reduce(and_, reach)
 
 
+def sliced_non_neighbors(n: int, edges: list[int], every: int, levels: int) -> list[list[int]]:
+    """Per vertex v and count j < levels, the graphs of the batch in which v
+    has at least j + 1 non-neighbors: a unary counter per vertex, moved up
+    one level by each missing pair at v and saturating at the top level."""
+    at_least = [[0] * levels for _ in range(n)]
+    steps = range(levels - 1, 0, -1)
+    for (u, v), x in zip(vertex_pairs(n), edges):
+        missing = every & ~x
+        for counter in (at_least[u], at_least[v]):
+            for j in steps:
+                counter[j] |= counter[j - 1] & missing
+            counter[0] |= missing
+    return at_least
+
+
 def sliced_cocktail_party(n: int, edges: list[int], every: int) -> int:
     """The graphs of the batch that are cocktail party graphs, by the rule of
     induces_cocktail_party: even n >= 4 and exactly one non-neighbor per
-    vertex, counted with at-least-one and at-least-two accumulators."""
+    vertex, read off two levels of the non-neighbor counters."""
     if n < 4 or n % 2:
         return 0
-    ones = [0] * n
-    twos = [0] * n
-    for (u, v), x in zip(vertex_pairs(n), edges):
-        missing = every & ~x
-        for w in (u, v):
-            twos[w] |= ones[w] & missing
-            ones[w] |= missing
-    return reduce(and_, (one & ~two for one, two in zip(ones, twos)))
+    return reduce(and_, (one & ~two for one, two in sliced_non_neighbors(n, edges, every, 2)))
 
 
 # ---------------------------------------------------------------------------

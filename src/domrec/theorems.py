@@ -14,13 +14,13 @@ Every labeled seed comes from the (edge mask, subset) lattice of
 domination.labeled_chunks.  Five claims are decided there by a second driver,
 _chunk_sweep, which owns the sweep order, the instance count and the decoding
 of flagged seeds; a judge per claim reads each seed's D(G) off the chunk's
-folds (its order, degree parities and up-closure) for the whole chunk at
-once.  A seed is built as a SeedGraph only where needed: an Eulerian
-candidate, a disagreement, a universal-gamma instance, or a corona claim's
-inner graph, which _labeled decodes from the chunks.  The two corona claims
-decide each distinct (table, k) once, since all inner graphs of one order
-share one corona table.  The product claim compares the table of a disjoint
-union with the outer product of its parts' tables.
+folds (order, degree parities, up-closure, the threshold fold's gamma < t)
+for the whole chunk at once.  A seed is built as a SeedGraph only where
+needed: an Eulerian candidate, a disagreement, a universal-gamma instance, or
+a corona claim's inner graph, which _labeled decodes from the chunks.  The
+two corona claims decide each distinct (table, k) once, since all inner
+graphs of one order share one corona table.  The product claim compares the
+table of a disjoint union with the outer product of its parts' tables.
 """
 
 from __future__ import annotations
@@ -513,10 +513,8 @@ def _mixed_parity(report, n_max: int = 6):
     def judge(chunk):
         connected = sliced_connected(chunk.n, chunk.edges, chunk.every)
         report.details["graphs_scanned"] += connected.bit_count()
-        # l = t - 1 for the universal threshold t is the largest c whose
-        # c-sets do not all dominate; the lemma needs l >= 1 and one that does.
-        some, every = chunk.size_classes()
-        lemma = reduce(or_, (some[c] & ~every[c] & every[c + 1] for c in range(1, chunk.n)), 0)
+        # Lemma: gamma < t (the universal threshold; t >= 2 follows) forces both parities.
+        lemma = chunk.below_threshold()
         odd = chunk.odd_degree_nodes()
         return connected & lemma, {"no even-degree node": ~chunk.any(chunk.table & ~odd),
                                    "no odd-degree node": ~chunk.any(odd)}
@@ -538,10 +536,8 @@ def _universal_gamma_set(report, n_max: int = 6):
     graphs or cocktail party graphs, and their restricted-k verdicts follow
     the complete/cocktail rules."""
     def judge(chunk):
-        # every gamma-set dominates iff, for some c, every c-set dominates
-        # and no (c - 1)-set does
-        some, every = chunk.size_classes()
-        universal = reduce(or_, (x & ~y for x, y in zip(every, [0] + some)))
+        # every gamma-set dominates iff gamma = t, the universal threshold
+        universal = chunk.every & ~chunk.below_threshold()
         return (sliced_connected(chunk.n, chunk.edges, chunk.every) & universal,
                 {"universal gamma set": universal})
 

@@ -15,7 +15,9 @@ parities off the chunk, and cite the lemma that an up-closed table makes
 D(G) connected, whose moves keep it bipartite; the flood from V and the
 parity step are that lemma's oracles.  ReconfigGraph keeps no neighbour
 lists: listed_adjacency parses them from the CSV export, and naive_adjacency
-builds them from all pairs of nodes.
+builds them from all pairs of nodes.  size_classes, the per-cardinality
+folds of a LabeledChunk, is the oracle of the threshold fold: the judges
+read gamma < t per graph from the non-neighbor counts instead.
 """
 
 from __future__ import annotations
@@ -181,6 +183,15 @@ def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
     return (table & ~_flood(member, table, size[-1]),
             _step(member, table, table & even) & even
             | _step(member, table, table & ~even) & ~even)
+
+
+def size_classes(chunk) -> tuple[list[int], list[int]]:
+    """Per cardinality c = 0..n, the graphs with a dominating c-set and
+    the graphs in which every c-set dominates."""
+    table = chunk.table
+    sizes = chunk.lattice[1]
+    return ([chunk.any(table & x) for x in sizes],
+            [chunk.every & ~chunk.any(~table & x) for x in sizes])
 
 
 def naive_is_dominating(g: SeedGraph, bits: int) -> bool:

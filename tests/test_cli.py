@@ -411,12 +411,17 @@ def test_error_class_maps_to_exit_code(argv, error, code, capsys):
      "error: --k must be in [gamma, n] for some seed in the range, got 9"),
     (["scan", "--family", "cocktail", "--n", "4..6", "--k", "1"],
      "error: --k must be in [gamma, n] for some seed in the range, got 1"),
+    (["scan", "--family", "path", "--n", "5..3", "--k", "2"],
+     "error: --n must hold a path seed, got '5..3'"),
+    (["scan", "--family", "cocktail", "--n", "3..3"],
+     "error: --n must hold a cocktail seed, got '3..3'"),
     (["verify", "--claim", "path_cycle", "--negative-control"],
      "error: --negative-control applies to --claim dominating_graph_characterization"),
     (["verify", "--claim", "dominating_graph_characterization", "--negative-control",
       "--max-n", "3"], "error: --negative-control needs --max-n >= 4, got 3"),
 ], ids=["k-text", "k-range", "family", "n-range", "scan-k-negative", "scan-k-above-n",
-        "scan-k-below-gamma", "control-claim", "control-max-n"])
+        "scan-k-below-gamma", "scan-n-reversed", "scan-n-no-member", "control-claim",
+        "control-max-n"])
 def test_flag_errors_carry_no_spec_position(argv, line, capsys):
     args = cli._build_parser().parse_args(argv)
     with pytest.raises(DomrecError) as exc:

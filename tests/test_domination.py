@@ -19,6 +19,7 @@ from conftest import (
     odd_degree_nodes,
     peeling_format_set,
     seed_graphs,
+    size_classes,
     up_closed_families,
     up_closure_table,
 )
@@ -40,7 +41,12 @@ from domrec.domination import (
     size_counts,
     up_closure_gaps,
 )
-from domrec.graphs import is_connected, sliced_cocktail_party, sliced_connected
+from domrec.graphs import (
+    is_connected,
+    sliced_cocktail_party,
+    sliced_connected,
+    sliced_non_neighbors,
+)
 from domrec.errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
 
 P4 = make_family(FamilySpec.path(4))
@@ -171,6 +177,8 @@ def test_profile_invariants(g):
     assert p.counts_by_size[n] == 1
     assert p.gamma <= p.upper_gamma <= n
     assert p.gamma <= p.universal_threshold
+    assert p.universal_threshold == next(c for c in range(n + 1)
+                                         if p.counts_by_size[c] == comb(n, c))
     assert p.well_dominated == (p.gamma == p.upper_gamma)
     assert p.total_count == sum(p.counts_by_size)
     assert p.upper_gamma == max(
@@ -259,14 +267,15 @@ def test_node_fields_transposes_lattice_masks(data):
 
 def _chunk_answers(chunk):
     """Per graph of the chunk, in edge-mask order: table parity, odd node
-    and even dominating node at k = n, connected, cocktail, gamma and
-    universal threshold, all read off the sliced bits."""
+    and even dominating node at k = n, connected, cocktail and gamma < t,
+    all read off the sliced bits, then gamma and the universal threshold t
+    from the size_classes oracle."""
     n = chunk.n
     odd = chunk.odd_degree_nodes()
     bits = [chunk.parity(chunk.table), chunk.any(odd), chunk.any(chunk.table & ~odd),
             sliced_connected(n, chunk.edges, chunk.every),
-            sliced_cocktail_party(n, chunk.edges, chunk.every)]
-    some, every = chunk.size_classes()
+            sliced_cocktail_party(n, chunk.edges, chunk.every), chunk.below_threshold()]
+    some, every = size_classes(chunk)
     for i in range(chunk.count):
         gamma = next(c for c in range(n + 1) if some[c] >> i & 1)
         threshold = next(c for c in range(n + 1) if every[c] >> i & 1)
@@ -278,9 +287,10 @@ def _seed_answers(g):
     table = dominating_table(g)
     odd = odd_degree_nodes(n, table, n)
     counts = size_counts(n, table)
+    gamma = next(c for c in range(n + 1) if counts[c])
+    threshold = next(c for c in range(n + 1) if counts[c] == comb(n, c))
     return (table.bit_count() % 2 == 1, odd != 0, odd != table, is_connected(g),
-            is_cocktail_party(g), next(c for c in range(n + 1) if counts[c]),
-            next(c for c in range(n + 1) if counts[c] == comb(n, c)))
+            is_cocktail_party(g), gamma < threshold, gamma, threshold)
 
 
 @pytest.mark.parametrize("chunk_bits,n_max,split", [
@@ -307,6 +317,23 @@ def test_sliced_connected_counts_match_oeis_a001187():
     counts = [sum(sliced_connected(n, c.edges, c.every).bit_count() for c in labeled_chunks(n))
               for n in range(1, 8)]
     assert counts == [1, 1, 4, 38, 728, 26704, 1866256]
+
+
+@pytest.mark.parametrize("levels", [1, 2, "n - 1"])
+def test_sliced_non_neighbor_counters_match_degrees(monkeypatch, levels):
+    """Every labeled graph with n <= 5: bit i of counter level j at vertex v
+    is set iff v has at least j + 1 non-neighbors in graph i, with the top
+    level saturating when there are fewer levels than counts.  With chunks
+    of 2**6 lattice bits, n = 4 and 5 take several chunks, each with high
+    edges that all its graphs share."""
+    monkeypatch.setattr(domination, "CHUNK_BITS", 6)
+    for n in range(1, 6):
+        depth = n - 1 if levels == "n - 1" else levels
+        for chunk in labeled_chunks(n):
+            counts = sliced_non_neighbors(n, chunk.edges, chunk.every, depth)
+            for i, g in enumerate(chunk.graphs(chunk.every)):
+                assert [[x >> i & 1 for x in counter] for counter in counts] == [
+                    [int(n - 1 - g.degree(v) > j) for j in range(depth)] for v in range(n)]
 
 
 def test_labeled_chunks_bound():
