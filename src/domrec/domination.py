@@ -22,8 +22,8 @@ labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
 graph with edge mask E.  labeled_chunks cuts it into LabeledChunks of
 consecutive edge masks, about 2**CHUNK_BITS bits each: a chunk's table is
 the AND over v of cover_v = M_v | OR_u (M_u & X_uv), with M_u the member
-mask repeated per graph and X_uv the graphs that have edge uv, and folds of
-each graph's block of 2**n bits give one answer bit per graph.
+mask of u and X_uv the graphs that have edge uv, and folds of each graph's
+block of 2**n bits give one answer bit per graph.
 """
 
 from __future__ import annotations
@@ -81,19 +81,30 @@ def format_set(bits: int) -> str:
     return "{" + text[1:] + "}"
 
 
-@cache  # one entry per n <= HARD_CAP; at n = 26 its 53 ints take 8 MiB each
+def _repeat(x: int, period: int, width: int) -> int:
+    """x, which fills the low period bits, repeated up to width bits (both
+    powers of two)."""
+    while period < width:
+        x |= x << period
+        period <<= 1
+    return x
+
+
+@cache  # kept per n: 2n + 1 ints of 2**n bits, 435 MiB at n = 26
 def _lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Masks over the subset lattice of n vertices, bit S standing for the
-    subset with bitmask S: member[u] has bit S set iff u is in S, and size[c]
-    iff |S| == c.  Built one vertex at a time: adding vertex u puts the
-    subsets that contain it above the 2**u that do not."""
+    subset with bitmask S: member[u] has bit S set iff u is in S, runs of
+    2**u clear and 2**u set bits in turn, and size[c] iff |S| == c.  The
+    size classes grow in place from the top as each vertex u is added: the
+    c-subsets with u are the (c - 1)-subsets without it moved up by 2**u."""
     member: list[int] = []
     size = [1]  # the empty set, the one subset of no vertices
     for u in range(n):
         width = 1 << u
-        member = [x | x << width for x in member]
-        member.append(((1 << width) - 1) << width)
-        size = [lo | hi << width for lo, hi in zip(size + [0], [0] + size)]
+        member.append(_repeat(((1 << width) - 1) << width, 2 * width, 1 << n))
+        size.append(0)
+        for c in range(u + 1, 0, -1):
+            size[c] |= size[c - 1] << width
     return tuple(member), tuple(size)
 
 
@@ -115,10 +126,12 @@ def dominating_table(g: SeedGraph) -> int:
     return table
 
 
-def _removable(member, table: int) -> list[int]:
-    """Per vertex u, the subsets S that contain u and whose deletion S - {u}
-    is in table: the bits of table moved up by u and kept where u is a member."""
-    return [(table << (1 << u)) & x for u, x in enumerate(member)]
+def _removable(member, table: int):
+    """Per vertex u, one mask at a time, the subsets S that contain u and
+    whose deletion S - {u} is in table: the one-vertex up-shift, the bits of
+    table moved up by 2**u and kept where u is a member."""
+    for u, x in enumerate(member):
+        yield (table << (1 << u)) & x
 
 
 def bounded(n: int, table: int, k: int) -> int:
@@ -184,25 +197,21 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
 
 def up_closure_gaps(lattice, table: int) -> int:
     """The sets outside table one vertex above a set in it, on the lattice
-    masks of a seed or a chunk: per vertex u, the sets of table that lack u
-    move up by 2**u to their superset with u.  It is 0 iff table is
-    up-closed, as every domination table is."""
-    member, _ = lattice
-    return reduce(or_, ((table & ~x) << (1 << u) for u, x in enumerate(member)), 0) & ~table
+    masks of a seed or a chunk: per vertex u, the sets with u whose deletion
+    of u is in table.  It is 0 iff table is up-closed, as every domination
+    table is."""
+    return reduce(or_, _removable(lattice[0], table), 0) & ~table
 
 
 def flip_masks(n: int, nodes: int):
     """Per vertex u = 0..n-1, the nodes from which flipping u lands on a
     node, for nodes any set of subsets of n vertices, two of which are
-    adjacent when they differ in one vertex: the nodes that hold u and stay
-    nodes without it, and those that lack u and stay nodes with it.  Yielded
-    one at a time, so a wide lattice holds few of them at once."""
-    member, _ = _lattice(n)
-    for u, x in enumerate(member):
-        w = 1 << u
-        has = nodes & x
-        lacks = nodes ^ has
-        yield has & lacks << w | lacks & has >> w
+    adjacent when they differ in one vertex: the nodes r that hold u and stay
+    nodes without it, and r moved down by 2**u, those that lack u and stay
+    nodes with it.  Yielded one at a time, as _removable yields its masks."""
+    for u, r in enumerate(_removable(_lattice(n)[0], nodes)):
+        r &= nodes
+        yield r | r >> (1 << u)
 
 
 def degree_classes(n: int, nodes: int) -> dict[int, int]:
@@ -326,15 +335,6 @@ def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProf
 # ---------------------------------------------------------------------------
 
 
-def _repeat(x: int, period: int, width: int) -> int:
-    """x, which fills the low period bits, repeated up to width bits (both
-    powers of two)."""
-    while period < width:
-        x |= x << period
-        period <<= 1
-    return x
-
-
 #: Byte -> the ASCII binary digit of its lowest bit.
 _LOWEST_BIT_DIGIT = bytes(b"01"[i & 1] for i in range(256))
 
@@ -343,29 +343,20 @@ _LOWEST_BIT_DIGIT = bytes(b"01"[i & 1] for i in range(256))
 def _chunk_lattice(n: int, b: int):
     """What every chunk of 2**b labeled graphs on n vertices shares.
 
-    The lattice masks member[u] and size[c] are repeated in each graph's
-    block of 2**n bits.  Graph i has low edge e < b iff bit e of i is set,
-    so the graphs with edge e come in alternate runs of 2**e.  Also shared:
-    per low edge, the graphs that have it, and the covers the low edges
-    give, cover[v] being member[v] plus member[u] in the blocks of the
-    graphs with edge uv.
+    Graph i has low edge e < b iff bit e of i is set, so bit i * 2**n + S
+    of the chunk is the subset S + i * 2**n of n + b vertices: the chunk's
+    member masks are the first n of _lattice(n + b), its low edges' masks
+    the other b, and their per-graph bits the member masks of _lattice(b).
+    The size classes of _lattice(n) are repeated in each block.  cover[v]
+    is member[v] plus member[u] in the blocks of the graphs with edge uv.
     """
-    member, size = _lattice(n)
-    block = 1 << n
-    width = block << b
-
-    def runs(e: int, unit: int) -> int:
-        run = unit << e
-        return _repeat(((1 << run) - 1) << run, 2 * run, unit << b)
-
-    members = [_repeat(x, block, width) for x in member]
-    sizes = [_repeat(x, block, width) for x in size]
-    covers = members[:]
+    member = _lattice(n + b)[0]
+    sizes = [_repeat(x, 1 << n, 1 << n + b) for x in _lattice(n)[1]]
+    covers = list(member[:n])
     for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
-        has = runs(e, block)
-        covers[u] |= members[v] & has
-        covers[v] |= members[u] & has
-    return (members, sizes), covers, [runs(e, 1) for e in range(b)]
+        covers[u] |= member[v] & member[n + e]
+        covers[v] |= member[u] & member[n + e]
+    return (member[:n], sizes), covers, _lattice(b)[0]
 
 
 class LabeledChunk:
@@ -373,9 +364,9 @@ class LabeledChunk:
 
     Graph i of the chunk is the one with edge mask first + i.  Its block of
     2**n lattice bits starts at bit i * 2**n, and bit i * 2**n + S of table
-    is set iff S dominates graph i; lattice holds the masks of _lattice(n)
-    repeated in every block.  The graphs share their high edges and run
-    through every combination of the low ones.  A per-graph answer is an int
+    is set iff S dominates graph i; lattice holds the member and size masks
+    of _chunk_lattice.  The graphs share their high edges and run through
+    every combination of the low ones.  A per-graph answer is an int
     whose bit i is graph i's: every has all count bits set, and edges[e]
     holds the graphs with the e-th pair of vertex_pairs(n).  Folds of the
     blocks give such answers: any, parity, and the threshold fold below_threshold.
@@ -390,7 +381,7 @@ class LabeledChunk:
         self.first = first
         self.count = 1 << b
         self.every = (1 << self.count) - 1
-        self.edges = low_edges[:]
+        self.edges = list(low_edges)
         covers = covers[:]
         for e, (u, v) in enumerate(vertex_pairs(n)[b:], b):
             if first >> e & 1:

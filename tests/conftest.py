@@ -18,6 +18,9 @@ lists: listed_adjacency parses them from the CSV export, and naive_adjacency
 builds them from all pairs of nodes.  size_classes, the per-cardinality
 folds of a LabeledChunk, is the oracle of the threshold fold: the judges
 read gamma < t per graph from the non-neighbor counts instead.
+rebuilt_lattice and tiled_chunk_lattice are the package's former lattice
+builders, which rebuilt the member and size lists per vertex and tiled a
+chunk's masks block by block: the oracles of the masks built once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from domrec.domination import (
     _flood,
     _lattice,
     _odd_nodes,
+    _repeat,
     _step,
     bounded,
     dominating_table,
@@ -183,6 +187,49 @@ def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
     return (table & ~_flood(member, table, size[-1]),
             _step(member, table, table & even) & even
             | _step(member, table, table & ~even) & ~even)
+
+
+def rebuilt_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Masks over the subset lattice of n vertices, bit S standing for the
+    subset with bitmask S: member[u] has bit S set iff u is in S, and size[c]
+    iff |S| == c.  Built one vertex at a time: adding vertex u puts the
+    subsets that contain it above the 2**u that do not."""
+    member: list[int] = []
+    size = [1]  # the empty set, the one subset of no vertices
+    for u in range(n):
+        width = 1 << u
+        member = [x | x << width for x in member]
+        member.append(((1 << width) - 1) << width)
+        size = [lo | hi << width for lo, hi in zip(size + [0], [0] + size)]
+    return tuple(member), tuple(size)
+
+
+def tiled_chunk_lattice(n: int, b: int):
+    """What every chunk of 2**b labeled graphs on n vertices shares.
+
+    The lattice masks member[u] and size[c] are repeated in each graph's
+    block of 2**n bits.  Graph i has low edge e < b iff bit e of i is set,
+    so the graphs with edge e come in alternate runs of 2**e.  Also shared:
+    per low edge, the graphs that have it, and the covers the low edges
+    give, cover[v] being member[v] plus member[u] in the blocks of the
+    graphs with edge uv.
+    """
+    member, size = rebuilt_lattice(n)
+    block = 1 << n
+    width = block << b
+
+    def runs(e: int, unit: int) -> int:
+        run = unit << e
+        return _repeat(((1 << run) - 1) << run, 2 * run, unit << b)
+
+    members = [_repeat(x, block, width) for x in member]
+    sizes = [_repeat(x, block, width) for x in size]
+    covers = members[:]
+    for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
+        has = runs(e, block)
+        covers[u] |= members[v] & has
+        covers[v] |= members[u] & has
+    return (members, sizes), covers, [runs(e, 1) for e in range(b)]
 
 
 def size_classes(chunk) -> tuple[list[int], list[int]]:

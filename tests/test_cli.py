@@ -372,29 +372,62 @@ def test_exit_code_usage_and_capacity(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv, error, code", [
-    (["analyze", "--graph", "nonsense", "--k", "3"], GraphSpecError, 2),
-    (["analyze", "--graph", "g6:A", "--k", "1"], MalformedGraph6, 2),
-    (["analyze", "--graph", "g6:A_", "--k", "0"], BoundBelowGamma, 2),
+#: Edge lists with one fault each, which test_error_class_maps_to_exit_code
+#: writes to its working directory.
+FAULTY_EDGE_LISTS = {"fields.txt": "0 1 2\n", "text.txt": "0 x\n", "loop.txt": "1 1\n"}
+
+NO_DIR = os.strerror(errno.ENOENT)
+
+#: (argv, error class, exit code, the one line on stderr).
+ERROR_CASES = [
+    (["analyze", "--graph", "nonsense", "--k", "3"], GraphSpecError, 2,
+     "error: at position 0: expected ':' after 'nonsense'"),
+    (["analyze", "--graph", "g6:A", "--k", "1"], MalformedGraph6, 2,
+     "error: expected 1 data characters for n=2, got 0"),
+    (["analyze", "--graph", "g6:A_", "--k", "0"], BoundBelowGamma, 2,
+     "error: no dominating set of cardinality <= 0"),
     (["verify", "--claim", "dominating_graph_characterization", "--max-n", "9"],
-     BoundExceeded, 2),
-    (["verify", "--claim", "bogus"], ClaimUnknown, 2),
-    (["analyze", "--graph", "biclique:13,14", "--k", "3"], CapacityExceeded, 3),
-    (["export", "--graph", "complete:23", "--format", "csv"], ReconfigTooLarge, 3),
+     BoundExceeded, 2, "error: exhaustive sweeps support n <= 7, got 9"),
+    (["verify", "--claim", "bogus"], ClaimUnknown, 2, "error: unknown claim 'bogus'"),
+    (["analyze", "--graph", "biclique:13,14", "--k", "3"], CapacityExceeded, 3,
+     "capacity error: 27 vertices exceeds the cap of 26"),
+    (["export", "--graph", "complete:23", "--format", "csv"], ReconfigTooLarge, 3,
+     "capacity error: 8388607 nodes to list, over 4194304"),
     (["analyze", "--graph", "path:4", "--k", "3", "--dot", "/nonexistent/x.dot"],
-     DomrecError, 2),
+     DomrecError, 2, f"error: cannot write '/nonexistent/x.dot': {NO_DIR}"),
     (["scan", "--family", "path", "--n", "3..4", "--csv", "/nonexistent/x.csv"],
-     DomrecError, 2),
-])
-def test_error_class_maps_to_exit_code(argv, error, code, capsys):
+     DomrecError, 2, f"error: cannot write '/nonexistent/x.csv': {NO_DIR}"),
+    (["analyze", "--graph", "g6:", "--k", "1"], GraphSpecError, 2,
+     "error: at position 3: empty graph6 record"),
+    (["analyze", "--graph", "corona:path:1", "--k", "1"], GraphSpecError, 2,
+     "error: at position 7: corona needs an inner graph on >= 2 vertices"),
+    (["analyze", "--graph", "union:path:3", "--k", "1"], GraphSpecError, 2,
+     "error: at position 6: union needs at least two components"),
+    (["analyze", "--graph", "g6:BF", "--k", "1"], MalformedGraph6, 2,
+     "error: nonzero padding bits"),
+    (["analyze", "--graph", "file:fields.txt", "--k", "1"], GraphSpecError, 2,
+     "error: at position 5: fields.txt:1: expected 'u v'"),
+    (["analyze", "--graph", "file:text.txt", "--k", "1"], GraphSpecError, 2,
+     "error: at position 5: text.txt:1: expected integers"),
+    (["analyze", "--graph", "file:loop.txt", "--k", "1"], GraphSpecError, 2,
+     "error: at position 5: loop.txt:1: bad edge (1, 1)"),
+]
+
+
+# The ids are those pytest gives the (argv, error, code) part of each case.
+@pytest.mark.parametrize("argv, error, code, line", ERROR_CASES, ids=[
+    f"argv{i}-{error.__name__}-{code}" for i, (_, error, code, _) in enumerate(ERROR_CASES)])
+def test_error_class_maps_to_exit_code(argv, error, code, line, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for name, text in FAULTY_EDGE_LISTS.items():
+        (tmp_path / name).write_text(text)
     args = cli._build_parser().parse_args(argv)
     with pytest.raises(error) as excinfo:
         args.func(args)
     assert type(excinfo.value) is error
     assert run_cli(argv) == code
     captured = capsys.readouterr()
-    assert captured.out == "" and "error: " in captured.err
-    assert captured.err.count("\n") == 1
+    assert captured.out == "" and captured.err == line + "\n"
 
 
 @pytest.mark.parametrize("argv, line", [

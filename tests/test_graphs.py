@@ -99,22 +99,27 @@ def test_disjoint_union_offsets_second_component():
     assert connected_components(g) == [0b00011, 0b11100]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        FamilySpec.path(0),
-        FamilySpec.cycle(2),
-        FamilySpec.complete(0),
-        FamilySpec.complete_bipartite(0, 3),
-        FamilySpec.cocktail(5),
-        FamilySpec.cocktail(2),
-        FamilySpec.turan(3, 4),
-        FamilySpec.corona(FamilySpec.path(1)),
-    ],
-)
-def test_family_parameter_validation(spec):
-    with pytest.raises(InvalidFamilyParameters):
+#: (spec, the InvalidFamilyParameters message make_family raises).
+INVALID_FAMILIES = [
+    (FamilySpec.path(0), "path needs n >= 1, got 0"),
+    (FamilySpec.cycle(2), "cycle needs n >= 3, got 2"),
+    (FamilySpec.complete(0), "complete needs n >= 1, got 0"),
+    (FamilySpec.complete_bipartite(0, 3), "biclique needs m, n >= 1, got 0, 3"),
+    (FamilySpec.cocktail(5), "cocktail needs even n >= 4, got 5"),
+    (FamilySpec.cocktail(2), "cocktail needs even n >= 4, got 2"),
+    (FamilySpec.turan(3, 4), "turan needs n >= r >= 1, got 3, 4"),
+    (FamilySpec.corona(FamilySpec.path(1)), "corona needs an inner graph on >= 2 vertices, got 1"),
+    (FamilySpec("nope"), "unknown family kind 'nope'"),
+]
+
+
+# The ids are those pytest gives the spec part of each case.
+@pytest.mark.parametrize("spec, message", INVALID_FAMILIES,
+                         ids=[f"spec{i}" for i in range(len(INVALID_FAMILIES))])
+def test_family_parameter_validation(spec, message):
+    with pytest.raises(InvalidFamilyParameters) as exc:
         make_family(spec)
+    assert str(exc.value) == message
 
 
 def test_capacity_cap_on_families():
@@ -133,6 +138,14 @@ def test_seed_graph_validation():
         SeedGraph(2, [0b100, 0b000])  # out of range
     with pytest.raises(CapacityExceeded):
         SeedGraph(27, [0] * 27)
+    for build, message in [
+        (lambda: SeedGraph(-1, []), "vertex count must be non-negative, got -1"),
+        (lambda: SeedGraph(2, [0]), "expected 2 adjacency masks, got 1"),
+        (lambda: SeedGraph.from_edges(3, [(0, 3)]), "bad edge (0, 3) for n=3"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 # --- graph6 ---------------------------------------------------------------

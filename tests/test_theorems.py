@@ -1,5 +1,6 @@
 """Claim catalog: expected verdicts, lattice verdicts, claim runners."""
 
+import dataclasses
 from functools import cache
 
 import pytest
@@ -96,6 +97,27 @@ def test_expected_eulerian_uncharacterized():
         expected_eulerian(
             FamilySpec.disjoint_union(FamilySpec.path(2), FamilySpec.path(2)), 3
         )
+
+
+def test_expected_verdicts_of_aliased_families_match_the_lattice():
+    """Every Turan spec with n <= 12, every biclique with 8 >= m > n and
+    every star with n <= 8, at each k with a characterized verdict: the
+    aliases fold Turan graphs into complete graphs, cocktail parties and
+    bicliques, stars into bicliques and m > n into n, m."""
+    specs = ([FamilySpec.turan(n, r) for n in range(1, 13) for r in range(1, n + 1)]
+             + [FamilySpec.complete_bipartite(m, n) for m in range(1, 9) for n in range(1, m)]
+             + [FamilySpec.star(n) for n in range(1, 9)])
+    checked = 0
+    for spec in specs:
+        g = make_family(spec)
+        for k in range(g.n + 1):
+            try:
+                expected = expected_eulerian(spec, k)
+            except UncharacterizedInstance:
+                continue
+            assert computed_eulerian(g, k) is expected, (spec.spec_string(), k)
+            checked += 1
+    assert checked == 442
 
 
 def test_expected_unrestricted_component_rule():
@@ -410,6 +432,61 @@ def test_characterization_flags_a_changed_single_vertex_table(monkeypatch):
     report = verify_claim(ClaimId.DOMINATING_GRAPH_CHARACTERIZATION, n_max=3)
     assert report.counterexamples == [{
         "seed": "complete:1", "k": 1, "expected": "one isolated node", "computed": "table 0b11"}]
+
+
+def test_parity_odd_reports_a_planted_even_count(monkeypatch):
+    """With every chunk's parity fold read as even, each seed is a
+    counterexample that gives its dominating-set count."""
+    monkeypatch.setattr(domination.LabeledChunk, "parity", lambda chunk, x: 0)
+    report = verify_claim(ClaimId.PARITY_ODD, n_max=2)
+    assert report.counterexamples == [
+        {"seed": seed, "k": None, "expected": "odd dominating-set count", "computed": count}
+        for seed, count in [("g6:@", 1), ("g6:A?", 1), ("g6:A_", 3)]]
+
+
+#: The three labeled 4-cycles, cocktail:4, in edge-mask order.
+C4_SEEDS = ["g6:C]", "g6:Cl", "g6:Cr"]
+
+
+def test_characterization_reports_a_seed_whose_verdict_differs(monkeypatch):
+    """With no seed taken for a cocktail party, the Eulerian 4-cycles are
+    the counterexamples, and they are still listed as Eulerian."""
+    monkeypatch.setattr(theorems, "is_cocktail_party", lambda g: False)
+    report = verify_claim(ClaimId.DOMINATING_GRAPH_CHARACTERIZATION, n_max=4)
+    assert report.counterexamples == [
+        {"seed": seed, "k": 4, "expected": False, "computed": True} for seed in C4_SEEDS]
+    assert report.details["eulerian_seeds"] == {"2": [], "3": [], "4": ["C]", "Cl", "Cr"]}
+
+
+def test_universal_gamma_set_reports_a_seed_of_neither_family(monkeypatch):
+    monkeypatch.setattr(theorems, "is_cocktail_party", lambda g: False)
+    report = verify_claim(ClaimId.UNIVERSAL_GAMMA_SET, n_max=4)
+    assert report.counterexamples == [
+        {"seed": seed, "k": None, "expected": "complete or cocktail", "computed": "neither"}
+        for seed in C4_SEEDS]
+
+
+def test_universal_gamma_set_reports_each_restricted_mismatch(monkeypatch):
+    """With every verdict flipped, each k of K_3, K_4 and the 4-cycles
+    between gamma and n is a counterexample, with its closed-form verdict."""
+    verdict = theorems.computed_eulerian
+    monkeypatch.setattr(theorems, "computed_eulerian",
+                        lambda g, k, table=None: not verdict(g, k, table))
+    report = verify_claim(ClaimId.UNIVERSAL_GAMMA_SET, n_max=4)
+    assert [(ce["seed"], ce["k"], ce["expected"], ce["computed"])
+            for ce in report.counterexamples] == [
+        ("g6:Bw", 2, True, False), *((seed, 3, False, True) for seed in C4_SEEDS),
+        ("g6:C~", 2, False, True), ("g6:C~", 3, False, True)]
+
+
+def test_gamma_formulas_report_a_planted_gamma(monkeypatch):
+    profile = theorems.domination_profile
+    monkeypatch.setattr(theorems, "domination_profile", lambda g: dataclasses.replace(
+        profile(g), gamma=3) if g.name == "path:4" else profile(g))
+    report = verify_claim(ClaimId.GAMMA_FORMULAS, path_max=4, complete_max=2, biclique_max=2)
+    assert report.instances_checked == 11
+    assert report.counterexamples == [
+        {"seed": "path:4", "k": None, "expected": 2, "computed": 3}]
 
 
 def _shape(n: int, table: int) -> tuple[bool, bool]:
