@@ -35,6 +35,7 @@ import sys
 import traceback
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from itertools import islice
 
 from .domination import DominationProfile, dominating_table, domination_profile, format_set
@@ -418,6 +419,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domrec",

@@ -7,15 +7,19 @@ union of closed neighborhoods of its members covers every vertex.  Questions
 about all 2**n subsets at once are answered on the subset lattice: a set of
 subsets is one int whose bit S stands for the subset with bitmask S, so a
 whole-lattice question is a few bitwise operations on such ints instead of a
-loop over the subsets.  This module is the one owner of that representation.  D_k lives
-on it too, unbuilt: lattice_eulerian reads its degree parities off the
-table and floods its components, and up_closure_gaps checks that a table,
-of one seed or a chunk of them, is up-closed, which makes its unrestricted
-D(G) connected.  Any set of masks taken as nodes, two adjacent when they
-differ in one vertex, is read the same way: flip_masks gives each vertex's
-moves, degree_classes sums them into degrees, component_count floods, and
-node_fields transposes lattice masks into one word per subset, the Euler
-walk's table of moves.
+loop over the subsets.  This module is the one owner of that representation.
+dominating_table ANDs, over the vertices v, the cover of N[v], the subsets
+that meet it: up to n = 8 one lookup in a cover table of ORs of member
+masks, a table lookup on broadword masks (Knuth, TAOCP 4A, 7.1.3), and
+above it one OR per member of N[v].  D_k lives on the lattice too,
+unbuilt: lattice_eulerian reads its degree parities off the table, the size
+classes' share of them one strided slice, and floods its components, and
+up_closure_gaps checks that a table, of one seed or a chunk of them, is
+up-closed, which makes its unrestricted D(G) connected.  Any set of masks
+taken as nodes, two adjacent when they differ in one vertex, is read the
+same way: flip_masks gives each vertex's moves, degree_classes sums them
+into degrees, component_count floods, and node_fields transposes lattice
+masks into one word per subset, the Euler walk's table of moves.
 
 It also owns its extension to the (edge mask E, subset S) lattice of a
 labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
@@ -41,6 +45,10 @@ from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, sliced_non_neighb
 #: 2**(CHUNK_BITS - n) graphs (all of them if there are fewer, one at least),
 #: so a sweep's memory does not grow with its number of graphs.
 CHUNK_BITS = 17
+
+#: Largest n whose cover table, 2**n entries of 2**n bits, fits in a chunk's
+#: 2**CHUNK_BITS bits.
+_TABLE_N = CHUNK_BITS // 2
 
 
 @dataclass(frozen=True)
@@ -90,34 +98,65 @@ def _repeat(x: int, period: int, width: int) -> int:
     return x
 
 
-@cache  # kept per n: 2n + 1 ints of 2**n bits, 435 MiB at n = 26
-def _lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+@cache  # kept per n: n ints of 2**n bits, 208 MiB at n = 26
+def _members(n: int) -> tuple[int, ...]:
     """Masks over the subset lattice of n vertices, bit S standing for the
     subset with bitmask S: member[u] has bit S set iff u is in S, runs of
-    2**u clear and 2**u set bits in turn, and size[c] iff |S| == c.  The
-    size classes grow in place from the top as each vertex u is added: the
-    c-subsets with u are the (c - 1)-subsets without it moved up by 2**u."""
-    member: list[int] = []
+    2**u clear and 2**u set bits in turn."""
+    return tuple(_repeat(((1 << (1 << u)) - 1) << (1 << u), 2 << u, 1 << n) for u in range(n))
+
+
+@cache  # kept per n: n + 1 ints of 2**n bits, 216 MiB at n = 26
+def _sizes(n: int) -> tuple[int, ...]:
+    """Masks over the subset lattice of n vertices: size[c] has bit S set iff
+    |S| == c.  The classes grow in place from the top as each vertex u is
+    added: the c-subsets with u are the (c - 1)-subsets without it moved up
+    by 2**u."""
     size = [1]  # the empty set, the one subset of no vertices
     for u in range(n):
-        width = 1 << u
-        member.append(_repeat(((1 << width) - 1) << width, 2 * width, 1 << n))
         size.append(0)
         for c in range(u + 1, 0, -1):
-            size[c] |= size[c - 1] << width
-    return tuple(member), tuple(size)
+            size[c] |= size[c - 1] << (1 << u)
+    return tuple(size)
+
+
+@cache  # the pair alone, read once per verdict
+def _lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The member and size masks of the subset lattice of n vertices.  Each
+    is cached on its own, so a reader of member masks builds no size class."""
+    return _members(n), _sizes(n)
+
+
+@cache  # kept per n <= _TABLE_N: 2**n ints of 2**n bits, 15 KiB at n = 8
+def _cover_table(n: int) -> tuple[int, ...]:
+    """Entry T is the OR of member[u] over the bits u of T: the subsets of
+    n vertices that meet T."""
+    entries = [0]
+    for x in _members(n):
+        entries += [e | x for e in entries]
+    return tuple(entries)
 
 
 def dominating_table(g: SeedGraph) -> int:
     """The dominating sets of g as one int: bit S is set iff S dominates.
 
     S dominates iff it meets the closed neighborhood N[v] of every vertex v,
-    so the table is the AND over v of the OR of member[u] over u in N[v].
+    so the table is the AND over v of the cover of N[v], the OR of member[u]
+    over u in N[v].  Up to n = _TABLE_N each cover is one entry of
+    _cover_table(n); above it, where a table would outgrow a chunk, the ORs
+    are taken one member of N[v] at a time, from the first member's mask
+    itself, so no 2**n-bit mask is copied per vertex.
     """
-    member, _ = _lattice(g.n)
-    table = (1 << (1 << g.n)) - 1  # with no vertices, the empty set dominates
-    for nbhd in g.closed_neighborhoods():
-        cover = 0
+    n = g.n
+    nbhds = g.closed_neighborhoods()
+    table = (1 << (1 << n)) - 1  # with no vertices, the empty set dominates
+    if n <= _TABLE_N:
+        return reduce(and_, map(_cover_table(n).__getitem__, nbhds), table)
+    member = _members(n)
+    for nbhd in nbhds:  # never empty, as N[v] holds v
+        low = nbhd & -nbhd
+        nbhd ^= low
+        cover = member[low.bit_length() - 1]
         while nbhd:
             low = nbhd & -nbhd
             nbhd ^= low
@@ -140,7 +179,7 @@ def bounded(n: int, table: int, k: int) -> int:
     ValueError for k outside [0, n] (the CLI checks --k first, to name it)."""
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
-    return table if k == n else table & reduce(or_, _lattice(n)[1][: k + 1])
+    return table if k == n else table & reduce(or_, _sizes(n)[: k + 1])
 
 
 def _odd_nodes(lattice, n: int, table: int, k: int, nodes: int) -> int:
@@ -148,10 +187,11 @@ def _odd_nodes(lattice, n: int, table: int, k: int, nodes: int) -> int:
     cardinality <= k, on the lattice masks of a seed or a chunk.  The degree
     of a node S is its removable-member count plus, below the bound, one
     up-move per outside vertex; its parity is the XOR of the removable
-    masks, flipped on each size class c < k with n - c odd."""
+    masks, flipped on each size class c < k with n - c odd: every other
+    class from (n + 1) mod 2, one strided slice."""
     member, size = lattice
     parity = reduce(xor, _removable(member, table), 0)
-    parity ^= reduce(or_, (x for c, x in enumerate(size[:k]) if (n - c) & 1), 0)
+    parity ^= reduce(or_, size[(n + 1) & 1 : k : 2], 0)
     return parity & nodes
 
 
@@ -209,7 +249,7 @@ def flip_masks(n: int, nodes: int):
     adjacent when they differ in one vertex: the nodes r that hold u and stay
     nodes without it, and r moved down by 2**u, those that lack u and stay
     nodes with it.  Yielded one at a time, as _removable yields its masks."""
-    for u, r in enumerate(_removable(_lattice(n)[0], nodes)):
+    for u, r in enumerate(_removable(_members(n), nodes)):
         r &= nodes
         yield r | r >> (1 << u)
 
@@ -245,7 +285,7 @@ def component_count(n: int, nodes: int, linked: int) -> int:
     """How many components of the graph on the node set nodes meet linked,
     a subset of nodes: one flood from the lowest node of linked not yet
     reached per component."""
-    member, _ = _lattice(n)
+    member = _members(n)
     count = 0
     while linked:
         linked &= ~_flood(member, nodes, linked & -linked)
@@ -285,7 +325,7 @@ def node_fields(n: int, masks) -> memoryview:
 
 def size_counts(n: int, table: int) -> list[int]:
     """How many subsets in table have each cardinality 0..n."""
-    _, size = _lattice(n)
+    size = _sizes(n)
     return [(table & x).bit_count() for x in size]
 
 
@@ -295,7 +335,7 @@ def ordered_subsets(n: int, x: int):
     Set bits are found with str.find over each size class's binary digits,
     since peeling the lowest bit off a 2**n-bit int costs time linear in its
     length."""
-    _, size = _lattice(n)
+    size = _sizes(n)
     for c in size:
         digits = bin(x & c)[:1:-1]  # least significant digit first
         s = digits.find("1")
@@ -345,18 +385,19 @@ def _chunk_lattice(n: int, b: int):
 
     Graph i has low edge e < b iff bit e of i is set, so bit i * 2**n + S
     of the chunk is the subset S + i * 2**n of n + b vertices: the chunk's
-    member masks are the first n of _lattice(n + b), its low edges' masks
-    the other b, and their per-graph bits the member masks of _lattice(b).
-    The size classes of _lattice(n) are repeated in each block.  cover[v]
-    is member[v] plus member[u] in the blocks of the graphs with edge uv.
+    member masks are the first n of _members(n + b), its low edges' masks
+    the other b, and their per-graph bits _members(b); no size class of
+    n + b or b vertices is built.  The size classes of n vertices are
+    repeated in each block.  cover[v] is member[v] plus member[u] in the
+    blocks of the graphs with edge uv.
     """
-    member = _lattice(n + b)[0]
-    sizes = [_repeat(x, 1 << n, 1 << n + b) for x in _lattice(n)[1]]
+    member = _members(n + b)
+    sizes = [_repeat(x, 1 << n, 1 << n + b) for x in _sizes(n)]
     covers = list(member[:n])
     for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
         covers[u] |= member[v] & member[n + e]
         covers[v] |= member[u] & member[n + e]
-    return (member[:n], sizes), covers, _lattice(b)[0]
+    return (member[:n], sizes), covers, _members(b)
 
 
 class LabeledChunk:

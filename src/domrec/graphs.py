@@ -20,9 +20,10 @@ named by its canonical spec, a g6 part as g6:<to_graph6 record>.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
 from functools import cache, reduce
-from operator import and_
+from operator import and_, or_
 
 from .errors import (
     CapacityExceeded,
@@ -34,6 +35,9 @@ from .errors import (
 #: Largest supported vertex count.  Subset enumeration is 2**n, and 2**26 is
 #: the desk-scale ceiling this package is designed for.
 HARD_CAP = 26
+
+#: 1 << v for every vertex v a seed can have.
+_UNITS = tuple(1 << v for v in range(HARD_CAP))
 
 #: Largest n for exhaustive labeled-graph enumeration (2**21 graphs at n=7).
 ENUMERATION_CAP = 7
@@ -99,9 +103,9 @@ class SeedGraph:
         """Edge list as (u, v) pairs with u < v, sorted."""
         return [(u, v) for u, v in vertex_pairs(self.n) if self.adj[u] >> v & 1]
 
-    def closed_neighborhoods(self) -> list[int]:
-        """adj[v] | {v} for every v, the unit of domination checks."""
-        return [self.adj[v] | (1 << v) for v in range(self.n)]
+    def closed_neighborhoods(self) -> Iterator[int]:
+        """adj[v] | {v} for every v in turn, the unit of domination checks."""
+        return map(or_, self.adj, _UNITS)
 
     def __repr__(self) -> str:
         label = self.name or f"{self.n}v{self.edge_count()}e"

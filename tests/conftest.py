@@ -9,15 +9,16 @@ The package's former one-set and one-seed functions live here too
 enumerate_dominating_sets, node_degree, cartesian_product and
 parity_bipartition_valid): each restates an answer the subset lattice gives
 whole, and the package itself never called them.  So does NotDominating,
-the error that only node_degree raises.  So do two lattice kernels,
-odd_degree_nodes and dominating_graph_shape: the chunk judges read degree
-parities off the chunk, and cite the lemma that an up-closed table makes
-D(G) connected, whose moves keep it bipartite; the flood from V and the
-parity step are that lemma's oracles.  ReconfigGraph keeps no neighbour
-lists: listed_adjacency parses them from the CSV export, and naive_adjacency
-builds them from all pairs of nodes.  size_classes, the per-cardinality
-folds of a LabeledChunk, is the oracle of the threshold fold: the judges
-read gamma < t per graph from the non-neighbor counts instead.
+the error that only node_degree raises.  So does a lattice kernel,
+dominating_graph_shape: the chunk judges cite the lemma that an up-closed
+table makes D(G) connected, whose moves keep it bipartite; the flood from V
+and the parity step are that lemma's oracles.  odd_degree_nodes counts
+each node's moves one by one, the oracle of the parity kernel _odd_nodes.
+ReconfigGraph keeps no neighbour lists: listed_adjacency parses them from
+the CSV export, and naive_adjacency builds them from all pairs of nodes.
+size_classes, the per-cardinality folds of a LabeledChunk, is the oracle of
+the threshold fold: the judges read gamma < t per graph from the
+non-neighbor counts instead.
 rebuilt_lattice and tiled_chunk_lattice are the package's former lattice
 builders, which rebuilt the member and size lists per vertex and tiled a
 chunk's masks block by block: the oracles of the masks built once.
@@ -35,8 +36,6 @@ import hypothesis.strategies as st
 from domrec import SeedGraph, disjoint_union, theorems
 from domrec.domination import (
     _flood,
-    _lattice,
-    _odd_nodes,
     _repeat,
     _step,
     bounded,
@@ -169,12 +168,15 @@ def parity_bipartition_valid(r: ReconfigGraph) -> bool:
 
 def odd_degree_nodes(n: int, table: int, k: int) -> int:
     """The odd-degree nodes of D_k, as a lattice mask over the domination
-    table of a seed on n vertices.
-
-    The degree of a node S is its removable-member count plus, below the
-    bound, one up-move per outside vertex; its parity is the XOR of the
-    removable masks, flipped on each size class c < k with n - c odd."""
-    return _odd_nodes(_lattice(n), n, table, k, bounded(n, table, k))
+    table of a seed on n vertices, counted node by node: the degree of a
+    node S is the number of vertices u with S ^ {u} a node too."""
+    nodes = bounded(n, table, k)
+    odd = 0
+    for s in range(1 << n):
+        if nodes >> s & 1:
+            degree = sum(nodes >> (s ^ 1 << u) & 1 for u in range(n))
+            odd |= (degree & 1) << s
+    return odd
 
 
 def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
@@ -265,7 +267,7 @@ def bytewise_dominating_table(g: SeedGraph) -> bytearray:
         table[0] = 1  # the empty set dominates the empty graph vacuously
         return table
     full = size - 1
-    nbhd = g.closed_neighborhoods()
+    nbhd = list(g.closed_neighborhoods())
     cover = [0] * size
     for s in range(1, size):
         low = s & -s

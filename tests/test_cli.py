@@ -466,6 +466,15 @@ def test_flag_errors_carry_no_spec_position(argv, line, capsys):
     assert captured.err == line + "\n"
 
 
+def test_parser_built_once_keeps_no_state_between_parses():
+    """The parser is built once per process; a flag set in one parse is
+    not carried into the next."""
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["analyze", "--graph", "path:4", "--k", "1"]
+    assert cli._build_parser().parse_args(argv + ["--json"]).json is True
+    assert cli._build_parser().parse_args(argv).json is False
+
+
 def test_export_bits_labels_of_the_empty_seed(capsys):
     argv = ["export", "--graph", "g6:?", "--format", "dot", "--labels", "bits"]
     assert run_cli(argv) == 0

@@ -1,5 +1,6 @@
 """Domination module: predicates, enumeration, profiles."""
 
+import random
 import sys
 import tracemalloc
 from math import comb
@@ -50,6 +51,7 @@ from domrec.graphs import (
     sliced_cocktail_party,
     sliced_connected,
     sliced_non_neighbors,
+    vertex_pairs,
 )
 from domrec.errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
 
@@ -125,6 +127,44 @@ def test_table_matches_oracles_on_small_and_wide_graphs():
 @given(seed_graphs(max_n=7))
 def test_table_matches_oracles_on_random_seeds(g):
     _assert_table_agrees(g)
+
+
+@pytest.mark.parametrize("n", range(8, 19))
+def test_table_matches_oracles_on_both_sides_of_the_cover_table(n):
+    """A sparse and a dense seed per n = 8..18: one cover-table lookup per
+    vertex at n = 8, one OR per member of N[v] from n = 9."""
+    rng = random.Random(n)
+    for density in (0.15, 0.85):
+        edges = [e for e in vertex_pairs(n) if rng.random() < density]
+        _assert_table_agrees(SeedGraph.from_edges(n, edges))
+
+
+def test_odd_nodes_match_the_counted_degrees():
+    """The parity kernel against each node's moves counted one by one, at
+    every k on every labeled seed with n <= 5."""
+    for n in range(1, 6):
+        lattice = domination._lattice(n)
+        for g in enumerate_labeled_graphs(n):
+            table = dominating_table(g)
+            for k in range(n + 1):
+                nodes = bounded(n, table, k)
+                assert domination._odd_nodes(lattice, n, table, k, nodes) == \
+                    odd_degree_nodes(n, table, k), (g.adj, k)
+
+
+def test_table_past_the_cover_tables_keeps_no_mask():
+    """At n = 20 a cover table would outgrow a chunk, so the table is built
+    from _members(20) alone and nothing outlives the call but the table
+    itself: one more kept mask of 2**20 bits would take 128 KiB."""
+    g = SeedGraph.from_edges(20, [(v, v + 1) for v in range(19)])
+    domination._members(20)
+    tracemalloc.start()
+    try:
+        table = dominating_table(g)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept - sys.getsizeof(table) < 64 << 10, kept
 
 
 def test_enumerate_counts():
@@ -289,7 +329,7 @@ def _chunk_answers(chunk):
 def _seed_answers(g):
     n = g.n
     table = dominating_table(g)
-    odd = odd_degree_nodes(n, table, n)
+    odd = domination._odd_nodes(domination._lattice(n), n, table, n, table)
     counts = size_counts(n, table)
     gamma = next(c for c in range(n + 1) if counts[c])
     threshold = next(c for c in range(n + 1) if counts[c] == comb(n, c))
@@ -360,12 +400,31 @@ def test_lattice_builds_each_mask_once():
     once, 1.26 times the masks kept at n = 20."""
     tracemalloc.start()
     try:
-        member, size = domination._lattice.__wrapped__(20)
+        member = domination._members.__wrapped__(20)
+        size = domination._sizes.__wrapped__(20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     kept = sum(map(sys.getsizeof, member + size))
     assert peak <= 1.1 * kept, peak / kept
+
+
+def test_chunk_lattice_builds_no_wide_size_class():
+    """A chunk of 2**10 graphs on 7 vertices reads the member masks of 17
+    and 10 vertices, and the size classes of 7 alone."""
+    caches = (domination._members, domination._sizes, domination._lattice, domination._cover_table)
+    for cached in caches:  # the lattice and cover-table caches hold member masks too
+        cached.cache_clear()
+    try:
+        domination._chunk_lattice.__wrapped__(7, 10)
+        assert domination._members.cache_info().currsize == 2
+        assert domination._sizes.cache_info().currsize == 1
+        hits = domination._sizes.cache_info().hits
+        domination._sizes(7)
+        assert domination._sizes.cache_info().hits == hits + 1
+    finally:
+        for cached in caches:
+            cached.cache_clear()
 
 
 @pytest.mark.parametrize("chunk_bits", [domination.CHUNK_BITS, 8, 6, 5, 3])
@@ -408,7 +467,7 @@ def test_bound_outside_the_order_is_rejected():
     by a negative slice and k = n + 1 is not read as k = n."""
     table = dominating_table(P4)
     for k in (-2, -1, P4.n + 1):
-        for kernel in (bounded, odd_degree_nodes):
+        for kernel in (bounded, odd_degree_nodes, lattice_eulerian):
             with pytest.raises(ValueError, match=r"k must be in \[0, 4\]"):
                 kernel(P4.n, table, k)
 

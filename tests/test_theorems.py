@@ -357,6 +357,14 @@ def test_product_decomposition_three_parts():
     assert verify_product_decomposition(parts).passed
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_product_decomposition_needs_two_parts(count):
+    parts = [make_family(FamilySpec.path(2))] * count
+    with pytest.raises(ValueError) as excinfo:
+        verify_product_decomposition(parts)
+    assert str(excinfo.value) == "need at least two parts"
+
+
 def test_product_decomposition_claim_sampled():
     report = verify_claim(ClaimId.PRODUCT_DECOMPOSITION, samples=12, max_part=4)
     assert report.passed
