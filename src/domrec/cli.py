@@ -19,6 +19,8 @@ listing of D_k past 2^22 nodes: --circuit, --dot, export dot/csv; reports
 list no node); 70 internal error (an unexpected exception, its traceback on
 stderr); 141 stdout closed early (a broken pipe, as when piped into head).
 
+--jobs 1, the default, never loads concurrent.futures: no pool starts.
+
 Outputs whose size grows with the edge count (analyze's Euler circuit, DOT
 and CSV exports) are written in pieces as they are formatted, never held as
 one string.
@@ -27,14 +29,11 @@ one string.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-import traceback
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import islice
 
@@ -334,6 +333,7 @@ def _cmd_scan(args) -> int:
     reports = _map_tasks(_scan_worker, tasks, args.jobs)
     if args.filter == "eulerian":
         reports = [report for report in reports if report["euler"]["is_eulerian"]]
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
@@ -348,9 +348,11 @@ def _cmd_scan(args) -> int:
 
 def _map_tasks(worker, tasks: list, jobs: int) -> list:
     """worker over tasks in order, in a pool of at most one process per task
-    when jobs > 1 (a fork pool starts all its workers up front)."""
+    when jobs > 1 (a fork pool starts all its workers up front).  The pool's
+    module is imported only when a pool starts."""
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks))
     return [worker(task) for task in tasks]
@@ -497,6 +499,7 @@ def main():
         os.dup2(devnull, sys.stdout.fileno())
         sys.exit(141)
     except Exception:
+        import traceback
         traceback.print_exc()
         sys.exit(70)
     sys.exit(code)

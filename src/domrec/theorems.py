@@ -25,7 +25,6 @@ table of a disjoint union with the outer product of its parts' tables.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -499,6 +498,7 @@ def _random_connected(rng: random.Random, n: int) -> SeedGraph:
 
 
 def _product_decomposition(report, samples: int = 100, max_part: int = 5, seed: int = 2025):
+    import random
     report.bounds = {"samples": samples, "max_part": max_part, "rng_seed": seed}
     rng = random.Random(seed)
     for _ in range(samples):

@@ -521,7 +521,9 @@ class _RecordingPool:
 
 
 def test_pool_is_clamped_to_task_count(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    # _map_tasks imports the pool class when a pool starts, so the module's
+    # attribute is what it reads.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     assert run_cli(["verify", "--claim", "all", "--max-n", "2", "--jobs", "64"]) == 1
     assert run_cli(["scan", "--family", "path", "--n", "3..4", "--jobs", "64"]) == 0
@@ -529,6 +531,28 @@ def test_pool_is_clamped_to_task_count(monkeypatch, capsys):
     capsys.readouterr()
     # 13 claims, 6 scan rows (P_3 and P_4 at k = gamma..n), and no pool for one task
     assert _RecordingPool.sizes == [13, 6]
+
+
+def test_only_a_pool_loads_the_pool_modules():
+    """The serial paths leave the pool, traceback, csv and random modules
+    unloaded; scan --jobs 2 still reaches the pool."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from domrec.cli import run_cli\n"
+        "lazy = ('concurrent.futures', 'multiprocessing', 'traceback', 'csv', 'random')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run_cli(['analyze', '--graph', 'path:4', '--k', '3']) == 0\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run_cli(['scan', '--family', 'path', '--n', '3..4', '--jobs', '2']) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nTrue\n"
 
 
 def test_file_vertex_far_above_cap_is_capacity_error(tmp_path, capsys):

@@ -99,6 +99,16 @@ def test_expected_eulerian_uncharacterized():
         )
 
 
+def test_expected_eulerian_without_a_family_branch_raises(monkeypatch):
+    """A family with a closed-form gamma but no verdict branch is not
+    characterized: the last raise of expected_eulerian."""
+    spec = FamilySpec.disjoint_union(FamilySpec.path(2), FamilySpec.path(2))
+    monkeypatch.setattr(theorems, "_family_gamma", lambda _: 1)
+    with pytest.raises(UncharacterizedInstance) as info:
+        theorems.expected_eulerian(spec, 2)
+    assert str(info.value) == f"no claim covers family {spec.spec_string()}"
+
+
 def test_expected_verdicts_of_aliased_families_match_the_lattice():
     """Every Turan spec with n <= 12, every biclique with 8 >= m > n and
     every star with n <= 8, at each k with a characterized verdict: the
