@@ -33,7 +33,7 @@ block of 2**n bits give one answer bit per graph.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, reduce
 from operator import and_, or_, xor
 
@@ -51,16 +51,11 @@ CHUNK_BITS = 17
 _TABLE_N = CHUNK_BITS // 2
 
 
-@dataclass(frozen=True)
-class DominationProfile:
+class DominationProfile(namedtuple("DominationProfile", "gamma upper_gamma counts_by_size "
+                                    "total_count universal_threshold well_dominated")):
     """Summary of the dominating sets of one seed graph."""
 
-    gamma: int
-    upper_gamma: int
-    counts_by_size: tuple[int, ...]
-    total_count: int
-    universal_threshold: int
-    well_dominated: bool
+    __slots__ = ()
 
 
 @cache

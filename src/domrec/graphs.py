@@ -4,7 +4,7 @@ by edge mask, graph6, and the text grammar of graph specs.
 Vertices are the integers 0..n-1 and adjacency is stored as one bitmask per
 vertex, so a graph on n vertices fits in n machine words.  The hard cap
 HARD_CAP keeps every subset of vertices representable as a single int.  A
-SeedGraph is a frozen dataclass: an immutable value that pickles and copies.
+SeedGraph is a slotted, immutable value that pickles and copies.
 
 The complete, biclique, star, cocktail and turan families are complete
 multipartite graphs, built by one builder from their part sizes; the
@@ -20,8 +20,8 @@ named by its canonical spec, a g6 part as g6:<to_graph6 record>.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import InitVar, dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cache, reduce
 from operator import and_, or_
 
@@ -43,7 +43,6 @@ _UNITS = tuple(1 << v for v in range(HARD_CAP))
 ENUMERATION_CAP = 7
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class SeedGraph:
     """Simple undirected graph as per-vertex neighbor bitmasks.
 
@@ -53,17 +52,13 @@ class SeedGraph:
     adjacency checks for builders whose masks are correct by construction.
     """
 
-    n: int
-    adj: tuple[int, ...]
-    name: str | None = field(default=None, compare=False)
-    validate: InitVar[bool] = True
+    __slots__ = ("n", "adj", "name")
 
-    def __post_init__(self, validate: bool):
-        n = self.n
+    def __init__(self, n: int, adj: Iterable[int], name: str | None = None, validate: bool = True):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         _check_cap(n)
-        adj = tuple(self.adj)
+        adj = tuple(adj)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency masks, got {len(adj)}")
         if validate:
@@ -77,7 +72,26 @@ class SeedGraph:
                 for v in range(u + 1, n):
                     if ((adj[u] >> v) & 1) != ((adj[v] >> u) & 1):
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, attr: str, value):
+        raise AttributeError(f"cannot assign {attr!r}: SeedGraph is immutable")
+
+    def __delattr__(self, attr: str):
+        raise AttributeError(f"cannot delete {attr!r}: SeedGraph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not SeedGraph:
+            return NotImplemented
+        return (self.n, self.adj) == (other.n, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __reduce__(self):
+        return SeedGraph, (self.n, self.adj, self.name, False)
 
     @classmethod
     def from_edges(cls, n: int, edges, name: str | None = None) -> "SeedGraph":
@@ -122,13 +136,10 @@ _TEXT_NAME = {"complete_bipartite": "biclique"}
 _KIND = {text: kind for kind, text in _TEXT_NAME.items()}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "kind args parts", defaults=((), ()))):
     """A named graph family instance: kind plus integer or nested arguments."""
 
-    kind: str
-    args: tuple[int, ...] = ()
-    parts: tuple["FamilySpec", ...] = field(default=())
+    __slots__ = ()
 
     @classmethod
     def path(cls, n: int) -> "FamilySpec":
@@ -448,20 +459,10 @@ _G6_HEADER = ">>graph6<<"
 def to_graph6(g: SeedGraph) -> str:
     """Encode as a single graph6 record (no header, no newline).  A seed
     has at most HARD_CAP vertices, so its count fits the one-byte form."""
-    n = g.n
-    bits = []
-    for v in range(1, n):
-        col = g.adj[v]
-        bits.extend((col >> u) & 1 for u in range(v))
-    out = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    n, adj = g.n, g.adj
+    bits = "".join(str(adj[v] >> u & 1) for v in range(1, n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
+    return chr(n + 63) + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def parse_graph6(text: str) -> SeedGraph:
@@ -486,21 +487,11 @@ def parse_graph6(text: str) -> SeedGraph:
         raise MalformedGraph6(
             f"expected {expected_len} data characters for n={n}, got {len(body)}"
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[nbits:]:
         raise MalformedGraph6("nonzero padding bits")
-    adj = [0] * n
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            i += 1
-    return SeedGraph(n, adj, validate=False)
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    return SeedGraph.from_edges(n, (pair for pair, bit in zip(pairs, bits) if bit == "1"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ and at most one component contains an edge (isolated nodes are harmless).
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, islice
 from operator import or_
@@ -82,21 +82,14 @@ def _check_cap(r: ReconfigGraph):
         raise ReconfigTooLarge(f"{r.node_count} nodes to list, over {DEFAULT_NODE_CAP}")
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(namedtuple("EulerReport", "node_count edge_count degree_histogram "
+                             "odd_degree_count odd_degree_nodes isolated_count "
+                             "nontrivial_component_count is_connected is_eulerian")):
     """Eulerian analysis of one reconfiguration graph: the one summary of a
     D_k.  degree_histogram holds (degree, node count) pairs in degree
     order."""
 
-    node_count: int
-    edge_count: int
-    degree_histogram: tuple
-    odd_degree_count: int
-    odd_degree_nodes: tuple
-    isolated_count: int
-    nontrivial_component_count: int
-    is_connected: bool
-    is_eulerian: bool
+    __slots__ = ()
 
 
 def build_reconfig(g: SeedGraph, k: int, table: int | None = None) -> ReconfigGraph:

@@ -26,7 +26,6 @@ table of a disjoint union with the outer product of its parts' tables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from itertools import chain
@@ -82,17 +81,18 @@ class ClaimId(str, Enum):
     DOMINATING_GRAPH_CONNECTED_ODD_BIPARTITE = "dominating_graph_connected_odd_bipartite"
 
 
-@dataclass
 class TheoremReport:
-    """Outcome of verifying one claim over a bounded instance range."""
+    """Outcome of verifying one claim over a bounded instance range: claim,
+    bounds, instances_checked, passed, counterexamples, elapsed and details."""
 
-    claim: str
-    bounds: dict
-    instances_checked: int = 0
-    passed: bool = True
-    counterexamples: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
-    details: dict = field(default_factory=dict)
+    def __init__(self, claim: str, bounds: dict):
+        self.claim = claim
+        self.bounds = bounds
+        self.instances_checked = 0
+        self.passed = True
+        self.counterexamples: list[dict] = []
+        self.elapsed = 0.0
+        self.details: dict = {}
 
     def to_json_dict(self) -> dict:
         return {

@@ -495,6 +495,8 @@ def test_malformed_spec_no_partial_output(capsys):
     ["verify", "--claim", "dominating_graph_characterization", "--negative-control",
      "--max-n", "0"],
     ["scan", "--family", "path", "--n", "3..4", "--jobs", "0"],
+    ["verify", "--claim", "parity_odd", "--max-n", "two"],
+    ["scan", "--family", "path", "--n", "3..4", "--jobs", "x"],
 ])
 def test_nonpositive_counts_are_usage_errors(argv, capsys):
     assert run_cli(argv) == 2
@@ -535,11 +537,13 @@ def test_pool_is_clamped_to_task_count(monkeypatch, capsys):
 
 def test_only_a_pool_loads_the_pool_modules():
     """The serial paths leave the pool, traceback, csv and random modules
-    unloaded; scan --jobs 2 still reaches the pool."""
+    unloaded, and no path loads dataclasses or the inspect it pulls in;
+    scan --jobs 2 still reaches the pool."""
     script = (
         "import contextlib, io, sys\n"
         "from domrec.cli import run_cli\n"
-        "lazy = ('concurrent.futures', 'multiprocessing', 'traceback', 'csv', 'random')\n"
+        "lazy = ('concurrent.futures', 'multiprocessing', 'traceback', 'csv', 'random',\n"
+        "        'dataclasses', 'inspect')\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert run_cli(['analyze', '--graph', 'path:4', '--k', '3']) == 0\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"

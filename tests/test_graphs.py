@@ -454,10 +454,16 @@ def test_seeds_are_values_named_apart_from_equality():
     for field, value in (("n", 4), ("adj", ()), ("name", "x")):
         with pytest.raises(AttributeError):
             setattr(a, field, value)
-    # CPython's frozen slotted dataclasses raise TypeError for a name that is
-    # not a field; either way no attribute is added.
-    with pytest.raises((AttributeError, TypeError)):
+    with pytest.raises(AttributeError):
         a.extra = 1
+    assert (a.n, a.adj, a.name) == (3, (0b010, 0b101, 0b010), "path:3")
+
+
+def test_seeds_refuse_attribute_deletion():
+    a = SeedGraph(3, [0b010, 0b101, 0b010], name="path:3")
+    for field in ("n", "adj", "name", "extra"):
+        with pytest.raises(AttributeError):
+            delattr(a, field)
     assert (a.n, a.adj, a.name) == (3, (0b010, 0b101, 0b010), "path:3")
 
 

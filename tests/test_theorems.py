@@ -1,6 +1,5 @@
 """Claim catalog: expected verdicts, lattice verdicts, claim runners."""
 
-import dataclasses
 from functools import cache
 
 import pytest
@@ -499,8 +498,8 @@ def test_universal_gamma_set_reports_each_restricted_mismatch(monkeypatch):
 
 def test_gamma_formulas_report_a_planted_gamma(monkeypatch):
     profile = theorems.domination_profile
-    monkeypatch.setattr(theorems, "domination_profile", lambda g: dataclasses.replace(
-        profile(g), gamma=3) if g.name == "path:4" else profile(g))
+    monkeypatch.setattr(theorems, "domination_profile", lambda g: profile(g)._replace(
+        gamma=3) if g.name == "path:4" else profile(g))
     report = verify_claim(ClaimId.GAMMA_FORMULAS, path_max=4, complete_max=2, biclique_max=2)
     assert report.instances_checked == 11
     assert report.counterexamples == [
