@@ -37,7 +37,8 @@ from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import islice
 
-from .domination import DominationProfile, dominating_table, domination_profile, format_set
+from .domination import (DominationProfile, dominating_table, domination_profile, format_set,
+                          format_sets)
 from .errors import (
     CapacityExceeded,
     ClaimUnknown,
@@ -51,6 +52,8 @@ from .reconfig import (
     build_reconfig,
     euler_circuit,
     eulerian_report,
+    gather,
+    node_ranks,
     reconfig_to_csv,
     reconfig_to_dot,
 )
@@ -108,17 +111,13 @@ def _expected_or_none(spec: FamilySpec | None, g: SeedGraph, k: int) -> bool | N
 _PIECES_PER_WRITE = 4096
 
 
-def _write_joined(out, pieces: Iterable[str], sep: str = ""):
-    """Write sep.join(pieces) to out, _PIECES_PER_WRITE pieces at a time.
+def _write_joined(out, pieces: Iterable[str]):
+    """Write "".join(pieces) to out, _PIECES_PER_WRITE pieces at a time.
     stdout writes through to its buffer, so one write per piece would cost
     more than the joins."""
     it = iter(pieces)
-    batch = list(islice(it, _PIECES_PER_WRITE))
-    while batch:
-        out.write(sep.join(batch))
-        batch = list(islice(it, _PIECES_PER_WRITE))
-        if batch:
-            out.write(sep)
+    for batch in iter(lambda: list(islice(it, _PIECES_PER_WRITE)), []):
+        out.write("".join(batch))
 
 
 def _write_file(path: str, pieces: Iterable[str]):
@@ -203,35 +202,39 @@ def _analysis_lines(report: dict) -> list[str]:
     return lines
 
 
-def _write_analysis(out, report: dict, as_json: bool,
-                    walk: Sequence[int] | None, texts: dict[int, str]):
+def _write_analysis(out, report: dict, as_json: bool, walk: Sequence[int] | None, rank, labels):
     """Write the analyze report to out, with the Euler circuit when walk is
     not None (empty when there is none): text lines, or the report as
     json.dumps(..., sort_keys=True, indent=2) prints it with the circuit as
-    its "euler_circuit" array of node labels.  walk holds node masks, and
-    texts[s] is node s's label as written: in JSON, indented and quoted."""
+    its "euler_circuit" array of node labels.  walk holds node masks, rank[s]
+    is node s's id and labels[i] node i's label as written: in JSON,
+    indented and quoted.  Each _PIECES_PER_WRITE steps are one write."""
     if not as_json:
         out.write("\n".join(_analysis_lines(report)) + "\n")
+        if walk is None:
+            return
+        before, sep, after = "euler circuit: ", " -> ", "\n" if walk else "none\n"
+    else:
+        payload = dict(report)
         if walk is not None:
-            out.write("euler circuit: ")
-            _write_joined(out, map(texts.__getitem__, walk), " -> ")
-            out.write("\n" if walk else "none\n")
-        return
-    payload = dict(report)
-    if walk is not None:
-        payload["euler_circuit"] = []
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if not walk:
-        out.write(text + "\n")
-        return
-    # The key is unique: any quote inside a JSON string is escaped.
-    head, _, tail = text.partition('"euler_circuit": []')
-    out.write(head + '"euler_circuit": [\n')
-    _write_joined(out, map(texts.__getitem__, walk), ",\n")
-    out.write("\n  ]" + tail + "\n")
+            payload["euler_circuit"] = []
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        if not walk:
+            out.write(text + "\n")
+            return
+        # The key is unique: any quote inside a JSON string is escaped.
+        head, _, tail = text.partition('"euler_circuit": []')
+        before, sep, after = head + '"euler_circuit": [\n', ",\n", "\n  ]" + tail + "\n"
+    out.write(before)
+    for start in range(0, len(walk), _PIECES_PER_WRITE):
+        ids = gather(rank, walk[start:start + _PIECES_PER_WRITE])
+        out.write((sep if start else "") + sep.join(gather(labels, ids)))
+    out.write(after)
 
 
 def _cmd_analyze(args) -> int:
+    """The report of D_k(G), with --circuit its Euler circuit: each node's
+    label is formatted once, and the walk's masks read through node_ranks."""
     g, spec = parse_graph_spec(args.graph)
     k = _parse_k(args.k, g.n)
     table = dominating_table(g)
@@ -241,17 +244,18 @@ def _cmd_analyze(args) -> int:
         _write_file(args.dot, reconfig_to_dot(r))
     rep = eulerian_report(r)
     report = analysis_report(g, spec, k, rep, domination_profile(g, table))
-    walk, texts = None, {}
+    walk, rank, labels = None, [], []
     if args.circuit:
         walk = []
         if rep.is_eulerian and rep.edge_count > 0:
             walk = euler_circuit(r)
+            rank = node_ranks(r)
             # Set labels hold digits, braces and commas: nothing JSON escapes.
             head, tail = ('    "', '"') if args.json else ("", "")
-            texts = {s: head + format_set(s) + tail for s in r.nodes}
-    del r  # the walk and the labels are all the output needs of the graph
+            labels = list(format_sets(g.n, r.nodes, head, tail))
+    del r  # the walk, the ranks and the labels are all the output needs of the graph
     # Looked up at call time: callers may redirect sys.stdout.
-    _write_analysis(sys.stdout, report, args.json, walk, texts)
+    _write_analysis(sys.stdout, report, args.json, walk, rank, labels)
     return 0
 
 

@@ -84,6 +84,13 @@ def format_set(bits: int) -> str:
     return "{" + text[1:] + "}"
 
 
+def format_sets(n: int, masks, head: str = "", tail: str = ""):
+    """head + format_set(s) + tail for each vertex mask s of n <= 26 vertices,
+    as it is read; the second label table is built only for n > 13."""
+    low, high = _chunk_labels(0), _chunk_labels(1) if n > 13 else ("",)
+    return (f"{head}{{{(low[s & 0x1FFF] + high[s >> 13])[1:]}}}{tail}" for s in masks)
+
+
 def _repeat(x: int, period: int, width: int) -> int:
     """x, which fills the low period bits, repeated up to width bits (both
     powers of two)."""

@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import chain, islice
-from operator import or_
+from operator import itemgetter, or_
 
 from .domination import (
     bounded,
@@ -22,7 +22,7 @@ from .domination import (
     degree_classes,
     dominating_table,
     flip_masks,
-    format_set,
+    format_sets,
     node_fields,
     ordered_subsets,
 )
@@ -35,6 +35,9 @@ DEFAULT_NODE_CAP = 1 << 22
 
 #: How many odd-degree witness nodes a report keeps.
 ODD_WITNESS_CAP = 8
+
+#: Most trail entries the Euler walk's backtrack reads in one window.
+_BACKTRACK_WINDOW = 4096
 
 
 class ReconfigGraph:
@@ -149,7 +152,11 @@ def euler_circuit(r: ReconfigGraph) -> array:
     size class lower and leaves a smaller mask the higher the vertex it
     drops; with no down-move left, it adds the lowest vertex it can.  A move
     flips its vertex in the mask and clears its bit at both ends, the same
-    bit since flipping the vertex again leads back.
+    bit since flipping the vertex again leads back.  When a sub-trail
+    closes, the trail (a stack of masks) is read back by itemgetter, in
+    windows doubling up to _BACKTRACK_WINDOW entries, to its last node with
+    a move, and each exhausted run goes to the walk reversed; once the trail
+    holds every edge, it unwinds unread.
 
     Raises ReconfigTooLarge past the node cap.  The other checks read the
     flip masks: their XOR holds the odd-degree nodes (NotEulerian), their
@@ -172,11 +179,10 @@ def euler_circuit(r: ReconfigGraph) -> array:
         raise NoEdges("no edges to traverse")
     moves = node_fields(n, flip_masks(n, r.node_set))
     # Masks as 32-bit words: an int of its own per edge is several times larger.
-    stack = array("I", [next(ordered_subsets(n, linked))])
-    walk = array("I")
-    push, pop, step = stack.append, stack.pop, walk.append
-    while stack:
-        s = pop()
+    stack, walk = array("I"), array("I")
+    push = stack.append
+    s = next(ordered_subsets(n, linked))
+    while True:
         m = moves[s]
         while m:
             push(s)
@@ -185,24 +191,47 @@ def euler_circuit(r: ReconfigGraph) -> array:
             moves[s] = m ^ low
             s ^= low
             moves[s] = m = moves[s] ^ low
-        step(s)
+        walk.append(s)
+        # The trail holds len(stack) + len(walk) - 1 edges.
+        width = 1
+        while stack:
+            window = stack[-width:]
+            left = gather(moves, window) if 2 * (len(stack) + len(walk)) <= twice_edges else ()
+            if any(left):
+                break
+            walk.extend(window[::-1])
+            del stack[-width:]
+            width = min(2 * width, _BACKTRACK_WINDOW)
+        else:
+            break
+        j = bytes(map(bool, left)).rfind(1)  # the window's last node with a move
+        walk.extend(window[:j:-1])
+        s = window[j]
+        del stack[j - len(window):]
     if len(walk) != twice_edges // 2 + 1:
         raise NotEulerian("edges in more than one component")
     walk.reverse()
     return walk
 
 
-def _neighbour_ids(r: ReconfigGraph) -> Iterator[list[int]]:
-    """Per node of r in order, its neighbours' places in r.nodes, ascending.
-    rank[s] is mask s's place in r.nodes and -1 off the node set: 4 bytes for
-    each of the 2**n subsets, however few the nodes.  It is filled at the
-    call, after the node cap's check; node s's ids are rank[s ^ 1 << u] >= 0."""
-    nodes = r.nodes
+def gather(seq, keys) -> tuple:
+    """seq[k] for each key k, by itemgetter: a tuple even for one key."""
+    return itemgetter(*keys)(seq) if len(keys) > 1 else (seq[keys[0]],)
+
+
+def node_ranks(r: ReconfigGraph) -> array:
+    """rank[s], mask s's place in r.nodes or -1: 4 bytes for each of the 2**n subsets."""
     rank = array("i", [-1]) * (1 << r.seed.n)
-    for i, s in enumerate(nodes):
+    for i, s in enumerate(r.nodes):
         rank[s] = i
+    return rank
+
+
+def _neighbour_ids(r: ReconfigGraph) -> Iterator[list[int]]:
+    """Per node s of r in order, its neighbours' ids rank[s ^ 1 << u] >= 0, ascending."""
+    rank = node_ranks(r)
     flips = [1 << u for u in range(r.seed.n)]
-    ranked = (sorted([rank[s ^ f] for f in flips]) for s in nodes)
+    ranked = (sorted([rank[s ^ f] for f in flips]) for s in r.nodes)
     return (ids[ids.count(-1):] for ids in ranked)  # the -1s sort first
 
 
@@ -216,7 +245,7 @@ def reconfig_to_dot(r: ReconfigGraph, label_style: str = "set") -> Iterator[str]
         # A leading 1 fixes the width at n digits, none when n = 0.
         texts = (format(s | 1 << r.seed.n, "b")[1:] for s in r.nodes)
     else:
-        texts = map(format_set, r.nodes)
+        texts = format_sets(r.seed.n, r.nodes)
     return chain(
         ["graph reconfig {\n"],
         (f'  {i} [label="{text}"];\n' for i, text in enumerate(texts)),

@@ -282,6 +282,17 @@ def test_euler_circuit_matches_reference_on_a_product():
     assert_matches_reference(prod)
 
 
+@pytest.mark.parametrize("window", [1, 2])
+def test_euler_circuit_matches_reference_in_narrow_backtrack_windows(window, monkeypatch):
+    """The backtrack reads the trail at most one or two entries at a time:
+    every window of one entry reads a lone key, and a run of exhausted nodes
+    (seven of them on C7 at k = 4) spans several windows."""
+    monkeypatch.setattr(reconfig, "_BACKTRACK_WINDOW", window)
+    for spec, k in EULERIAN_FAMILIES:
+        r = build(spec, k)
+        assert indexed_walk(r) == reference_euler_circuit(r), (spec, k)
+
+
 def planted(n, masks):
     """The graph on the given vertex masks of n vertices, each a node, two
     adjacent iff they differ in one vertex: a subgraph of the hypercube Q_n

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import naive_adjacency
-from domrec import cli
+from domrec import cli, domination
 from domrec.cli import parse_graph_spec, run_cli
 from domrec.domination import dominating_table, domination_profile, format_set
 from domrec.reconfig import (
@@ -215,6 +215,33 @@ def test_analyze_circuit_json_memory_per_edge():
         tracemalloc.stop()
     assert sink.sha256.hexdigest() == COCKTAIL_12_JSON_SHA256
     assert peak / COCKTAIL_12_EDGES < 96
+
+
+# sha256 of the stdout of `analyze --graph complete:15 --k 2 --circuit`, as
+# text and with --json, recorded when each label was formatted by format_set:
+# a 211-step circuit through vertices 13 and 14, past the first label table.
+COMPLETE_15_SHA256 = {
+    False: "43c19eb8bbb0a14880c3994ba6cd1198e7629eeecf86256c1e2ff48273d8255d",
+    True: "3e7e6c13b29af42d4b85c50052e73483c2dad62962828bf0c235ded85fd4dba2",
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_complete_15_circuit_is_unchanged(as_json, capsys):
+    argv = ["analyze", "--graph", "complete:15", "--k", "2", "--circuit"] + ["--json"] * as_json
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert "{13,14}" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPLETE_15_SHA256[as_json]
+
+
+def test_circuit_labels_build_one_label_table_on_a_narrow_seed(capsys):
+    """cocktail:12 has 12 vertices: its labels need only the first table of
+    8,192 labels."""
+    domination._chunk_labels.cache_clear()
+    assert run_cli(COCKTAIL_12_ARGV) == 0
+    capsys.readouterr()
+    assert domination._chunk_labels.cache_info().currsize == 1
 
 
 def test_analyze_report_lists_no_node():
