@@ -27,7 +27,10 @@ graph with edge mask E.  labeled_chunks cuts it into LabeledChunks of
 consecutive edge masks, about 2**CHUNK_BITS bits each: a chunk's table is
 the AND over v of cover_v = M_v | OR_u (M_u & X_uv), with M_u the member
 mask of u and X_uv the graphs that have edge uv, and folds of each graph's
-block of 2**n bits give one answer bit per graph.
+block of 2**n bits give one answer bit per graph.  corona_chunks lays out the
+coronas H o K_1 of the labeled inner graphs H on n vertices the same way, on
+their 2n vertices: pendant v' = v + n adds the cover M_v' | M_v, and inner
+vertex v's cover gains M_v'.
 """
 
 from __future__ import annotations
@@ -488,12 +491,60 @@ class LabeledChunk:
             yield labeled_graph(self.n, self.first + low.bit_length() - 1)
 
 
-def labeled_chunks(n: int):
-    """Every labeled graph on n vertices, in edge-mask order, as chunks of
-    about 2**CHUNK_BITS lattice bits."""
+class CoronaChunk(namedtuple("CoronaChunk", "n first every edges table")):
+    """The coronas H o K_1 of consecutive labeled inner graphs H on n vertices,
+    on the (edge mask, subset) lattice of their 2n vertices.  Graph i is the
+    corona of the inner graph with edge mask first + i; its block of 2**(2n)
+    lattice bits starts at bit i * 2**(2n), and bit i * 2**(2n) + S of table
+    is set iff S dominates it.  every and edges are per-graph answers over
+    the inner graphs, as LabeledChunk's."""
+
+    __slots__ = ()
+
+
+def _chunk_shape(n: int, order: int) -> tuple[int, int]:
+    """The m pairs of n vertices, and the b low edges of a chunk of labeled
+    graphs whose seeds have order vertices: 2**b seeds of 2**order lattice
+    bits make about 2**CHUNK_BITS bits (all m edges if there are fewer, none
+    at least)."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise BoundExceeded(f"labeled sweeps support 1 <= n <= {ENUMERATION_CAP}, got {n}")
     m = len(vertex_pairs(n))
-    b = min(m, max(CHUNK_BITS - n, 0))
+    return m, min(m, max(CHUNK_BITS - order, 0))
+
+
+def labeled_chunks(n: int):
+    """Every labeled graph on n vertices, in edge-mask order, as chunks of
+    about 2**CHUNK_BITS lattice bits."""
+    m, b = _chunk_shape(n, n)
     for first in range(0, 1 << m, 1 << b):
         yield LabeledChunk(n, first, b)
+
+
+def corona_chunks(n: int):
+    """The corona of every labeled inner graph on n vertices, in edge-mask
+    order, as CoronaChunks of about 2**CHUNK_BITS lattice bits.  As in
+    _chunk_lattice, the member masks of the 2n vertices are the first 2n of
+    _members(2n + b), and the inner graphs' low edges the other b.  A table
+    is the AND of the pendants' covers M_v' | M_v, taken once per n, and of
+    the inner vertices' covers: M_v | M_v' plus M_u in the blocks of the
+    graphs with low edge uv, also taken once, and M_u for each high edge uv
+    that the chunk's graphs share.  The inner covers are ANDed in one at a
+    time, so a chunk holds few masks at once."""
+    m, b = _chunk_shape(n, 2 * n)
+    member = _members(2 * n + b)
+    covers = [member[v] | member[v + n] for v in range(n)]
+    pendants = reduce(and_, covers)
+    for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
+        covers[u] |= member[v] & member[2 * n + e]
+        covers[v] |= member[u] & member[2 * n + e]
+    every = (1 << (1 << b)) - 1
+    for first in range(0, 1 << m, 1 << b):
+        table = pendants
+        for cover, high in zip(covers, labeled_graph(n, first).adj):  # first has no low edge
+            for u in range(n):
+                if high >> u & 1:
+                    cover |= member[u]
+            table &= cover
+        edges = list(_members(b)) + [every * (first >> e & 1) for e in range(b, m)]
+        yield CoronaChunk(n, first, every, edges, table)

@@ -324,29 +324,6 @@ def is_cocktail_party(g: SeedGraph) -> bool:
     return induces_cocktail_party(g, (1 << g.n) - 1)
 
 
-def is_bipartite(g: SeedGraph) -> bool:
-    """Two-colorability check by breadth-first traversal of each component."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            m = g.adj[v]
-            while m:
-                low = m & -m
-                m ^= low
-                u = low.bit_length() - 1
-                if color[u] < 0:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
-
-
 def _component_mask(adj, start: int) -> int:
     """Bitmask of vertices reachable from start."""
     seen = 1 << start
@@ -423,6 +400,23 @@ def sliced_connected(n: int, edges: list[int], every: int) -> int:
             reach[u] |= reach[v] & x
         if reach == before:
             return reduce(and_, reach)
+
+
+@cache
+def _same_class_pairs(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per 2-colouring of n vertices that gives vertex 0 colour 0, the
+    indices in vertex_pairs(n) of the pairs inside a colour class."""
+    return tuple(tuple(e for e, (u, v) in enumerate(vertex_pairs(n))
+                       if not (colour >> u ^ colour >> v) & 1)
+                 for colour in range(0, 1 << n, 2))
+
+
+def sliced_bipartite(n: int, edges: list[int], every: int) -> int:
+    """The graphs of the batch that are bipartite: those with no edge inside
+    a colour class of some 2-colouring, over the 2**(n - 1) colourings that
+    give vertex 0 colour 0 (swapping the colours keeps the classes)."""
+    return reduce(or_, (every & ~reduce(or_, map(edges.__getitem__, inside), 0)
+                        for inside in _same_class_pairs(n)))
 
 
 def sliced_non_neighbors(n: int, edges: list[int], every: int, levels: int) -> list[list[int]]:

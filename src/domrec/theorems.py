@@ -10,17 +10,16 @@ component (computed_eulerian).  The report on a built D_k is the tests'
 oracle.  Every claim is a sweep body that yields its disagreements; _run,
 the driver of every claim, turns them into a capped, timed report.
 
-Every labeled seed comes from the (edge mask, subset) lattice of
-domination.labeled_chunks.  Five claims are decided there by a second driver,
-_chunk_sweep, which owns the sweep order, the instance count and the decoding
-of flagged seeds; a judge per claim reads each seed's D(G) off the chunk's
-folds (order, degree parities, up-closure, the threshold fold's gamma < t)
-for the whole chunk at once.  A seed is built as a SeedGraph only where
-needed: an Eulerian candidate, a disagreement, a universal-gamma instance, or
-a corona claim's inner graph, which _labeled decodes from the chunks.  The
-two corona claims decide each distinct (table, k) once, since all inner
-graphs of one order share one corona table.  The product claim compares the
-table of a disjoint union with the outer product of its parts' tables.
+Seven claims sweep the labeled graphs on lattice chunks.  Five read each
+seed's D(G) off domination.labeled_chunks through _chunk_sweep, which owns
+the sweep order, the instance count and the decoding of flagged seeds,
+while a judge per claim folds a chunk (order, degree parities, up-closure,
+gamma < t) for all its seeds at once.  The corona claims read the coronas'
+tables off domination.corona_chunks and decide each distinct (table, k)
+once.  A seed is built as a SeedGraph only for an Eulerian candidate, a
+disagreement, a universal-gamma instance or a corona with a new table.  The
+product claim compares the table of a disjoint union with the outer product
+of its parts' tables.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from itertools import chain
 from operator import or_
 
 from .domination import (
+    corona_chunks,
     dominating_table,
     domination_profile,
     labeled_chunks,
@@ -48,12 +48,12 @@ from .graphs import (
     corona_of,
     disjoint_union,
     induces_cocktail_party,
-    is_bipartite,
     is_cocktail_party,
     is_complete,
     is_connected,
     labeled_graph,
     make_family,
+    sliced_bipartite,
     sliced_cocktail_party,
     sliced_connected,
     to_graph6,
@@ -258,17 +258,13 @@ def _run(claim: ClaimId, body, **bounds) -> TheoremReport:
     return report
 
 
-def _chunks(n_min: int, n_max: int):
-    """Every labeled seed on n_min..n_max vertices as lattice chunks, in order
-    of n and edge mask; an over-bound request fails here, before any sweep."""
+def _chunks(n_min: int, n_max: int, chunks=labeled_chunks):
+    """Every labeled seed on n_min..n_max vertices as lattice chunks, or with
+    chunks=corona_chunks the coronas of those seeds, in order of n and edge
+    mask; an over-bound request fails here, before any sweep."""
     if n_max > ENUMERATION_CAP:
         raise BoundExceeded(f"exhaustive sweeps support n <= {ENUMERATION_CAP}, got {n_max}")
-    return chain.from_iterable(map(labeled_chunks, range(n_min, n_max + 1)))
-
-
-def _labeled(n_min: int, n_max: int):
-    """Every labeled seed on n_min..n_max vertices, in order of n and edge mask."""
-    return chain.from_iterable(chunk.graphs(chunk.every) for chunk in _chunks(n_min, n_max))
+    return chain.from_iterable(map(chunks, range(n_min, n_max + 1)))
 
 
 def _chunk_sweep(report, n_min: int, n_max: int, judge):
@@ -389,38 +385,44 @@ def _complete_k(report, n_max: int = 12):
     return _family_sweep(report, [FamilySpec.complete(n) for n in range(2, n_max + 1)])
 
 
-def _corona_sweep(report, inners, check_profile: bool):
-    """D_k of the corona of each inner graph, for n < k < 2n with n the inner
-    order; with check_profile, also its domination profile.
+def _corona_sweep(report, chunks, bipartite: bool):
+    """D_k of the coronas of the corona chunks for n < k < 2n, n the inner
+    order: with bipartite, of the bipartite inner graphs' coronas alone, and
+    otherwise of every corona, whose domination profile is checked too.
 
-    Every inner graph is built, its corona's table computed and each of its
-    instances counted and checked, but each distinct table is profiled once
-    and each distinct (table, k) decided once: a set dominates the corona
-    iff it meets {v, v'} for every inner vertex v, so every inner graph of
-    one order gives the same table.  A table's top bit is the full vertex
-    set, so the table fixes the order too.
+    Each chunk's table is cut into one block of 2**(2n) bits per graph, as
+    bytes.  Every instance is counted, but each distinct block is profiled
+    and decided once, on the corona of its first inner graph: a set
+    dominates a corona iff it meets {v, v'} for each inner vertex v, so all
+    inner graphs of one order share a table, and a changed corona gets
+    verdicts of its own.  Disagreements come per inner graph in order of n
+    and edge mask, the profile's first.
     """
-    gammas = {}
-    verdicts = {}
-    for inner in inners:
-        n = inner.n
-        g = corona_of(inner)
-        table = dominating_table(g)
-        if check_profile:
-            if table not in gammas:
-                profile = domination_profile(g, table)
-                gammas[table] = profile.gamma, profile.upper_gamma
-            if gammas[table] != (n, n):
-                yield (f"corona:g6:{to_graph6(inner)}", None, f"gamma = upper_gamma = {n}",
-                       list(gammas[table]))
-        for k in range(n + 1, 2 * n):
-            if (table, k) not in verdicts:
-                verdicts[table, k] = computed_eulerian(g, k, table)
-            computed = verdicts[table, k]
-            expected = _corona_eulerian(n, k)
-            report.instances_checked += 1
-            if computed != expected:
-                yield f"corona:g6:{to_graph6(inner)}", k, expected, computed
+    problems = {}  # per distinct block: its (k, expected, computed) disagreements
+    for chunk in chunks:
+        n, count, width = chunk.n, chunk.every.bit_length(), 1 << 2 * chunk.n - 3
+        instances = sliced_bipartite(n, chunk.edges, chunk.every) if bipartite else chunk.every
+        report.instances_checked += instances.bit_count() * (n - 1)
+        data = chunk.table.to_bytes(width * count, "little")
+        for i in range(count):
+            if not instances >> i & 1:
+                continue
+            block = data[i * width : (i + 1) * width]
+            if block not in problems:
+                g = corona_of(labeled_graph(n, chunk.first + i))
+                table = int.from_bytes(block, "little")
+                found = problems[block] = []
+                profile = None if bipartite else domination_profile(g, table)
+                if profile and (profile.gamma, profile.upper_gamma) != (n, n):
+                    found.append((None, f"gamma = upper_gamma = {n}",
+                                  [profile.gamma, profile.upper_gamma]))
+                for k in range(n + 1, 2 * n):
+                    computed = computed_eulerian(g, k, table)
+                    if computed != _corona_eulerian(n, k):
+                        found.append((k, _corona_eulerian(n, k), computed))
+            if problems[block]:
+                seed = f"corona:g6:{to_graph6(labeled_graph(n, chunk.first + i))}"
+                yield from ((seed, *problem) for problem in problems[block])
 
 
 def _corona(report, inner_max: int = 5):
@@ -428,27 +430,24 @@ def _corona(report, inner_max: int = 5):
     the inner order is even and k is one above it.  Also checks that coronas
     are well-dominated with domination number equal to the inner order."""
     report.bounds = {"inner_min": 2, "inner_max": inner_max}
-    return _corona_sweep(report, _labeled(2, inner_max), check_profile=True)
+    return _corona_sweep(report, _chunks(2, inner_max, corona_chunks), bipartite=False)
 
 
 def _bipartite_well_dominated(report, inner_max: int = 5):
     """Catalogued claim for bipartite well-dominated seeds on 2n vertices:
     Eulerian iff the seed is the 4-cycle with k = 3, or a corona with n even
-    and k = n + 1.
-
-    The 4-cycle bullet is recorded verbatim from the source catalog even
-    though it contradicts the path/cycle characterization (D_3 of the 4-cycle
-    has a degree-3 node), so this claim is expected to report exactly that
-    counterexample.
-    """
+    and k = n + 1.  The 4-cycle bullet is recorded verbatim from the source
+    catalog even though it contradicts the path/cycle characterization (D_3
+    of the 4-cycle has a degree-3 node), so this claim is expected to report
+    exactly that counterexample."""
     report.bounds = {"inner_min": 2, "inner_max": inner_max}
-    inners = filter(is_bipartite, _labeled(2, inner_max))
+    chunks = _chunks(2, inner_max, corona_chunks)
     c4 = make_family(FamilySpec.cycle(4))
     computed = computed_eulerian(c4, 3)
     report.instances_checked += 1
     if computed is not True:
         yield c4, 3, True, computed
-    yield from _corona_sweep(report, inners, check_profile=False)
+    yield from _corona_sweep(report, chunks, bipartite=True)
 
 
 def _product_instance(report, parts: list[SeedGraph]):

@@ -22,6 +22,10 @@ non-neighbor counts instead.
 rebuilt_lattice and tiled_chunk_lattice are the package's former lattice
 builders, which rebuilt the member and size lists per vertex and tiled a
 chunk's masks block by block: the oracles of the masks built once.
+is_bipartite, a breadth-first 2-colouring, is the oracle of
+graphs.sliced_bipartite, and dominating_pair_counts, a count one
+(graph, set) pair at a time, that of the closed form of the chunk tables'
+totals.
 """
 
 from __future__ import annotations
@@ -251,6 +255,40 @@ def naive_is_dominating(g: SeedGraph, bits: int) -> bool:
         if not (g.adj[v] & bits):
             return False
     return True
+
+
+def is_bipartite(g: SeedGraph) -> bool:
+    """Two-colorability check by breadth-first traversal of each component."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            m = g.adj[v]
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                if color[u] < 0:
+                    color[u] = color[v] ^ 1
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    return False
+    return True
+
+
+def dominating_pair_counts(n: int) -> list[int]:
+    """Per cardinality c = 0..n, the pairs (labeled graph G on n vertices,
+    c-set S that dominates G), counted one pair at a time through
+    naive_is_dominating: the oracle of the closed form N(n, c)."""
+    counts = [0] * (n + 1)
+    for g in enumerate_labeled_graphs(n):
+        for s in range(1 << n):
+            counts[s.bit_count()] += naive_is_dominating(g, s)
+    return counts
 
 
 def bytewise_dominating_table(g: SeedGraph) -> bytearray:

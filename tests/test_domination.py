@@ -11,8 +11,10 @@ from hypothesis import given, settings
 
 from conftest import (
     bytewise_dominating_table,
+    dominating_pair_counts,
     enumerate_dominating_sets,
     enumerate_labeled_graphs,
+    is_bipartite,
     is_dominating,
     is_minimal_dominating,
     naive_dominating_masks,
@@ -39,6 +41,7 @@ from domrec import (
 from domrec import domination
 from domrec.domination import (
     bounded,
+    corona_chunks,
     dominating_table,
     labeled_chunks,
     lattice_eulerian,
@@ -47,7 +50,10 @@ from domrec.domination import (
     up_closure_gaps,
 )
 from domrec.graphs import (
+    corona_of,
     is_connected,
+    labeled_graph,
+    sliced_bipartite,
     sliced_cocktail_party,
     sliced_connected,
     sliced_non_neighbors,
@@ -378,6 +384,67 @@ def test_sliced_non_neighbor_counters_match_degrees(monkeypatch, levels):
             for i, g in enumerate(chunk.graphs(chunk.every)):
                 assert [[x >> i & 1 for x in counter] for counter in counts] == [
                     [int(n - 1 - g.degree(v) > j) for j in range(depth)] for v in range(n)]
+
+
+def test_sliced_bipartite_matches_the_per_seed_check():
+    """Every labeled graph with n <= 6, and every graph of three seeded
+    chunks at n = 7: bit i is set iff graph i is bipartite."""
+    chunks = [c for n in range(1, 7) for c in labeled_chunks(n)]
+    b = next(labeled_chunks(7)).count.bit_length() - 1
+    rng = random.Random(2024)
+    chunks += [domination.LabeledChunk(7, rng.randrange(1 << 21 - b) << b, b) for _ in range(3)]
+    for chunk in chunks:
+        bits = sliced_bipartite(chunk.n, chunk.edges, chunk.every)
+        assert [bits >> i & 1 for i in range(chunk.count)] == [
+            is_bipartite(g) for g in chunk.graphs(chunk.every)], (chunk.n, chunk.first)
+
+
+@pytest.mark.parametrize("chunk_bits", [domination.CHUNK_BITS, 8])
+def test_corona_chunks_match_the_per_corona_tables(monkeypatch, chunk_bits):
+    """Every inner graph with n <= 5: block i of each corona chunk is the
+    table of the corona of inner graph first + i, and its edge bits are that
+    graph's.  n = 5 takes several chunks; with 2**8 bits n = 4 and 5 take
+    one inner graph a chunk."""
+    monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
+    for n in range(1, 6):
+        block = 1 << 2 * n
+        firsts = []
+        for chunk in corona_chunks(n):
+            firsts.append(chunk.first)
+            for i in range(chunk.every.bit_length()):
+                inner = labeled_graph(n, chunk.first + i)
+                assert chunk.table >> i * block & (1 << block) - 1 == dominating_table(
+                    corona_of(inner)), (n, chunk.first + i)
+                assert [e >> i & 1 for e in chunk.edges] == [
+                    inner.has_edge(u, v) for u, v in vertex_pairs(n)]
+        assert firsts == list(range(0, 1 << len(vertex_pairs(n)), chunk.every.bit_length()))
+    with pytest.raises(BoundExceeded):
+        next(corona_chunks(8))
+
+
+def _dominating_pairs(n: int, c: int) -> int:
+    """N(n, c), the pairs (labeled graph G on n vertices, c-set S that
+    dominates G): choose S, give each of the n - c vertices outside it a
+    nonempty set of neighbours in S, and take any edges inside S and
+    inside its complement."""
+    return comb(n, c) * (2 ** c - 1) ** (n - c) * 2 ** (comb(c, 2) + comb(n - c, 2))
+
+
+def test_dominating_pairs_match_the_brute_force_count():
+    for n in range(1, 6):
+        assert [_dominating_pairs(n, c) for c in range(n + 1)] == dominating_pair_counts(n), n
+
+
+def test_chunk_tables_sum_to_the_dominating_pairs():
+    """Per size class c, the dominating c-sets of every chunk with n <= 7
+    sum to N(n, c): a check of the table bits themselves, not of per-graph
+    verdicts."""
+    for n in range(1, 8):
+        totals = [0] * (n + 1)
+        for chunk in labeled_chunks(n):
+            for c, x in enumerate(chunk.lattice[1]):
+                totals[c] += (chunk.table & x).bit_count()
+        assert totals == [_dominating_pairs(n, c) for c in range(n + 1)], n
 
 
 def test_labeled_chunks_bound():

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cartesian_product, enumerate_labeled_graphs, listed_adjacency, seed_graphs
+from conftest import (
+    cartesian_product,
+    enumerate_labeled_graphs,
+    is_bipartite,
+    listed_adjacency,
+    seed_graphs,
+)
 from domrec import (
     FamilySpec,
     SeedGraph,
@@ -30,7 +36,6 @@ from domrec.errors import (
 from domrec.graphs import (
     ARITY,
     HARD_CAP,
-    is_bipartite,
     is_connected,
     labeled_graph,
     parse_graph_spec,

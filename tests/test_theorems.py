@@ -1,6 +1,7 @@
 """Claim catalog: expected verdicts, lattice verdicts, claim runners."""
 
 from functools import cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from conftest import (
     built_product_problems,
     dominating_graph_shape,
     enumerate_labeled_graphs,
+    is_bipartite,
     listed_adjacency,
     odd_degree_nodes,
     parity_bipartition_valid,
@@ -41,7 +43,7 @@ from domrec.theorems import (
     negative_control_characterization,
 )
 from domrec import domination, reconfig, theorems
-from domrec.domination import dominating_table, labeled_chunks, up_closure_gaps
+from domrec.domination import corona_chunks, dominating_table, labeled_chunks, up_closure_gaps
 
 
 # --- expected verdicts -------------------------------------------------------
@@ -620,8 +622,13 @@ def test_mixed_parity_reports_each_missing_parity(monkeypatch, odd_nodes, pariti
 
 
 def test_labeled_seeds_come_from_the_chunks_in_enumeration_order():
+    """Both kinds of chunk the sweeps read hold every labeled graph, as a
+    seed or as a corona's inner graph, in enumeration order."""
     for n in range(1, 7):
-        assert list(theorems._labeled(n, n)) == list(enumerate_labeled_graphs(n))
+        seeds = [g for c in theorems._chunks(n, n) for g in c.graphs(c.every)]
+        inners = [labeled_graph(n, c.first + i) for c in theorems._chunks(n, n, corona_chunks)
+                  for i in range(c.every.bit_length())]
+        assert seeds == inners == list(enumerate_labeled_graphs(n))
 
 
 @pytest.mark.parametrize("claim", [
@@ -662,9 +669,19 @@ def _corona_outcome(report):
 
 
 def _reference_corona_report(monkeypatch, claim, inner_max):
-    """The claim's report with the per-inner reference loop as its sweep."""
+    """The claim's report with the per-inner reference loop as its sweep, in
+    place of the corona chunks: it is fed every labeled inner graph from
+    enumerate_labeled_graphs, the bipartite ones alone (is_bipartite) for
+    bipartite_well_dominated."""
+    bipartite = claim == ClaimId.BIPARTITE_WELL_DOMINATED
+
+    def sweep(report, chunks, **_):
+        inners = chain.from_iterable(map(enumerate_labeled_graphs, range(2, inner_max + 1)))
+        return reference_corona_sweep(report, filter(is_bipartite, inners) if bipartite else inners,
+                                      check_profile=not bipartite)
+
     with monkeypatch.context() as m:
-        m.setattr(theorems, "_corona_sweep", reference_corona_sweep)
+        m.setattr(theorems, "_corona_sweep", sweep)
         return verify_claim(claim, inner_max=inner_max)
 
 
@@ -675,25 +692,59 @@ def test_corona_claims_match_the_per_inner_reference(monkeypatch, claim, inner_m
         _reference_corona_report(monkeypatch, claim, inner_max))
 
 
+def _tampering(targets):
+    """corona_of and corona_chunks that drop the pendant edge at inner vertex
+    0 from the corona of each inner graph in targets: corona_of from the
+    corona it builds, corona_chunks from the inner graph's block of its
+    chunk's table, which takes the built corona's table."""
+    honest_of, honest_chunks = theorems.corona_of, theorems.corona_chunks
+
+    def corona_of(inner):
+        g = honest_of(inner)
+        if inner not in targets:
+            return g
+        adj = list(g.adj)
+        adj[0] ^= 1 << inner.n
+        adj[inner.n] ^= 1
+        return SeedGraph(g.n, adj)
+
+    def corona_chunks(n):
+        width = 1 << 2 * n
+        for chunk in honest_chunks(n):
+            table = chunk.table
+            for i in range(chunk.every.bit_length()):
+                inner = labeled_graph(n, chunk.first + i)
+                if inner in targets:
+                    at = i * width
+                    block = dominating_table(corona_of(inner))
+                    table = table & ~((1 << width) - 1 << at) | block << at
+            yield chunk._replace(table=table)
+
+    return corona_of, corona_chunks
+
+
+def _tampered_reports(monkeypatch, claim, targets):
+    """The claim's report at inner_max 4 with the targets' coronas tampered
+    in the chunk tables, and the reference's with them tampered in
+    corona_of."""
+    corona_of, corona_chunks = _tampering(targets)
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "corona_chunks", corona_chunks)
+        report = verify_claim(claim, inner_max=4)
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "corona_of", corona_of)
+        return report, _reference_corona_report(m, claim, 4)
+
+
 def test_corona_claims_report_a_tampered_corona_table(monkeypatch):
     """One inner graph's corona loses the pendant edge at vertex 0, so its
     table is new: the shared verdicts must not answer it, and both sweeps
     report exactly its counterexamples.  With vertex 4 isolated and 0 joined
     only to 1, gamma is 4 ({1, 2, 3, 4}), {0, 4, 5, 6, 7} is a minimal
-    dominating set of 5, and D_5 is not Eulerian."""
+    dominating set of 5, and D_5 is not Eulerian.  The sweep sees the tamper
+    as the path:4 inner graph's block of its corona chunk, and the
+    reference through corona_of."""
     target = make_family(FamilySpec.path(4))
-    honest = theorems.corona_of
-
-    def tampered(inner):
-        g = honest(inner)
-        if inner != target:
-            return g
-        adj = list(g.adj)
-        adj[0] ^= 1 << 4
-        adj[4] ^= 1
-        return SeedGraph(g.n, adj)
-
-    monkeypatch.setattr(theorems, "corona_of", tampered)
     seed = f"corona:g6:{to_graph6(target)}"
     missed = {"seed": seed, "k": 5, "expected": True, "computed": False}
     expected = {
@@ -703,10 +754,24 @@ def test_corona_claims_report_a_tampered_corona_table(monkeypatch):
             {"seed": "cycle:4", "k": 3, "expected": True, "computed": False}, missed],
     }
     for claim, counterexamples in expected.items():
-        report = verify_claim(claim, inner_max=4)
+        report, reference = _tampered_reports(monkeypatch, claim, [target])
         assert report.counterexamples == counterexamples
-        assert _corona_outcome(report) == _corona_outcome(
-            _reference_corona_report(monkeypatch, claim, 4))
+        assert _corona_outcome(report) == _corona_outcome(reference)
+
+
+@pytest.mark.parametrize("claim", [ClaimId.CORONA, ClaimId.BIPARTITE_WELL_DOMINATED],
+                         ids=lambda c: c.value)
+def test_tampered_coronas_are_reported_in_edge_mask_order(monkeypatch, claim):
+    """Two tampered inner graphs of one chunk, the star at vertex 0 (edge
+    mask 7) and the path 0-1-2-3 (edge mask 41), are reported in edge-mask
+    order, each with its profile's problem first, as the per-inner
+    reference reports them."""
+    targets = [labeled_graph(4, 41), labeled_graph(4, 7)]
+    report, reference = _tampered_reports(monkeypatch, claim, targets)
+    seeds = [ce["seed"] for ce in report.counterexamples if ce["seed"] != "cycle:4"]
+    order = [f"corona:g6:{to_graph6(labeled_graph(4, mask))}" for mask in (7, 41)]
+    assert sorted(set(seeds), key=seeds.index) == order
+    assert _corona_outcome(report) == _corona_outcome(reference)
 
 
 @pytest.mark.parametrize("claim,verdicts,profiles,instances", [
