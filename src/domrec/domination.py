@@ -28,9 +28,11 @@ consecutive edge masks, about 2**CHUNK_BITS bits each: a chunk's table is
 the AND over v of cover_v = M_v | OR_u (M_u & X_uv), with M_u the member
 mask of u and X_uv the graphs that have edge uv, and folds of each graph's
 block of 2**n bits give one answer bit per graph.  corona_chunks lays out the
-coronas H o K_1 of the labeled inner graphs H on n vertices the same way, on
-their 2n vertices: pendant v' = v + n adds the cover M_v' | M_v, and inner
-vertex v's cover gains M_v'.
+coronas H o K_1 of the labeled inner graphs H on n vertices as LabeledChunks
+too, of order 2n: pendant v' = v + n has the cover M_v' | M_v, and inner
+vertex v's cover gains M_v'.  Where a graph's block sits is known here
+alone: graph_table reads one, and differs_from_first flags the graphs whose
+table is not graph 0's.
 """
 
 from __future__ import annotations
@@ -385,43 +387,54 @@ _LOWEST_BIT_DIGIT = bytes(b"01"[i & 1] for i in range(256))
 
 
 @cache
-def _chunk_lattice(n: int, b: int):
-    """What every chunk of 2**b labeled graphs on n vertices shares.
+def _chunk_lattice(n: int, b: int, order: int | None = None):
+    """What every chunk of 2**b labeled graphs on n vertices shares, for
+    seeds of order vertices: the graphs themselves (order n, the default) or
+    their coronas (order 2n).
 
-    Graph i has low edge e < b iff bit e of i is set, so bit i * 2**n + S
-    of the chunk is the subset S + i * 2**n of n + b vertices: the chunk's
-    member masks are the first n of _members(n + b), its low edges' masks
-    the other b, and their per-graph bits _members(b); no size class of
-    n + b or b vertices is built.  The size classes of n vertices are
-    repeated in each block.  cover[v] is member[v] plus member[u] in the
-    blocks of the graphs with edge uv.
+    Graph i has low edge e < b iff bit e of i is set, so bit i * 2**order + S
+    of the chunk is the subset S + i * 2**order of order + b vertices: the
+    chunk's member masks are the first order of _members(order + b), its low
+    edges' masks the other b, and their per-graph bits _members(b); no size
+    class of order + b or b vertices is built.  The size classes of order
+    vertices are repeated in each block.  cover[v] is member[v], plus the
+    member mask of its partner for a corona's vertex v and pendant v + n,
+    plus member[u] in the blocks of the graphs with edge uv.
     """
-    member = _members(n + b)
-    sizes = [_repeat(x, 1 << n, 1 << n + b) for x in _sizes(n)]
-    covers = list(member[:n])
+    order = order or n
+    member = _members(order + b)
+    sizes = [_repeat(x, 1 << order, 1 << order + b) for x in _sizes(order)]
+    covers = list(member[:order])
+    for v in range(order - n):  # a corona's pendants; none at order n
+        covers[v] |= member[v + n]
+        covers[v + n] |= member[v]
     for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
-        covers[u] |= member[v] & member[n + e]
-        covers[v] |= member[u] & member[n + e]
-    return (member[:n], sizes), covers, _members(b)
+        covers[u] |= member[v] & member[order + e]
+        covers[v] |= member[u] & member[order + e]
+    return (member[:order], sizes), covers, _members(b)
 
 
 class LabeledChunk:
-    """Consecutive labeled graphs on n vertices on the (edge mask, subset) lattice.
+    """Consecutive labeled graphs on n vertices, or their coronas, on the
+    (edge mask, subset) lattice.
 
-    Graph i of the chunk is the one with edge mask first + i.  Its block of
-    2**n lattice bits starts at bit i * 2**n, and bit i * 2**n + S of table
-    is set iff S dominates graph i; lattice holds the member and size masks
-    of _chunk_lattice.  The graphs share their high edges and run through
-    every combination of the low ones.  A per-graph answer is an int
-    whose bit i is graph i's: every has all count bits set, and edges[e]
-    holds the graphs with the e-th pair of vertex_pairs(n).  Folds of the
-    blocks give such answers: any, parity, and the threshold fold below_threshold.
+    Graph i of the chunk is the one with edge mask first + i.  Its seed, the
+    graph itself or its corona, has order vertices (n or 2n), its block of
+    2**order lattice bits starts at bit i * 2**order, and bit
+    i * 2**order + S of table is set iff S dominates seed i; lattice holds
+    the member and size masks of _chunk_lattice.  The graphs share their
+    high edges and run through every combination of the low ones.  A
+    per-graph answer is an int whose bit i is graph i's: every has all
+    count bits set, and edges[e] holds the graphs with the e-th pair of
+    vertex_pairs(n).  Folds of the blocks give such answers: any, parity,
+    differs_from_first and, for the graphs themselves, below_threshold.
     """
 
-    __slots__ = ("n", "first", "count", "every", "edges", "table", "lattice")
+    __slots__ = ("n", "order", "first", "count", "every", "edges", "table", "lattice")
 
-    def __init__(self, n: int, first: int, b: int):
-        lattice, covers, low_edges = _chunk_lattice(n, b)
+    def __init__(self, n: int, first: int, b: int, order: int | None = None):
+        self.order = order = order or n
+        lattice, covers, low_edges = _chunk_lattice(n, b, order)
         members = lattice[0]
         self.n = n
         self.first = first
@@ -443,8 +456,9 @@ class LabeledChunk:
         """Per graph, the lowest bit of its block of x.  A block of 8 bits
         or more starts a byte, so the bytes are taken at a stride of one
         block and each becomes the binary digit of its lowest bit; a chunk
-        of narrower blocks (n < 3) is at most 8 bits, read digit by digit."""
-        block = 1 << self.n
+        of narrower blocks (order < 3) is at most 8 bits, read digit by
+        digit."""
+        block = 1 << self.order
         width = block * self.count
         if block < 8:
             return int(format(x, f"0{width}b")[block - 1 :: block], 2)
@@ -454,28 +468,40 @@ class LabeledChunk:
     def any(self, x: int) -> int:
         """Per graph, whether its block of the lattice mask x has a set bit:
         an OR fold of each block into its lowest bit."""
-        for s in range(self.n):
+        for s in range(self.order):
             x |= x >> (1 << s)
         return self._lowest(x)
 
     def parity(self, x: int) -> int:
         """Per graph, the parity of the set bits in its block of x: an XOR
         fold."""
-        for s in range(self.n):
+        for s in range(self.order):
             x ^= x >> (1 << s)
         return self._lowest(x)
 
+    def graph_table(self, i: int) -> int:
+        """Graph i's block of table: the table of its seed."""
+        block = 1 << self.order
+        return self.table >> i * block & (1 << block) - 1
+
+    def differs_from_first(self) -> int:
+        """Per graph, whether its table differs from graph 0's: an any fold
+        of table XOR graph 0's block repeated in every block."""
+        block = 1 << self.order
+        return self.any(self.table ^ _repeat(self.graph_table(0), block, block * self.count))
+
     def odd_degree_nodes(self) -> int:
-        """The odd-degree nodes of each graph's unrestricted D(G), as lattice
-        bits: _odd_nodes at k = n, whose member masks keep every shifted bit
-        inside its own block."""
-        return _odd_nodes(self.lattice, self.n, self.table, self.n, self.table)
+        """The odd-degree nodes of each seed's unrestricted D(G), as lattice
+        bits: _odd_nodes at k = order, whose member masks keep every shifted
+        bit inside its own block."""
+        return _odd_nodes(self.lattice, self.order, self.table, self.order, self.table)
 
     def below_threshold(self) -> int:
-        """The graphs with gamma below the universal threshold t = n - delta:
-        those with a dominating and a non-dominating c-set for some c.  A set
-        fails to dominate iff it lies in V - N[v] for some v, so wide[c - 1],
-        the graphs with a vertex of c or more non-neighbors, have the latter,
+        """The graphs with gamma below the universal threshold t = n - delta,
+        for a chunk of the graphs themselves (order n): those with a
+        dominating and a non-dominating c-set for some c.  A set fails to
+        dominate iff it lies in V - N[v] for some v, so wide[c - 1], the
+        graphs with a vertex of c or more non-neighbors, have the latter,
         and a fold per c = 1..n-1 finds the former."""
         sizes = self.lattice[1]
         counts = sliced_non_neighbors(self.n, self.edges, self.every, self.n - 1)
@@ -483,68 +509,33 @@ class LabeledChunk:
         return reduce(or_, (self.any(self.table & sizes[c]) & x for c, x in enumerate(wide, 1)), 0)
 
     def graphs(self, bits: int):
-        """The graphs of the chunk whose bits are set, decoded in edge-mask
-        order."""
+        """The labeled graphs of the chunk whose bits are set, decoded in
+        edge-mask order: a corona chunk's inner graphs."""
         while bits:
             low = bits & -bits
             bits ^= low
             yield labeled_graph(self.n, self.first + low.bit_length() - 1)
 
 
-class CoronaChunk(namedtuple("CoronaChunk", "n first every edges table")):
-    """The coronas H o K_1 of consecutive labeled inner graphs H on n vertices,
-    on the (edge mask, subset) lattice of their 2n vertices.  Graph i is the
-    corona of the inner graph with edge mask first + i; its block of 2**(2n)
-    lattice bits starts at bit i * 2**(2n), and bit i * 2**(2n) + S of table
-    is set iff S dominates it.  every and edges are per-graph answers over
-    the inner graphs, as LabeledChunk's."""
-
-    __slots__ = ()
-
-
-def _chunk_shape(n: int, order: int) -> tuple[int, int]:
-    """The m pairs of n vertices, and the b low edges of a chunk of labeled
-    graphs whose seeds have order vertices: 2**b seeds of 2**order lattice
-    bits make about 2**CHUNK_BITS bits (all m edges if there are fewer, none
-    at least)."""
+def _chunks_of(n: int, order: int):
+    """Every labeled graph on n vertices, in edge-mask order, as chunks of
+    seeds of order vertices: 2**b seeds of 2**order lattice bits make about
+    2**CHUNK_BITS bits (all m edges if there are fewer, none at least)."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise BoundExceeded(f"labeled sweeps support 1 <= n <= {ENUMERATION_CAP}, got {n}")
     m = len(vertex_pairs(n))
-    return m, min(m, max(CHUNK_BITS - order, 0))
+    b = min(m, max(CHUNK_BITS - order, 0))
+    for first in range(0, 1 << m, 1 << b):
+        yield LabeledChunk(n, first, b, order)
 
 
 def labeled_chunks(n: int):
     """Every labeled graph on n vertices, in edge-mask order, as chunks of
     about 2**CHUNK_BITS lattice bits."""
-    m, b = _chunk_shape(n, n)
-    for first in range(0, 1 << m, 1 << b):
-        yield LabeledChunk(n, first, b)
+    return _chunks_of(n, n)
 
 
 def corona_chunks(n: int):
     """The corona of every labeled inner graph on n vertices, in edge-mask
-    order, as CoronaChunks of about 2**CHUNK_BITS lattice bits.  As in
-    _chunk_lattice, the member masks of the 2n vertices are the first 2n of
-    _members(2n + b), and the inner graphs' low edges the other b.  A table
-    is the AND of the pendants' covers M_v' | M_v, taken once per n, and of
-    the inner vertices' covers: M_v | M_v' plus M_u in the blocks of the
-    graphs with low edge uv, also taken once, and M_u for each high edge uv
-    that the chunk's graphs share.  The inner covers are ANDed in one at a
-    time, so a chunk holds few masks at once."""
-    m, b = _chunk_shape(n, 2 * n)
-    member = _members(2 * n + b)
-    covers = [member[v] | member[v + n] for v in range(n)]
-    pendants = reduce(and_, covers)
-    for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
-        covers[u] |= member[v] & member[2 * n + e]
-        covers[v] |= member[u] & member[2 * n + e]
-    every = (1 << (1 << b)) - 1
-    for first in range(0, 1 << m, 1 << b):
-        table = pendants
-        for cover, high in zip(covers, labeled_graph(n, first).adj):  # first has no low edge
-            for u in range(n):
-                if high >> u & 1:
-                    cover |= member[u]
-            table &= cover
-        edges = list(_members(b)) + [every * (first >> e & 1) for e in range(b, m)]
-        yield CoronaChunk(n, first, every, edges, table)
+    order, as chunks of order 2n and about 2**CHUNK_BITS lattice bits."""
+    return _chunks_of(n, 2 * n)

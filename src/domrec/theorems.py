@@ -14,17 +14,18 @@ Seven claims sweep the labeled graphs on lattice chunks.  Five read each
 seed's D(G) off domination.labeled_chunks through _chunk_sweep, which owns
 the sweep order, the instance count and the decoding of flagged seeds,
 while a judge per claim folds a chunk (order, degree parities, up-closure,
-gamma < t) for all its seeds at once.  The corona claims read the coronas'
-tables off domination.corona_chunks and decide each distinct (table, k)
-once.  A seed is built as a SeedGraph only for an Eulerian candidate, a
-disagreement, a universal-gamma instance or a corona with a new table.  The
-product claim compares the table of a disjoint union with the outer product
-of its parts' tables.
+gamma < t) for all its seeds at once.  The corona claims read chunks of
+order 2n off domination.corona_chunks, fold them per graph against graph
+0's table, and decide each distinct (table, k) once.  A seed is built as a
+SeedGraph only for an Eulerian candidate, a disagreement, a universal-gamma
+instance or a corona with a new table.  The product claim compares the
+table of a disjoint union with the outer product of its parts' tables.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from enum import Enum
 from functools import reduce
 from itertools import chain
@@ -390,28 +391,30 @@ def _corona_sweep(report, chunks, bipartite: bool):
     order: with bipartite, of the bipartite inner graphs' coronas alone, and
     otherwise of every corona, whose domination profile is checked too.
 
-    Each chunk's table is cut into one block of 2**(2n) bits per graph, as
-    bytes.  Every instance is counted, but each distinct block is profiled
-    and decided once, on the corona of its first inner graph: a set
+    Every instance is counted, but each distinct table is profiled and
+    decided once, on the corona of an inner graph that has it: a set
     dominates a corona iff it meets {v, v'} for each inner vertex v, so all
     inner graphs of one order share a table, and a changed corona gets
-    verdicts of its own.  Disagreements come per inner graph in order of n
-    and edge mask, the profile's first.
+    verdicts of its own.  Graph 0 of a chunk, whose edges every graph of the
+    chunk has, is an instance if any graph is, and its verdicts stand for
+    every graph with its table: the graphs are visited one by one only where
+    a table differs from graph 0's, or where graph 0's has problems.
+    Disagreements come per inner graph in order of n and edge mask, the
+    profile's first.
     """
-    problems = {}  # per distinct block: its (k, expected, computed) disagreements
+    problems = {}  # per distinct table: its (k, expected, computed) disagreements
     for chunk in chunks:
-        n, count, width = chunk.n, chunk.every.bit_length(), 1 << 2 * chunk.n - 3
+        n = chunk.n
         instances = sliced_bipartite(n, chunk.edges, chunk.every) if bipartite else chunk.every
         report.instances_checked += instances.bit_count() * (n - 1)
-        data = chunk.table.to_bytes(width * count, "little")
-        for i in range(count):
-            if not instances >> i & 1:
-                continue
-            block = data[i * width : (i + 1) * width]
-            if block not in problems:
+        visit = instances & (1 | chunk.differs_from_first())
+        while visit:
+            i = (visit & -visit).bit_length() - 1
+            visit &= visit - 1
+            table = chunk.graph_table(i)
+            if table not in problems:
                 g = corona_of(labeled_graph(n, chunk.first + i))
-                table = int.from_bytes(block, "little")
-                found = problems[block] = []
+                found = problems[table] = []
                 profile = None if bipartite else domination_profile(g, table)
                 if profile and (profile.gamma, profile.upper_gamma) != (n, n):
                     found.append((None, f"gamma = upper_gamma = {n}",
@@ -420,9 +423,11 @@ def _corona_sweep(report, chunks, bipartite: bool):
                     computed = computed_eulerian(g, k, table)
                     if computed != _corona_eulerian(n, k):
                         found.append((k, _corona_eulerian(n, k), computed))
-            if problems[block]:
+            if problems[table]:
+                if i == 0:
+                    visit = instances ^ 1
                 seed = f"corona:g6:{to_graph6(labeled_graph(n, chunk.first + i))}"
-                yield from ((seed, *problem) for problem in problems[block])
+                yield from ((seed, *problem) for problem in problems[table])
 
 
 def _corona(report, inner_max: int = 5):
@@ -488,10 +493,12 @@ def verify_product_decomposition(parts: list[SeedGraph]) -> TheoremReport:
     return _run(ClaimId.PRODUCT_DECOMPOSITION, _product_parts, parts=parts)
 
 
-def _random_connected(rng: random.Random, n: int) -> SeedGraph:
+def _random_connected(getrandbits: Callable[[int], int], n: int) -> SeedGraph:
+    """The first connected labeled graph on n vertices among edge masks
+    drawn from getrandbits, a random.Random's."""
     m = n * (n - 1) // 2
     while True:
-        g = labeled_graph(n, rng.getrandbits(m) if m else 0)
+        g = labeled_graph(n, getrandbits(m) if m else 0)
         if is_connected(g):
             return g
 
@@ -502,7 +509,7 @@ def _product_decomposition(report, samples: int = 100, max_part: int = 5, seed: 
     rng = random.Random(seed)
     for _ in range(samples):
         m = rng.choice([2, 3])
-        parts = [_random_connected(rng, rng.randint(1, max_part)) for _ in range(m)]
+        parts = [_random_connected(rng.getrandbits, rng.randint(1, max_part)) for _ in range(m)]
         yield from _product_instance(report, parts)
 
 

@@ -401,22 +401,30 @@ def test_sliced_bipartite_matches_the_per_seed_check():
 
 @pytest.mark.parametrize("chunk_bits", [domination.CHUNK_BITS, 8])
 def test_corona_chunks_match_the_per_corona_tables(monkeypatch, chunk_bits):
-    """Every inner graph with n <= 5: block i of each corona chunk is the
-    table of the corona of inner graph first + i, and its edge bits are that
-    graph's.  n = 5 takes several chunks; with 2**8 bits n = 4 and 5 take
-    one inner graph a chunk."""
+    """Every inner graph with n <= 5: block i of each corona chunk, read
+    directly and through graph_table, is the table of the corona of inner
+    graph first + i, and its edge bits are that graph's.  differs_from_first
+    agrees with a comparison of the blocks, and a change planted in one
+    block is flagged at exactly its graph.  n = 5 takes several chunks;
+    with 2**8 bits n = 4 and 5 take one inner graph a chunk."""
     monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
     for n in range(1, 6):
         block = 1 << 2 * n
         firsts = []
         for chunk in corona_chunks(n):
             firsts.append(chunk.first)
+            blocks = [chunk.table >> i * block & (1 << block) - 1 for i in range(chunk.count)]
             for i in range(chunk.every.bit_length()):
                 inner = labeled_graph(n, chunk.first + i)
-                assert chunk.table >> i * block & (1 << block) - 1 == dominating_table(
+                assert blocks[i] == chunk.graph_table(i) == dominating_table(
                     corona_of(inner)), (n, chunk.first + i)
                 assert [e >> i & 1 for e in chunk.edges] == [
                     inner.has_edge(u, v) for u, v in vertex_pairs(n)]
+            assert chunk.differs_from_first() == sum(
+                (x != blocks[0]) << i for i, x in enumerate(blocks))
+            if chunk.count > 1:  # a change planted in the last graph's block
+                chunk.table ^= 1 << (chunk.count - 1) * block + block // 2
+                assert chunk.differs_from_first() == 1 << chunk.count - 1, (n, chunk.first)
         assert firsts == list(range(0, 1 << len(vertex_pairs(n)), chunk.every.bit_length()))
     with pytest.raises(BoundExceeded):
         next(corona_chunks(8))

@@ -1,5 +1,6 @@
 """Guards on the package source, read with ast: every public function and
 class has a user in the package, and no module imports a name it never uses.
+One guard reads the imported modules: every annotation resolves.
 
 Functions that only the tests call, and exception classes that only they
 raise, belong in tests/conftest.py, next to the other oracles, so the
@@ -7,6 +8,9 @@ package answers each question one way.
 """
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import domrec
@@ -48,3 +52,23 @@ def test_no_module_imports_a_name_it_never_uses():
             unused += [f"{name}: {alias.name}" for alias in node.names
                        if (alias.asname or alias.name).split(".")[0] not in read]
     assert unused == []
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints resolves for every function and method of the
+    package: an annotation that names a module imported only inside a
+    function raises NameError."""
+    unresolved = []
+    for name in MODULES:
+        module = importlib.import_module(f"domrec.{name.removesuffix('.py')}")
+        for obj in map(inspect.unwrap, filter(callable, vars(module).values())):
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for f in (getattr(m, "__func__", m) for m in members):
+                if inspect.isfunction(f):
+                    try:
+                        typing.get_type_hints(f)
+                    except NameError as exc:
+                        unresolved.append(f"{name}: {f.__qualname__}: {exc}")
+    assert unresolved == []

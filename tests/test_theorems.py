@@ -718,22 +718,22 @@ def _tampering(targets):
                     at = i * width
                     block = dominating_table(corona_of(inner))
                     table = table & ~((1 << width) - 1 << at) | block << at
-            yield chunk._replace(table=table)
+            chunk.table = table
+            yield chunk
 
     return corona_of, corona_chunks
 
 
-def _tampered_reports(monkeypatch, claim, targets):
-    """The claim's report at inner_max 4 with the targets' coronas tampered
-    in the chunk tables, and the reference's with them tampered in
-    corona_of."""
+def _tampered_reports(monkeypatch, claim, targets, inner_max=4):
+    """The claim's report with the targets' coronas tampered in the chunk
+    tables, and the reference's with them tampered in corona_of."""
     corona_of, corona_chunks = _tampering(targets)
     with monkeypatch.context() as m:
         m.setattr(theorems, "corona_chunks", corona_chunks)
-        report = verify_claim(claim, inner_max=4)
+        report = verify_claim(claim, inner_max=inner_max)
     with monkeypatch.context() as m:
         m.setattr(theorems, "corona_of", corona_of)
-        return report, _reference_corona_report(m, claim, 4)
+        return report, _reference_corona_report(m, claim, inner_max)
 
 
 def test_corona_claims_report_a_tampered_corona_table(monkeypatch):
@@ -762,16 +762,23 @@ def test_corona_claims_report_a_tampered_corona_table(monkeypatch):
 @pytest.mark.parametrize("claim", [ClaimId.CORONA, ClaimId.BIPARTITE_WELL_DOMINATED],
                          ids=lambda c: c.value)
 def test_tampered_coronas_are_reported_in_edge_mask_order(monkeypatch, claim):
-    """Two tampered inner graphs of one chunk, the star at vertex 0 (edge
-    mask 7) and the path 0-1-2-3 (edge mask 41), are reported in edge-mask
-    order, each with its profile's problem first, as the per-inner
-    reference reports them."""
-    targets = [labeled_graph(4, 41), labeled_graph(4, 7)]
-    report, reference = _tampered_reports(monkeypatch, claim, targets)
-    seeds = [ce["seed"] for ce in report.counterexamples if ce["seed"] != "cycle:4"]
-    order = [f"corona:g6:{to_graph6(labeled_graph(4, mask))}" for mask in (7, 41)]
-    assert sorted(set(seeds), key=seeds.index) == order
-    assert _corona_outcome(report) == _corona_outcome(reference)
+    """Tampered inner graphs are reported in edge-mask order, each with its
+    profile's problem first, as the per-inner reference reports them: two
+    of one chunk, the star at vertex 0 (edge mask 7) and the path 0-1-2-3
+    (edge mask 41), neither of them graph 0; then, in chunks of 16 inner
+    graphs at n = 5, the graph with no edges, graph 0 of the first chunk,
+    and the graph with the edge 1-2 alone (edge mask 16), graph 0 of the
+    second.  A tampered graph 0 has problems, so every graph of its chunk
+    is visited."""
+    cases = [(domination.CHUNK_BITS, 4, [(4, 41), (4, 7)]), (14, 5, [(5, 16), (5, 0)])]
+    for chunk_bits, inner_max, masks in cases:
+        monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
+        targets = [labeled_graph(n, mask) for n, mask in masks]
+        report, reference = _tampered_reports(monkeypatch, claim, targets, inner_max)
+        seeds = [ce["seed"] for ce in report.counterexamples if ce["seed"] != "cycle:4"]
+        order = [f"corona:g6:{to_graph6(labeled_graph(n, mask))}" for n, mask in sorted(masks)]
+        assert sorted(set(seeds), key=seeds.index) == order, chunk_bits
+        assert _corona_outcome(report) == _corona_outcome(reference), chunk_bits
 
 
 @pytest.mark.parametrize("claim,verdicts,profiles,instances", [
