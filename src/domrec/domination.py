@@ -12,8 +12,9 @@ dominating_table ANDs, over the vertices v, the cover of N[v], the subsets
 that meet it: up to n = 8 one lookup in a cover table of ORs of member
 masks, a table lookup on broadword masks (Knuth, TAOCP 4A, 7.1.3), and
 above it one OR per member of N[v].  D_k lives on the lattice too,
-unbuilt: lattice_eulerian reads its degree parities off the table, the size
-classes' share of them one strided slice, and floods its components, and
+unbuilt: bounded picks its nodes, and lattice_eulerian reads their degree
+parities off the table and floods their components, up to n = 8 with the
+masks of _seed_lattice(n), one record per n built on first use.
 up_closure_gaps checks that a table, of one seed or a chunk of them, is
 up-closed, which makes its unrestricted D(G) connected.  Any set of masks
 taken as nodes, two adjacent when they differ in one vertex, is read the
@@ -40,10 +41,11 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from functools import cache, reduce
-from operator import and_, or_, xor
+from operator import and_, or_
 
 from .errors import BoundBelowGamma, BoundExceeded, EmptyGraph
-from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, sliced_non_neighbors, vertex_pairs
+from .graphs import (_UNITS, ENUMERATION_CAP, SeedGraph, labeled_graph, sliced_non_neighbors,
+                     vertex_pairs)
 
 #: log2 of the lattice bits in one chunk of a labeled sweep: 2**17 bits, so
 #: each of a chunk's masks is a 16 KiB int.  A chunk on n vertices holds
@@ -52,7 +54,7 @@ from .graphs import ENUMERATION_CAP, SeedGraph, labeled_graph, sliced_non_neighb
 CHUNK_BITS = 17
 
 #: Largest n whose cover table, 2**n entries of 2**n bits, fits in a chunk's
-#: 2**CHUNK_BITS bits.
+#: 2**CHUNK_BITS bits: the largest n with a cached _seed_lattice.
 _TABLE_N = CHUNK_BITS // 2
 
 
@@ -127,21 +129,23 @@ def _sizes(n: int) -> tuple[int, ...]:
     return tuple(size)
 
 
-@cache  # the pair alone, read once per verdict
-def _lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The member and size masks of the subset lattice of n vertices.  Each
-    is cached on its own, so a reader of member masks builds no size class."""
-    return _members(n), _sizes(n)
+_SeedLattice = namedtuple("_SeedLattice", "member steps bound flip cover")
 
 
-@cache  # kept per n <= _TABLE_N: 2**n ints of 2**n bits, 15 KiB at n = 8
-def _cover_table(n: int) -> tuple[int, ...]:
-    """Entry T is the OR of member[u] over the bits u of T: the subsets of
-    n vertices that meet T."""
-    entries = [0]
-    for x in _members(n):
-        entries += [e | x for e in entries]
-    return tuple(entries)
+@cache  # kept per n <= _TABLE_N alone: 2**n + 2n + 2 ints of 2**n bits, 19 KiB at n = 8
+def _seed_lattice(n: int) -> _SeedLattice:
+    """What a table or verdict on a seed of n <= _TABLE_N vertices reads: the
+    member masks; steps, (2**u, member[u]) per vertex u; per k = 0..n,
+    bound[k], the size classes <= k, and flip[k], those c < k with n - c odd;
+    and cover[T], the OR of member[u] over the bits u of T."""
+    member, size = _members(n), _sizes(n)
+    cover = [0]
+    for x in member:
+        cover += [e | x for e in cover]
+    return _SeedLattice(member, tuple(zip(_UNITS, member)),
+                        tuple(reduce(or_, size[: k + 1]) for k in range(n + 1)),
+                        tuple(reduce(or_, size[(n + 1) & 1 : k : 2], 0) for k in range(n + 1)),
+                        tuple(cover))
 
 
 def dominating_table(g: SeedGraph) -> int:
@@ -150,17 +154,19 @@ def dominating_table(g: SeedGraph) -> int:
     S dominates iff it meets the closed neighborhood N[v] of every vertex v,
     so the table is the AND over v of the cover of N[v], the OR of member[u]
     over u in N[v].  Up to n = _TABLE_N each cover is one entry of
-    _cover_table(n); above it, where a table would outgrow a chunk, the ORs
-    are taken one member of N[v] at a time, from the first member's mask
-    itself, so no 2**n-bit mask is copied per vertex.
+    _seed_lattice(n).cover; above it, where a table would outgrow a chunk,
+    the ORs are taken one member of N[v] at a time, from the first member's
+    mask itself, so no 2**n-bit mask is copied per vertex.
     """
     n = g.n
-    nbhds = g.closed_neighborhoods()
     table = (1 << (1 << n)) - 1  # with no vertices, the empty set dominates
     if n <= _TABLE_N:
-        return reduce(and_, map(_cover_table(n).__getitem__, nbhds), table)
+        cover = _seed_lattice(n).cover
+        for nbhd in g.closed_neighborhoods():
+            table &= cover[nbhd]
+        return table
     member = _members(n)
-    for nbhd in nbhds:  # never empty, as N[v] holds v
+    for nbhd in g.closed_neighborhoods():  # never empty, as N[v] holds v
         low = nbhd & -nbhd
         nbhd ^= low
         cover = member[low.bit_length() - 1]
@@ -181,25 +187,25 @@ def _removable(member, table: int):
 
 
 def bounded(n: int, table: int, k: int) -> int:
-    """The nodes of D_k: the sets in table of cardinality <= k.  At k = n
-    the size classes cover every subset, so that is table itself.  Raises
-    ValueError for k outside [0, n] (the CLI checks --k first, to name it)."""
+    """The nodes of D_k: the sets in table of cardinality <= k, through a
+    bound mask of _seed_lattice(n) up to n = _TABLE_N.  Raises ValueError
+    for k outside [0, n] before any cache read (the CLI checks --k first)."""
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
+    if n <= _TABLE_N:
+        return table & _seed_lattice(n).bound[k]
     return table if k == n else table & reduce(or_, _sizes(n)[: k + 1])
 
 
-def _odd_nodes(lattice, n: int, table: int, k: int, nodes: int) -> int:
+def _odd_nodes(steps, table: int, flip: int, nodes: int) -> int:
     """The odd-degree nodes of D_k among nodes, the sets of table of
-    cardinality <= k, on the lattice masks of a seed or a chunk.  The degree
-    of a node S is its removable-member count plus, below the bound, one
-    up-move per outside vertex; its parity is the XOR of the removable
-    masks, flipped on each size class c < k with n - c odd: every other
-    class from (n + 1) mod 2, one strided slice."""
-    member, size = lattice
-    parity = reduce(xor, _removable(member, table), 0)
-    parity ^= reduce(or_, size[(n + 1) & 1 : k : 2], 0)
-    return parity & nodes
+    cardinality <= k, on the (2**u, member[u]) steps of a seed or a chunk.
+    The degree of a node S is its removable-member count plus, below the
+    bound, one up-move per outside vertex; its parity is the XOR of the
+    removable masks, flipped on flip, the size classes c < k with n - c odd."""
+    for shift, x in steps:
+        flip ^= (table << shift) & x
+    return flip & nodes
 
 
 def _step(member, nodes: int, front: int) -> int:
@@ -231,12 +237,15 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
     Raises ValueError for k outside [0, n] and BoundBelowGamma when no set
     of cardinality <= k is in table.
     """
-    lattice = _lattice(n)
-    member = lattice[0]
-    nodes = bounded(n, table, k)
+    if n <= _TABLE_N and 0 <= k <= n:  # bounded rejects any other k
+        member, steps, bound, flip, _ = _seed_lattice(n)
+        nodes, flip = table & bound[k], flip[k]
+    else:
+        nodes, member = bounded(n, table, k), _members(n)
+        steps, flip = zip(_UNITS, member), reduce(or_, _sizes(n)[(n + 1) & 1 : k : 2], 0)
     if not nodes:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
-    if _odd_nodes(lattice, n, table, k, nodes):
+    if _odd_nodes(steps, table, flip, nodes):
         return False
     linked = nodes & _step(member, nodes, nodes)
     return _flood(member, nodes, linked & -linked) == linked
@@ -361,7 +370,7 @@ def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProf
         raise EmptyGraph("domination profile undefined on the empty graph")
     if table is None:
         table = dominating_table(g)
-    member, size = _lattice(n)
+    member, size = _members(n), _sizes(n)
     counts = size_counts(n, table)
     gamma = next(c for c in range(n + 1) if counts[c])
     universal_threshold = n - min(map(g.degree, range(n)))
@@ -396,14 +405,17 @@ def _chunk_lattice(n: int, b: int, order: int | None = None):
     of the chunk is the subset S + i * 2**order of order + b vertices: the
     chunk's member masks are the first order of _members(order + b), its low
     edges' masks the other b, and their per-graph bits _members(b); no size
-    class of order + b or b vertices is built.  The size classes of order
-    vertices are repeated in each block.  cover[v] is member[v], plus the
-    member mask of its partner for a corona's vertex v and pendant v + n,
-    plus member[u] in the blocks of the graphs with edge uv.
+    class of order + b or b vertices is built.  The size classes of n
+    vertices, and _odd_nodes' flip at k = n, are repeated in each block of
+    the graphs themselves; a corona chunk has None, so a read fails.  cover[v]
+    is member[v], plus the member mask of its partner for a corona's vertex
+    v and pendant v + n, plus member[u] in the blocks of the graphs with
+    edge uv.
     """
     order = order or n
     member = _members(order + b)
-    sizes = [_repeat(x, 1 << order, 1 << order + b) for x in _sizes(order)]
+    sizes = [_repeat(x, 1 << n, 1 << n + b) for x in _sizes(n)] if order == n else None
+    flip = reduce(or_, sizes[(n + 1) & 1 : n : 2], 0) if order == n else None
     covers = list(member[:order])
     for v in range(order - n):  # a corona's pendants; none at order n
         covers[v] |= member[v + n]
@@ -411,7 +423,7 @@ def _chunk_lattice(n: int, b: int, order: int | None = None):
     for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
         covers[u] |= member[v] & member[order + e]
         covers[v] |= member[u] & member[order + e]
-    return (member[:order], sizes), covers, _members(b)
+    return (member[:order], sizes), covers, _members(b), flip
 
 
 class LabeledChunk:
@@ -421,20 +433,21 @@ class LabeledChunk:
     Graph i of the chunk is the one with edge mask first + i.  Its seed, the
     graph itself or its corona, has order vertices (n or 2n), its block of
     2**order lattice bits starts at bit i * 2**order, and bit
-    i * 2**order + S of table is set iff S dominates seed i; lattice holds
-    the member and size masks of _chunk_lattice.  The graphs share their
-    high edges and run through every combination of the low ones.  A
-    per-graph answer is an int whose bit i is graph i's: every has all
-    count bits set, and edges[e] holds the graphs with the e-th pair of
-    vertex_pairs(n).  Folds of the blocks give such answers: any, parity,
-    differs_from_first and, for the graphs themselves, below_threshold.
+    i * 2**order + S of table is set iff S dominates seed i; lattice and
+    flip hold the member and size masks and parity flip of _chunk_lattice.
+    The graphs share their high edges and run through every combination of
+    the low ones.  A per-graph answer is an int whose bit i is graph i's:
+    every has all count bits set, and edges[e] holds the graphs with the
+    e-th pair of vertex_pairs(n).  Folds of the blocks give such answers:
+    any, parity, differs_from_first and, for the graphs themselves,
+    odd_degree_nodes and below_threshold.
     """
 
-    __slots__ = ("n", "order", "first", "count", "every", "edges", "table", "lattice")
+    __slots__ = ("n", "order", "first", "count", "every", "edges", "table", "lattice", "flip")
 
     def __init__(self, n: int, first: int, b: int, order: int | None = None):
         self.order = order = order or n
-        lattice, covers, low_edges = _chunk_lattice(n, b, order)
+        lattice, covers, low_edges, self.flip = _chunk_lattice(n, b, order)
         members = lattice[0]
         self.n = n
         self.first = first
@@ -491,10 +504,10 @@ class LabeledChunk:
         return self.any(self.table ^ _repeat(self.graph_table(0), block, block * self.count))
 
     def odd_degree_nodes(self) -> int:
-        """The odd-degree nodes of each seed's unrestricted D(G), as lattice
-        bits: _odd_nodes at k = order, whose member masks keep every shifted
-        bit inside its own block."""
-        return _odd_nodes(self.lattice, self.order, self.table, self.order, self.table)
+        """The odd-degree nodes of each graph's unrestricted D(G), as lattice
+        bits, for a chunk of the graphs themselves: _odd_nodes at k = n,
+        whose member masks keep every shifted bit inside its own block."""
+        return _odd_nodes(zip(_UNITS, self.lattice[0]), self.table, self.flip, self.table)
 
     def below_threshold(self) -> int:
         """The graphs with gamma below the universal threshold t = n - delta,

@@ -13,7 +13,8 @@ the error that only node_degree raises.  So does a lattice kernel,
 dominating_graph_shape: the chunk judges cite the lemma that an up-closed
 table makes D(G) connected, whose moves keep it bipartite; the flood from V
 and the parity step are that lemma's oracles.  odd_degree_nodes counts
-each node's moves one by one, the oracle of the parity kernel _odd_nodes.
+each node's moves one by one over the nodes that popcount_nodes picks by
+cardinality, the oracles of the parity kernel _odd_nodes and of bounded.
 ReconfigGraph keeps no neighbour lists: listed_adjacency parses them from
 the CSV export, and naive_adjacency builds them from all pairs of nodes.
 size_classes, the per-cardinality folds of a LabeledChunk, is the oracle of
@@ -21,7 +22,8 @@ the threshold fold: the judges read gamma < t per graph from the
 non-neighbor counts instead.
 rebuilt_lattice and tiled_chunk_lattice are the package's former lattice
 builders, which rebuilt the member and size lists per vertex and tiled a
-chunk's masks block by block: the oracles of the masks built once.
+chunk's masks block by block: the oracles of the masks built once, which
+package_lattice pairs as the lattice kernels read them.
 is_bipartite, a breadth-first 2-colouring, is the oracle of
 graphs.sliced_bipartite, and dominating_pair_counts, a count one
 (graph, set) pair at a time, that of the closed form of the chunk tables'
@@ -37,7 +39,7 @@ from itertools import combinations, islice
 
 import hypothesis.strategies as st
 
-from domrec import SeedGraph, disjoint_union, theorems
+from domrec import SeedGraph, disjoint_union, domination, theorems
 from domrec.domination import (
     _flood,
     _repeat,
@@ -170,11 +172,20 @@ def parity_bipartition_valid(r: ReconfigGraph) -> bool:
     return True
 
 
+def popcount_nodes(n: int, table: int, k: int) -> int:
+    """The nodes of D_k, the sets of table on n vertices of popcount <= k,
+    picked one subset at a time.  Raises ValueError for k outside [0, n]."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {k}")
+    return sum(1 << s for s in range(1 << n) if table >> s & 1 and s.bit_count() <= k)
+
+
 def odd_degree_nodes(n: int, table: int, k: int) -> int:
     """The odd-degree nodes of D_k, as a lattice mask over the domination
-    table of a seed on n vertices, counted node by node: the degree of a
-    node S is the number of vertices u with S ^ {u} a node too."""
-    nodes = bounded(n, table, k)
+    table of a seed on n vertices, counted node by node over the nodes of
+    popcount_nodes: the degree of a node S is the number of vertices u with
+    S ^ {u} a node too."""
+    nodes = popcount_nodes(n, table, k)
     odd = 0
     for s in range(1 << n):
         if nodes >> s & 1:
@@ -193,6 +204,13 @@ def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
     return (table & ~_flood(member, table, size[-1]),
             _step(member, table, table & even) & even
             | _step(member, table, table & ~even) & ~even)
+
+
+def package_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The package's member and size masks of the subset lattice of n
+    vertices, each cached on its own, as the pair a seed's lattice kernels
+    read."""
+    return domination._members(n), domination._sizes(n)
 
 
 def rebuilt_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

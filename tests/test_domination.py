@@ -22,6 +22,7 @@ from conftest import (
     naive_up_closed_eulerian,
     node_degree,
     odd_degree_nodes,
+    package_lattice,
     peeling_format_set,
     rebuilt_lattice,
     seed_graphs,
@@ -149,12 +150,12 @@ def test_odd_nodes_match_the_counted_degrees():
     """The parity kernel against each node's moves counted one by one, at
     every k on every labeled seed with n <= 5."""
     for n in range(1, 6):
-        lattice = domination._lattice(n)
+        lattice = domination._seed_lattice(n)
         for g in enumerate_labeled_graphs(n):
             table = dominating_table(g)
             for k in range(n + 1):
                 nodes = bounded(n, table, k)
-                assert domination._odd_nodes(lattice, n, table, k, nodes) == \
+                assert domination._odd_nodes(lattice.steps, table, lattice.flip[k], nodes) == \
                     odd_degree_nodes(n, table, k), (g.adj, k)
 
 
@@ -335,7 +336,8 @@ def _chunk_answers(chunk):
 def _seed_answers(g):
     n = g.n
     table = dominating_table(g)
-    odd = domination._odd_nodes(domination._lattice(n), n, table, n, table)
+    lattice = domination._seed_lattice(n)
+    odd = domination._odd_nodes(lattice.steps, table, lattice.flip[n], table)
     counts = size_counts(n, table)
     gamma = next(c for c in range(n + 1) if counts[c])
     threshold = next(c for c in range(n + 1) if counts[c] == comb(n, c))
@@ -430,6 +432,19 @@ def test_corona_chunks_match_the_per_corona_tables(monkeypatch, chunk_bits):
         next(corona_chunks(8))
 
 
+def test_corona_chunks_hold_no_size_class():
+    """A corona chunk's lattice holds no size class and no parity flip, as
+    no reader of one folds by size: each such read fails rather than fold
+    nothing.  A labeled chunk of the same inner graphs holds both."""
+    for chunk in corona_chunks(3):
+        assert chunk.lattice[1] is None and chunk.flip is None
+        for read in (chunk.below_threshold, chunk.odd_degree_nodes, lambda: size_classes(chunk)):
+            with pytest.raises(TypeError):
+                read()
+    labeled = next(labeled_chunks(3))
+    assert len(labeled.lattice[1]) == 4 and labeled.flip
+
+
 def _dominating_pairs(n: int, c: int) -> int:
     """N(n, c), the pairs (labeled graph G on n vertices, c-set S that
     dominates G): choose S, give each of the n - c vertices outside it a
@@ -466,7 +481,7 @@ def test_labeled_chunks_bound():
 
 def test_lattice_matches_the_rebuilt_recurrence():
     for n in range(15):
-        assert domination._lattice(n) == rebuilt_lattice(n), n
+        assert package_lattice(n) == rebuilt_lattice(n), n
 
 
 def test_lattice_builds_each_mask_once():
@@ -487,8 +502,8 @@ def test_lattice_builds_each_mask_once():
 def test_chunk_lattice_builds_no_wide_size_class():
     """A chunk of 2**10 graphs on 7 vertices reads the member masks of 17
     and 10 vertices, and the size classes of 7 alone."""
-    caches = (domination._members, domination._sizes, domination._lattice, domination._cover_table)
-    for cached in caches:  # the lattice and cover-table caches hold member masks too
+    caches = (domination._members, domination._sizes, domination._seed_lattice)
+    for cached in caches:  # the seed-lattice cache holds member masks too
         cached.cache_clear()
     try:
         domination._chunk_lattice.__wrapped__(7, 10)
@@ -506,13 +521,16 @@ def test_chunk_lattice_builds_no_wide_size_class():
 def test_chunk_lattice_matches_the_tiled_masks(monkeypatch, chunk_bits):
     """Every n = 1..7 with the chunk width labeled_chunks picks: all of a
     small order's graphs in one chunk, down to one graph a chunk at 3 bits,
-    where n + b = n and the chunk's masks are those of _lattice(n)."""
+    where n + b = n and the chunk's masks are those of package_lattice(n).  The
+    parity flip at k = n holds the sets S with n - |S| odd in every block."""
     monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
     for n in range(1, 8):
         b = next(labeled_chunks(n)).count.bit_length() - 1
-        (member, sizes), covers, low_edges = domination._chunk_lattice(n, b)
+        (member, sizes), covers, low_edges, flip = domination._chunk_lattice(n, b)
         tiled = tiled_chunk_lattice(n, b)
         assert ((list(member), sizes), covers, list(low_edges)) == tiled, (n, b)
+        odd = sum(1 << s for s in range(1 << n) if (n - s.bit_count()) & 1)
+        assert flip == domination._repeat(odd, 1 << n, 1 << n + b), (n, b)
 
 
 # --- the lattice Eulerian verdict on up-closed tables ----------------------
@@ -554,7 +572,7 @@ def test_up_closure_gaps_find_each_removed_set(family, data):
     exactly the gap S when a set one vertex below S is still in it, and
     none when S was minimal."""
     n, generators = family
-    lattice = domination._lattice(n)
+    lattice = package_lattice(n)
     table = up_closure_table(n, generators)
     assert up_closure_gaps(lattice, table) == 0
     s = data.draw(st.sampled_from([s for s in range(1 << n) if table >> s & 1]))

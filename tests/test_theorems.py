@@ -1,5 +1,6 @@
 """Claim catalog: expected verdicts, lattice verdicts, claim runners."""
 
+import random
 from functools import cache
 from itertools import chain
 
@@ -13,7 +14,9 @@ from conftest import (
     is_bipartite,
     listed_adjacency,
     odd_degree_nodes,
+    package_lattice,
     parity_bipartition_valid,
+    popcount_nodes,
     reference_corona_sweep,
     seed_graphs,
 )
@@ -43,7 +46,8 @@ from domrec.theorems import (
     negative_control_characterization,
 )
 from domrec import domination, reconfig, theorems
-from domrec.domination import corona_chunks, dominating_table, labeled_chunks, up_closure_gaps
+from domrec.domination import (bounded, corona_chunks, dominating_table, labeled_chunks,
+                               up_closure_gaps)
 
 
 # --- expected verdicts -------------------------------------------------------
@@ -178,6 +182,58 @@ def test_lattice_verdict_matches_materialized_on_random_seeds(g):
     for k in range(domination_profile(g, table).gamma, g.n + 1):
         full = eulerian_report(build_reconfig(g, k, table=table)).is_eulerian
         assert computed_eulerian(g, k, table) is full, (g.adj, k)
+
+
+@pytest.mark.parametrize("n", [domination._TABLE_N, domination._TABLE_N + 1])
+def test_verdicts_at_the_edge_of_the_cached_seed_lattices(n):
+    """n = 8 is the last order with a cached _seed_lattice, n = 9 the first
+    without: a seeded sparse and dense seed at each, and cocktail:8, at every
+    k from gamma to n.  The verdict equals the report on the built graph, and
+    bounded the popcount selection.  The labeled-sweep benchmark's n = 7
+    seeds are never cocktail party graphs, so cocktail:8 pins the Eulerian
+    side of the cached path."""
+    rng = random.Random(n)
+    seeds = [SeedGraph.from_edges(n, [e for e in vertex_pairs(n) if rng.random() < density])
+             for density in (0.2, 0.8)]
+    if n == 8:
+        seeds.append(make_family(FamilySpec.cocktail(8)))
+    eulerian = []
+    for g in seeds:
+        table = dominating_table(g)
+        for k in range(domination_profile(g, table).gamma, n + 1):
+            assert bounded(n, table, k) == popcount_nodes(n, table, k), (g.adj, k)
+            full = eulerian_report(build_reconfig(g, k, table=table)).is_eulerian
+            assert computed_eulerian(g, k) is full, (g.adj, k)
+            eulerian.append(full)
+    assert True in eulerian and False in eulerian
+
+
+def test_seed_lattices_are_cached_up_to_the_table_order_alone():
+    """Verdicts at every k on seeds with n = 9..16, and a rejected k at
+    every n <= 8, leave the cache of seed lattices empty; a verdict at n = 8
+    fills it."""
+    paths = [dominating_table(make_family(FamilySpec.path(n)))
+             for n in range(1, domination._TABLE_N + 1)]
+    domination._seed_lattice.cache_clear()
+    for n in range(domination._TABLE_N + 1, 17):
+        g = make_family(FamilySpec.cycle(n))
+        table = dominating_table(g)
+        gamma = domination_profile(g, table).gamma
+        for k in range(n + 1):
+            bounded(n, table, k)
+            if k < gamma:
+                with pytest.raises(BoundBelowGamma):
+                    computed_eulerian(g, k, table)
+            else:
+                computed_eulerian(g, k, table)
+    for n, table in enumerate(paths, 1):
+        for k in (-1, n + 1):
+            for kernel in (bounded, domination.lattice_eulerian):
+                with pytest.raises(ValueError, match=rf"k must be in \[0, {n}\], got {k}"):
+                    kernel(n, table, k)
+    assert domination._seed_lattice.cache_info().currsize == 0
+    computed_eulerian(make_family(FamilySpec.cocktail(8)), 8)
+    assert domination._seed_lattice.cache_info().currsize == 1
 
 
 def test_computed_eulerian_rejects_k_outside_the_order():
@@ -511,7 +567,7 @@ def test_gamma_formulas_report_a_planted_gamma(monkeypatch):
 def _shape(n: int, table: int) -> tuple[bool, bool]:
     """(connected, parity bipartite) of one seed's D(G): dominating_graph_shape
     on the seed's lattice, each mask folded to whether it is empty."""
-    unreached, crossed = dominating_graph_shape(domination._lattice(n), table)
+    unreached, crossed = dominating_graph_shape(package_lattice(n), table)
     return not unreached, not crossed
 
 
@@ -555,7 +611,7 @@ def test_dominating_graph_shape_on_chunks_matches_the_per_seed_answers():
     def seed_answers(n, table):
         return _shape(n, table) + (table.bit_count() % 2 == 1,
                                    odd_degree_nodes(n, table, n) != table,
-                                   up_closure_gaps(domination._lattice(n), table) != 0)
+                                   up_closure_gaps(package_lattice(n), table) != 0)
 
     for n in range(1, 7):
         sliced, seeds = [], []
@@ -582,8 +638,8 @@ def test_connected_odd_bipartite_reports_planted_chunk_tables(monkeypatch):
     star, star1 = (sum(1 << e for e, p in enumerate(pairs) if v in p) for v in (0, 1))
     lost = 1 << 0b0110 | 1 << 0b1010
     block = dominating_table(labeled_graph(4, star1)) & ~lost
-    assert dominating_graph_shape(domination._lattice(4), block)[0] == 0
-    assert up_closure_gaps(domination._lattice(4), block) != 0
+    assert dominating_graph_shape(package_lattice(4), block)[0] == 0
+    assert up_closure_gaps(package_lattice(4), block) != 0
     chunks = theorems._chunks
 
     def tampered(n_min, n_max):
