@@ -13,8 +13,9 @@ that meet it: up to n = 8 one lookup in a cover table of ORs of member
 masks, a table lookup on broadword masks (Knuth, TAOCP 4A, 7.1.3), and
 above it one OR per member of N[v].  D_k lives on the lattice too,
 unbuilt: bounded picks its nodes, and lattice_eulerian reads their degree
-parities off the table and floods their components, up to n = 8 with the
-masks of _seed_lattice(n), one record per n built on first use.
+parities off the table, up to n = 8 with the masks of _seed_lattice(n), one
+record per n built on first use, then whether _flood, in-place passes over
+the vertices until one adds nothing, reaches every node with an edge.
 up_closure_gaps checks that a table, of one seed or a chunk of them, is
 up-closed, which makes its unrestricted D(G) connected.  Any set of masks
 taken as nodes, two adjacent when they differ in one vertex, is read the
@@ -187,13 +188,11 @@ def _removable(member, table: int):
 
 
 def bounded(n: int, table: int, k: int) -> int:
-    """The nodes of D_k: the sets in table of cardinality <= k, through a
-    bound mask of _seed_lattice(n) up to n = _TABLE_N.  Raises ValueError
-    for k outside [0, n] before any cache read (the CLI checks --k first)."""
+    """The nodes of D_k: the sets in table of cardinality <= k.  Raises
+    ValueError for k outside [0, n] before any cache read (the CLI checks
+    --k first)."""
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
-    if n <= _TABLE_N:
-        return table & _seed_lattice(n).bound[k]
     return table if k == n else table & reduce(or_, _sizes(n)[: k + 1])
 
 
@@ -208,31 +207,29 @@ def _odd_nodes(steps, table: int, flip: int, nodes: int) -> int:
     return flip & nodes
 
 
-def _step(member, nodes: int, front: int) -> int:
-    """One flood step: the nodes one vertex away from the sets in front.  Per
-    vertex u, the sets that contain u drop it (a shift down by 2**u) and the
-    others add it (a shift up)."""
-    out = 0
-    for u, x in enumerate(member):
-        down = front & x
-        out |= down >> (1 << u) | (front ^ down) << (1 << u)
-    return out & nodes
-
-
-def _flood(member, nodes: int, start: int) -> int:
-    """The nodes that steps from start reach, start included."""
-    reached = front = start
-    while front:
-        front = _step(member, nodes, front) & ~reached
-        reached |= front
-    return reached
+def _flood(member, nodes: int, reached: int) -> int:
+    """The nodes that flips from reached reach, reached included.  A pass
+    flips each vertex u in turn, in place: the sets of reached that contain
+    u drop it (a shift down by 2**u), the others add it (a shift up), and
+    the nodes landed on join reached before the next vertex is flipped.  So
+    one pass follows any path whose flips come in vertex order, where a
+    breadth-first step takes one flip.  Only flips of reached nodes add
+    nodes, and a pass that adds nothing leaves no flip out of reached: the
+    passes stop at the breadth-first flood's fixpoint."""
+    while True:
+        before = reached
+        for u, x in enumerate(member):
+            down = reached & x
+            reached |= (down >> (1 << u) | (reached ^ down) << (1 << u)) & nodes
+        if reached == before:
+            return reached
 
 
 def lattice_eulerian(n: int, table: int, k: int) -> bool:
     """Whether D_k is Eulerian (every degree even, at most one component with
     edges), decided on the lattice of an up-closed table on n vertices
     without building D_k: the flood from the lowest non-isolated node must
-    reach every node that a step from all nodes reaches.
+    reach every node with an edge, the OR of the flip masks.
 
     Raises ValueError for k outside [0, n] and BoundBelowGamma when no set
     of cardinality <= k is in table.
@@ -247,7 +244,7 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
     if _odd_nodes(steps, table, flip, nodes):
         return False
-    linked = nodes & _step(member, nodes, nodes)
+    linked = reduce(or_, flip_masks(n, nodes), 0)
     return _flood(member, nodes, linked & -linked) == linked
 
 
@@ -299,8 +296,8 @@ def degree_classes(n: int, nodes: int) -> dict[int, int]:
 
 def component_count(n: int, nodes: int, linked: int) -> int:
     """How many components of the graph on the node set nodes meet linked,
-    a subset of nodes: one flood from the lowest node of linked not yet
-    reached per component."""
+    a subset of nodes: per component, one _flood from the lowest node of
+    linked not yet reached, whose reach leaves linked."""
     member = _members(n)
     count = 0
     while linked:

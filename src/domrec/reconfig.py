@@ -221,8 +221,9 @@ def gather(seq, keys) -> tuple:
 
 def node_ranks(r: ReconfigGraph) -> array:
     """rank[s], mask s's place in r.nodes or -1: 4 bytes for each of the 2**n subsets."""
+    nodes = r.nodes  # past the node cap this raises before the array is allocated
     rank = array("i", [-1]) * (1 << r.seed.n)
-    for i, s in enumerate(r.nodes):
+    for i, s in enumerate(nodes):
         rank[s] = i
     return rank
 

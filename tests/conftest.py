@@ -12,9 +12,12 @@ whole, and the package itself never called them.  So does NotDominating,
 the error that only node_degree raises.  So does a lattice kernel,
 dominating_graph_shape: the chunk judges cite the lemma that an up-closed
 table makes D(G) connected, whose moves keep it bipartite; the flood from V
-and the parity step are that lemma's oracles.  odd_degree_nodes counts
-each node's moves one by one over the nodes that popcount_nodes picks by
-cardinality, the oracles of the parity kernel _odd_nodes and of bounded.
+and the parity step are that lemma's oracles.  Its step and flood,
+lattice_step and breadth_first_flood, are the package's former breadth-first
+pair, one step per unit of distance: the oracle of the in-place _flood.
+odd_degree_nodes counts each node's moves one by one over the nodes that
+popcount_nodes picks by cardinality, the oracles of the parity kernel
+_odd_nodes and of bounded.
 ReconfigGraph keeps no neighbour lists: listed_adjacency parses them from
 the CSV export, and naive_adjacency builds them from all pairs of nodes.
 size_classes, the per-cardinality folds of a LabeledChunk, is the oracle of
@@ -41,9 +44,7 @@ import hypothesis.strategies as st
 
 from domrec import SeedGraph, disjoint_union, domination, theorems
 from domrec.domination import (
-    _flood,
     _repeat,
-    _step,
     bounded,
     dominating_table,
     domination_profile,
@@ -194,6 +195,27 @@ def odd_degree_nodes(n: int, table: int, k: int) -> int:
     return odd
 
 
+def lattice_step(member, nodes: int, front: int) -> int:
+    """One breadth-first flood step: the nodes one vertex away from the sets
+    in front.  Per vertex u, the sets that contain u drop it (a shift down
+    by 2**u) and the others add it (a shift up)."""
+    out = 0
+    for u, x in enumerate(member):
+        down = front & x
+        out |= down >> (1 << u) | (front ^ down) << (1 << u)
+    return out & nodes
+
+
+def breadth_first_flood(member, nodes: int, start: int) -> int:
+    """The nodes that steps from start reach, start included, one
+    lattice_step per unit of distance from a frontier of new nodes."""
+    reached = front = start
+    while front:
+        front = lattice_step(member, nodes, front) & ~reached
+        reached |= front
+    return reached
+
+
 def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
     """(unreached, crossed) for the D(G) on the sets of table, which must hold
     the full set V, on the lattice masks of a seed or a chunk: D(G) is
@@ -201,9 +223,9 @@ def dominating_graph_shape(lattice, table: int) -> tuple[int, int]:
     parity iff no step from either parity class lands on a node in it."""
     member, size = lattice
     even = reduce(or_, size[::2])
-    return (table & ~_flood(member, table, size[-1]),
-            _step(member, table, table & even) & even
-            | _step(member, table, table & ~even) & ~even)
+    return (table & ~breadth_first_flood(member, table, size[-1]),
+            lattice_step(member, table, table & even) & even
+            | lattice_step(member, table, table & ~even) & ~even)
 
 
 def package_lattice(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

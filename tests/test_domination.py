@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    breadth_first_flood,
     bytewise_dominating_table,
     dominating_pair_counts,
     enumerate_dominating_sets,
@@ -61,6 +62,7 @@ from domrec.graphs import (
     vertex_pairs,
 )
 from domrec.errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
+from domrec.theorems import computed_eulerian
 
 P4 = make_family(FamilySpec.path(4))
 
@@ -553,6 +555,59 @@ def test_lattice_flood_finds_two_even_components():
         half = up_closure_table(n, [g])
         assert sum(size_counts(n, half)[: k + 1]) == 11
         assert lattice_eulerian(n, half, k) is True
+
+
+def _assert_floods_match(n: int, nodes: int) -> int:
+    """Flood the graph on the node set nodes from the lowest node of each
+    component in turn, in place and breadth-first, and require the same
+    reach; returns the component count."""
+    member = domination._members(n)
+    components = 0
+    left = nodes
+    while left:
+        start = left & -left
+        reached = domination._flood(member, nodes, start)
+        assert reached == breadth_first_flood(member, nodes, start), (n, nodes, start)
+        left &= ~reached
+        components += 1
+    return components
+
+
+def test_in_place_flood_matches_breadth_first_on_every_small_labeled_seed():
+    """Every D_k, k = gamma..n, of every labeled graph with n <= 5."""
+    floods = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            table = dominating_table(g)
+            gamma = domination_profile(g, table).gamma
+            for k in range(gamma, n + 1):
+                floods += _assert_floods_match(n, bounded(n, table, k))
+    assert floods == 8159
+
+
+def test_in_place_flood_matches_breadth_first_on_the_split_table():
+    n, generators, k = SPLIT
+    table = up_closure_table(n, generators)
+    assert _assert_floods_match(n, bounded(n, table, k)) == 2
+    assert _assert_floods_match(n, table) == 1
+
+
+@pytest.mark.parametrize("spec", [FamilySpec.complete(12), FamilySpec.cocktail(12),
+                                  FamilySpec.path(12)])
+def test_in_place_flood_matches_breadth_first_on_wide_families(spec):
+    g = make_family(spec)
+    table = dominating_table(g)
+    for k in range(g.n + 1):
+        _assert_floods_match(g.n, bounded(g.n, table, k))
+
+
+def test_flood_from_no_node_reaches_none():
+    """An empty start is a fixpoint, and the order-0 seed's D_0, one node
+    with no edge, is Eulerian."""
+    n, generators, k = SPLIT
+    nodes = bounded(n, up_closure_table(n, generators), k)
+    assert domination._flood(domination._members(n), nodes, 0) == 0
+    assert computed_eulerian(SeedGraph(0, []), 0) is True
 
 
 def test_bound_outside_the_order_is_rejected():

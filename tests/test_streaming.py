@@ -278,6 +278,24 @@ def test_export_csv_lists_no_adjacency():
     assert peak < 8 << 20
 
 
+@pytest.mark.parametrize("fmt", ["csv", "dot"])
+def test_export_past_the_cap_allocates_no_rank_array(fmt, capsys):
+    """export --graph complete:23 (8,388,607 nodes) exits 3 at the node cap
+    before node_ranks allocates its 4 bytes a subset, 32 MiB at n = 23:
+    with the lattice caches warm, the exit-3 path peaks at 3.2 MiB in both
+    formats, where CSV, allocating the array first, peaked at 33 MiB."""
+    argv = ["export", "--graph", "complete:23", "--format", fmt]
+    assert run_cli(argv) == 3  # builds the lattice caches
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith("capacity error: 8388607 nodes to list")
+    assert peak < 16 << 20
+
+
 # --- errors -------------------------------------------------------------------
 
 
