@@ -36,6 +36,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import islice
+from operator import itemgetter
 
 from .domination import (DominationProfile, dominating_table, domination_profile, format_set,
                           format_sets)
@@ -52,7 +53,6 @@ from .reconfig import (
     build_reconfig,
     euler_circuit,
     eulerian_report,
-    gather,
     node_ranks,
     reconfig_to_csv,
     reconfig_to_dot,
@@ -118,6 +118,11 @@ def _write_joined(out, pieces: Iterable[str]):
     it = iter(pieces)
     for batch in iter(lambda: list(islice(it, _PIECES_PER_WRITE)), []):
         out.write("".join(batch))
+
+
+def _gather(seq, keys) -> tuple:
+    """seq[k] for each key k, by itemgetter: a tuple even for one key."""
+    return itemgetter(*keys)(seq) if len(keys) > 1 else (seq[keys[0]],)
 
 
 def _write_file(path: str, pieces: Iterable[str]):
@@ -227,8 +232,8 @@ def _write_analysis(out, report: dict, as_json: bool, walk: Sequence[int] | None
         before, sep, after = head + '"euler_circuit": [\n', ",\n", "\n  ]" + tail + "\n"
     out.write(before)
     for start in range(0, len(walk), _PIECES_PER_WRITE):
-        ids = gather(rank, walk[start:start + _PIECES_PER_WRITE])
-        out.write((sep if start else "") + sep.join(gather(labels, ids)))
+        ids = _gather(rank, walk[start:start + _PIECES_PER_WRITE])
+        out.write((sep if start else "") + sep.join(_gather(labels, ids)))
     out.write(after)
 
 

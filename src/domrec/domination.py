@@ -13,9 +13,9 @@ that meet it: up to n = 8 one lookup in a cover table of ORs of member
 masks, a table lookup on broadword masks (Knuth, TAOCP 4A, 7.1.3), and
 above it one OR per member of N[v].  D_k lives on the lattice too,
 unbuilt: bounded picks its nodes, and lattice_eulerian reads their degree
-parities off the table, up to n = 8 with the masks of _seed_lattice(n), one
-record per n built on first use, then whether _flood, in-place passes over
-the vertices until one adds nothing, reaches every node with an edge.
+parities off the table with the masks of _seed_lattice(n), one record per n
+built on first use, then whether _flood, in-place passes over the vertices
+until one adds nothing, reaches every node with an edge.
 up_closure_gaps checks that a table, of one seed or a chunk of them, is
 up-closed, which makes its unrestricted D(G) connected.  Any set of masks
 taken as nodes, two adjacent when they differ in one vertex, is read the
@@ -55,7 +55,7 @@ from .graphs import (_UNITS, ENUMERATION_CAP, SeedGraph, labeled_graph, sliced_n
 CHUNK_BITS = 17
 
 #: Largest n whose cover table, 2**n entries of 2**n bits, fits in a chunk's
-#: 2**CHUNK_BITS bits: the largest n with a cached _seed_lattice.
+#: 2**CHUNK_BITS bits: the largest n whose _seed_lattice holds one.
 _TABLE_N = CHUNK_BITS // 2
 
 
@@ -130,23 +130,23 @@ def _sizes(n: int) -> tuple[int, ...]:
     return tuple(size)
 
 
-_SeedLattice = namedtuple("_SeedLattice", "member steps bound flip cover")
+_SeedLattice = namedtuple("_SeedLattice", "member steps size flip cover")
 
 
-@cache  # kept per n <= _TABLE_N alone: 2**n + 2n + 2 ints of 2**n bits, 19 KiB at n = 8
+@cache  # kept per n: flip and, up to n = 8, the cover table, past _members(n) and _sizes(n)
 def _seed_lattice(n: int) -> _SeedLattice:
-    """What a table or verdict on a seed of n <= _TABLE_N vertices reads: the
-    member masks; steps, (2**u, member[u]) per vertex u; per k = 0..n,
-    bound[k], the size classes <= k, and flip[k], those c < k with n - c odd;
-    and cover[T], the OR of member[u] over the bits u of T."""
+    """What a table or verdict on a seed of n vertices reads: the member
+    masks; steps, (2**u, member[u]) per vertex u; the size classes; flip,
+    those c with n - c odd, whatever k is; and up to n = _TABLE_N, cover[T],
+    the OR of member[u] over the bits u of T (17 KiB at n = 8), else None."""
     member, size = _members(n), _sizes(n)
-    cover = [0]
-    for x in member:
-        cover += [e | x for e in cover]
-    return _SeedLattice(member, tuple(zip(_UNITS, member)),
-                        tuple(reduce(or_, size[: k + 1]) for k in range(n + 1)),
-                        tuple(reduce(or_, size[(n + 1) & 1 : k : 2], 0) for k in range(n + 1)),
-                        tuple(cover))
+    cover = None
+    if n <= _TABLE_N:
+        cover = (0,)
+        for x in member:
+            cover += tuple(e | x for e in cover)
+    return _SeedLattice(member, tuple(zip(_UNITS, member)), size,
+                        reduce(or_, size[(n + 1) & 1 :: 2], 0), cover)
 
 
 def dominating_table(g: SeedGraph) -> int:
@@ -228,20 +228,19 @@ def _flood(member, nodes: int, reached: int) -> int:
 def lattice_eulerian(n: int, table: int, k: int) -> bool:
     """Whether D_k is Eulerian (every degree even, at most one component with
     edges), decided on the lattice of an up-closed table on n vertices
-    without building D_k: the flood from the lowest non-isolated node must
-    reach every node with an edge, the OR of the flip masks.
+    without building D_k: the parity flip at k is _seed_lattice(n)'s, less
+    class k when n - k is odd, and the flood from the lowest non-isolated
+    node must reach every node with an edge, the OR of the flip masks.
 
     Raises ValueError for k outside [0, n] and BoundBelowGamma when no set
-    of cardinality <= k is in table.
+    of cardinality <= k is in table, both before any record is read.
     """
-    if n <= _TABLE_N and 0 <= k <= n:  # bounded rejects any other k
-        member, steps, bound, flip, _ = _seed_lattice(n)
-        nodes, flip = table & bound[k], flip[k]
-    else:
-        nodes, member = bounded(n, table, k), _members(n)
-        steps, flip = zip(_UNITS, member), reduce(or_, _sizes(n)[(n + 1) & 1 : k : 2], 0)
+    nodes = table if k == n else bounded(n, table, k)
     if not nodes:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
+    member, steps, size, flip, _ = _seed_lattice(n)
+    if (n - k) & 1:
+        flip ^= size[k]
     if _odd_nodes(steps, table, flip, nodes):
         return False
     linked = reduce(or_, flip_masks(n, nodes), 0)

@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import chain, islice
-from operator import itemgetter, or_
+from operator import or_
 
 from .domination import (
     bounded,
@@ -35,9 +35,6 @@ DEFAULT_NODE_CAP = 1 << 22
 
 #: How many odd-degree witness nodes a report keeps.
 ODD_WITNESS_CAP = 8
-
-#: Most trail entries the Euler walk's backtrack reads in one window.
-_BACKTRACK_WINDOW = 4096
 
 
 class ReconfigGraph:
@@ -153,10 +150,11 @@ def euler_circuit(r: ReconfigGraph) -> array:
     drops; with no down-move left, it adds the lowest vertex it can.  A move
     flips its vertex in the mask and clears its bit at both ends, the same
     bit since flipping the vertex again leads back.  When a sub-trail
-    closes, the trail (a stack of masks) is read back by itemgetter, in
-    windows doubling up to _BACKTRACK_WINDOW entries, to its last node with
-    a move, and each exhausted run goes to the walk reversed; once the trail
-    holds every edge, it unwinds unread.
+    closes, its end goes to the exhausted stack and the trail (a stack of
+    masks) is popped, one node at a time onto that stack, back to its last
+    node with a move.  Once the trail and the exhausted stack hold every
+    edge, the walk is the trail followed by the exhausted nodes in reverse,
+    built in the trail's own array.
 
     Raises ReconfigTooLarge past the node cap.  The other checks read the
     flip masks: their XOR holds the odd-degree nodes (NotEulerian), their
@@ -193,30 +191,20 @@ def euler_circuit(r: ReconfigGraph) -> array:
             moves[s] = m = moves[s] ^ low
         walk.append(s)
         # The trail holds len(stack) + len(walk) - 1 edges.
-        width = 1
+        if 2 * (len(stack) + len(walk) - 1) == twice_edges:
+            break
         while stack:
-            window = stack[-width:]
-            left = gather(moves, window) if 2 * (len(stack) + len(walk)) <= twice_edges else ()
-            if any(left):
+            s = stack.pop()
+            if moves[s]:
                 break
-            walk.extend(window[::-1])
-            del stack[-width:]
-            width = min(2 * width, _BACKTRACK_WINDOW)
+            walk.append(s)
         else:
             break
-        j = bytes(map(bool, left)).rfind(1)  # the window's last node with a move
-        walk.extend(window[:j:-1])
-        s = window[j]
-        del stack[j - len(window):]
-    if len(walk) != twice_edges // 2 + 1:
-        raise NotEulerian("edges in more than one component")
     walk.reverse()
-    return walk
-
-
-def gather(seq, keys) -> tuple:
-    """seq[k] for each key k, by itemgetter: a tuple even for one key."""
-    return itemgetter(*keys)(seq) if len(keys) > 1 else (seq[keys[0]],)
+    stack.extend(walk)
+    if len(stack) != twice_edges // 2 + 1:
+        raise NotEulerian("edges in more than one component")
+    return stack
 
 
 def node_ranks(r: ReconfigGraph) -> array:

@@ -157,7 +157,8 @@ def test_odd_nodes_match_the_counted_degrees():
             table = dominating_table(g)
             for k in range(n + 1):
                 nodes = bounded(n, table, k)
-                assert domination._odd_nodes(lattice.steps, table, lattice.flip[k], nodes) == \
+                flip = lattice.flip ^ lattice.size[k] if (n - k) & 1 else lattice.flip
+                assert domination._odd_nodes(lattice.steps, table, flip, nodes) == \
                     odd_degree_nodes(n, table, k), (g.adj, k)
 
 
@@ -339,7 +340,7 @@ def _seed_answers(g):
     n = g.n
     table = dominating_table(g)
     lattice = domination._seed_lattice(n)
-    odd = domination._odd_nodes(lattice.steps, table, lattice.flip[n], table)
+    odd = domination._odd_nodes(lattice.steps, table, lattice.flip, table)
     counts = size_counts(n, table)
     gamma = next(c for c in range(n + 1) if counts[c])
     threshold = next(c for c in range(n + 1) if counts[c] == comb(n, c))

@@ -282,17 +282,6 @@ def test_euler_circuit_matches_reference_on_a_product():
     assert_matches_reference(prod)
 
 
-@pytest.mark.parametrize("window", [1, 2])
-def test_euler_circuit_matches_reference_in_narrow_backtrack_windows(window, monkeypatch):
-    """The backtrack reads the trail at most one or two entries at a time:
-    every window of one entry reads a lone key, and a run of exhausted nodes
-    (seven of them on C7 at k = 4) spans several windows."""
-    monkeypatch.setattr(reconfig, "_BACKTRACK_WINDOW", window)
-    for spec, k in EULERIAN_FAMILIES:
-        r = build(spec, k)
-        assert indexed_walk(r) == reference_euler_circuit(r), (spec, k)
-
-
 def planted(n, masks):
     """The graph on the given vertex masks of n vertices, each a node, two
     adjacent iff they differ in one vertex: a subgraph of the hypercube Q_n
@@ -471,6 +460,8 @@ def test_report_and_walk_match_reference_on_random_seeds(g):
 
 
 def test_euler_circuit_memory_per_edge():
+    """The walk is built in its trail's own array: about 5 bytes per edge on
+    cocktail:12, 13 when the trail is unwound into a reversed copy."""
     r = build(FamilySpec.cocktail(12), 12)
     tracemalloc.start()
     try:
@@ -478,7 +469,7 @@ def test_euler_circuit_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / r.edge_count < 30
+    assert peak / r.edge_count < 8
 
 
 def test_euler_circuit_memory_on_a_sparse_wide_graph():

@@ -235,6 +235,23 @@ def test_complete_15_circuit_is_unchanged(as_json, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == COMPLETE_15_SHA256[as_json]
 
 
+# sha256 of the stdout of `analyze --graph biclique:9,9 --k 3 --circuit
+# --json`, recorded from the walk that backtracked in windows of its trail:
+# 931 of the 1,297 steps come off the exhausted stack, after 930 pops of the
+# trail mid-walk, where the other pinned circuits take 17 steps at most.
+BICLIQUE_9_9_JSON_SHA256 = "c4e8cb4b495e2b615d37f6b7047012834c379e342ccdfa2c156ce98b8c39f296"
+
+
+def test_mostly_backtracking_circuit_is_unchanged(capsys):
+    argv = ["analyze", "--graph", "biclique:9,9", "--k", "3", "--circuit", "--json"]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    shape = payload["reconfig"]["node_count"], payload["reconfig"]["edge_count"]
+    assert shape + (len(payload["euler_circuit"]),) == (729, 1_296, 1_297)
+    assert hashlib.sha256(out.encode()).hexdigest() == BICLIQUE_9_9_JSON_SHA256
+
+
 def test_circuit_labels_build_one_label_table_on_a_narrow_seed(capsys):
     """cocktail:12 has 12 vertices: its labels need only the first table of
     8,192 labels."""

@@ -186,8 +186,8 @@ def test_lattice_verdict_matches_materialized_on_random_seeds(g):
 
 @pytest.mark.parametrize("n", [domination._TABLE_N, domination._TABLE_N + 1])
 def test_verdicts_at_the_edge_of_the_cached_seed_lattices(n):
-    """n = 8 is the last order with a cached _seed_lattice, n = 9 the first
-    without: a seeded sparse and dense seed at each, and cocktail:8, at every
+    """n = 8 is the last order whose _seed_lattice holds a cover table, n = 9
+    the first without: a seeded sparse and dense seed at each, and cocktail:8, at every
     k from gamma to n.  The verdict equals the report on the built graph, and
     bounded the popcount selection.  The labeled-sweep benchmark's n = 7
     seeds are never cocktail party graphs, so cocktail:8 pins the Eulerian
@@ -208,32 +208,36 @@ def test_verdicts_at_the_edge_of_the_cached_seed_lattices(n):
     assert True in eulerian and False in eulerian
 
 
-def test_seed_lattices_are_cached_up_to_the_table_order_alone():
-    """Verdicts at every k on seeds with n = 9..16, and a rejected k at
-    every n <= 8, leave the cache of seed lattices empty; a verdict at n = 8
-    fills it."""
+def test_seed_lattices_hold_one_flip_for_every_k():
+    """A rejected k at every n <= 8 raises before any seed lattice is read,
+    so their cache stays empty; verdicts at every k on seeds with n = 8..16
+    then cache one record per n.  Each holds the cached member masks and
+    size classes themselves, one parity flip whatever k is (the sets S with
+    n - |S| odd), and a cover table up to n = 8 alone."""
     paths = [dominating_table(make_family(FamilySpec.path(n)))
              for n in range(1, domination._TABLE_N + 1)]
     domination._seed_lattice.cache_clear()
-    for n in range(domination._TABLE_N + 1, 17):
-        g = make_family(FamilySpec.cycle(n))
-        table = dominating_table(g)
-        gamma = domination_profile(g, table).gamma
-        for k in range(n + 1):
-            bounded(n, table, k)
-            if k < gamma:
-                with pytest.raises(BoundBelowGamma):
-                    computed_eulerian(g, k, table)
-            else:
-                computed_eulerian(g, k, table)
     for n, table in enumerate(paths, 1):
         for k in (-1, n + 1):
             for kernel in (bounded, domination.lattice_eulerian):
                 with pytest.raises(ValueError, match=rf"k must be in \[0, {n}\], got {k}"):
                     kernel(n, table, k)
     assert domination._seed_lattice.cache_info().currsize == 0
-    computed_eulerian(make_family(FamilySpec.cocktail(8)), 8)
-    assert domination._seed_lattice.cache_info().currsize == 1
+    for n in range(domination._TABLE_N, 17):
+        g = make_family(FamilySpec.cycle(n))
+        table = dominating_table(g)
+        gamma = domination_profile(g, table).gamma
+        for k in range(n + 1):
+            if k < gamma:
+                with pytest.raises(BoundBelowGamma):
+                    computed_eulerian(g, k, table)
+            else:
+                computed_eulerian(g, k, table)
+        assert domination._seed_lattice.cache_info().currsize == n - domination._TABLE_N + 1
+        lattice = domination._seed_lattice(n)
+        assert lattice.member is domination._members(n) and lattice.size is domination._sizes(n)
+        assert lattice.flip == sum(1 << s for s in range(1 << n) if (n - s.bit_count()) & 1)
+        assert (lattice.cover is None) is (n > domination._TABLE_N)
 
 
 def test_computed_eulerian_rejects_k_outside_the_order():
