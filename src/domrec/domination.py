@@ -32,9 +32,11 @@ mask of u and X_uv the graphs that have edge uv, and folds of each graph's
 block of 2**n bits give one answer bit per graph.  corona_chunks lays out the
 coronas H o K_1 of the labeled inner graphs H on n vertices as LabeledChunks
 too, of order 2n: pendant v' = v + n has the cover M_v' | M_v, and inner
-vertex v's cover gains M_v'.  Where a graph's block sits is known here
-alone: graph_table reads one, and differs_from_first flags the graphs whose
-table is not graph 0's.
+vertex v's cover gains M_v'.  The layout of a chunk is known here alone:
+graph_table reads a graph's block, differs_from_first flags the graphs whose
+table is not graph 0's, connected, bipartite, non_neighbors and
+cocktail_party fold the X_uv for all graphs at once, and graphs decodes the
+graphs of an answer.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from functools import cache, reduce
 from operator import and_, or_
 
 from .errors import BoundBelowGamma, BoundExceeded, EmptyGraph
-from .graphs import (_UNITS, ENUMERATION_CAP, SeedGraph, labeled_graph, sliced_non_neighbors,
-                     vertex_pairs)
+from .graphs import _UNITS, ENUMERATION_CAP, SeedGraph, labeled_graph, vertex_pairs
 
 #: log2 of the lattice bits in one chunk of a labeled sweep: 2**17 bits, so
 #: each of a chunk's masks is a 16 KiB int.  A chunk on n vertices holds
@@ -422,6 +423,15 @@ def _chunk_lattice(n: int, b: int, order: int | None = None):
     return (member[:order], sizes), covers, _members(b), flip
 
 
+@cache
+def _same_class_pairs(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per 2-colouring of n vertices that gives vertex 0 colour 0, the
+    indices in vertex_pairs(n) of the pairs inside a colour class."""
+    return tuple(tuple(e for e, (u, v) in enumerate(vertex_pairs(n))
+                       if not (colour >> u ^ colour >> v) & 1)
+                 for colour in range(0, 1 << n, 2))
+
+
 class LabeledChunk:
     """Consecutive labeled graphs on n vertices, or their coronas, on the
     (edge mask, subset) lattice.
@@ -436,7 +446,10 @@ class LabeledChunk:
     every has all count bits set, and edges[e] holds the graphs with the
     e-th pair of vertex_pairs(n).  Folds of the blocks give such answers:
     any, parity, differs_from_first and, for the graphs themselves,
-    odd_degree_nodes and below_threshold.
+    odd_degree_nodes and below_threshold.  Folds of edges give graphs'
+    predicates bit-sliced, connected, bipartite, non_neighbors and
+    cocktail_party, on a corona chunk for its inner graphs; graphs decodes
+    the graphs of an answer.
     """
 
     __slots__ = ("n", "order", "first", "count", "every", "edges", "table", "lattice", "flip")
@@ -513,9 +526,50 @@ class LabeledChunk:
         graphs with a vertex of c or more non-neighbors, have the latter,
         and a fold per c = 1..n-1 finds the former."""
         sizes = self.lattice[1]
-        counts = sliced_non_neighbors(self.n, self.edges, self.every, self.n - 1)
-        wide = [reduce(or_, level) for level in zip(*counts)]
+        wide = [reduce(or_, level) for level in zip(*self.non_neighbors(self.n - 1))]
         return reduce(or_, (self.any(self.table & sizes[c]) & x for c, x in enumerate(wide, 1)), 0)
+
+    def connected(self) -> int:
+        """The connected graphs: reach[v] holds the graphs in which v is
+        reachable from vertex 0, grown edge by edge until stable."""
+        reach = [self.every] + [0] * (self.n - 1)
+        while True:
+            before = reach[:]
+            for (u, v), x in zip(vertex_pairs(self.n), self.edges):
+                reach[v] |= reach[u] & x
+                reach[u] |= reach[v] & x
+            if reach == before:
+                return reduce(and_, reach)
+
+    def bipartite(self) -> int:
+        """The bipartite graphs: those with no edge inside a colour class of
+        some 2-colouring, over the 2**(n - 1) colourings that give vertex 0
+        colour 0 (swapping the colours keeps the classes)."""
+        edges, every = self.edges, self.every
+        return reduce(or_, (every & ~reduce(or_, map(edges.__getitem__, inside), 0)
+                            for inside in _same_class_pairs(self.n)))
+
+    def non_neighbors(self, levels: int) -> list[list[int]]:
+        """Per vertex v and count j < levels, the graphs in which v has at
+        least j + 1 non-neighbors: a unary counter per vertex, moved up one
+        level by each missing pair at v and saturating at the top level."""
+        at_least = [[0] * levels for _ in range(self.n)]
+        steps = range(levels - 1, 0, -1)
+        for (u, v), x in zip(vertex_pairs(self.n), self.edges):
+            missing = self.every & ~x
+            for counter in (at_least[u], at_least[v]):
+                for j in steps:
+                    counter[j] |= counter[j - 1] & missing
+                counter[0] |= missing
+        return at_least
+
+    def cocktail_party(self) -> int:
+        """The cocktail party graphs, by the rule of
+        graphs.induces_cocktail_party: even n >= 4 and exactly one
+        non-neighbor per vertex, read off two levels of the counters."""
+        if self.n < 4 or self.n % 2:
+            return 0
+        return reduce(and_, (one & ~two for one, two in self.non_neighbors(2)))
 
     def graphs(self, bits: int):
         """The labeled graphs of the chunk whose bits are set, decoded in

@@ -9,7 +9,8 @@ SeedGraph is a slotted, immutable value that pickles and copies.
 The complete, biclique, star, cocktail and turan families are complete
 multipartite graphs, built by one builder from their part sizes; the
 cocktail party rule is one predicate on vertex masks,
-induces_cocktail_party.
+induces_cocktail_party.  The bit-sliced twins of these one-seed predicates,
+which read a batch of labeled graphs, are domination.LabeledChunk's reads.
 
 FamilySpec.spec_string prints the spec grammar and parse_graph_spec reads it,
 plus the g6:<record> and file:<path> (edge list) forms.  A union splits at
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import cache, reduce
-from operator import and_, or_
+from functools import cache
+from operator import or_
 
 from .errors import (
     CapacityExceeded,
@@ -380,67 +381,6 @@ def labeled_graph(n: int, edge_mask: int) -> SeedGraph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return SeedGraph(n, adj, validate=False)
-
-
-# Bit-sliced twins of the predicates above decide one question for a batch of
-# graphs on n vertices at once.  Graph i of the batch is bit i of an int:
-# edges[e] has bit i set iff graph i has the e-th pair of vertex_pairs(n), and
-# every has a bit for each graph of the batch.
-
-
-def sliced_connected(n: int, edges: list[int], every: int) -> int:
-    """The graphs of the batch that are connected: reach[v] holds the graphs
-    in which v is reachable from vertex 0, grown edge by edge until stable."""
-    pairs = vertex_pairs(n)
-    reach = [every] + [0] * (n - 1)
-    while True:
-        before = reach[:]
-        for (u, v), x in zip(pairs, edges):
-            reach[v] |= reach[u] & x
-            reach[u] |= reach[v] & x
-        if reach == before:
-            return reduce(and_, reach)
-
-
-@cache
-def _same_class_pairs(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per 2-colouring of n vertices that gives vertex 0 colour 0, the
-    indices in vertex_pairs(n) of the pairs inside a colour class."""
-    return tuple(tuple(e for e, (u, v) in enumerate(vertex_pairs(n))
-                       if not (colour >> u ^ colour >> v) & 1)
-                 for colour in range(0, 1 << n, 2))
-
-
-def sliced_bipartite(n: int, edges: list[int], every: int) -> int:
-    """The graphs of the batch that are bipartite: those with no edge inside
-    a colour class of some 2-colouring, over the 2**(n - 1) colourings that
-    give vertex 0 colour 0 (swapping the colours keeps the classes)."""
-    return reduce(or_, (every & ~reduce(or_, map(edges.__getitem__, inside), 0)
-                        for inside in _same_class_pairs(n)))
-
-
-def sliced_non_neighbors(n: int, edges: list[int], every: int, levels: int) -> list[list[int]]:
-    """Per vertex v and count j < levels, the graphs of the batch in which v
-    has at least j + 1 non-neighbors: a unary counter per vertex, moved up
-    one level by each missing pair at v and saturating at the top level."""
-    at_least = [[0] * levels for _ in range(n)]
-    steps = range(levels - 1, 0, -1)
-    for (u, v), x in zip(vertex_pairs(n), edges):
-        missing = every & ~x
-        for counter in (at_least[u], at_least[v]):
-            for j in steps:
-                counter[j] |= counter[j - 1] & missing
-            counter[0] |= missing
-    return at_least
-
-
-def sliced_cocktail_party(n: int, edges: list[int], every: int) -> int:
-    """The graphs of the batch that are cocktail party graphs, by the rule of
-    induces_cocktail_party: even n >= 4 and exactly one non-neighbor per
-    vertex, read off two levels of the non-neighbor counters."""
-    if n < 4 or n % 2:
-        return 0
-    return reduce(and_, (one & ~two for one, two in sliced_non_neighbors(n, edges, every, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ Seven claims sweep the labeled graphs on lattice chunks.  Five read each
 seed's D(G) off domination.labeled_chunks through _chunk_sweep, which owns
 the sweep order, the instance count and the decoding of flagged seeds,
 while a judge per claim folds a chunk (order, degree parities, up-closure,
-gamma < t) for all its seeds at once.  The corona claims read chunks of
-order 2n off domination.corona_chunks, fold them per graph against graph
-0's table, and decide each distinct (table, k) once.  A seed is built as a
+gamma < t, connectivity) for all its seeds at once; which graph a bit
+stands for is domination's alone.  The corona claims read chunks of order
+2n off domination.corona_chunks, fold them per graph against graph 0's
+table, and decide each distinct (table, k) once.  A seed is built as a
 SeedGraph only for an Eulerian candidate, a disagreement, a universal-gamma
-instance or a corona with a new table.  The product claim compares the
-table of a disjoint union with the outer product of its parts' tables.
+instance, a corona with a new table or, once per spec, a family's expected
+verdicts.  The product claim compares the table of a disjoint union with
+the outer product of its parts' tables.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from operator import or_
 
@@ -54,9 +56,6 @@ from .graphs import (
     is_connected,
     labeled_graph,
     make_family,
-    sliced_bipartite,
-    sliced_cocktail_party,
-    sliced_connected,
     to_graph6,
 )
 
@@ -161,6 +160,13 @@ def _corona_eulerian(inner_n: int, k: int) -> bool:
     return inner_n % 2 == 0 and k == inner_n + 1
 
 
+@cache  # a few bytes per spec; make_family itself returns a fresh seed per call
+def _order_and_unrestricted(spec: FamilySpec) -> tuple[int, bool]:
+    """The order of spec's seed and its expected unrestricted verdict."""
+    g = make_family(spec)
+    return g.n, expected_eulerian_unrestricted(g)
+
+
 def expected_eulerian(spec: FamilySpec, k: int) -> bool:
     """Closed-form predicted verdict for D_k of a characterized family.
 
@@ -168,10 +174,9 @@ def expected_eulerian(spec: FamilySpec, k: int) -> bool:
     (family, k) pair, including the degenerate edgeless case k = gamma.
     """
     spec = _canonical_family(spec)
-    g = make_family(spec)
-    n = g.n
+    n, unrestricted = _order_and_unrestricted(spec)
     if k == n:
-        return expected_eulerian_unrestricted(g)
+        return unrestricted
     gamma = _family_gamma(spec)
     if gamma is None:
         raise UncharacterizedInstance(f"no claim covers family {spec.spec_string()}")
@@ -307,9 +312,8 @@ def _characterization(report, n_min: int = 2, n_max: int = 7):
     def judge(chunk):
         # A seed with an odd node is not Eulerian; only the others, and the
         # cocktail seeds expected to be Eulerian, are built and decided.
-        return (sliced_connected(chunk.n, chunk.edges, chunk.every),
-                {"no odd-degree node": ~chunk.any(chunk.odd_degree_nodes()),
-                 "cocktail party": sliced_cocktail_party(chunk.n, chunk.edges, chunk.every)})
+        return (chunk.connected(), {"no odd-degree node": ~chunk.any(chunk.odd_degree_nodes()),
+                                    "cocktail party": chunk.cocktail_party()})
 
     for g, _ in _chunk_sweep(report, n_min, n_max, judge):
         expected = is_cocktail_party(g)
@@ -405,7 +409,7 @@ def _corona_sweep(report, chunks, bipartite: bool):
     problems = {}  # per distinct table: its (k, expected, computed) disagreements
     for chunk in chunks:
         n = chunk.n
-        instances = sliced_bipartite(n, chunk.edges, chunk.every) if bipartite else chunk.every
+        instances = chunk.bipartite() if bipartite else chunk.every
         report.instances_checked += instances.bit_count() * (n - 1)
         visit = instances & (1 | chunk.differs_from_first())
         while visit:
@@ -413,7 +417,7 @@ def _corona_sweep(report, chunks, bipartite: bool):
             visit &= visit - 1
             table = chunk.graph_table(i)
             if table not in problems:
-                g = corona_of(labeled_graph(n, chunk.first + i))
+                g = corona_of(next(chunk.graphs(1 << i)))
                 found = problems[table] = []
                 profile = None if bipartite else domination_profile(g, table)
                 if profile and (profile.gamma, profile.upper_gamma) != (n, n):
@@ -426,7 +430,7 @@ def _corona_sweep(report, chunks, bipartite: bool):
             if problems[table]:
                 if i == 0:
                     visit = instances ^ 1
-                seed = f"corona:g6:{to_graph6(labeled_graph(n, chunk.first + i))}"
+                seed = f"corona:g6:{to_graph6(next(chunk.graphs(1 << i)))}"
                 yield from ((seed, *problem) for problem in problems[table])
 
 
@@ -517,7 +521,7 @@ def _mixed_parity(report, n_max: int = 6):
     report.details["graphs_scanned"] = 0
 
     def judge(chunk):
-        connected = sliced_connected(chunk.n, chunk.edges, chunk.every)
+        connected = chunk.connected()
         report.details["graphs_scanned"] += connected.bit_count()
         # Lemma: gamma < t (the universal threshold; t >= 2 follows) forces both parities.
         lemma = chunk.below_threshold()
@@ -544,8 +548,7 @@ def _universal_gamma_set(report, n_max: int = 6):
     def judge(chunk):
         # every gamma-set dominates iff gamma = t, the universal threshold
         universal = chunk.every & ~chunk.below_threshold()
-        return (sliced_connected(chunk.n, chunk.edges, chunk.every) & universal,
-                {"universal gamma set": universal})
+        return chunk.connected() & universal, {"universal gamma set": universal}
 
     for g, _ in _chunk_sweep(report, 2, n_max, judge):
         table = dominating_table(g)
@@ -590,7 +593,7 @@ def _connected_odd_bipartite(report, n_max: int = 5):
     set reaches V one vertex at a time and D(G) is connected (Haas &
     Seyffarth, "The k-dominating graph", 2014)."""
     def judge(chunk):
-        return (sliced_connected(chunk.n, chunk.edges, chunk.every),
+        return (chunk.connected(),
                 {"table not up-closed": chunk.any(up_closure_gaps(chunk.lattice, chunk.table)),
                  "even node count": ~chunk.parity(chunk.table),
                  "no even-degree node": ~chunk.any(chunk.table & ~chunk.odd_degree_nodes())})

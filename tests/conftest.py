@@ -28,7 +28,7 @@ builders, which rebuilt the member and size lists per vertex and tiled a
 chunk's masks block by block: the oracles of the masks built once, which
 package_lattice pairs as the lattice kernels read them.
 is_bipartite, a breadth-first 2-colouring, is the oracle of
-graphs.sliced_bipartite, and dominating_pair_counts, a count one
+LabeledChunk.bipartite, and dominating_pair_counts, a count one
 (graph, set) pair at a time, that of the closed form of the chunk tables'
 totals.
 """

@@ -55,10 +55,6 @@ from domrec.graphs import (
     corona_of,
     is_connected,
     labeled_graph,
-    sliced_bipartite,
-    sliced_cocktail_party,
-    sliced_connected,
-    sliced_non_neighbors,
     vertex_pairs,
 )
 from domrec.errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
@@ -327,8 +323,7 @@ def _chunk_answers(chunk):
     n = chunk.n
     odd = chunk.odd_degree_nodes()
     bits = [chunk.parity(chunk.table), chunk.any(odd), chunk.any(chunk.table & ~odd),
-            sliced_connected(n, chunk.edges, chunk.every),
-            sliced_cocktail_party(n, chunk.edges, chunk.every), chunk.below_threshold()]
+            chunk.connected(), chunk.cocktail_party(), chunk.below_threshold()]
     some, every = size_classes(chunk)
     for i in range(chunk.count):
         gamma = next(c for c in range(n + 1) if some[c] >> i & 1)
@@ -369,7 +364,7 @@ def test_labeled_chunks_match_the_per_seed_path(monkeypatch, chunk_bits, n_max, 
 
 def test_sliced_connected_counts_match_oeis_a001187():
     """Connected labeled graphs on n = 1..7 vertices (OEIS A001187)."""
-    counts = [sum(sliced_connected(n, c.edges, c.every).bit_count() for c in labeled_chunks(n))
+    counts = [sum(c.connected().bit_count() for c in labeled_chunks(n))
               for n in range(1, 8)]
     assert counts == [1, 1, 4, 38, 728, 26704, 1866256]
 
@@ -385,23 +380,28 @@ def test_sliced_non_neighbor_counters_match_degrees(monkeypatch, levels):
     for n in range(1, 6):
         depth = n - 1 if levels == "n - 1" else levels
         for chunk in labeled_chunks(n):
-            counts = sliced_non_neighbors(n, chunk.edges, chunk.every, depth)
+            counts = chunk.non_neighbors(depth)
             for i, g in enumerate(chunk.graphs(chunk.every)):
                 assert [[x >> i & 1 for x in counter] for counter in counts] == [
                     [int(n - 1 - g.degree(v) > j) for j in range(depth)] for v in range(n)]
 
 
-def test_sliced_bipartite_matches_the_per_seed_check():
-    """Every labeled graph with n <= 6, and every graph of three seeded
-    chunks at n = 7: bit i is set iff graph i is bipartite."""
+def test_sliced_bipartite_matches_the_per_seed_check(monkeypatch):
+    """Every labeled graph with n <= 6, every graph of three seeded chunks
+    at n = 7, and every inner graph with n <= 5 read off its corona chunk,
+    at the default width and at 2**8 bits (one inner graph a chunk at n = 4
+    and 5): bit i is set iff graph i is bipartite."""
     chunks = [c for n in range(1, 7) for c in labeled_chunks(n)]
     b = next(labeled_chunks(7)).count.bit_length() - 1
     rng = random.Random(2024)
     chunks += [domination.LabeledChunk(7, rng.randrange(1 << 21 - b) << b, b) for _ in range(3)]
+    for chunk_bits in (domination.CHUNK_BITS, 8):
+        monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
+        chunks += [c for n in range(1, 6) for c in corona_chunks(n)]
     for chunk in chunks:
-        bits = sliced_bipartite(chunk.n, chunk.edges, chunk.every)
+        bits = chunk.bipartite()
         assert [bits >> i & 1 for i in range(chunk.count)] == [
-            is_bipartite(g) for g in chunk.graphs(chunk.every)], (chunk.n, chunk.first)
+            is_bipartite(g) for g in chunk.graphs(chunk.every)], (chunk.n, chunk.order, chunk.first)
 
 
 @pytest.mark.parametrize("chunk_bits", [domination.CHUNK_BITS, 8])

@@ -1,6 +1,7 @@
 """Guards on the package source, read with ast: every public function and
-class has a user in the package, and no module imports a name it never uses.
-One guard reads the imported modules: every annotation resolves.
+class has a user in the package, no module imports a name it never uses,
+and theorems.py reads no chunk's layout.  One guard reads the imported
+modules: every annotation resolves.
 
 Functions that only the tests call, and exception classes that only they
 raise, belong in tests/conftest.py, next to the other oracles, so the
@@ -52,6 +53,15 @@ def test_no_module_imports_a_name_it_never_uses():
             unused += [f"{name}: {alias.name}" for alias in node.names
                        if (alias.asname or alias.name).split(".")[0] not in read]
     assert unused == []
+
+
+def test_theorems_reads_no_chunk_layout():
+    """The claims read a LabeledChunk through its methods: which bits of
+    edges hold which graphs, and which edge mask graph i has, are known to
+    domination.py alone."""
+    read = {node.attr for node in ast.walk(MODULES["theorems.py"])
+            if isinstance(node, ast.Attribute)}
+    assert read & {"edges", "first"} == set()
 
 
 def test_every_annotation_resolves():
