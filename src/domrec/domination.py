@@ -14,8 +14,8 @@ masks, a table lookup on broadword masks (Knuth, TAOCP 4A, 7.1.3), and
 above it one OR per member of N[v].  D_k lives on the lattice too,
 unbuilt: bounded picks its nodes, and lattice_eulerian reads their degree
 parities off the table with the masks of _seed_lattice(n), one record per n
-built on first use, then whether _flood, in-place passes over the vertices
-until one adds nothing, reaches every node with an edge.
+built on first use, then floods them (_flood: in-place vertex passes until
+one adds nothing); lattice_eulerians does every k of a range at once.
 up_closure_gaps checks that a table, of one seed or a chunk of them, is
 up-closed, which makes its unrestricted D(G) connected.  Any set of masks
 taken as nodes, two adjacent when they differ in one vertex, is read the
@@ -28,15 +28,15 @@ labeled sweep, where bit E * 2**n + S is set iff S dominates the labeled
 graph with edge mask E.  labeled_chunks cuts it into LabeledChunks of
 consecutive edge masks, about 2**CHUNK_BITS bits each: a chunk's table is
 the AND over v of cover_v = M_v | OR_u (M_u & X_uv), with M_u the member
-mask of u and X_uv the graphs that have edge uv, and folds of each graph's
-block of 2**n bits give one answer bit per graph.  corona_chunks lays out the
-coronas H o K_1 of the labeled inner graphs H on n vertices as LabeledChunks
-too, of order 2n: pendant v' = v + n has the cover M_v' | M_v, and inner
-vertex v's cover gains M_v'.  The layout of a chunk is known here alone:
-graph_table reads a graph's block, differs_from_first flags the graphs whose
-table is not graph 0's, connected, bipartite, non_neighbors and
-cocktail_party fold the X_uv for all graphs at once, and graphs decodes the
-graphs of an answer.
+mask of u and X_uv the graphs that have edge uv, and a field test or fold
+of each graph's block of 2**n bits leaves its answer on the block's top bit.
+corona_chunks lays out the coronas H o K_1 of the labeled inner graphs H on
+n vertices as LabeledChunks too, of order 2n: pendant v' = v + n has the
+cover M_v' | M_v, and inner vertex v's cover gains M_v'.  The layout of a
+chunk is known here alone: graph_table reads a graph's block,
+differs_from_first flags the graphs whose table is not graph 0's,
+connected, bipartite, non_neighbors and cocktail_party fold the X_uv for
+all graphs at once, and graphs decodes the graphs of an answer.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from functools import cache, reduce
+from itertools import compress
 from operator import and_, or_
 
 from .errors import BoundBelowGamma, BoundExceeded, EmptyGraph
@@ -158,7 +159,7 @@ def dominating_table(g: SeedGraph) -> int:
     over u in N[v].  Up to n = _TABLE_N each cover is one entry of
     _seed_lattice(n).cover; above it, where a table would outgrow a chunk,
     the ORs are taken one member of N[v] at a time, from the first member's
-    mask itself, so no 2**n-bit mask is copied per vertex.
+    mask itself (no initial value), so no 2**n-bit mask is copied per vertex.
     """
     n = g.n
     table = (1 << (1 << n)) - 1  # with no vertices, the empty set dominates
@@ -169,14 +170,7 @@ def dominating_table(g: SeedGraph) -> int:
         return table
     member = _members(n)
     for nbhd in g.closed_neighborhoods():  # never empty, as N[v] holds v
-        low = nbhd & -nbhd
-        nbhd ^= low
-        cover = member[low.bit_length() - 1]
-        while nbhd:
-            low = nbhd & -nbhd
-            nbhd ^= low
-            cover |= member[low.bit_length() - 1]
-        table &= cover
+        table &= reduce(or_, (x for u, x in enumerate(member) if nbhd >> u & 1))
     return table
 
 
@@ -230,8 +224,8 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
     """Whether D_k is Eulerian (every degree even, at most one component with
     edges), decided on the lattice of an up-closed table on n vertices
     without building D_k: the parity flip at k is _seed_lattice(n)'s, less
-    class k when n - k is odd, and the flood from the lowest non-isolated
-    node must reach every node with an edge, the OR of the flip masks.
+    class k when n - k is odd, and the nodes with an edge, the OR of the
+    flip masks, must be one component.
 
     Raises ValueError for k outside [0, n] and BoundBelowGamma when no set
     of cardinality <= k is in table, both before any record is read.
@@ -239,13 +233,31 @@ def lattice_eulerian(n: int, table: int, k: int) -> bool:
     nodes = table if k == n else bounded(n, table, k)
     if not nodes:
         raise BoundBelowGamma(f"no dominating set of cardinality <= {k}")
-    member, steps, size, flip, _ = _seed_lattice(n)
-    if (n - k) & 1:
-        flip ^= size[k]
-    if _odd_nodes(steps, table, flip, nodes):
-        return False
-    linked = reduce(or_, flip_masks(n, nodes), 0)
-    return _flood(member, nodes, linked & -linked) == linked
+    _, steps, size, flip, _ = _seed_lattice(n)
+    odd = _odd_nodes(steps, table, flip ^ size[k] if (n - k) & 1 else flip, nodes)
+    return not odd and component_count(n, nodes, reduce(or_, flip_masks(n, nodes), 0)) < 2
+
+
+def lattice_eulerians(n: int, table: int, ks: range) -> list[bool]:
+    """lattice_eulerian at each k of ks, consecutive bounds, in one pass: the
+    removable XOR is taken once, each k adds class k to the nodes and toggles
+    it in the flip if n - k is odd, and only a k with no odd node is flooded.
+    Raises as lattice_eulerian does at the first or last k, before any read."""
+    if not ks:
+        return []
+    nodes = bounded(n, table, ks[0])
+    if ks[-1] > n:
+        raise ValueError(f"k must be in [0, {n}], got {ks[-1]}")
+    if not nodes:
+        raise BoundBelowGamma(f"no dominating set of cardinality <= {ks[0]}")
+    _, steps, size, flip, _ = _seed_lattice(n)
+    parity, verdicts = _odd_nodes(steps, table, flip, -1), []
+    for k in ks:
+        nodes |= table & size[k]
+        odd = parity ^ size[k] if (n - k) & 1 else parity
+        verdicts.append(not (odd & nodes) and component_count(
+            n, nodes, reduce(or_, flip_masks(n, nodes), 0)) < 2)
+    return verdicts
 
 
 def up_closure_gaps(lattice, table: int) -> int:
@@ -388,8 +400,8 @@ def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProf
 # ---------------------------------------------------------------------------
 
 
-#: Byte -> the ASCII binary digit of its lowest bit.
-_LOWEST_BIT_DIGIT = bytes(b"01"[i & 1] for i in range(256))
+#: Byte -> the ASCII binary digit of whether it is nonzero.
+_NONZERO_DIGIT = bytes(b"01"[i > 0] for i in range(256))
 
 
 @cache
@@ -407,11 +419,14 @@ def _chunk_lattice(n: int, b: int, order: int | None = None):
     the graphs themselves; a corona chunk has None, so a read fails.  cover[v]
     is member[v], plus the member mask of its partner for a corona's vertex
     v and pendant v + n, plus member[u] in the blocks of the graphs with
-    edge uv.
+    edge uv.  Last: ones and high, the bottom and top bit of each block.
     """
     order = order or n
     member = _members(order + b)
     sizes = [_repeat(x, 1 << n, 1 << n + b) for x in _sizes(n)] if order == n else None
+    block = 1 << order
+    high = sizes[n] if sizes else _repeat(1 << block - 1, block, block << b)
+    ones = sizes[0] if sizes else high >> block - 1
     flip = reduce(or_, sizes[(n + 1) & 1 : n : 2], 0) if order == n else None
     covers = list(member[:order])
     for v in range(order - n):  # a corona's pendants; none at order n
@@ -420,16 +435,18 @@ def _chunk_lattice(n: int, b: int, order: int | None = None):
     for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
         covers[u] |= member[v] & member[order + e]
         covers[v] |= member[u] & member[order + e]
-    return (member[:order], sizes), covers, _members(b), flip
+    return (member[:order], sizes), covers, _members(b), flip, ones, high
 
 
 @cache
-def _same_class_pairs(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per 2-colouring of n vertices that gives vertex 0 colour 0, the
-    indices in vertex_pairs(n) of the pairs inside a colour class."""
-    return tuple(tuple(e for e, (u, v) in enumerate(vertex_pairs(n))
-                       if not (colour >> u ^ colour >> v) & 1)
-                 for colour in range(0, 1 << n, 2))
+def _colourings(n: int, b: int) -> tuple[tuple[int, int], ...]:
+    """Per 2-colouring of n vertices that gives vertex 0 colour 0, for chunks
+    of 2**b graphs: the edge mask of the pairs inside a colour class with
+    index >= b, and the graphs whose low edges miss those with index < b."""
+    low_edges, every = _members(b), (1 << (1 << b)) - 1
+    insides = [[not (c >> u ^ c >> v) & 1 for u, v in vertex_pairs(n)] for c in range(0, 1 << n, 2)]
+    return tuple((sum(x << e for e, x in enumerate(inside[b:], b)),
+                  every & ~reduce(or_, compress(low_edges, inside), 0)) for inside in insides)
 
 
 class LabeledChunk:
@@ -444,19 +461,20 @@ class LabeledChunk:
     The graphs share their high edges and run through every combination of
     the low ones.  A per-graph answer is an int whose bit i is graph i's:
     every has all count bits set, and edges[e] holds the graphs with the
-    e-th pair of vertex_pairs(n).  Folds of the blocks give such answers:
-    any, parity, differs_from_first and, for the graphs themselves,
-    odd_degree_nodes and below_threshold.  Folds of edges give graphs'
-    predicates bit-sliced, connected, bipartite, non_neighbors and
-    cocktail_party, on a corona chunk for its inner graphs; graphs decodes
-    the graphs of an answer.
+    e-th pair of vertex_pairs(n).  Tests of the blocks, with the field masks
+    ones and high, give such answers on each block's top bit: any, parity,
+    differs_from_first and, for the graphs themselves, odd_degree_nodes and
+    below_threshold.  Folds of edges give graphs' predicates bit-sliced,
+    connected, bipartite, non_neighbors and cocktail_party, on a corona
+    chunk for its inner graphs; graphs decodes the graphs of an answer.
     """
 
-    __slots__ = ("n", "order", "first", "count", "every", "edges", "table", "lattice", "flip")
+    __slots__ = ("n", "order", "first", "count", "every", "edges", "table", "lattice", "flip",
+                 "ones", "high")
 
     def __init__(self, n: int, first: int, b: int, order: int | None = None):
         self.order = order = order or n
-        lattice, covers, low_edges, self.flip = _chunk_lattice(n, b, order)
+        lattice, covers, low_edges, self.flip, self.ones, self.high = _chunk_lattice(n, b, order)
         members = lattice[0]
         self.n = n
         self.first = first
@@ -474,32 +492,31 @@ class LabeledChunk:
         self.table = reduce(and_, covers)
         self.lattice = lattice
 
-    def _lowest(self, x: int) -> int:
-        """Per graph, the lowest bit of its block of x.  A block of 8 bits
-        or more starts a byte, so the bytes are taken at a stride of one
-        block and each becomes the binary digit of its lowest bit; a chunk
-        of narrower blocks (order < 3) is at most 8 bits, read digit by
-        digit."""
-        block = 1 << self.order
+    def _highest(self, x: int) -> int:
+        """Per graph, the top bit of its block of x.  A block of 8 bits or
+        more ends a byte, so the bytes are taken at a stride of one block and
+        each becomes the binary digit of whether it is nonzero; a chunk of
+        narrower blocks (order < 3) is at most 8 bits, read digit by digit."""
+        block, x = 1 << self.order, x & self.high
         width = block * self.count
         if block < 8:
-            return int(format(x, f"0{width}b")[block - 1 :: block], 2)
-        data = x.to_bytes(width // 8, "little")[:: block // 8]
-        return int(data.translate(_LOWEST_BIT_DIGIT)[::-1], 2)
+            return int(format(x, f"0{width}b")[::block], 2)
+        data = x.to_bytes(width // 8, "little")[block // 8 - 1 :: block // 8]
+        return int(data.translate(_NONZERO_DIGIT)[::-1], 2)
 
     def any(self, x: int) -> int:
-        """Per graph, whether its block of the lattice mask x has a set bit:
-        an OR fold of each block into its lowest bit."""
-        for s in range(self.order):
-            x |= x >> (1 << s)
-        return self._lowest(x)
+        """Per graph, whether its block of the lattice mask x has a set bit, by
+        a broadword field test (Knuth, TAOCP 4A, 7.1.3): the top bit, set and
+        less one, stays iff a lower bit is set, and x's own is ORed back.  An
+        empty x, as every up-closure gap is, skips the chunk-wide test."""
+        return self._highest((x | self.high) - self.ones | x) if x else 0
 
     def parity(self, x: int) -> int:
         """Per graph, the parity of the set bits in its block of x: an XOR
-        fold."""
+        fold by left shifts, leaving each block's parity on its top bit."""
         for s in range(self.order):
-            x ^= x >> (1 << s)
-        return self._lowest(x)
+            x ^= x << (1 << s)
+        return self._highest(x)
 
     def graph_table(self, i: int) -> int:
         """Graph i's block of table: the table of its seed."""
@@ -520,14 +537,22 @@ class LabeledChunk:
 
     def below_threshold(self) -> int:
         """The graphs with gamma below the universal threshold t = n - delta,
-        for a chunk of the graphs themselves (order n): those with a
-        dominating and a non-dominating c-set for some c.  A set fails to
-        dominate iff it lies in V - N[v] for some v, so wide[c - 1], the
-        graphs with a vertex of c or more non-neighbors, have the latter,
-        and a fold per c = 1..n-1 finds the former."""
-        sizes = self.lattice[1]
-        wide = [reduce(or_, level) for level in zip(*self.non_neighbors(self.n - 1))]
-        return reduce(or_, (self.any(self.table & sizes[c]) & x for c, x in enumerate(wide, 1)), 0)
+        for a chunk of the graphs themselves (order n): those with, for some
+        c, a dominating c-set, a field test per c flagging bit c - 1 of each
+        block's last byte, all read in one to_bytes (a byte holds them up to
+        n = 9), and a vertex with c or more non-neighbors, whose V - N[v]
+        holds a non-dominating c-set.  On n < 3 vertices gamma = t."""
+        n, flags, sizes, low = self.n, 0, self.lattice[1], self.high - self.ones
+        if n < 3:
+            return 0
+        for c in range(1, n):  # a c-set lacks the top bit: + low carries into it
+            flags |= ((self.table & sizes[c]) + low & self.high) >> 8 - c
+        step = 1 << n - 3  # bytes a block
+        data = flags.to_bytes(step * self.count, "little")[step - 1 :: step]
+        wide = [reduce(or_, level) for level in zip(*self.non_neighbors(n - 1))]
+        hit = int.from_bytes(data, "little") & int.from_bytes(
+            node_fields(self.count.bit_length() - 1, wide), "little")
+        return int(hit.to_bytes(self.count, "little").translate(_NONZERO_DIGIT)[::-1], 2)
 
     def connected(self) -> int:
         """The connected graphs: reach[v] holds the graphs in which v is
@@ -544,10 +569,10 @@ class LabeledChunk:
     def bipartite(self) -> int:
         """The bipartite graphs: those with no edge inside a colour class of
         some 2-colouring, over the 2**(n - 1) colourings that give vertex 0
-        colour 0 (swapping the colours keeps the classes)."""
-        edges, every = self.edges, self.every
-        return reduce(or_, (every & ~reduce(or_, map(edges.__getitem__, inside), 0)
-                            for inside in _same_class_pairs(self.n)))
+        colour 0 (swapping the colours keeps the classes): per colouring with
+        no shared high edge inside a class, its cached graphs (_colourings)."""
+        b = self.count.bit_length() - 1
+        return reduce(or_, (low for high, low in _colourings(self.n, b) if not self.first & high), 0)
 
     def non_neighbors(self, levels: int) -> list[list[int]]:
         """Per vertex v and count j < levels, the graphs in which v has at

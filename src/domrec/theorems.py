@@ -4,11 +4,11 @@ graphs, each mapped to an exhaustive desk-scale verification.
 Each claim pairs a closed-form expected verdict with a brute-force computed
 verdict and reports any instance where the two disagree.  Every computed
 answer is read off domination tables on the subset lattice and no D_k is
-built: odd-degree nodes certify "not Eulerian", and otherwise one flood fill
-from the lowest non-isolated node decides whether the edges form one
-component (computed_eulerian).  The report on a built D_k is the tests'
-oracle.  Every claim is a sweep body that yields its disagreements; _run,
-the driver of every claim, turns them into a capped, timed report.
+built: odd-degree nodes certify "not Eulerian", and otherwise a flood fill
+decides whether the edges form one component (computed_eulerian, and
+lattice_eulerians for every k of a seed).  The report on a built D_k is the
+tests' oracle.  Every claim is a sweep body that yields its disagreements;
+_run, the driver of every claim, turns them into a capped, timed report.
 
 Seven claims sweep the labeled graphs on lattice chunks.  Five read each
 seed's D(G) off domination.labeled_chunks through _chunk_sweep, which owns
@@ -39,6 +39,7 @@ from .domination import (
     domination_profile,
     labeled_chunks,
     lattice_eulerian,
+    lattice_eulerians,
     size_counts,
     up_closure_gaps,
 )
@@ -354,9 +355,8 @@ def _family_sweep(report, specs: list[FamilySpec], past_n: bool = False):
     found = []
     for spec in specs:
         g = make_family(spec)
-        table = dominating_table(g)
-        for k in range(_family_gamma(spec) + 1, g.n + past_n):
-            computed = computed_eulerian(g, k, table)
+        ks = range(_family_gamma(spec) + 1, g.n + past_n)
+        for k, computed in zip(ks, lattice_eulerians(g.n, dominating_table(g), ks)):
             expected = expected_eulerian(spec, k)
             report.instances_checked += 1
             if computed:
@@ -395,8 +395,8 @@ def _corona_sweep(report, chunks, bipartite: bool):
     order: with bipartite, of the bipartite inner graphs' coronas alone, and
     otherwise of every corona, whose domination profile is checked too.
 
-    Every instance is counted, but each distinct table is profiled and
-    decided once, on the corona of an inner graph that has it: a set
+    Every instance is counted, but each distinct table is decided once, and
+    profiled once on the corona of an inner graph that has it: a set
     dominates a corona iff it meets {v, v'} for each inner vertex v, so all
     inner graphs of one order share a table, and a changed corona gets
     verdicts of its own.  Graph 0 of a chunk, whose edges every graph of the
@@ -417,14 +417,14 @@ def _corona_sweep(report, chunks, bipartite: bool):
             visit &= visit - 1
             table = chunk.graph_table(i)
             if table not in problems:
-                g = corona_of(next(chunk.graphs(1 << i)))
                 found = problems[table] = []
-                profile = None if bipartite else domination_profile(g, table)
+                profile = None if bipartite else domination_profile(
+                    corona_of(next(chunk.graphs(1 << i))), table)
                 if profile and (profile.gamma, profile.upper_gamma) != (n, n):
                     found.append((None, f"gamma = upper_gamma = {n}",
                                   [profile.gamma, profile.upper_gamma]))
-                for k in range(n + 1, 2 * n):
-                    computed = computed_eulerian(g, k, table)
+                ks = range(n + 1, 2 * n)
+                for k, computed in zip(ks, lattice_eulerians(2 * n, table, ks)):
                     if computed != _corona_eulerian(n, k):
                         found.append((k, _corona_eulerian(n, k), computed))
             if problems[table]:
@@ -558,8 +558,8 @@ def _universal_gamma_set(report, n_max: int = 6):
             yield g, None, "complete or cocktail", "neither"
             continue
         spec = FamilySpec.complete(g.n) if complete else FamilySpec.cocktail(g.n)
-        for k in range(gamma + 1, g.n):
-            computed = computed_eulerian(g, k, table)
+        ks = range(gamma + 1, g.n)
+        for k, computed in zip(ks, lattice_eulerians(g.n, table, ks)):
             expected = expected_eulerian(spec, k)
             if computed != expected:
                 yield g, k, expected, computed

@@ -22,7 +22,12 @@ ReconfigGraph keeps no neighbour lists: listed_adjacency parses them from
 the CSV export, and naive_adjacency builds them from all pairs of nodes.
 size_classes, the per-cardinality folds of a LabeledChunk, is the oracle of
 the threshold fold: the judges read gamma < t per graph from the
-non-neighbor counts instead.
+non-neighbor counts instead.  The package's former folds of a chunk's
+blocks, shift_fold_any and shift_fold_parity, which fold each block into
+its lowest bit, and per_size_below_threshold, one such fold per size class,
+are the oracles of the field tests read off each block's top bit and of the
+one-pass threshold; colouring_bipartite, its former fold of the edge bits
+per 2-colouring, that of the bipartite test read off cached colourings.
 rebuilt_lattice and tiled_chunk_lattice are the package's former lattice
 builders, which rebuilt the member and size lists per vertex and tiled a
 chunk's masks block by block: the oracles of the masks built once, which
@@ -285,6 +290,57 @@ def size_classes(chunk) -> tuple[list[int], list[int]]:
     sizes = chunk.lattice[1]
     return ([chunk.any(table & x) for x in sizes],
             [chunk.every & ~chunk.any(~table & x) for x in sizes])
+
+
+#: Byte -> the ASCII binary digit of its lowest bit.
+_LOWEST_BIT_DIGIT = bytes(b"01"[i & 1] for i in range(256))
+
+
+def lowest_bits(chunk, x: int) -> int:
+    """Per graph, the lowest bit of its block of x.  A block of 8 bits or
+    more starts a byte, so the bytes are taken at a stride of one block; a
+    chunk of narrower blocks is at most 8 bits, read digit by digit."""
+    block = 1 << chunk.order
+    width = block * chunk.count
+    if block < 8:
+        return int(format(x, f"0{width}b")[block - 1 :: block], 2)
+    data = x.to_bytes(width // 8, "little")[:: block // 8]
+    return int(data.translate(_LOWEST_BIT_DIGIT)[::-1], 2)
+
+
+def shift_fold_any(chunk, x: int) -> int:
+    """Per graph, whether its block of x has a set bit: an OR fold of each
+    block into its lowest bit by right shifts."""
+    for s in range(chunk.order):
+        x |= x >> (1 << s)
+    return lowest_bits(chunk, x)
+
+
+def shift_fold_parity(chunk, x: int) -> int:
+    """Per graph, the parity of the set bits in its block of x: an XOR fold
+    of each block into its lowest bit by right shifts."""
+    for s in range(chunk.order):
+        x ^= x >> (1 << s)
+    return lowest_bits(chunk, x)
+
+
+def per_size_below_threshold(chunk) -> int:
+    """The graphs with gamma < t, one shift fold per c = 1..n-1: those with a
+    dominating c-set and a vertex of c or more non-neighbors."""
+    sizes = chunk.lattice[1]
+    wide = [reduce(or_, level) for level in zip(*chunk.non_neighbors(chunk.n - 1))]
+    return reduce(or_, (shift_fold_any(chunk, chunk.table & sizes[c]) & x
+                        for c, x in enumerate(wide, 1)), 0)
+
+
+def colouring_bipartite(chunk) -> int:
+    """The graphs with no edge inside a colour class of some 2-colouring that
+    gives vertex 0 colour 0, one fold of the chunk's edge bits per
+    colouring."""
+    n, edges, every = chunk.n, chunk.edges, chunk.every
+    return reduce(or_, (every & ~reduce(or_, (x for (u, v), x in zip(vertex_pairs(n), edges)
+                                              if not (colour >> u ^ colour >> v) & 1), 0)
+                        for colour in range(0, 1 << n, 2)))
 
 
 def naive_is_dominating(g: SeedGraph, bits: int) -> bool:

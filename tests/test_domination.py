@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from conftest import (
     breadth_first_flood,
     bytewise_dominating_table,
+    colouring_bipartite,
     dominating_pair_counts,
     enumerate_dominating_sets,
     enumerate_labeled_graphs,
@@ -25,8 +26,11 @@ from conftest import (
     odd_degree_nodes,
     package_lattice,
     peeling_format_set,
+    per_size_below_threshold,
     rebuilt_lattice,
     seed_graphs,
+    shift_fold_any,
+    shift_fold_parity,
     size_classes,
     tiled_chunk_lattice,
     up_closed_families,
@@ -47,6 +51,7 @@ from domrec.domination import (
     dominating_table,
     labeled_chunks,
     lattice_eulerian,
+    lattice_eulerians,
     node_fields,
     size_counts,
     up_closure_gaps,
@@ -404,6 +409,62 @@ def test_sliced_bipartite_matches_the_per_seed_check(monkeypatch):
             is_bipartite(g) for g in chunk.graphs(chunk.every)], (chunk.n, chunk.order, chunk.first)
 
 
+def _corona_odd_nodes(chunk) -> int:
+    """The odd-degree nodes of each corona's D(G) on a corona chunk: the
+    parity flip at k = 2n of _seed_lattice(2n), repeated in every block."""
+    order = chunk.order
+    flip = domination._repeat(domination._seed_lattice(order).flip, 1 << order,
+                              chunk.count << order)
+    return domination._odd_nodes(zip(domination._UNITS, chunk.lattice[0]), chunk.table, flip,
+                                 chunk.table)
+
+
+def test_field_tests_match_the_shift_folds():
+    """any, parity, below_threshold and bipartite against the former folds:
+    on every labeled chunk with n <= 7, where n = 1 and 2 have blocks under
+    8 bits, over the table, the odd-degree nodes of D(G) and the table
+    outside them; on every corona chunk with inner n <= 5 over the table
+    and the odd-degree nodes of each corona's D(G)."""
+    for n in range(1, 8):
+        for chunk in labeled_chunks(n):
+            odd = chunk.odd_degree_nodes()
+            for x in (chunk.table, odd, chunk.table & ~odd):
+                assert chunk.any(x) == shift_fold_any(chunk, x), (n, chunk.first)
+                assert chunk.parity(x) == shift_fold_parity(chunk, x), (n, chunk.first)
+            assert chunk.below_threshold() == per_size_below_threshold(chunk), (n, chunk.first)
+            assert chunk.bipartite() == colouring_bipartite(chunk), (n, chunk.first)
+    for n in range(1, 6):
+        for chunk in corona_chunks(n):
+            for x in (chunk.table, _corona_odd_nodes(chunk)):
+                assert chunk.any(x) == shift_fold_any(chunk, x), (n, chunk.first)
+                assert chunk.parity(x) == shift_fold_parity(chunk, x), (n, chunk.first)
+            assert chunk.bipartite() == colouring_bipartite(chunk), (n, chunk.first)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_field_tests_match_the_shift_folds_on_drawn_masks(data):
+    """any and parity against the shift folds on masks drawn over a drawn
+    labeled chunk with n <= 7 or corona chunk with inner n <= 5: dense ones,
+    dense ones with whole blocks cleared, and sparse ones set at the first
+    and last two bits of blocks, where a carry or a spill between blocks
+    would show."""
+    corona = data.draw(st.booleans())
+    n = data.draw(st.integers(1, 5 if corona else 7))
+    b = next((corona_chunks if corona else labeled_chunks)(n)).count.bit_length() - 1
+    first = data.draw(st.integers(0, (1 << len(vertex_pairs(n)) - b) - 1)) << b
+    chunk = domination.LabeledChunk(n, first, b, 2 * n if corona else n)
+    block, count = 1 << chunk.order, chunk.count
+    dense = data.draw(st.integers(0, (1 << block * count) - 1))
+    cleared = data.draw(st.sets(st.integers(0, count - 1)))
+    ends = data.draw(st.sets(st.tuples(st.integers(0, count - 1),
+                                       st.sampled_from([0, 1, block - 2, block - 1]))))
+    for x in (dense, dense & ~sum(((1 << block) - 1) << i * block for i in cleared),
+              sum({1 << i * block + bit for i, bit in ends})):
+        assert chunk.any(x) == shift_fold_any(chunk, x)
+        assert chunk.parity(x) == shift_fold_parity(chunk, x)
+
+
 @pytest.mark.parametrize("chunk_bits", [domination.CHUNK_BITS, 8])
 def test_corona_chunks_match_the_per_corona_tables(monkeypatch, chunk_bits):
     """Every inner graph with n <= 5: block i of each corona chunk, read
@@ -525,15 +586,19 @@ def test_chunk_lattice_matches_the_tiled_masks(monkeypatch, chunk_bits):
     """Every n = 1..7 with the chunk width labeled_chunks picks: all of a
     small order's graphs in one chunk, down to one graph a chunk at 3 bits,
     where n + b = n and the chunk's masks are those of package_lattice(n).  The
-    parity flip at k = n holds the sets S with n - |S| odd in every block."""
+    parity flip at k = n holds the sets S with n - |S| odd in every block,
+    and the field masks the bottom and the top bit of every block."""
     monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
     for n in range(1, 8):
         b = next(labeled_chunks(n)).count.bit_length() - 1
-        (member, sizes), covers, low_edges, flip = domination._chunk_lattice(n, b)
+        (member, sizes), covers, low_edges, flip, ones, high = domination._chunk_lattice(n, b)
         tiled = tiled_chunk_lattice(n, b)
         assert ((list(member), sizes), covers, list(low_edges)) == tiled, (n, b)
         odd = sum(1 << s for s in range(1 << n) if (n - s.bit_count()) & 1)
         assert flip == domination._repeat(odd, 1 << n, 1 << n + b), (n, b)
+        starts = [i << n for i in range(1 << b)]
+        assert (ones, high) == (sum(1 << s for s in starts),
+                                sum(1 << s + (1 << n) - 1 for s in starts)), (n, b)
 
 
 # --- the lattice Eulerian verdict on up-closed tables ----------------------
@@ -541,6 +606,53 @@ def test_chunk_lattice_matches_the_tiled_masks(monkeypatch, chunk_bits):
 #: {0,1,4} and {2,5,6} on 7 vertices: at k = 5 no set contains both, so the
 #: up-closure's nodes split into the 11 supersets of each, all of even degree.
 SPLIT = (7, (0b0010011, 0b1100100), 5)
+
+
+def _gamma(n: int, table: int) -> int:
+    return next(c for c, count in enumerate(size_counts(n, table)) if count)
+
+
+def test_eulerian_ranges_match_the_per_k_verdicts():
+    """lattice_eulerians against lattice_eulerian at each k: over gamma..n on
+    every distinct table of a labeled graph with n <= 6, and over every
+    range within it for n <= 4; over gamma..n on path, cycle, complete,
+    cocktail and biclique seeds of up to 16 vertices."""
+    for n in range(1, 7):
+        tables = {c.graph_table(i) for c in labeled_chunks(n) for i in range(c.count)}
+        for table in tables:
+            gamma = _gamma(n, table)
+            ranges = [range(gamma, n + 1)] if n > 4 else [
+                range(lo, hi) for lo in range(gamma, n + 1) for hi in range(lo, n + 2)]
+            for ks in ranges:
+                assert lattice_eulerians(n, table, ks) == [
+                    lattice_eulerian(n, table, k) for k in ks], (n, table, ks)
+    specs = [maker(n) for n in range(1, 17) for maker in (FamilySpec.path, FamilySpec.complete)]
+    specs += [FamilySpec.cycle(n) for n in range(3, 17)]
+    specs += [FamilySpec.cocktail(n) for n in range(4, 17, 2)]
+    specs += [FamilySpec.complete_bipartite(m, n2) for m in range(1, 9) for n2 in range(m, 17 - m)]
+    for spec in specs:
+        g = make_family(spec)
+        table = dominating_table(g)
+        ks = range(_gamma(g.n, table), g.n + 1)
+        assert lattice_eulerians(g.n, table, ks) == [
+            lattice_eulerian(g.n, table, k) for k in ks], spec.spec_string()
+
+
+def test_eulerian_ranges_raise_as_the_per_k_verdicts():
+    """A range with a k outside [0, n] raises ValueError naming the k a loop
+    over lattice_eulerian would raise at, and one whose first k is below
+    gamma raises BoundBelowGamma, both before any seed lattice is read; an
+    empty range has no verdict."""
+    table = dominating_table(make_family(FamilySpec.cycle(9)))  # gamma = 3
+    domination._seed_lattice.cache_clear()
+    for ks, k in [(range(-1, 4), -1), (range(3, 11), 10), (range(-2, 12), -2)]:
+        with pytest.raises(ValueError, match=rf"k must be in \[0, 9\], got {k}$"):
+            lattice_eulerians(9, table, ks)
+    for ks in (range(0, 1), range(2, 10)):
+        with pytest.raises(BoundBelowGamma, match=rf"cardinality <= {ks[0]}$"):
+            lattice_eulerians(9, table, ks)
+    assert domination._seed_lattice.cache_info().currsize == 0
+    assert lattice_eulerians(9, table, range(5, 5)) == []
 
 
 def test_lattice_flood_finds_two_even_components():

@@ -548,9 +548,9 @@ def test_universal_gamma_set_reports_a_seed_of_neither_family(monkeypatch):
 def test_universal_gamma_set_reports_each_restricted_mismatch(monkeypatch):
     """With every verdict flipped, each k of K_3, K_4 and the 4-cycles
     between gamma and n is a counterexample, with its closed-form verdict."""
-    verdict = theorems.computed_eulerian
-    monkeypatch.setattr(theorems, "computed_eulerian",
-                        lambda g, k, table=None: not verdict(g, k, table))
+    verdicts = theorems.lattice_eulerians
+    monkeypatch.setattr(theorems, "lattice_eulerians",
+                        lambda n, table, ks: [not v for v in verdicts(n, table, ks)])
     report = verify_claim(ClaimId.UNIVERSAL_GAMMA_SET, n_max=4)
     assert [(ce["seed"], ce["k"], ce["expected"], ce["computed"])
             for ce in report.counterexamples] == [
@@ -848,19 +848,21 @@ def test_tampered_coronas_are_reported_in_edge_mask_order(monkeypatch, claim):
 def test_corona_claims_decide_each_distinct_table_once(monkeypatch, claim, verdicts,
                                                        profiles, instances):
     """At default bounds: one verdict per inner order and k (plus the
-    4-cycle's), one profile per inner order, every instance still counted."""
+    4-cycle's), one profile per inner order, every instance still counted.
+    A call of lattice_eulerians counts one verdict per k of its range."""
     calls = {"verdicts": 0, "profiles": 0}
 
-    def counted(name, key):
+    def counted(name, key, weight=lambda *args: 1):
         original = getattr(theorems, name)
 
         def wrapper(*args):
-            calls[key] += 1
+            calls[key] += weight(*args)
             return original(*args)
 
         monkeypatch.setattr(theorems, name, wrapper)
 
     counted("computed_eulerian", "verdicts")
+    counted("lattice_eulerians", "verdicts", lambda n, table, ks: len(ks))
     counted("domination_profile", "profiles")
     report = verify_claim(claim)
     assert calls == {"verdicts": verdicts, "profiles": profiles}
