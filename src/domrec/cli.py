@@ -53,7 +53,6 @@ from .reconfig import (
     build_reconfig,
     euler_circuit,
     eulerian_report,
-    node_ranks,
     reconfig_to_csv,
     reconfig_to_dot,
 )
@@ -207,13 +206,14 @@ def _analysis_lines(report: dict) -> list[str]:
     return lines
 
 
-def _write_analysis(out, report: dict, as_json: bool, walk: Sequence[int] | None, rank, labels):
+def _write_analysis(out, report: dict, as_json: bool, walk: Sequence[int] | None, labels):
     """Write the analyze report to out, with the Euler circuit when walk is
     not None (empty when there is none): text lines, or the report as
     json.dumps(..., sort_keys=True, indent=2) prints it with the circuit as
-    its "euler_circuit" array of node labels.  walk holds node masks, rank[s]
-    is node s's id and labels[i] node i's label as written: in JSON,
-    indented and quoted.  Each _PIECES_PER_WRITE steps are one write."""
+    its "euler_circuit" array of node labels.  walk holds node masks and
+    labels[s] node s's label as written (in JSON, indented and quoted), a
+    list over every subset or a dict over the nodes.  Each _PIECES_PER_WRITE
+    steps are one write, their labels gathered by one itemgetter call."""
     if not as_json:
         out.write("\n".join(_analysis_lines(report)) + "\n")
         if walk is None:
@@ -232,14 +232,14 @@ def _write_analysis(out, report: dict, as_json: bool, walk: Sequence[int] | None
         before, sep, after = head + '"euler_circuit": [\n', ",\n", "\n  ]" + tail + "\n"
     out.write(before)
     for start in range(0, len(walk), _PIECES_PER_WRITE):
-        ids = _gather(rank, walk[start:start + _PIECES_PER_WRITE])
-        out.write((sep if start else "") + sep.join(_gather(labels, ids)))
+        steps = _gather(labels, walk[start:start + _PIECES_PER_WRITE])
+        out.write((sep if start else "") + sep.join(steps))
     out.write(after)
 
 
 def _cmd_analyze(args) -> int:
     """The report of D_k(G), with --circuit its Euler circuit: each node's
-    label is formatted once, and the walk's masks read through node_ranks."""
+    label is formatted once, keyed by its mask, and read off the walk's masks."""
     g, spec = parse_graph_spec(args.graph)
     k = _parse_k(args.k, g.n)
     table = dominating_table(g)
@@ -249,18 +249,24 @@ def _cmd_analyze(args) -> int:
         _write_file(args.dot, reconfig_to_dot(r))
     rep = eulerian_report(r)
     report = analysis_report(g, spec, k, rep, domination_profile(g, table))
-    walk, rank, labels = None, [], []
+    walk, labels = None, []
     if args.circuit:
         walk = []
         if rep.is_eulerian and rep.edge_count > 0:
             walk = euler_circuit(r)
-            rank = node_ranks(r)
             # Set labels hold digits, braces and commas: nothing JSON escapes.
             head, tail = ('    "', '"') if args.json else ("", "")
-            labels = list(format_sets(g.n, r.nodes, head, tail))
-    del r  # the walk, the ranks and the labels are all the output needs of the graph
+            texts = zip(r.nodes, format_sets(g.n, r.nodes, head, tail))
+            # A dict costs 57-80 B a node past its labels, a list 8 B a subset.
+            if 8 << g.n > 68 * r.node_count:
+                labels = dict(texts)
+            else:
+                labels = [None] * (1 << g.n)
+                for s, text in texts:
+                    labels[s] = text
+    del r  # the walk and the labels are all the output needs of the graph
     # Looked up at call time: callers may redirect sys.stdout.
-    _write_analysis(sys.stdout, report, args.json, walk, rank, labels)
+    _write_analysis(sys.stdout, report, args.json, walk, labels)
     return 0
 
 

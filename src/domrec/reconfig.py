@@ -144,17 +144,19 @@ def euler_circuit(r: ReconfigGraph) -> array:
     take the lowest-index unused neighbour.  The walk has edge_count + 1
     entries, and lists no node: each subset's unused moves are one vertex
     mask in node_fields' table of the flip masks over all 2**n subsets (2
-    bytes a subset for n <= 16, 4 above).  The lowest-index unused
-    neighbour drops the highest vertex it can, since a down-move lands a
-    size class lower and leaves a smaller mask the higher the vertex it
-    drops; with no down-move left, it adds the lowest vertex it can.  A move
-    flips its vertex in the mask and clears its bit at both ends, the same
-    bit since flipping the vertex again leads back.  When a sub-trail
-    closes, its end goes to the exhausted stack and the trail (a stack of
-    masks) is popped, one node at a time onto that stack, back to its last
-    node with a move.  Once the trail and the exhausted stack hold every
-    edge, the walk is the trail followed by the exhausted nodes in reverse,
-    built in the trail's own array.
+    bytes a subset for n <= 16, 4 above).  The lowest-index unused neighbour
+    drops the highest vertex it can, since a down-move lands a size class
+    lower and leaves a smaller mask the higher the vertex it drops; with no
+    down-move left, it adds the lowest vertex it can.  A move flips its
+    vertex in the mask and clears its bit at both ends, the same bit since
+    flipping the vertex again leads back: at the far end in the word just
+    read, which goes back to the table only when the walk leaves that node
+    or, at a dead end, as 0.  When a sub-trail closes, its end goes to the
+    exhausted stack and the trail (a stack of masks) is popped, one node at
+    a time onto that stack, back to its last node with a move.  Once the
+    trail and the exhausted stack hold every edge, the walk is the trail
+    followed by the exhausted nodes in reverse, built in the trail's own
+    array.
 
     Raises ReconfigTooLarge past the node cap.  The other checks read the
     flip masks: their XOR holds the odd-degree nodes (NotEulerian), their
@@ -188,7 +190,8 @@ def euler_circuit(r: ReconfigGraph) -> array:
             low = 1 << d.bit_length() - 1 if d else m & -m
             moves[s] = m ^ low
             s ^= low
-            moves[s] = m = moves[s] ^ low
+            m = moves[s] ^ low
+        moves[s] = 0
         walk.append(s)
         # The trail holds len(stack) + len(walk) - 1 edges.
         if 2 * (len(stack) + len(walk) - 1) == twice_edges:

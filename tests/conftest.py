@@ -36,10 +36,15 @@ is_bipartite, a breadth-first 2-colouring, is the oracle of
 LabeledChunk.bipartite, and dominating_pair_counts, a count one
 (graph, set) pair at a time, that of the closed form of the chunk tables'
 totals.
+rank_gather_analyze is analyze's former circuit writer, which read each
+step's id off node_ranks and then its label from a list in node order: the
+oracle of the labels keyed by mask.
 """
 
 from __future__ import annotations
 
+import io
+import json
 from collections import Counter
 from functools import reduce
 from operator import or_
@@ -47,13 +52,14 @@ from itertools import combinations, islice
 
 import hypothesis.strategies as st
 
-from domrec import SeedGraph, disjoint_union, domination, theorems
+from domrec import SeedGraph, cli, disjoint_union, domination, theorems
 from domrec.domination import (
     _repeat,
     bounded,
     dominating_table,
     domination_profile,
     format_set,
+    format_sets,
     ordered_subsets,
 )
 from domrec.errors import (
@@ -64,14 +70,16 @@ from domrec.errors import (
     NotEulerian,
     ReconfigTooLarge,
 )
-from domrec.graphs import ENUMERATION_CAP, labeled_graph, to_graph6, vertex_pairs
+from domrec.graphs import ENUMERATION_CAP, labeled_graph, parse_graph_spec, to_graph6, vertex_pairs
 from domrec.reconfig import (
     DEFAULT_NODE_CAP,
     ODD_WITNESS_CAP,
     EulerReport,
     ReconfigGraph,
     build_reconfig,
+    euler_circuit,
     eulerian_report,
+    node_ranks,
     reconfig_to_csv,
 )
 
@@ -507,6 +515,40 @@ def reference_euler_circuit(r) -> list[int]:
             circuit.append(stack.pop())
     circuit.reverse()
     return circuit
+
+
+def rank_gather_analyze(spec_text: str, k_text: str, as_json: bool) -> str:
+    """stdout of `analyze --graph spec_text --k k_text --circuit` (with
+    --json when as_json), written as the circuit was when every step's id
+    was read off node_ranks and its label from a list in r.nodes order."""
+    g, spec = parse_graph_spec(spec_text)
+    k = cli._parse_k(k_text, g.n)
+    table = dominating_table(g)
+    r = build_reconfig(g, k, table=table)
+    rep = eulerian_report(r)
+    report = cli.analysis_report(g, spec, k, rep, domination_profile(g, table))
+    walk, rank, labels = [], [], []
+    if rep.is_eulerian and rep.edge_count > 0:
+        walk = euler_circuit(r)
+        rank = node_ranks(r)
+        head, tail = ('    "', '"') if as_json else ("", "")
+        labels = list(format_sets(g.n, r.nodes, head, tail))
+    out = io.StringIO()
+    if not as_json:
+        out.write("\n".join(cli._analysis_lines(report)) + "\n")
+        before, sep, after = "euler circuit: ", " -> ", "\n" if walk else "none\n"
+    else:
+        text = json.dumps(dict(report, euler_circuit=[]), sort_keys=True, indent=2)
+        if not walk:
+            return text + "\n"
+        head, _, tail = text.partition('"euler_circuit": []')
+        before, sep, after = head + '"euler_circuit": [\n', ",\n", "\n  ]" + tail + "\n"
+    out.write(before)
+    for start in range(0, len(walk), cli._PIECES_PER_WRITE):
+        ids = cli._gather(rank, walk[start:start + cli._PIECES_PER_WRITE])
+        out.write((sep if start else "") + sep.join(cli._gather(labels, ids)))
+    out.write(after)
+    return out.getvalue()
 
 
 def peeling_format_set(bits: int) -> str:

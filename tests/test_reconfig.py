@@ -2,6 +2,7 @@
 Cartesian products."""
 
 import tracemalloc
+from array import array
 from collections import Counter
 from functools import reduce
 from itertools import chain, product
@@ -315,6 +316,28 @@ def test_isolated_nodes_are_skipped():
     adjacency = listed_adjacency(r)
     assert [len(adjacency[i]) for i in range(7)] == [0, 0, 2, 2, 2, 2, 0]
     assert indexed_walk(r) == [2, 3, 5, 4, 2] == reference_euler_circuit(r)
+
+
+def test_walk_pops_a_closed_sub_trail_back_past_its_dead_end(monkeypatch):
+    """Three 4-cycles of Q_4 hang off one another.  The walk closes
+    0-1-3-2 at 0, then 2-6-14-10 at 2, and pops that whole sub-trail, its
+    dead end 2 included, down to 1, whose cycle is left.  2's word in the
+    table must read empty by then: a stale one resumes the walk at 2 on an
+    edge already taken, back and forth for ever.  So no array of the walk
+    may outgrow its 12 edges."""
+    r = planted(4, [0b0000, 0b0001, 0b0011, 0b0010, 0b0101, 0b1101, 0b1001,
+                    0b0110, 0b1110, 0b1010])
+    expected = reference_euler_circuit(r)
+
+    class Bounded(array):
+        def append(self, s):
+            assert len(self) <= 12, "the walk outgrew its edges"
+            super().append(s)
+
+    monkeypatch.setattr(reconfig, "array", Bounded)
+    walk = euler_circuit(r)
+    assert list(walk) == [0, 1, 5, 13, 9, 1, 3, 2, 6, 14, 10, 2, 0]
+    assert [r.nodes.index(s) for s in walk] == expected
 
 
 def test_euler_circuit_needs_no_report(monkeypatch):

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import naive_adjacency
-from domrec import cli, domination
+from conftest import enumerate_labeled_graphs, naive_adjacency, rank_gather_analyze
+from domrec import cli, domination, reconfig
 from domrec.cli import parse_graph_spec, run_cli
 from domrec.domination import dominating_table, domination_profile, format_set
+from domrec.graphs import to_graph6
 from domrec.reconfig import (
     build_reconfig,
     euler_circuit,
@@ -250,6 +251,86 @@ def test_mostly_backtracking_circuit_is_unchanged(capsys):
     shape = payload["reconfig"]["node_count"], payload["reconfig"]["edge_count"]
     assert shape + (len(payload["euler_circuit"]),) == (729, 1_296, 1_297)
     assert hashlib.sha256(out.encode()).hexdigest() == BICLIQUE_9_9_JSON_SHA256
+
+
+# --- circuit labels keyed by mask ---------------------------------------------
+
+
+def small_eulerian_instances() -> list[tuple[str, str]]:
+    """(g6 spec, k) of every D_k with an edge that is Eulerian, over the
+    labeled seeds on up to 5 vertices and every k from gamma to n."""
+    instances = []
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            table = dominating_table(g)
+            for k in range(domination_profile(g, table).gamma, n + 1):
+                rep = eulerian_report(build_reconfig(g, k, table=table))
+                if rep.is_eulerian and rep.edge_count:
+                    instances.append(("g6:" + to_graph6(g), str(k)))
+    return instances
+
+
+@pytest.mark.parametrize("pieces_per_write", PIECES_PER_WRITE)
+def test_circuit_matches_the_rank_gather_oracle_on_every_small_labeled_graph(
+        pieces_per_write, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PIECES_PER_WRITE", pieces_per_write)
+    instances = small_eulerian_instances()
+    assert len(instances) == 159  # of the 4,429 pairs
+    for spec, k in instances:
+        for as_json in (False, True):
+            assert run_cli(["analyze", "--graph", spec, "--k", k, "--circuit"]
+                           + ["--json"] * as_json) == 0
+            assert capsys.readouterr().out == rank_gather_analyze(spec, k, as_json)
+
+
+#: (spec, k, the labels' container, its length): a list over the 2**n
+#: subsets where it costs no more than a dict over the nodes, as on
+#: cocktail:10 (1,013 nodes of 1,024 subsets), and a dict on a sparse D_k:
+#: complete:13 --k 2 (91 nodes of 8,192), biclique:9,9 --k 3 (729 of 262,144).
+LABEL_CONTAINERS = [
+    ("cocktail:10", "max", list, 1 << 10),
+    ("complete:13", "2", dict, 91),
+    ("biclique:9,9", "3", dict, 729),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("spec,k,kind,size", LABEL_CONTAINERS)
+def test_circuit_labels_keyed_by_mask_match_the_rank_gather_oracle(spec, k, kind, size, as_json,
+                                                                   monkeypatch, capsys):
+    expected = rank_gather_analyze(spec, k, as_json)
+    containers = []
+    write = cli._write_analysis
+
+    def kept(out, report, json_form, walk, labels):
+        containers.append(labels)
+        write(out, report, json_form, walk, labels)
+
+    monkeypatch.setattr(cli, "_write_analysis", kept)
+    assert run_cli(["analyze", "--graph", spec, "--k", k, "--circuit"] + ["--json"] * as_json) == 0
+    assert capsys.readouterr().out == expected
+    (labels,) = containers
+    assert type(labels) is kind and len(labels) == size
+
+
+@pytest.mark.parametrize("spec,k", [("cocktail:10", "max"), ("complete:13", "2")])
+def test_analyze_circuit_reads_no_rank_array(spec, k, monkeypatch, capsys):
+    """The circuit's labels are read off the walk's masks: node_ranks, 4
+    bytes for each of the 2**n subsets (128 MiB for the 601 steps of
+    complete:25 --k 2), is never called.  export still reads it, and so
+    fails here."""
+    expected = [rank_gather_analyze(spec, k, as_json) for as_json in (False, True)]
+
+    def refuse(r):
+        raise AssertionError("node_ranks called")
+
+    monkeypatch.setattr(reconfig, "node_ranks", refuse)
+    for as_json, text in zip((False, True), expected):
+        assert run_cli(["analyze", "--graph", spec, "--k", k, "--circuit"]
+                       + ["--json"] * as_json) == 0
+        assert capsys.readouterr().out == text
+    with pytest.raises(AssertionError, match="node_ranks called"):
+        run_cli(["export", "--graph", spec, "--k", k, "--format", "csv"])
 
 
 def test_circuit_labels_build_one_label_table_on_a_narrow_seed(capsys):
