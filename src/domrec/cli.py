@@ -39,7 +39,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .domination import (DominationProfile, dominating_table, domination_profile, format_set,
-                          format_sets)
+                          format_sets, subset_labels)
 from .errors import (
     CapacityExceeded,
     ClaimUnknown,
@@ -211,9 +211,9 @@ def _write_analysis(out, report: dict, as_json: bool, walk: Sequence[int] | None
     not None (empty when there is none): text lines, or the report as
     json.dumps(..., sort_keys=True, indent=2) prints it with the circuit as
     its "euler_circuit" array of node labels.  walk holds node masks and
-    labels[s] node s's label as written (in JSON, indented and quoted), a
-    list over every subset or a dict over the nodes.  Each _PIECES_PER_WRITE
-    steps are one write, their labels gathered by one itemgetter call."""
+    labels[s] node s's bare label (the separators indent and quote it in
+    JSON), a list over every subset or a dict over the nodes.  Each batch of
+    _PIECES_PER_WRITE steps is one write, its separator before it another."""
     if not as_json:
         out.write("\n".join(_analysis_lines(report)) + "\n")
         if walk is None:
@@ -227,19 +227,21 @@ def _write_analysis(out, report: dict, as_json: bool, walk: Sequence[int] | None
         if not walk:
             out.write(text + "\n")
             return
-        # The key is unique: any quote inside a JSON string is escaped.
+        # The key is unique, as JSON escapes every quote in a string; labels hold none.
         head, _, tail = text.partition('"euler_circuit": []')
-        before, sep, after = head + '"euler_circuit": [\n', ",\n", "\n  ]" + tail + "\n"
+        before, sep, after = head + '"euler_circuit": [\n    "', '",\n    "', '"\n  ]' + tail + "\n"
     out.write(before)
     for start in range(0, len(walk), _PIECES_PER_WRITE):
-        steps = _gather(labels, walk[start:start + _PIECES_PER_WRITE])
-        out.write((sep if start else "") + sep.join(steps))
+        if start:
+            out.write(sep)
+        out.write(sep.join(_gather(labels, walk[start:start + _PIECES_PER_WRITE])))
     out.write(after)
 
 
 def _cmd_analyze(args) -> int:
-    """The report of D_k(G), with --circuit its Euler circuit: each node's
-    label is formatted once, keyed by its mask, and read off the walk's masks."""
+    """The report of D_k(G), with --circuit its Euler circuit: the walk's
+    masks keyed to bare labels, quoted by _write_analysis's separators, of
+    every subset on a dense D_k, with no node listed, else of each node."""
     g, spec = parse_graph_spec(args.graph)
     k = _parse_k(args.k, g.n)
     table = dominating_table(g)
@@ -254,16 +256,10 @@ def _cmd_analyze(args) -> int:
         walk = []
         if rep.is_eulerian and rep.edge_count > 0:
             walk = euler_circuit(r)
-            # Set labels hold digits, braces and commas: nothing JSON escapes.
-            head, tail = ('    "', '"') if args.json else ("", "")
-            texts = zip(r.nodes, format_sets(g.n, r.nodes, head, tail))
-            # A dict costs 57-80 B a node past its labels, a list 8 B a subset.
-            if 8 << g.n > 68 * r.node_count:
-                labels = dict(texts)
-            else:
-                labels = [None] * (1 << g.n)
-                for s, text in texts:
-                    labels[s] = text
+            # tracemalloc, n = 10..18: a label takes 60-72 B; a list holds one and
+            # 8 B a subset, a dict one and 60-85 B a node (entry, int key, r.nodes).
+            labels = (dict(zip(r.nodes, format_sets(g.n, r.nodes)))
+                      if (8 + 70) << g.n > (68 + 70) * r.node_count else subset_labels(g.n))
     del r  # the walk and the labels are all the output needs of the graph
     # Looked up at call time: callers may redirect sys.stdout.
     _write_analysis(sys.stdout, report, args.json, walk, labels)

@@ -2,7 +2,8 @@
 
 A set of vertices is an int mask, bit v set iff v is a member: the nodes of
 D_k and the subsets of the lattice below are such masks, and format_set
-writes one as '{0,2}' from tables of labels.  A subset S dominates when the
+writes one as '{0,2}' from tables of labels; subset_labels writes all 2**n
+at once, doubling a list of them per vertex.  A subset S dominates when the
 union of closed neighborhoods of its members covers every vertex.  Questions
 about all 2**n subsets at once are answered on the subset lattice: a set of
 subsets is one int whose bit S stands for the subset with bitmask S, so a
@@ -44,7 +45,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from functools import cache, reduce
-from itertools import compress
+from itertools import compress, islice
 from operator import and_, or_
 
 from .errors import BoundBelowGamma, BoundExceeded, EmptyGraph
@@ -94,11 +95,24 @@ def format_set(bits: int) -> str:
     return "{" + text[1:] + "}"
 
 
-def format_sets(n: int, masks, head: str = "", tail: str = ""):
-    """head + format_set(s) + tail for each vertex mask s of n <= 26 vertices,
-    as it is read; the second label table is built only for n > 13."""
+def format_sets(n: int, masks):
+    """format_set(s) for each vertex mask s of n <= 26 vertices, as it is
+    read; the second label table is built only for n > 13."""
     low, high = _chunk_labels(0), _chunk_labels(1) if n > 13 else ("",)
-    return (f"{head}{{{(low[s & 0x1FFF] + high[s >> 13])[1:]}}}{tail}" for s in masks)
+    return (f"{{{(low[s & 0x1FFF] + high[s >> 13])[1:]}}}" for s in masks)
+
+
+def subset_labels(n: int) -> list[str]:
+    """format_set(s) for every s < 2**n in mask order, anew on each call: the
+    first label table braced, or past 13 vertices (not to hold that table
+    too) a list doubled from '{}' by each v, v appended to every label."""
+    if n <= 13:
+        return [f"{{{x[1:]}}}" for x in _chunk_labels(0)[:1 << n]]
+    labels = ["{}"]
+    for v in range(n):
+        end = f",{v}}}"
+        labels += [f"{{{v}}}"] + [x.replace("}", end) for x in islice(labels, 1, None)]
+    return labels
 
 
 def _repeat(x: int, period: int, width: int) -> int:

@@ -39,18 +39,24 @@ totals.
 rank_gather_analyze is analyze's former circuit writer, which read each
 step's id off node_ranks and then its label from a list in node order: the
 oracle of the labels keyed by mask.
+
+The watchdog fixture, on every test, fails a test still running after
+TEST_TIME_LIMIT seconds, so that a defect which loops for ever (a walk that
+re-enables a used edge) fails its test instead of hanging the suite.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import signal
 from collections import Counter
 from functools import reduce
 from operator import or_
 from itertools import combinations, islice
 
 import hypothesis.strategies as st
+import pytest
 
 from domrec import SeedGraph, cli, disjoint_union, domination, theorems
 from domrec.domination import (
@@ -86,6 +92,37 @@ from domrec.reconfig import (
 
 class NotDominating(DomrecError):
     """The given vertex set does not dominate the seed graph."""
+
+
+#: Seconds a test may run: many times the slowest test's 4 s.
+TEST_TIME_LIMIT = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT.  Not an Exception, so that neither
+    the code under test nor hypothesis, which shrinks a failing example by
+    running it again, catches it; pytest reports the test as failed."""
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    """Fail the test if it still runs after TEST_TIME_LIMIT seconds, by a
+    SIGALRM from setitimer; the previous handler and timer are restored
+    after it.  Where SIGALRM is missing (Windows) it does nothing."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {TEST_TIME_LIMIT} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    timer = signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *timer)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def enumerate_labeled_graphs(n: int):
@@ -532,7 +569,7 @@ def rank_gather_analyze(spec_text: str, k_text: str, as_json: bool) -> str:
         walk = euler_circuit(r)
         rank = node_ranks(r)
         head, tail = ('    "', '"') if as_json else ("", "")
-        labels = list(format_sets(g.n, r.nodes, head, tail))
+        labels = [head + text + tail for text in format_sets(g.n, r.nodes)]
     out = io.StringIO()
     if not as_json:
         out.write("\n".join(cli._analysis_lines(report)) + "\n")

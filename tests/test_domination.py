@@ -54,6 +54,7 @@ from domrec.domination import (
     lattice_eulerians,
     node_fields,
     size_counts,
+    subset_labels,
     up_closure_gaps,
 )
 from domrec.graphs import (
@@ -295,6 +296,12 @@ def test_format_set_matches_the_peeling_formatter_below_2_16():
 @given(st.integers(0, 1 << 40))
 def test_format_set_matches_the_peeling_formatter_on_wide_masks(bits):
     assert format_set(bits) == peeling_format_set(bits)
+
+
+def test_subset_labels_are_format_set_of_every_subset_in_mask_order():
+    """Read off the first label table up to n = 13, doubled from '{}' past it."""
+    for n in range(17):
+        assert subset_labels(n) == [format_set(s) for s in range(1 << n)]
 
 
 @pytest.mark.parametrize("bits", [-1, -(1 << 40)])

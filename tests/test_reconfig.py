@@ -1,6 +1,7 @@
 """Reconfiguration module: building, degrees, Eulerian reports, circuits,
 Cartesian products."""
 
+import signal
 import tracemalloc
 from array import array
 from collections import Counter
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    TEST_TIME_LIMIT,
     NotDominating,
     cartesian_product,
     enumerate_dominating_sets,
@@ -232,6 +234,14 @@ def replay(r, walk):
 def test_euler_circuit_replays(spec, k):
     r = build(spec, k)
     replay(r, indexed_walk(r))
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM to arm")
+def test_a_walk_runs_under_the_watchdog():
+    """conftest's watchdog has armed the real-time timer, so a walk defect
+    that loops for ever fails its test within TEST_TIME_LIMIT seconds."""
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= TEST_TIME_LIMIT
 
 
 def test_euler_circuit_deterministic():

@@ -313,6 +313,43 @@ def test_circuit_labels_keyed_by_mask_match_the_rank_gather_oracle(spec, k, kind
     assert type(labels) is kind and len(labels) == size
 
 
+#: Mid-density D_k on either side of the list-or-dict rule (cocktail:12
+#: --k 6 has 2,497 nodes of 4,096 subsets, --k 4 has 781), and cocktail:14,
+#: whose list of labels is doubled from '{}' past the first label table.
+MORE_LABEL_CONTAINERS = [
+    ("cocktail:12", "6", list, 1 << 12),
+    ("cocktail:12", "4", dict, 781),
+    ("cocktail:14", "max", list, 1 << 14),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("spec,k,kind,size", MORE_LABEL_CONTAINERS)
+def test_more_circuit_labels_match_the_rank_gather_oracle(spec, k, kind, size, as_json,
+                                                          monkeypatch, capsys):
+    test_circuit_labels_keyed_by_mask_match_the_rank_gather_oracle(spec, k, kind, size, as_json,
+                                                                   monkeypatch, capsys)
+
+
+def test_dense_circuit_lists_no_node(monkeypatch, capsys):
+    """On a dense D_k the labels are every subset's, built by doubling: no
+    node is listed or formatted.  The sparse complete:13 --k 2, whose labels
+    are a dict over its nodes, fails under the same guard."""
+    expected = [rank_gather_analyze("cocktail:10", "max", as_json) for as_json in (False, True)]
+
+    def refuse(*_):
+        raise AssertionError("node listed")
+
+    monkeypatch.setattr(reconfig.ReconfigGraph, "nodes", property(refuse))
+    monkeypatch.setattr(cli, "format_sets", refuse)
+    for as_json, text in zip((False, True), expected):
+        assert run_cli(["analyze", "--graph", "cocktail:10", "--k", "max", "--circuit"]
+                       + ["--json"] * as_json) == 0
+        assert capsys.readouterr().out == text
+    with pytest.raises(AssertionError, match="node listed"):
+        run_cli(["analyze", "--graph", "complete:13", "--k", "2", "--circuit"])
+
+
 @pytest.mark.parametrize("spec,k", [("cocktail:10", "max"), ("complete:13", "2")])
 def test_analyze_circuit_reads_no_rank_array(spec, k, monkeypatch, capsys):
     """The circuit's labels are read off the walk's masks: node_ranks, 4
