@@ -31,13 +31,11 @@ consecutive edge masks, about 2**CHUNK_BITS bits each: a chunk's table is
 the AND over v of cover_v = M_v | OR_u (M_u & X_uv), with M_u the member
 mask of u and X_uv the graphs that have edge uv, and a field test or fold
 of each graph's block of 2**n bits leaves its answer on the block's top bit.
-corona_chunks lays out the coronas H o K_1 of the labeled inner graphs H on
-n vertices as LabeledChunks too, of order 2n: pendant v' = v + n has the
-cover M_v' | M_v, and inner vertex v's cover gains M_v'.  The layout of a
-chunk is known here alone: graph_table reads a graph's block,
-differs_from_first flags the graphs whose table is not graph 0's,
-connected, bipartite, non_neighbors and cocktail_party fold the X_uv for
-all graphs at once, and graphs decodes the graphs of an answer.
+The layout of a chunk is known here alone: connected, bipartite,
+non_neighbors and cocktail_party fold the X_uv for all graphs at once,
+below_threshold reads a block only for the regular graphs, as the lemma
+gamma <= n - Delta settles the others, and graphs decodes the graphs of an
+answer.
 """
 
 from __future__ import annotations
@@ -419,37 +417,26 @@ _NONZERO_DIGIT = bytes(b"01"[i > 0] for i in range(256))
 
 
 @cache
-def _chunk_lattice(n: int, b: int, order: int | None = None):
-    """What every chunk of 2**b labeled graphs on n vertices shares, for
-    seeds of order vertices: the graphs themselves (order n, the default) or
-    their coronas (order 2n).
+def _chunk_lattice(n: int, b: int):
+    """What every chunk of 2**b labeled graphs on n vertices shares.
 
-    Graph i has low edge e < b iff bit e of i is set, so bit i * 2**order + S
-    of the chunk is the subset S + i * 2**order of order + b vertices: the
-    chunk's member masks are the first order of _members(order + b), its low
-    edges' masks the other b, and their per-graph bits _members(b); no size
-    class of order + b or b vertices is built.  The size classes of n
-    vertices, and _odd_nodes' flip at k = n, are repeated in each block of
-    the graphs themselves; a corona chunk has None, so a read fails.  cover[v]
-    is member[v], plus the member mask of its partner for a corona's vertex
-    v and pendant v + n, plus member[u] in the blocks of the graphs with
-    edge uv.  Last: ones and high, the bottom and top bit of each block.
+    Graph i has low edge e < b iff bit e of i is set, so bit i * 2**n + S of
+    the chunk is the subset S + i * 2**n of n + b vertices: the chunk's
+    member masks are the first n of _members(n + b), its low edges' masks
+    the other b, and their per-graph bits _members(b); no size class of
+    n + b or b vertices is built.  The size classes of n vertices, and
+    _odd_nodes' flip at k = n, are repeated in each block.  cover[v] is
+    member[v] plus member[u] in the blocks of the graphs with edge uv.
+    Last: ones and high, the bottom and top bit of each block.
     """
-    order = order or n
-    member = _members(order + b)
-    sizes = [_repeat(x, 1 << n, 1 << n + b) for x in _sizes(n)] if order == n else None
-    block = 1 << order
-    high = sizes[n] if sizes else _repeat(1 << block - 1, block, block << b)
-    ones = sizes[0] if sizes else high >> block - 1
-    flip = reduce(or_, sizes[(n + 1) & 1 : n : 2], 0) if order == n else None
-    covers = list(member[:order])
-    for v in range(order - n):  # a corona's pendants; none at order n
-        covers[v] |= member[v + n]
-        covers[v + n] |= member[v]
+    member = _members(n + b)
+    sizes = [_repeat(x, 1 << n, 1 << n + b) for x in _sizes(n)]
+    flip = reduce(or_, sizes[(n + 1) & 1 : n : 2], 0)
+    covers = list(member[:n])
     for e, (u, v) in enumerate(vertex_pairs(n)[:b]):
-        covers[u] |= member[v] & member[order + e]
-        covers[v] |= member[u] & member[order + e]
-    return (member[:order], sizes), covers, _members(b), flip, ones, high
+        covers[u] |= member[v] & member[n + e]
+        covers[v] |= member[u] & member[n + e]
+    return (member[:n], sizes), covers, _members(b), flip, sizes[0], sizes[n]
 
 
 @cache
@@ -464,31 +451,30 @@ def _colourings(n: int, b: int) -> tuple[tuple[int, int], ...]:
 
 
 class LabeledChunk:
-    """Consecutive labeled graphs on n vertices, or their coronas, on the
-    (edge mask, subset) lattice.
+    """Consecutive labeled graphs on n vertices on the (edge mask, subset)
+    lattice.
 
-    Graph i of the chunk is the one with edge mask first + i.  Its seed, the
-    graph itself or its corona, has order vertices (n or 2n), its block of
-    2**order lattice bits starts at bit i * 2**order, and bit
-    i * 2**order + S of table is set iff S dominates seed i; lattice and
-    flip hold the member and size masks and parity flip of _chunk_lattice.
-    The graphs share their high edges and run through every combination of
-    the low ones.  A per-graph answer is an int whose bit i is graph i's:
-    every has all count bits set, and edges[e] holds the graphs with the
-    e-th pair of vertex_pairs(n).  Tests of the blocks, with the field masks
-    ones and high, give such answers on each block's top bit: any, parity,
-    differs_from_first and, for the graphs themselves, odd_degree_nodes and
-    below_threshold.  Folds of edges give graphs' predicates bit-sliced,
-    connected, bipartite, non_neighbors and cocktail_party, on a corona
-    chunk for its inner graphs; graphs decodes the graphs of an answer.
+    Graph i of the chunk is the one with edge mask first + i.  Its block of
+    2**n lattice bits starts at bit i * 2**n, and bit i * 2**n + S of table
+    is set iff S dominates graph i; lattice and flip hold the member and
+    size masks and parity flip of _chunk_lattice.  The graphs share their
+    high edges and run through every combination of the low ones.  A
+    per-graph answer is an int whose bit i is graph i's: every has all
+    count bits set, and edges[e] holds the graphs with the e-th pair of
+    vertex_pairs(n).  Tests of the blocks, with the field masks ones and
+    high, give such answers on each block's top bit: any, parity and
+    odd_degree_nodes.  Folds of edges give graphs' predicates bit-sliced,
+    connected, bipartite, non_neighbors and cocktail_party, and
+    below_threshold tests the blocks of the regular graphs alone, as the
+    non-neighbor counters find them.  graphs decodes the graphs of an
+    answer.
     """
 
-    __slots__ = ("n", "order", "first", "count", "every", "edges", "table", "lattice", "flip",
-                 "ones", "high")
+    __slots__ = ("n", "first", "count", "every", "edges", "table", "lattice", "flip", "ones",
+                 "high")
 
-    def __init__(self, n: int, first: int, b: int, order: int | None = None):
-        self.order = order = order or n
-        lattice, covers, low_edges, self.flip, self.ones, self.high = _chunk_lattice(n, b, order)
+    def __init__(self, n: int, first: int, b: int):
+        lattice, covers, low_edges, self.flip, self.ones, self.high = _chunk_lattice(n, b)
         members = lattice[0]
         self.n = n
         self.first = first
@@ -510,8 +496,8 @@ class LabeledChunk:
         """Per graph, the top bit of its block of x.  A block of 8 bits or
         more ends a byte, so the bytes are taken at a stride of one block and
         each becomes the binary digit of whether it is nonzero; a chunk of
-        narrower blocks (order < 3) is at most 8 bits, read digit by digit."""
-        block, x = 1 << self.order, x & self.high
+        narrower blocks (n < 3) is at most 8 bits, read digit by digit."""
+        block, x = 1 << self.n, x & self.high
         width = block * self.count
         if block < 8:
             return int(format(x, f"0{width}b")[::block], 2)
@@ -528,45 +514,45 @@ class LabeledChunk:
     def parity(self, x: int) -> int:
         """Per graph, the parity of the set bits in its block of x: an XOR
         fold by left shifts, leaving each block's parity on its top bit."""
-        for s in range(self.order):
+        for s in range(self.n):
             x ^= x << (1 << s)
         return self._highest(x)
 
-    def graph_table(self, i: int) -> int:
-        """Graph i's block of table: the table of its seed."""
-        block = 1 << self.order
-        return self.table >> i * block & (1 << block) - 1
-
-    def differs_from_first(self) -> int:
-        """Per graph, whether its table differs from graph 0's: an any fold
-        of table XOR graph 0's block repeated in every block."""
-        block = 1 << self.order
-        return self.any(self.table ^ _repeat(self.graph_table(0), block, block * self.count))
-
     def odd_degree_nodes(self) -> int:
         """The odd-degree nodes of each graph's unrestricted D(G), as lattice
-        bits, for a chunk of the graphs themselves: _odd_nodes at k = n,
-        whose member masks keep every shifted bit inside its own block."""
+        bits: _odd_nodes at k = n, whose member masks keep every shifted bit
+        inside its own block."""
         return _odd_nodes(zip(_UNITS, self.lattice[0]), self.table, self.flip, self.table)
 
     def below_threshold(self) -> int:
-        """The graphs with gamma below the universal threshold t = n - delta,
-        for a chunk of the graphs themselves (order n): those with, for some
-        c, a dominating c-set, a field test per c flagging bit c - 1 of each
-        block's last byte, all read in one to_bytes (a byte holds them up to
-        n = 9), and a vertex with c or more non-neighbors, whose V - N[v]
-        holds a non-dominating c-set.  On n < 3 vertices gamma = t."""
-        n, flags, sizes, low = self.n, 0, self.lattice[1], self.high - self.ones
+        """The graphs with gamma below the universal threshold t = n - delta.
+
+        A vertex of maximum degree Delta dominates with its n - 1 - Delta
+        non-neighbors, so gamma <= n - Delta (Berge, 1962), below t wherever
+        Delta > delta: every graph that is not regular is below.  A graph is
+        regular iff, at each level of the non-neighbor counters, every vertex
+        reaches it or none does.  A regular graph with L non-neighbors a
+        vertex (the levels its vertices reach) is below iff it has a
+        dominating L-set, as its table is up-closed: a test of size class L
+        on its block of one to_bytes.  L = 0 is never below, nor is any graph
+        on n < 3 vertices, where gamma = t."""
+        n = self.n
         if n < 3:
             return 0
-        for c in range(1, n):  # a c-set lacks the top bit: + low carries into it
-            flags |= ((self.table & sizes[c]) + low & self.high) >> 8 - c
-        step = 1 << n - 3  # bytes a block
-        data = flags.to_bytes(step * self.count, "little")[step - 1 :: step]
-        wide = [reduce(or_, level) for level in zip(*self.non_neighbors(n - 1))]
-        hit = int.from_bytes(data, "little") & int.from_bytes(
-            node_fields(self.count.bit_length() - 1, wide), "little")
-        return int(hit.to_bytes(self.count, "little").translate(_NONZERO_DIGIT)[::-1], 2)
+        levels = [(reduce(and_, level), reduce(or_, level))
+                  for level in zip(*self.non_neighbors(n - 1))]
+        below = reduce(or_, (each ^ some for each, some in levels))
+        regular = self.every & ~below
+        if regular:
+            step, size = 1 << n - 3, _sizes(n)  # bytes a block
+            data = self.table.to_bytes(step * self.count, "little")
+            while regular:
+                i = (regular & -regular).bit_length() - 1
+                regular &= regular - 1
+                level = sum(each >> i & 1 for each, _ in levels)
+                if level and int.from_bytes(data[i * step : i * step + step], "little") & size[level]:
+                    below |= 1 << i
+        return below
 
     def connected(self) -> int:
         """The connected graphs: reach[v] holds the graphs in which v is
@@ -612,32 +598,20 @@ class LabeledChunk:
 
     def graphs(self, bits: int):
         """The labeled graphs of the chunk whose bits are set, decoded in
-        edge-mask order: a corona chunk's inner graphs."""
+        edge-mask order."""
         while bits:
             low = bits & -bits
             bits ^= low
             yield labeled_graph(self.n, self.first + low.bit_length() - 1)
 
 
-def _chunks_of(n: int, order: int):
+def labeled_chunks(n: int):
     """Every labeled graph on n vertices, in edge-mask order, as chunks of
-    seeds of order vertices: 2**b seeds of 2**order lattice bits make about
-    2**CHUNK_BITS bits (all m edges if there are fewer, none at least)."""
+    2**b graphs that make about 2**CHUNK_BITS lattice bits (all m edges if
+    there are fewer, none at least)."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise BoundExceeded(f"labeled sweeps support 1 <= n <= {ENUMERATION_CAP}, got {n}")
     m = len(vertex_pairs(n))
-    b = min(m, max(CHUNK_BITS - order, 0))
+    b = min(m, max(CHUNK_BITS - n, 0))
     for first in range(0, 1 << m, 1 << b):
-        yield LabeledChunk(n, first, b, order)
-
-
-def labeled_chunks(n: int):
-    """Every labeled graph on n vertices, in edge-mask order, as chunks of
-    about 2**CHUNK_BITS lattice bits."""
-    return _chunks_of(n, n)
-
-
-def corona_chunks(n: int):
-    """The corona of every labeled inner graph on n vertices, in edge-mask
-    order, as chunks of order 2n and about 2**CHUNK_BITS lattice bits."""
-    return _chunks_of(n, 2 * n)
+        yield LabeledChunk(n, first, b)

@@ -15,13 +15,13 @@ seed's D(G) off domination.labeled_chunks through _chunk_sweep, which owns
 the sweep order, the instance count and the decoding of flagged seeds,
 while a judge per claim folds a chunk (order, degree parities, up-closure,
 gamma < t, connectivity) for all its seeds at once; which graph a bit
-stands for is domination's alone.  The corona claims read chunks of order
-2n off domination.corona_chunks, fold them per graph against graph 0's
-table, and decide each distinct (table, k) once.  A seed is built as a
-SeedGraph only for an Eulerian candidate, a disagreement, a universal-gamma
-instance, a corona with a new table or, once per spec, a family's expected
-verdicts.  The product claim compares the table of a disjoint union with
-the outer product of its parts' tables.
+stands for is domination's alone.  The corona claims rest on a lemma:
+every corona of an order-n graph has the table of n disjoint K_2, so they
+decide one table per n and count their instances in closed form.  A seed is
+built as a SeedGraph only for an Eulerian candidate, a disagreement, a
+universal-gamma instance, one corona per order or, once per spec, a
+family's expected verdicts.  The product claim compares the table of a
+disjoint union with the outer product of its parts' tables.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from itertools import chain
 from operator import or_
 
 from .domination import (
-    corona_chunks,
     dominating_table,
     domination_profile,
     labeled_chunks,
@@ -58,6 +57,7 @@ from .graphs import (
     labeled_graph,
     make_family,
     to_graph6,
+    vertex_pairs,
 )
 
 #: Cap on counterexamples kept per report; the total count goes in details.
@@ -259,19 +259,20 @@ def _run(claim: ClaimId, body, **bounds) -> TheoremReport:
         if count <= COUNTEREXAMPLE_CAP:
             report.counterexamples.append({"seed": _seed_label(seed), "k": k,
                                            "expected": expected, "computed": computed})
+    count += report.details.get("counterexample_count", 0)  # counted, not yielded
     report.passed = count == 0
     report.details["counterexample_count"] = count
     report.elapsed = time.perf_counter() - start
     return report
 
 
-def _chunks(n_min: int, n_max: int, chunks=labeled_chunks):
-    """Every labeled seed on n_min..n_max vertices as lattice chunks, or with
-    chunks=corona_chunks the coronas of those seeds, in order of n and edge
-    mask; an over-bound request fails here, before any sweep."""
+def _chunks(n_min: int, n_max: int):
+    """Every labeled seed on n_min..n_max vertices as lattice chunks, in
+    order of n and edge mask; an over-bound request fails here, before any
+    sweep."""
     if n_max > ENUMERATION_CAP:
         raise BoundExceeded(f"exhaustive sweeps support n <= {ENUMERATION_CAP}, got {n_max}")
-    return chain.from_iterable(map(chunks, range(n_min, n_max + 1)))
+    return chain.from_iterable(map(labeled_chunks, range(n_min, n_max + 1)))
 
 
 def _chunk_sweep(report, n_min: int, n_max: int, judge):
@@ -390,56 +391,65 @@ def _complete_k(report, n_max: int = 12):
     return _family_sweep(report, [FamilySpec.complete(n) for n in range(2, n_max + 1)])
 
 
-def _corona_sweep(report, chunks, bipartite: bool):
-    """D_k of the coronas of the corona chunks for n < k < 2n, n the inner
-    order: with bipartite, of the bipartite inner graphs' coronas alone, and
-    otherwise of every corona, whose domination profile is checked too.
+def _corona_sweep(report, inner_max: int, bipartite: bool):
+    """D_k of the coronas of the labeled inner graphs on n = 2..inner_max
+    vertices for n < k < 2n: with bipartite, of the bipartite inner graphs'
+    coronas alone, and otherwise of every corona, whose domination profile
+    is checked too.
 
-    Every instance is counted, but each distinct table is decided once, and
-    profiled once on the corona of an inner graph that has it: a set
-    dominates a corona iff it meets {v, v'} for each inner vertex v, so all
-    inner graphs of one order share a table, and a changed corona gets
-    verdicts of its own.  Graph 0 of a chunk, whose edges every graph of the
-    chunk has, is an instance if any graph is, and its verdicts stand for
-    every graph with its table: the graphs are visited one by one only where
-    a table differs from graph 0's, or where graph 0's has problems.
-    Disagreements come per inner graph in order of n and edge mask, the
-    profile's first.
+    A set dominates the corona H o K_1 iff it meets {v, v'} for each inner
+    vertex v: pendant v' has N[v'] = {v, v'}, and a set that meets each
+    such pair dominates v too.  So every corona of order 2n has the table of
+    n disjoint K_2 (a lemma the tests check on every inner graph with
+    n <= 5), and one table, one profile and one lattice_eulerians per n
+    decide all its instances.  They are counted in closed form: 2**C(n, 2)
+    inner graphs or, with bipartite, those that LabeledChunk.bipartite finds
+    on the labeled chunks of order n, each with n - 1 bounds k.  A problem
+    of the shared table is a disagreement of every inner graph, reported in
+    order of n and edge mask, the profile's first: inner graphs are decoded
+    only while the report's counterexamples are short of the cap, and the
+    rest of them are counted in details.
     """
-    problems = {}  # per distinct table: its (k, expected, computed) disagreements
-    for chunk in chunks:
-        n = chunk.n
-        instances = chunk.bipartite() if bipartite else chunk.every
-        report.instances_checked += instances.bit_count() * (n - 1)
-        visit = instances & (1 | chunk.differs_from_first())
-        while visit:
-            i = (visit & -visit).bit_length() - 1
-            visit &= visit - 1
-            table = chunk.graph_table(i)
-            if table not in problems:
-                found = problems[table] = []
-                profile = None if bipartite else domination_profile(
-                    corona_of(next(chunk.graphs(1 << i))), table)
-                if profile and (profile.gamma, profile.upper_gamma) != (n, n):
-                    found.append((None, f"gamma = upper_gamma = {n}",
-                                  [profile.gamma, profile.upper_gamma]))
-                ks = range(n + 1, 2 * n)
-                for k, computed in zip(ks, lattice_eulerians(2 * n, table, ks)):
-                    if computed != _corona_eulerian(n, k):
-                        found.append((k, _corona_eulerian(n, k), computed))
-            if problems[table]:
-                if i == 0:
-                    visit = instances ^ 1
-                seed = f"corona:g6:{to_graph6(next(chunk.graphs(1 << i)))}"
-                yield from ((seed, *problem) for problem in problems[table])
+    report.bounds = {"inner_min": 2, "inner_max": inner_max}
+    if inner_max > ENUMERATION_CAP:
+        raise BoundExceeded(f"exhaustive sweeps support n <= {ENUMERATION_CAP}, got {inner_max}")
+    for n in range(2, inner_max + 1):
+        corona = corona_of(labeled_graph(n, 0))
+        table = dominating_table(corona)
+        problems = []
+        if not bipartite:
+            profile = domination_profile(corona, table)
+            if (profile.gamma, profile.upper_gamma) != (n, n):
+                problems.append((None, f"gamma = upper_gamma = {n}",
+                                 [profile.gamma, profile.upper_gamma]))
+        ks = range(n + 1, 2 * n)
+        for k, computed in zip(ks, lattice_eulerians(2 * n, table, ks)):
+            expected = _corona_eulerian(n, k)
+            if computed != expected:
+                problems.append((k, expected, computed))
+        if bipartite:
+            count = sum(c.bipartite().bit_count() for c in labeled_chunks(n))
+            inners = (g for c in labeled_chunks(n) for g in c.graphs(c.bipartite()))
+        else:
+            count = 1 << len(vertex_pairs(n))
+            inners = (labeled_graph(n, mask) for mask in range(count))
+        report.instances_checked += count * (n - 1)
+        if problems:
+            for inner in inners:
+                if len(report.counterexamples) >= COUNTEREXAMPLE_CAP:
+                    break
+                count -= 1
+                yield from ((f"corona:g6:{to_graph6(inner)}", *problem) for problem in problems)
+            report.details["counterexample_count"] = (
+                report.details.get("counterexample_count", 0) + count * len(problems))
 
 
 def _corona(report, inner_max: int = 5):
     """Coronas of every labeled inner graph (connected or not): Eulerian iff
     the inner order is even and k is one above it.  Also checks that coronas
-    are well-dominated with domination number equal to the inner order."""
-    report.bounds = {"inner_min": 2, "inner_max": inner_max}
-    return _corona_sweep(report, _chunks(2, inner_max, corona_chunks), bipartite=False)
+    are well-dominated with domination number equal to the inner order.  It
+    rests on the lemma that every corona of one order has one table."""
+    return _corona_sweep(report, inner_max, bipartite=False)
 
 
 def _bipartite_well_dominated(report, inner_max: int = 5):
@@ -448,15 +458,14 @@ def _bipartite_well_dominated(report, inner_max: int = 5):
     and k = n + 1.  The 4-cycle bullet is recorded verbatim from the source
     catalog even though it contradicts the path/cycle characterization (D_3
     of the 4-cycle has a degree-3 node), so this claim is expected to report
-    exactly that counterexample."""
-    report.bounds = {"inner_min": 2, "inner_max": inner_max}
-    chunks = _chunks(2, inner_max, corona_chunks)
+    exactly that counterexample.  The coronas rest on the lemma that every
+    corona of one order has one table."""
     c4 = make_family(FamilySpec.cycle(4))
     computed = computed_eulerian(c4, 3)
     report.instances_checked += 1
     if computed is not True:
         yield c4, 3, True, computed
-    yield from _corona_sweep(report, chunks, bipartite=True)
+    yield from _corona_sweep(report, inner_max, bipartite=True)
 
 
 def _product_instance(report, parts: list[SeedGraph]):
@@ -518,12 +527,15 @@ def _product_decomposition(report, samples: int = 100, max_part: int = 5, seed: 
 
 
 def _mixed_parity(report, n_max: int = 6):
+    """Connected seeds with gamma < t, the universal threshold (t >= 2
+    follows), must have odd- and even-degree nodes in D(G).  gamma < t holds
+    in every graph that is not regular (gamma <= n - Delta), so
+    LabeledChunk.below_threshold reads a block only for the regular ones."""
     report.details["graphs_scanned"] = 0
 
     def judge(chunk):
         connected = chunk.connected()
         report.details["graphs_scanned"] += connected.bit_count()
-        # Lemma: gamma < t (the universal threshold; t >= 2 follows) forces both parities.
         lemma = chunk.below_threshold()
         odd = chunk.odd_degree_nodes()
         return connected & lemma, {"no even-degree node": ~chunk.any(chunk.table & ~odd),
@@ -544,9 +556,10 @@ def verify_mixed_parity_lemma(n_max: int = 6) -> TheoremReport:
 def _universal_gamma_set(report, n_max: int = 6):
     """Connected seeds where every gamma-sized set dominates are complete
     graphs or cocktail party graphs, and their restricted-k verdicts follow
-    the complete/cocktail rules."""
+    the complete/cocktail rules.  Every gamma-set dominates iff gamma = t,
+    the universal threshold, which only a regular graph can meet (gamma <=
+    n - Delta), so the judge's candidates are regular graphs."""
     def judge(chunk):
-        # every gamma-set dominates iff gamma = t, the universal threshold
         universal = chunk.every & ~chunk.below_threshold()
         return chunk.connected() & universal, {"universal gamma set": universal}
 

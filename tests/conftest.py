@@ -21,12 +21,13 @@ _odd_nodes and of bounded.
 ReconfigGraph keeps no neighbour lists: listed_adjacency parses them from
 the CSV export, and naive_adjacency builds them from all pairs of nodes.
 size_classes, the per-cardinality folds of a LabeledChunk, is the oracle of
-the threshold fold: the judges read gamma < t per graph from the
-non-neighbor counts instead.  The package's former folds of a chunk's
-blocks, shift_fold_any and shift_fold_parity, which fold each block into
-its lowest bit, and per_size_below_threshold, one such fold per size class,
-are the oracles of the field tests read off each block's top bit and of the
-one-pass threshold; colouring_bipartite, its former fold of the edge bits
+the threshold test: the judges read gamma < t per graph from the
+non-neighbor counts, and a block only for a regular graph.  The package's
+former folds of a chunk's blocks, shift_fold_any and shift_fold_parity,
+which fold each block into its lowest bit, and per_size_below_threshold,
+one such fold per size class on every graph, are the oracles of the field
+tests read off each block's top bit and of the threshold test on the
+regular graphs alone; colouring_bipartite, its former fold of the edge bits
 per 2-colouring, that of the bipartite test read off cached colourings.
 rebuilt_lattice and tiled_chunk_lattice are the package's former lattice
 builders, which rebuilt the member and size lists per vertex and tiled a
@@ -40,6 +41,10 @@ rank_gather_analyze is analyze's former circuit writer, which read each
 step's id off node_ranks and then its label from a list in node order: the
 oracle of the labels keyed by mask.
 
+assert_same_output compares two whole outputs by sha256 first and, on a
+mismatch, reports where they first differ, so that a failing comparison of
+megabytes ends in milliseconds instead of in pytest's diff of them.
+
 The watchdog fixture, on every test, fails a test still running after
 TEST_TIME_LIMIT seconds, so that a defect which loops for ever (a walk that
 re-enables a used edge) fails its test instead of hanging the suite.
@@ -47,6 +52,7 @@ re-enables a used edge) fails its test instead of hanging the suite.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import signal
@@ -123,6 +129,32 @@ def watchdog():
     finally:
         signal.setitimer(signal.ITIMER_REAL, *timer)
         signal.signal(signal.SIGALRM, handler)
+
+
+def _first_difference(got: str, expected: str) -> str:
+    """Where got first differs from expected: the line, the column and a
+    short excerpt of each, found by halving the common prefix (each step one
+    C-speed slice comparison)."""
+    lo, hi = 0, min(len(got), len(expected))
+    while lo < hi:  # got[:lo] == expected[:lo]
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == expected[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    line, column = got.count("\n", 0, lo) + 1, lo - got.rfind("\n", 0, lo) - 1
+    start = max(lo - 20, 0)
+    return (f"outputs of {len(got)} and {len(expected)} characters first differ at line {line}, "
+            f"column {column}: {got[start:lo + 40]!r} != {expected[start:lo + 40]!r}")
+
+
+def assert_same_output(got: str, expected: str) -> None:
+    """got == expected for whole outputs, failing fast: their sha256 digests
+    are compared first, with the first difference as the message, and the
+    full equality is asserted after them."""
+    assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(
+        expected.encode()).hexdigest(), _first_difference(got, expected)
+    assert got == expected
 
 
 def enumerate_labeled_graphs(n: int):
@@ -345,7 +377,7 @@ def lowest_bits(chunk, x: int) -> int:
     """Per graph, the lowest bit of its block of x.  A block of 8 bits or
     more starts a byte, so the bytes are taken at a stride of one block; a
     chunk of narrower blocks is at most 8 bits, read digit by digit."""
-    block = 1 << chunk.order
+    block = 1 << chunk.n
     width = block * chunk.count
     if block < 8:
         return int(format(x, f"0{width}b")[block - 1 :: block], 2)
@@ -356,7 +388,7 @@ def lowest_bits(chunk, x: int) -> int:
 def shift_fold_any(chunk, x: int) -> int:
     """Per graph, whether its block of x has a set bit: an OR fold of each
     block into its lowest bit by right shifts."""
-    for s in range(chunk.order):
+    for s in range(chunk.n):
         x |= x >> (1 << s)
     return lowest_bits(chunk, x)
 
@@ -364,7 +396,7 @@ def shift_fold_any(chunk, x: int) -> int:
 def shift_fold_parity(chunk, x: int) -> int:
     """Per graph, the parity of the set bits in its block of x: an XOR fold
     of each block into its lowest bit by right shifts."""
-    for s in range(chunk.order):
+    for s in range(chunk.n):
         x ^= x >> (1 << s)
     return lowest_bits(chunk, x)
 
@@ -602,26 +634,27 @@ def peeling_format_set(bits: int) -> str:
 
 
 def reference_corona_sweep(report, inners, check_profile: bool):
-    """The corona claims' sweep with no shared verdicts: one profile and one
-    computed_eulerian call per inner graph and k.
+    """The corona claims' sweep with no shared table: one table, one profile
+    and one computed_eulerian call per inner graph and k.
 
-    The package's former loop, kept as an oracle for the per-table verdicts
+    The package's former loop, kept as an oracle for the one table per order
     of theorems._corona_sweep, whose place it takes under monkeypatch.  It
-    reads theorems.corona_of and theorems.computed_eulerian at call time, so
-    a patched corona reaches both sweeps alike.
+    reads theorems.corona_of, dominating_table, domination_profile,
+    computed_eulerian and _corona_eulerian at call time, so a patched
+    table, profile or expectation reaches both sweeps alike.
     """
     for inner in inners:
         n = inner.n
         g = theorems.corona_of(inner)
-        table = dominating_table(g)
+        table = theorems.dominating_table(g)
         if check_profile:
-            profile = domination_profile(g, table)
+            profile = theorems.domination_profile(g, table)
             if not (profile.gamma == profile.upper_gamma == n):
                 yield (f"corona:g6:{to_graph6(inner)}", None, f"gamma = upper_gamma = {n}",
                        [profile.gamma, profile.upper_gamma])
         for k in range(n + 1, 2 * n):
             computed = theorems.computed_eulerian(g, k, table)
-            expected = n % 2 == 0 and k == n + 1
+            expected = theorems._corona_eulerian(n, k)
             report.instances_checked += 1
             if computed != expected:
                 yield f"corona:g6:{to_graph6(inner)}", k, expected, computed

@@ -47,7 +47,6 @@ from domrec import (
 from domrec import domination
 from domrec.domination import (
     bounded,
-    corona_chunks,
     dominating_table,
     labeled_chunks,
     lattice_eulerian,
@@ -58,9 +57,7 @@ from domrec.domination import (
     up_closure_gaps,
 )
 from domrec.graphs import (
-    corona_of,
     is_connected,
-    labeled_graph,
     vertex_pairs,
 )
 from domrec.errors import BoundBelowGamma, BoundExceeded, DimensionMismatch, EmptyGraph
@@ -398,40 +395,24 @@ def test_sliced_non_neighbor_counters_match_degrees(monkeypatch, levels):
                     [int(n - 1 - g.degree(v) > j) for j in range(depth)] for v in range(n)]
 
 
-def test_sliced_bipartite_matches_the_per_seed_check(monkeypatch):
-    """Every labeled graph with n <= 6, every graph of three seeded chunks
-    at n = 7, and every inner graph with n <= 5 read off its corona chunk,
-    at the default width and at 2**8 bits (one inner graph a chunk at n = 4
-    and 5): bit i is set iff graph i is bipartite."""
+def test_sliced_bipartite_matches_the_per_seed_check():
+    """Every labeled graph with n <= 6 and every graph of three seeded
+    chunks at n = 7: bit i is set iff graph i is bipartite."""
     chunks = [c for n in range(1, 7) for c in labeled_chunks(n)]
     b = next(labeled_chunks(7)).count.bit_length() - 1
     rng = random.Random(2024)
     chunks += [domination.LabeledChunk(7, rng.randrange(1 << 21 - b) << b, b) for _ in range(3)]
-    for chunk_bits in (domination.CHUNK_BITS, 8):
-        monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
-        chunks += [c for n in range(1, 6) for c in corona_chunks(n)]
     for chunk in chunks:
         bits = chunk.bipartite()
         assert [bits >> i & 1 for i in range(chunk.count)] == [
-            is_bipartite(g) for g in chunk.graphs(chunk.every)], (chunk.n, chunk.order, chunk.first)
-
-
-def _corona_odd_nodes(chunk) -> int:
-    """The odd-degree nodes of each corona's D(G) on a corona chunk: the
-    parity flip at k = 2n of _seed_lattice(2n), repeated in every block."""
-    order = chunk.order
-    flip = domination._repeat(domination._seed_lattice(order).flip, 1 << order,
-                              chunk.count << order)
-    return domination._odd_nodes(zip(domination._UNITS, chunk.lattice[0]), chunk.table, flip,
-                                 chunk.table)
+            is_bipartite(g) for g in chunk.graphs(chunk.every)], (chunk.n, chunk.first)
 
 
 def test_field_tests_match_the_shift_folds():
-    """any, parity, below_threshold and bipartite against the former folds:
+    """any, parity, below_threshold and bipartite against the former folds
     on every labeled chunk with n <= 7, where n = 1 and 2 have blocks under
     8 bits, over the table, the odd-degree nodes of D(G) and the table
-    outside them; on every corona chunk with inner n <= 5 over the table
-    and the odd-degree nodes of each corona's D(G)."""
+    outside them."""
     for n in range(1, 8):
         for chunk in labeled_chunks(n):
             odd = chunk.odd_degree_nodes()
@@ -440,28 +421,32 @@ def test_field_tests_match_the_shift_folds():
                 assert chunk.parity(x) == shift_fold_parity(chunk, x), (n, chunk.first)
             assert chunk.below_threshold() == per_size_below_threshold(chunk), (n, chunk.first)
             assert chunk.bipartite() == colouring_bipartite(chunk), (n, chunk.first)
-    for n in range(1, 6):
-        for chunk in corona_chunks(n):
-            for x in (chunk.table, _corona_odd_nodes(chunk)):
-                assert chunk.any(x) == shift_fold_any(chunk, x), (n, chunk.first)
-                assert chunk.parity(x) == shift_fold_parity(chunk, x), (n, chunk.first)
-            assert chunk.bipartite() == colouring_bipartite(chunk), (n, chunk.first)
+
+
+def test_graphs_that_are_not_regular_are_below_the_threshold():
+    """The lemma below_threshold rests on, per seed with no chunk: a vertex
+    of maximum degree and its non-neighbors dominate, so every labeled graph
+    with n <= 6 whose degrees are not all equal has gamma < t."""
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            degrees = {g.degree(v) for v in range(n)}
+            if len(degrees) > 1:
+                profile = domination_profile(g)
+                assert profile.gamma < profile.universal_threshold, (n, g.adj)
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_field_tests_match_the_shift_folds_on_drawn_masks(data):
     """any and parity against the shift folds on masks drawn over a drawn
-    labeled chunk with n <= 7 or corona chunk with inner n <= 5: dense ones,
-    dense ones with whole blocks cleared, and sparse ones set at the first
-    and last two bits of blocks, where a carry or a spill between blocks
-    would show."""
-    corona = data.draw(st.booleans())
-    n = data.draw(st.integers(1, 5 if corona else 7))
-    b = next((corona_chunks if corona else labeled_chunks)(n)).count.bit_length() - 1
+    labeled chunk with n <= 7: dense ones, dense ones with whole blocks
+    cleared, and sparse ones set at the first and last two bits of blocks,
+    where a carry or a spill between blocks would show."""
+    n = data.draw(st.integers(1, 7))
+    b = next(labeled_chunks(n)).count.bit_length() - 1
     first = data.draw(st.integers(0, (1 << len(vertex_pairs(n)) - b) - 1)) << b
-    chunk = domination.LabeledChunk(n, first, b, 2 * n if corona else n)
-    block, count = 1 << chunk.order, chunk.count
+    chunk = domination.LabeledChunk(n, first, b)
+    block, count = 1 << n, chunk.count
     dense = data.draw(st.integers(0, (1 << block * count) - 1))
     cleared = data.draw(st.sets(st.integers(0, count - 1)))
     ends = data.draw(st.sets(st.tuples(st.integers(0, count - 1),
@@ -470,50 +455,6 @@ def test_field_tests_match_the_shift_folds_on_drawn_masks(data):
               sum({1 << i * block + bit for i, bit in ends})):
         assert chunk.any(x) == shift_fold_any(chunk, x)
         assert chunk.parity(x) == shift_fold_parity(chunk, x)
-
-
-@pytest.mark.parametrize("chunk_bits", [domination.CHUNK_BITS, 8])
-def test_corona_chunks_match_the_per_corona_tables(monkeypatch, chunk_bits):
-    """Every inner graph with n <= 5: block i of each corona chunk, read
-    directly and through graph_table, is the table of the corona of inner
-    graph first + i, and its edge bits are that graph's.  differs_from_first
-    agrees with a comparison of the blocks, and a change planted in one
-    block is flagged at exactly its graph.  n = 5 takes several chunks;
-    with 2**8 bits n = 4 and 5 take one inner graph a chunk."""
-    monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
-    for n in range(1, 6):
-        block = 1 << 2 * n
-        firsts = []
-        for chunk in corona_chunks(n):
-            firsts.append(chunk.first)
-            blocks = [chunk.table >> i * block & (1 << block) - 1 for i in range(chunk.count)]
-            for i in range(chunk.every.bit_length()):
-                inner = labeled_graph(n, chunk.first + i)
-                assert blocks[i] == chunk.graph_table(i) == dominating_table(
-                    corona_of(inner)), (n, chunk.first + i)
-                assert [e >> i & 1 for e in chunk.edges] == [
-                    inner.has_edge(u, v) for u, v in vertex_pairs(n)]
-            assert chunk.differs_from_first() == sum(
-                (x != blocks[0]) << i for i, x in enumerate(blocks))
-            if chunk.count > 1:  # a change planted in the last graph's block
-                chunk.table ^= 1 << (chunk.count - 1) * block + block // 2
-                assert chunk.differs_from_first() == 1 << chunk.count - 1, (n, chunk.first)
-        assert firsts == list(range(0, 1 << len(vertex_pairs(n)), chunk.every.bit_length()))
-    with pytest.raises(BoundExceeded):
-        next(corona_chunks(8))
-
-
-def test_corona_chunks_hold_no_size_class():
-    """A corona chunk's lattice holds no size class and no parity flip, as
-    no reader of one folds by size: each such read fails rather than fold
-    nothing.  A labeled chunk of the same inner graphs holds both."""
-    for chunk in corona_chunks(3):
-        assert chunk.lattice[1] is None and chunk.flip is None
-        for read in (chunk.below_threshold, chunk.odd_degree_nodes, lambda: size_classes(chunk)):
-            with pytest.raises(TypeError):
-                read()
-    labeled = next(labeled_chunks(3))
-    assert len(labeled.lattice[1]) == 4 and labeled.flip
 
 
 def _dominating_pairs(n: int, c: int) -> int:
@@ -625,7 +566,9 @@ def test_eulerian_ranges_match_the_per_k_verdicts():
     range within it for n <= 4; over gamma..n on path, cycle, complete,
     cocktail and biclique seeds of up to 16 vertices."""
     for n in range(1, 7):
-        tables = {c.graph_table(i) for c in labeled_chunks(n) for i in range(c.count)}
+        block = 1 << n
+        tables = {c.table >> i * block & (1 << block) - 1
+                  for c in labeled_chunks(n) for i in range(c.count)}
         for table in tables:
             gamma = _gamma(n, table)
             ranges = [range(gamma, n + 1)] if n > 4 else [

@@ -1,7 +1,7 @@
 """Guards on the package source, read with ast: every public function and
 class has a user in the package, no module imports a name it never uses,
-and theorems.py reads no chunk's layout.  One guard reads the imported
-modules: every annotation resolves.
+theorems.py reads no chunk's layout, and no chunk holds coronas.  One
+guard reads the imported modules: every annotation resolves.
 
 Functions that only the tests call, and exception classes that only they
 raise, belong in tests/conftest.py, next to the other oracles, so the
@@ -15,6 +15,7 @@ import typing
 from pathlib import Path
 
 import domrec
+from domrec.domination import LabeledChunk
 
 PACKAGE = Path(domrec.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -62,6 +63,17 @@ def test_theorems_reads_no_chunk_layout():
     read = {node.attr for node in ast.walk(MODULES["theorems.py"])
             if isinstance(node, ast.Attribute)}
     assert read & {"edges", "first"} == set()
+
+
+def test_no_chunk_holds_coronas():
+    """Every corona of order 2n has the table of n disjoint K_2, so the
+    corona claims read one table per inner order: no module defines
+    corona_chunks, graph_table or differs_from_first, and a LabeledChunk,
+    which holds the labeled graphs themselves, has no order slot."""
+    defined = {node.name for tree in MODULES.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"corona_chunks", "graph_table", "differs_from_first"} == set()
+    assert "order" not in LabeledChunk.__slots__
 
 
 def test_every_annotation_resolves():

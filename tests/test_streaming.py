@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import enumerate_labeled_graphs, naive_adjacency, rank_gather_analyze
+from conftest import (assert_same_output, enumerate_labeled_graphs, naive_adjacency,
+                      rank_gather_analyze)
 from domrec import cli, domination, reconfig
 from domrec.cli import parse_graph_spec, run_cli
 from domrec.domination import dominating_table, domination_profile, format_set
@@ -132,7 +133,7 @@ def test_analyze_matches_the_one_string_output(spec, k, circuit, as_json, pieces
     monkeypatch.setattr(cli, "_PIECES_PER_WRITE", pieces_per_write)
     argv = ["analyze", "--graph", spec, "--k", k] + ["--circuit"] * circuit + ["--json"] * as_json
     assert run_cli(argv) == 0
-    assert capsys.readouterr().out == one_string_analyze(spec, k, as_json, circuit)
+    assert_same_output(capsys.readouterr().out, one_string_analyze(spec, k, as_json, circuit))
 
 
 @pytest.mark.parametrize("pieces_per_write", PIECES_PER_WRITE)
@@ -143,9 +144,9 @@ def test_analyze_dot_file_matches_the_one_string_output(pieces_per_write, tmp_pa
     argv = ["analyze", "--graph", "cocktail:6", "--k", "max", "--circuit", "--json",
             "--dot", str(dot_path)]
     assert run_cli(argv) == 0
-    assert capsys.readouterr().out == one_string_analyze("cocktail:6", "max", True, True)
+    assert_same_output(capsys.readouterr().out, one_string_analyze("cocktail:6", "max", True, True))
     g, _ = parse_graph_spec("cocktail:6")
-    assert dot_path.read_text() == one_string_dot(build_reconfig(g, g.n))
+    assert_same_output(dot_path.read_text(), one_string_dot(build_reconfig(g, g.n)))
 
 
 EXPORT_SPEC = "union:path:3+cycle:4"
@@ -159,7 +160,7 @@ def test_export_matches_the_one_string_output(fmt, pieces_per_write, monkeypatch
     g, _ = parse_graph_spec(EXPORT_SPEC)
     r = build_reconfig(g, g.n)
     expected = one_string_csv(r) if fmt == ["csv"] else one_string_dot(r, fmt[-1])
-    assert capsys.readouterr().out == expected
+    assert_same_output(capsys.readouterr().out, expected)
 
 
 def test_exports_yield_the_one_string_output_line_by_line():
@@ -167,9 +168,9 @@ def test_exports_yield_the_one_string_output_line_by_line():
     r = build_reconfig(g, 4)
     for style in ("set", "bits"):
         lines = list(reconfig_to_dot(r, label_style=style))
-        assert "".join(lines) == one_string_dot(r, style)
+        assert_same_output("".join(lines), one_string_dot(r, style))
         assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
-    assert "".join(reconfig_to_csv(r)) == one_string_csv(r)
+    assert_same_output("".join(reconfig_to_csv(r)), one_string_csv(r))
 
 
 def test_dot_label_style_is_checked_before_any_line():
@@ -280,7 +281,7 @@ def test_circuit_matches_the_rank_gather_oracle_on_every_small_labeled_graph(
         for as_json in (False, True):
             assert run_cli(["analyze", "--graph", spec, "--k", k, "--circuit"]
                            + ["--json"] * as_json) == 0
-            assert capsys.readouterr().out == rank_gather_analyze(spec, k, as_json)
+            assert_same_output(capsys.readouterr().out, rank_gather_analyze(spec, k, as_json))
 
 
 #: (spec, k, the labels' container, its length): a list over the 2**n
@@ -308,7 +309,7 @@ def test_circuit_labels_keyed_by_mask_match_the_rank_gather_oracle(spec, k, kind
 
     monkeypatch.setattr(cli, "_write_analysis", kept)
     assert run_cli(["analyze", "--graph", spec, "--k", k, "--circuit"] + ["--json"] * as_json) == 0
-    assert capsys.readouterr().out == expected
+    assert_same_output(capsys.readouterr().out, expected)
     (labels,) = containers
     assert type(labels) is kind and len(labels) == size
 
@@ -345,7 +346,7 @@ def test_dense_circuit_lists_no_node(monkeypatch, capsys):
     for as_json, text in zip((False, True), expected):
         assert run_cli(["analyze", "--graph", "cocktail:10", "--k", "max", "--circuit"]
                        + ["--json"] * as_json) == 0
-        assert capsys.readouterr().out == text
+        assert_same_output(capsys.readouterr().out, text)
     with pytest.raises(AssertionError, match="node listed"):
         run_cli(["analyze", "--graph", "complete:13", "--k", "2", "--circuit"])
 
@@ -365,7 +366,7 @@ def test_analyze_circuit_reads_no_rank_array(spec, k, monkeypatch, capsys):
     for as_json, text in zip((False, True), expected):
         assert run_cli(["analyze", "--graph", spec, "--k", k, "--circuit"]
                        + ["--json"] * as_json) == 0
-        assert capsys.readouterr().out == text
+        assert_same_output(capsys.readouterr().out, text)
     with pytest.raises(AssertionError, match="node_ranks called"):
         run_cli(["export", "--graph", spec, "--k", k, "--format", "csv"])
 

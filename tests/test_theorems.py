@@ -46,8 +46,7 @@ from domrec.theorems import (
     negative_control_characterization,
 )
 from domrec import domination, reconfig, theorems
-from domrec.domination import (bounded, corona_chunks, dominating_table, labeled_chunks,
-                               up_closure_gaps)
+from domrec.domination import bounded, dominating_table, labeled_chunks, up_closure_gaps
 
 
 # --- expected verdicts -------------------------------------------------------
@@ -682,13 +681,11 @@ def test_mixed_parity_reports_each_missing_parity(monkeypatch, odd_nodes, pariti
 
 
 def test_labeled_seeds_come_from_the_chunks_in_enumeration_order():
-    """Both kinds of chunk the sweeps read hold every labeled graph, as a
-    seed or as a corona's inner graph, in enumeration order."""
+    """The chunks the sweeps read hold every labeled graph in enumeration
+    order."""
     for n in range(1, 7):
         seeds = [g for c in theorems._chunks(n, n) for g in c.graphs(c.every)]
-        inners = [labeled_graph(n, c.first + i) for c in theorems._chunks(n, n, corona_chunks)
-                  for i in range(c.every.bit_length())]
-        assert seeds == inners == list(enumerate_labeled_graphs(n))
+        assert seeds == list(enumerate_labeled_graphs(n))
 
 
 @pytest.mark.parametrize("claim", [
@@ -720,7 +717,7 @@ def test_bipartite_well_dominated_reports_catalog_defect():
     assert ce["expected"] is True and ce["computed"] is False
 
 
-# --- corona claims: one verdict per distinct table ----------------------------
+# --- corona claims: one table per inner order -----------------------------------
 
 
 def _corona_outcome(report):
@@ -730,12 +727,10 @@ def _corona_outcome(report):
 
 def _reference_corona_report(monkeypatch, claim, inner_max):
     """The claim's report with the per-inner reference loop as its sweep, in
-    place of the corona chunks: it is fed every labeled inner graph from
-    enumerate_labeled_graphs, the bipartite ones alone (is_bipartite) for
-    bipartite_well_dominated."""
-    bipartite = claim == ClaimId.BIPARTITE_WELL_DOMINATED
-
-    def sweep(report, chunks, **_):
+    place of the one table per order: it is fed every labeled inner graph
+    from enumerate_labeled_graphs, the bipartite ones alone (is_bipartite)
+    for bipartite_well_dominated."""
+    def sweep(report, inner_max, bipartite):
         inners = chain.from_iterable(map(enumerate_labeled_graphs, range(2, inner_max + 1)))
         return reference_corona_sweep(report, filter(is_bipartite, inners) if bipartite else inners,
                                       check_profile=not bipartite)
@@ -752,93 +747,135 @@ def test_corona_claims_match_the_per_inner_reference(monkeypatch, claim, inner_m
         _reference_corona_report(monkeypatch, claim, inner_max))
 
 
-def _tampering(targets):
-    """corona_of and corona_chunks that drop the pendant edge at inner vertex
-    0 from the corona of each inner graph in targets: corona_of from the
-    corona it builds, corona_chunks from the inner graph's block of its
-    chunk's table, which takes the built corona's table."""
-    honest_of, honest_chunks = theorems.corona_of, theorems.corona_chunks
-
-    def corona_of(inner):
-        g = honest_of(inner)
-        if inner not in targets:
-            return g
+def _tampered_table(monkeypatch, inners):
+    """Patch theorems.dominating_table so that every corona of the order of
+    an inner graph in inners gets the table of that graph's corona with the
+    pendant edge at vertex 0 dropped: one tampered table per order, which
+    the claim and the reference both read."""
+    honest = theorems.dominating_table
+    tampered = {}
+    for inner in inners:
+        g = corona_of(inner)
         adj = list(g.adj)
         adj[0] ^= 1 << inner.n
         adj[inner.n] ^= 1
-        return SeedGraph(g.n, adj)
+        tampered[g.n] = honest(SeedGraph(g.n, adj))
 
-    def corona_chunks(n):
-        width = 1 << 2 * n
-        for chunk in honest_chunks(n):
-            table = chunk.table
-            for i in range(chunk.every.bit_length()):
-                inner = labeled_graph(n, chunk.first + i)
-                if inner in targets:
-                    at = i * width
-                    block = dominating_table(corona_of(inner))
-                    table = table & ~((1 << width) - 1 << at) | block << at
-            chunk.table = table
-            yield chunk
+    def table(g):
+        half = g.n // 2
+        if g.n in tampered and all(g.adj[v + half] == 1 << v for v in range(half)):
+            return tampered[g.n]
+        return honest(g)
 
-    return corona_of, corona_chunks
+    monkeypatch.setattr(theorems, "dominating_table", table)
 
 
-def _tampered_reports(monkeypatch, claim, targets, inner_max=4):
-    """The claim's report with the targets' coronas tampered in the chunk
-    tables, and the reference's with them tampered in corona_of."""
-    corona_of, corona_chunks = _tampering(targets)
+def _tampered_reports(monkeypatch, claim, inners, inner_max=4):
+    """The claim's report and the reference's with the corona tables of the
+    orders of inners tampered."""
     with monkeypatch.context() as m:
-        m.setattr(theorems, "corona_chunks", corona_chunks)
-        report = verify_claim(claim, inner_max=inner_max)
-    with monkeypatch.context() as m:
-        m.setattr(theorems, "corona_of", corona_of)
-        return report, _reference_corona_report(m, claim, inner_max)
+        _tampered_table(m, inners)
+        return verify_claim(claim, inner_max=inner_max), _reference_corona_report(
+            m, claim, inner_max)
 
 
 def test_corona_claims_report_a_tampered_corona_table(monkeypatch):
-    """One inner graph's corona loses the pendant edge at vertex 0, so its
-    table is new: the shared verdicts must not answer it, and both sweeps
-    report exactly its counterexamples.  With vertex 4 isolated and 0 joined
-    only to 1, gamma is 4 ({1, 2, 3, 4}), {0, 4, 5, 6, 7} is a minimal
-    dominating set of 5, and D_5 is not Eulerian.  The sweep sees the tamper
-    as the path:4 inner graph's block of its corona chunk, and the
-    reference through corona_of."""
-    target = make_family(FamilySpec.path(4))
-    seed = f"corona:g6:{to_graph6(target)}"
-    missed = {"seed": seed, "k": 5, "expected": True, "computed": False}
+    """The coronas of order 8 get the table of the corona of the path
+    0-1-2-3 with the pendant edge at vertex 0 dropped: vertex 4 isolated and
+    0 joined only to 1, so gamma is 4 ({1, 2, 3, 4}), {0, 4, 5, 6, 7} is a
+    minimal dominating set of 5, and D_5 is not Eulerian.  Every inner graph
+    of order 4 has these counterexamples, the first ones in edge-mask order
+    from the edgeless graph, and both sweeps report and count them alike:
+    64 inner graphs with two each, or the 41 bipartite ones with one."""
+    path = make_family(FamilySpec.path(4))
+    firsts = [f"corona:g6:{to_graph6(labeled_graph(4, mask))}" for mask in range(2)]
+    profile = [{"seed": seed, "k": None, "expected": "gamma = upper_gamma = 4",
+                "computed": [4, 5]} for seed in firsts]
+    missed = [{"seed": seed, "k": 5, "expected": True, "computed": False} for seed in firsts]
     expected = {
-        ClaimId.CORONA: [{"seed": seed, "k": None, "expected": "gamma = upper_gamma = 4",
-                          "computed": [4, 5]}, missed],
-        ClaimId.BIPARTITE_WELL_DOMINATED: [
-            {"seed": "cycle:4", "k": 3, "expected": True, "computed": False}, missed],
+        ClaimId.CORONA: ([profile[0], missed[0], profile[1], missed[1]], 128),
+        ClaimId.BIPARTITE_WELL_DOMINATED: (
+            [{"seed": "cycle:4", "k": 3, "expected": True, "computed": False}, *missed], 42),
     }
-    for claim, counterexamples in expected.items():
-        report, reference = _tampered_reports(monkeypatch, claim, [target])
-        assert report.counterexamples == counterexamples
+    for claim, (head, count) in expected.items():
+        report, reference = _tampered_reports(monkeypatch, claim, [path])
+        assert report.counterexamples[:len(head)] == head
+        assert len(report.counterexamples) == theorems.COUNTEREXAMPLE_CAP
+        assert report.details["counterexample_count"] == count
         assert _corona_outcome(report) == _corona_outcome(reference)
 
 
 @pytest.mark.parametrize("claim", [ClaimId.CORONA, ClaimId.BIPARTITE_WELL_DOMINATED],
                          ids=lambda c: c.value)
 def test_tampered_coronas_are_reported_in_edge_mask_order(monkeypatch, claim):
-    """Tampered inner graphs are reported in edge-mask order, each with its
-    profile's problem first, as the per-inner reference reports them: two
-    of one chunk, the star at vertex 0 (edge mask 7) and the path 0-1-2-3
-    (edge mask 41), neither of them graph 0; then, in chunks of 16 inner
-    graphs at n = 5, the graph with no edges, graph 0 of the first chunk,
-    and the graph with the edge 1-2 alone (edge mask 16), graph 0 of the
-    second.  A tampered graph 0 has problems, so every graph of its chunk
-    is visited."""
-    cases = [(domination.CHUNK_BITS, 4, [(4, 41), (4, 7)]), (14, 5, [(5, 16), (5, 0)])]
-    for chunk_bits, inner_max, masks in cases:
+    """Tampered tables at inner orders 2 and 3, from the edgeless inner
+    graphs: gamma is one above n at both, and at n = 3 D_4 and D_5 are
+    Eulerian.  Counterexamples come in order of n and then edge mask, each
+    inner graph's profile problem first, as the per-inner reference reports
+    them; the bipartite claim skips the triangle (edge mask 7).  With
+    chunks of 2**3 lattice bits, n = 3 takes one graph a chunk, so a
+    bipartite inner graph decoded without its chunk's first edge mask would
+    show."""
+    targets = [labeled_graph(2, 0), labeled_graph(3, 0)]
+    for chunk_bits in (domination.CHUNK_BITS, 3):
         monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
-        targets = [labeled_graph(n, mask) for n, mask in masks]
-        report, reference = _tampered_reports(monkeypatch, claim, targets, inner_max)
+        report, reference = _tampered_reports(monkeypatch, claim, targets)
         seeds = [ce["seed"] for ce in report.counterexamples if ce["seed"] != "cycle:4"]
-        order = [f"corona:g6:{to_graph6(labeled_graph(n, mask))}" for n, mask in sorted(masks)]
-        assert sorted(set(seeds), key=seeds.index) == order, chunk_bits
+        masks = [(2, 0), (2, 1)] if claim == ClaimId.CORONA else []
+        masks += [(3, mask) for mask in range(8) if claim == ClaimId.CORONA or mask != 7]
+        order = [f"corona:g6:{to_graph6(labeled_graph(n, mask))}" for n, mask in masks]
+        assert sorted(set(seeds), key=seeds.index) == order[:len(set(seeds))], chunk_bits
         assert _corona_outcome(report) == _corona_outcome(reference), chunk_bits
+
+
+#: Planted expectations: flipped at n = 2 for one k, at n = 3 for two and
+#: at n = 4 for three, so that the cap falls inside an inner graph's list.
+PLANTED = {(2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7)}
+
+
+@pytest.mark.parametrize("claim,count,kept", [
+    (ClaimId.CORONA, 2 + 8 * 2 + 64 * 3, (5, 6)),
+    (ClaimId.BIPARTITE_WELL_DOMINATED, 1 + 2 + 7 * 2 + 41 * 3, (5, 6, 7)),
+], ids=["corona", "bipartite_well_dominated"])
+def test_planted_corona_expectations_match_the_per_inner_reference(monkeypatch, claim, count,
+                                                                    kept):
+    """With _corona_eulerian flipped at PLANTED, every inner graph of a
+    planted order disagrees at each planted k: both sweeps report the same
+    counterexamples, in order of n and edge mask, and count each of them
+    past the cap too.  The kept ones end with the first k's of the edgeless
+    inner graph of order 4: two of its three for corona, where the cap
+    falls inside its list."""
+    honest = theorems._corona_eulerian
+    monkeypatch.setattr(theorems, "_corona_eulerian",
+                        lambda n, k: honest(n, k) != ((n, k) in PLANTED))
+    report = verify_claim(claim, inner_max=5)
+    assert report.details["counterexample_count"] == count
+    assert len(report.counterexamples) == theorems.COUNTEREXAMPLE_CAP
+    seed = f"corona:g6:{to_graph6(labeled_graph(4, 0))}"
+    assert [(ce["seed"], ce["k"]) for ce in report.counterexamples[-len(kept):]] == [
+        (seed, k) for k in kept]
+    assert _corona_outcome(report) == _corona_outcome(
+        _reference_corona_report(monkeypatch, claim, 5))
+
+
+def test_a_planted_profile_failure_matches_the_per_inner_reference(monkeypatch):
+    """With the profile of the coronas of order 10 given one more upper
+    domination number, each of the 1,024 inner graphs of order 5 has that
+    problem, the first 20 in edge-mask order, in both sweeps."""
+    honest = theorems.domination_profile
+
+    def profile(g, table=None):
+        p = honest(g, table)
+        return p._replace(upper_gamma=p.upper_gamma + 1) if g.n == 10 else p
+
+    monkeypatch.setattr(theorems, "domination_profile", profile)
+    report = verify_claim(ClaimId.CORONA, inner_max=5)
+    assert report.details["counterexample_count"] == 1024
+    assert report.counterexamples == [
+        {"seed": f"corona:g6:{to_graph6(labeled_graph(5, mask))}", "k": None,
+         "expected": "gamma = upper_gamma = 5", "computed": [5, 6]} for mask in range(20)]
+    assert _corona_outcome(report) == _corona_outcome(
+        _reference_corona_report(monkeypatch, ClaimId.CORONA, 5))
 
 
 @pytest.mark.parametrize("claim,verdicts,profiles,instances", [
@@ -869,11 +906,16 @@ def test_corona_claims_decide_each_distinct_table_once(monkeypatch, claim, verdi
     assert report.instances_checked == instances
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_every_inner_graph_of_one_order_gives_one_corona_table(n):
-    """A set dominates H o K_1 iff it meets {v, v'} for every inner vertex v,
-    so the corona's table does not depend on the inner graph's edges."""
-    assert len({dominating_table(corona_of(g)) for g in enumerate_labeled_graphs(n)}) == 1
+    """The lemma the corona claims rest on, per inner graph with no chunk: a
+    set dominates H o K_1 iff it meets {v, v'} for every inner vertex v, so
+    for every labeled H on n <= 5 vertices the corona has the table of n
+    disjoint K_2, whatever the inner graph's edges."""
+    pairs = [1 << v | 1 << v + n for v in range(n)]
+    disjoint_k2 = sum(1 << s for s in range(1 << 2 * n) if all(s & pair for pair in pairs))
+    for h in enumerate_labeled_graphs(n):
+        assert dominating_table(corona_of(h)) == disjoint_k2, h.adj
 
 
 def test_negative_control_flags_exactly_the_plant():
