@@ -11,12 +11,13 @@ whole-lattice question is a few bitwise operations on such ints instead of a
 loop over the subsets.  This module is the one owner of that representation.
 dominating_table ANDs, over the vertices v, the cover of N[v], the subsets
 that meet it: up to n = 8 one lookup in a cover table of ORs of member
-masks, a table lookup on broadword masks (Knuth, TAOCP 4A, 7.1.3), and
-above it one OR per member of N[v].  D_k lives on the lattice too,
-unbuilt: bounded picks its nodes, and lattice_eulerian reads their degree
-parities off the table with the masks of _seed_lattice(n), one record per n
-built on first use, then floods them (_flood: in-place vertex passes until
-one adds nothing); lattice_eulerians does every k of a range at once.
+masks (Knuth, TAOCP 4A, 7.1.3), above it an OR of the masks of N[v]'s
+members alone; domination_number reads gamma off the first size class
+that meets a table.  D_k lives on the lattice too, unbuilt: bounded picks
+its nodes, and lattice_eulerian reads their degree parities off the table
+with the masks of _seed_lattice(n), one record per n built on first use,
+then floods them (_flood: in-place vertex passes until one adds nothing);
+lattice_eulerians does every k of a range at once.
 up_closure_gaps checks that a table, of one seed or a chunk of them, is
 up-closed, which makes its unrestricted D(G) connected.  Any set of masks
 taken as nodes, two adjacent when they differ in one vertex, is read the
@@ -31,11 +32,11 @@ consecutive edge masks, about 2**CHUNK_BITS bits each: a chunk's table is
 the AND over v of cover_v = M_v | OR_u (M_u & X_uv), with M_u the member
 mask of u and X_uv the graphs that have edge uv, and a field test or fold
 of each graph's block of 2**n bits leaves its answer on the block's top bit.
-The layout of a chunk is known here alone: connected, bipartite,
-non_neighbors and cocktail_party fold the X_uv for all graphs at once,
-below_threshold reads a block only for the regular graphs, as the lemma
-gamma <= n - Delta settles the others, and graphs decodes the graphs of an
-answer.
+Only this module knows a chunk's layout: connected, bipartite, degrees,
+non_neighbors and cocktail_party fold the X_uv for all graphs at once
+(bipartite_count folds bipartite with no chunk), below_threshold reads a
+block only for the regular graphs (gamma <= n - Delta settles the others),
+and graphs decodes the graphs of an answer.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def dominating_table(g: SeedGraph) -> int:
     so the table is the AND over v of the cover of N[v], the OR of member[u]
     over u in N[v].  Up to n = _TABLE_N each cover is one entry of
     _seed_lattice(n).cover; above it, where a table would outgrow a chunk,
-    the ORs are taken one member of N[v] at a time, from the first member's
-    mask itself (no initial value), so no 2**n-bit mask is copied per vertex.
+    the masks of N[v]'s members alone, picked by its binary digits, are ORed
+    from the first one's mask (no initial value), so none is copied.
     """
     n = g.n
     table = (1 << (1 << n)) - 1  # with no vertices, the empty set dominates
@@ -182,7 +183,7 @@ def dominating_table(g: SeedGraph) -> int:
         return table
     member = _members(n)
     for nbhd in g.closed_neighborhoods():  # never empty, as N[v] holds v
-        table &= reduce(or_, (x for u, x in enumerate(member) if nbhd >> u & 1))
+        table &= reduce(or_, compress(member, bin(nbhd)[:1:-1].encode().translate(_DIGIT_BYTES)))
     return table
 
 
@@ -360,6 +361,11 @@ def node_fields(n: int, masks) -> memoryview:
     return memoryview(words).cast(_WORD_FORMATS[width])
 
 
+def domination_number(n: int, table: int) -> int:
+    """gamma of a table on n vertices: the least c whose size class meets it."""
+    return next(c for c, x in enumerate(_sizes(n)) if table & x)
+
+
 def size_counts(n: int, table: int) -> list[int]:
     """How many subsets in table have each cardinality 0..n."""
     size = _sizes(n)
@@ -397,14 +403,9 @@ def domination_profile(g: SeedGraph, table: int | None = None) -> DominationProf
     universal_threshold = n - min(map(g.degree, range(n)))
     minimal = table & ~reduce(or_, _removable(member, table))
     upper_gamma = max(c for c, x in enumerate(size) if minimal & x)
-    return DominationProfile(
-        gamma=gamma,
-        upper_gamma=upper_gamma,
-        counts_by_size=tuple(counts),
-        total_count=sum(counts),
-        universal_threshold=universal_threshold,
-        well_dominated=gamma == upper_gamma,
-    )
+    return DominationProfile(gamma=gamma, upper_gamma=upper_gamma, counts_by_size=tuple(counts),
+                             total_count=sum(counts), universal_threshold=universal_threshold,
+                             well_dominated=gamma == upper_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +451,12 @@ def _colourings(n: int, b: int) -> tuple[tuple[int, int], ...]:
                   every & ~reduce(or_, compress(low_edges, inside), 0)) for inside in insides)
 
 
+def _bipartite(n: int, first: int, b: int) -> int:
+    """The bipartite graphs of edge masks first + i, i < 2**b, as per-graph bits:
+    per colouring (_colourings) with no high edge of first inside a class, its graphs."""
+    return reduce(or_, (low for high, low in _colourings(n, b) if not first & high), 0)
+
+
 class LabeledChunk:
     """Consecutive labeled graphs on n vertices on the (edge mask, subset)
     lattice.
@@ -464,9 +471,9 @@ class LabeledChunk:
     vertex_pairs(n).  Tests of the blocks, with the field masks ones and
     high, give such answers on each block's top bit: any, parity and
     odd_degree_nodes.  Folds of edges give graphs' predicates bit-sliced,
-    connected, bipartite, non_neighbors and cocktail_party, and
+    connected, bipartite, degrees, non_neighbors and cocktail_party, and
     below_threshold tests the blocks of the regular graphs alone, as the
-    non-neighbor counters find them.  graphs decodes the graphs of an
+    binary degree slices find them.  graphs decodes the graphs of an
     answer.
     """
 
@@ -530,18 +537,16 @@ class LabeledChunk:
         A vertex of maximum degree Delta dominates with its n - 1 - Delta
         non-neighbors, so gamma <= n - Delta (Berge, 1962), below t wherever
         Delta > delta: every graph that is not regular is below.  A graph is
-        regular iff, at each level of the non-neighbor counters, every vertex
-        reaches it or none does.  A regular graph with L non-neighbors a
-        vertex (the levels its vertices reach) is below iff it has a
-        dominating L-set, as its table is up-closed: a test of size class L
-        on its block of one to_bytes.  L = 0 is never below, nor is any graph
-        on n < 3 vertices, where gamma = t."""
+        regular iff every vertex has each bit of the degrees slices or none
+        does.  A regular graph with L = n - 1 - deg (read off vertex 0's
+        slices) is below iff it has a dominating L-set, as its table is
+        up-closed: a test of size class L on its block of one to_bytes.  L = 0
+        is never below, nor is any graph on n < 3 vertices, where gamma = t."""
         n = self.n
         if n < 3:
             return 0
-        levels = [(reduce(and_, level), reduce(or_, level))
-                  for level in zip(*self.non_neighbors(n - 1))]
-        below = reduce(or_, (each ^ some for each, some in levels))
+        slices = self.degrees()
+        below = reduce(or_, (reduce(and_, s) ^ reduce(or_, s) for s in zip(*slices)))
         regular = self.every & ~below
         if regular:
             step, size = 1 << n - 3, _sizes(n)  # bytes a block
@@ -549,7 +554,7 @@ class LabeledChunk:
             while regular:
                 i = (regular & -regular).bit_length() - 1
                 regular &= regular - 1
-                level = sum(each >> i & 1 for each, _ in levels)
+                level = n - 1 - sum((s >> i & 1) << j for j, s in enumerate(slices[0]))
                 if level and int.from_bytes(data[i * step : i * step + step], "little") & size[level]:
                     below |= 1 << i
         return below
@@ -567,12 +572,21 @@ class LabeledChunk:
                 return reduce(and_, reach)
 
     def bipartite(self) -> int:
-        """The bipartite graphs: those with no edge inside a colour class of
-        some 2-colouring, over the 2**(n - 1) colourings that give vertex 0
-        colour 0 (swapping the colours keeps the classes): per colouring with
-        no shared high edge inside a class, its cached graphs (_colourings)."""
-        b = self.count.bit_length() - 1
-        return reduce(or_, (low for high, low in _colourings(self.n, b) if not self.first & high), 0)
+        """The bipartite graphs of the chunk, by _bipartite."""
+        return _bipartite(self.n, self.first, self.count.bit_length() - 1)
+
+    def degrees(self) -> list[list[int]]:
+        """Per vertex v, slices j < width = (n - 1).bit_length(): bit i is bit j
+        of v's degree in graph i, each edge added by a half-adder chain at both
+        ends (sideways addition, Knuth, TAOCP 4A, 7.1.3)."""
+        slices = [[0] * (self.n - 1).bit_length() for _ in range(self.n)]
+        for (u, v), x in zip(vertex_pairs(self.n), self.edges):
+            for counter in (slices[u], slices[v]):
+                j, carry = 0, x
+                while carry:  # no carry leaves the top slice, as deg < 2**width
+                    counter[j], carry = counter[j] ^ carry, counter[j] & carry
+                    j += 1
+        return slices
 
     def non_neighbors(self, levels: int) -> list[list[int]]:
         """Per vertex v and count j < levels, the graphs in which v has at
@@ -605,13 +619,18 @@ class LabeledChunk:
             yield labeled_graph(self.n, self.first + low.bit_length() - 1)
 
 
-def labeled_chunks(n: int):
+def labeled_chunks(n: int, make=LabeledChunk):
     """Every labeled graph on n vertices, in edge-mask order, as chunks of
     2**b graphs that make about 2**CHUNK_BITS lattice bits (all m edges if
-    there are fewer, none at least)."""
+    there are fewer, none at least): make(n, first, b) per chunk."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise BoundExceeded(f"labeled sweeps support 1 <= n <= {ENUMERATION_CAP}, got {n}")
     m = len(vertex_pairs(n))
     b = min(m, max(CHUNK_BITS - n, 0))
     for first in range(0, 1 << m, 1 << b):
-        yield LabeledChunk(n, first, b)
+        yield make(n, first, b)
+
+
+def bipartite_count(n: int) -> int:
+    """How many labeled graphs on n vertices are bipartite, with no chunk built."""
+    return sum(x.bit_count() for x in labeled_chunks(n, _bipartite))

@@ -34,12 +34,13 @@ from itertools import chain
 from operator import or_
 
 from .domination import (
+    bipartite_count,
     dominating_table,
+    domination_number,
     domination_profile,
     labeled_chunks,
     lattice_eulerian,
     lattice_eulerians,
-    size_counts,
     up_closure_gaps,
 )
 from .errors import BoundExceeded, ClaimUnknown, UncharacterizedInstance
@@ -403,12 +404,12 @@ def _corona_sweep(report, inner_max: int, bipartite: bool):
     n disjoint K_2 (a lemma the tests check on every inner graph with
     n <= 5), and one table, one profile and one lattice_eulerians per n
     decide all its instances.  They are counted in closed form: 2**C(n, 2)
-    inner graphs or, with bipartite, those that LabeledChunk.bipartite finds
-    on the labeled chunks of order n, each with n - 1 bounds k.  A problem
-    of the shared table is a disagreement of every inner graph, reported in
-    order of n and edge mask, the profile's first: inner graphs are decoded
-    only while the report's counterexamples are short of the cap, and the
-    rest of them are counted in details.
+    inner graphs or, with bipartite, the bipartite_count of order n, with no
+    chunk built, each with n - 1 bounds k.  A problem of the shared table is
+    a disagreement of every inner graph, reported in order of n and edge
+    mask, the profile's first: inner graphs are decoded off the labeled
+    chunks only while the report's counterexamples are short of the cap,
+    and the rest of them are counted in details.
     """
     report.bounds = {"inner_min": 2, "inner_max": inner_max}
     if inner_max > ENUMERATION_CAP:
@@ -428,7 +429,7 @@ def _corona_sweep(report, inner_max: int, bipartite: bool):
             if computed != expected:
                 problems.append((k, expected, computed))
         if bipartite:
-            count = sum(c.bipartite().bit_count() for c in labeled_chunks(n))
+            count = bipartite_count(n)
             inners = (g for c in labeled_chunks(n) for g in c.graphs(c.bipartite()))
         else:
             count = 1 << len(vertex_pairs(n))
@@ -565,13 +566,12 @@ def _universal_gamma_set(report, n_max: int = 6):
 
     for g, _ in _chunk_sweep(report, 2, n_max, judge):
         table = dominating_table(g)
-        gamma = next(c for c, count in enumerate(size_counts(g.n, table)) if count)
         complete = is_complete(g)
         if not (complete or is_cocktail_party(g)):
             yield g, None, "complete or cocktail", "neither"
             continue
         spec = FamilySpec.complete(g.n) if complete else FamilySpec.cocktail(g.n)
-        ks = range(gamma + 1, g.n)
+        ks = range(domination_number(g.n, table) + 1, g.n)
         for k, computed in zip(ks, lattice_eulerians(g.n, table, ks)):
             expected = expected_eulerian(spec, k)
             if computed != expected:
@@ -591,7 +591,7 @@ def _gamma_formulas(report, path_max: int = 15, complete_max: int = 12, biclique
     )
     for spec in specs:
         g = make_family(spec)
-        got = domination_profile(g).gamma
+        got = domination_number(g.n, dominating_table(g))
         expected = _family_gamma(spec)
         report.instances_checked += 1
         if got != expected:

@@ -3,6 +3,7 @@
 import random
 import sys
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import hypothesis.strategies as st
@@ -46,8 +47,10 @@ from domrec import (
 )
 from domrec import domination
 from domrec.domination import (
+    bipartite_count,
     bounded,
     dominating_table,
+    domination_number,
     labeled_chunks,
     lattice_eulerian,
     lattice_eulerians,
@@ -262,6 +265,36 @@ def test_profile_gamma_closed_forms():
             assert gamma == (1 if m == 1 else 2)
 
 
+def _least_dominating_size(g):
+    """gamma by the naive check: the size of the first dominating set among
+    the subsets taken in order of size."""
+    return next(c for c in range(g.n + 1) for s in combinations(range(g.n), c)
+                if naive_is_dominating(g, sum(1 << v for v in s)))
+
+
+def _gamma_formula_families(n_max):
+    """The families that the gamma_formulas claim sweeps, up to n_max vertices."""
+    yield from (FamilySpec.path(n) for n in range(1, n_max + 1))
+    yield from (FamilySpec.cycle(n) for n in range(3, n_max + 1))
+    yield from (FamilySpec.complete(n) for n in range(1, n_max + 1))
+    yield from (FamilySpec.complete_bipartite(m, n) for m in range(1, n_max)
+                for n in range(m, n_max + 1 - m))
+
+
+def test_domination_number_matches_the_naive_least_size_and_the_profile():
+    """domination_number, the first size class that meets the table, against
+    the least dominating size by the naive check and the profile's gamma, on
+    every labeled graph with n <= 6 and the gamma_formulas families up to
+    n = 16, on both sides of the cover tables."""
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
+    graphs += map(make_family, _gamma_formula_families(16))
+    for g in graphs:
+        table = dominating_table(g)
+        gamma = domination_number(g.n, table)
+        assert gamma == _least_dominating_size(g) == domination_profile(g, table).gamma, g.adj
+    assert domination_number(0, dominating_table(SeedGraph(0, []))) == 0
+
+
 def test_profile_isolated_vertex_threshold():
     # an isolated vertex forces every dominating set to contain it
     g = SeedGraph(3, [0b010, 0b001, 0b000])  # edge 0-1, isolated 2
@@ -393,6 +426,58 @@ def test_sliced_non_neighbor_counters_match_degrees(monkeypatch, levels):
             for i, g in enumerate(chunk.graphs(chunk.every)):
                 assert [[x >> i & 1 for x in counter] for counter in counts] == [
                     [int(n - 1 - g.degree(v) > j) for j in range(depth)] for v in range(n)]
+
+
+def _assert_degrees_agree(chunk):
+    """Bit i of slice j at vertex v is bit j of v's degree in graph i."""
+    slices = chunk.degrees()
+    assert all(len(counter) == (chunk.n - 1).bit_length() for counter in slices)
+    for i, g in enumerate(chunk.graphs(chunk.every)):
+        assert [sum((x >> i & 1) << j for j, x in enumerate(counter)) for counter in slices] == [
+            g.degree(v) for v in range(chunk.n)], (chunk.n, chunk.first, i)
+
+
+def test_degree_slices_match_the_degrees(monkeypatch):
+    """Every labeled graph with n <= 6, in chunks of 2**6 lattice bits, so
+    that n = 4..6 take several chunks, each with high edges that all its
+    graphs share."""
+    monkeypatch.setattr(domination, "CHUNK_BITS", 6)
+    for n in range(1, 7):
+        for chunk in labeled_chunks(n):
+            _assert_degrees_agree(chunk)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_degree_slices_match_the_degrees_on_seeded_chunks(n):
+    """Three seeded chunks at n = 7 and at n = 8, whose degrees take three
+    slices."""
+    b = 9 if n == 8 else next(labeled_chunks(n)).count.bit_length() - 1
+    rng = random.Random(n)
+    for _ in range(3):
+        _assert_degrees_agree(domination.LabeledChunk(
+            n, rng.randrange(1 << len(vertex_pairs(n)) - b) << b, b))
+
+
+@pytest.mark.parametrize("chunk_bits", [domination.CHUNK_BITS, 6, 3])
+def test_bipartite_count_matches_oeis_a033995_and_the_chunks(monkeypatch, chunk_bits):
+    """Labeled bipartite graphs on n = 1..6 vertices (OEIS A033995), counted
+    with no chunk built, whatever the chunk width, and equal to the chunks'
+    own bipartite bits."""
+    monkeypatch.setattr(domination, "CHUNK_BITS", chunk_bits)
+    counts = [bipartite_count(n) for n in range(1, 7)]
+    assert counts == [1, 2, 7, 41, 376, 5177]
+    assert counts == [sum(c.bipartite().bit_count() for c in labeled_chunks(n))
+                      for n in range(1, 7)]
+
+
+def test_bipartite_count_at_seven_builds_no_chunk(monkeypatch):
+    """The 103,237 labeled bipartite graphs on 7 vertices, with the chunk
+    lattice, which every LabeledChunk reads first, made to fail."""
+    def fail(*args):
+        raise AssertionError("a chunk was built")
+
+    monkeypatch.setattr(domination, "_chunk_lattice", fail)
+    assert bipartite_count(7) == 103237
 
 
 def test_sliced_bipartite_matches_the_per_seed_check():

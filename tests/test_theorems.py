@@ -558,13 +558,26 @@ def test_universal_gamma_set_reports_each_restricted_mismatch(monkeypatch):
 
 
 def test_gamma_formulas_report_a_planted_gamma(monkeypatch):
-    profile = theorems.domination_profile
-    monkeypatch.setattr(theorems, "domination_profile", lambda g: profile(g)._replace(
-        gamma=3) if g.name == "path:4" else profile(g))
+    """A planted gamma = 3 on path:4, whose table no other family of these
+    bounds shares, is its one counterexample."""
+    number, planted = theorems.domination_number, dominating_table(make_family(FamilySpec.path(4)))
+    monkeypatch.setattr(theorems, "domination_number",
+                        lambda n, table: 3 if table == planted else number(n, table))
     report = verify_claim(ClaimId.GAMMA_FORMULAS, path_max=4, complete_max=2, biclique_max=2)
     assert report.instances_checked == 11
     assert report.counterexamples == [
         {"seed": "path:4", "k": None, "expected": 2, "computed": 3}]
+
+
+def test_gamma_formulas_read_no_profile(monkeypatch):
+    """At its default bounds the claim reads gamma off each table's first
+    size class and builds no domination profile."""
+    def fail(*args):
+        raise AssertionError("a profile was built")
+
+    monkeypatch.setattr(theorems, "domination_profile", fail)
+    report = verify_claim(ClaimId.GAMMA_FORMULAS)
+    assert report.passed and report.instances_checked == 76
 
 
 def _shape(n: int, table: int) -> tuple[bool, bool]:
